@@ -20,6 +20,7 @@ from .expansion import LocalModel, SigmaModel, big_f, f_coeff, jac_bar, theta_se
 from .groebner import (
     Budget,
     GStatus,
+    InternalConsistencyError,
     _presentation_obstruction,
     check_g,
     check_g_index,
@@ -474,7 +475,7 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     nbar = bool(flags.get("nbar_nonzero", False))
     g_table: dict[int, GStatus] = {}
     if not all(p.a == 2 for p in config.points):
-        budget = Budget(args.budget_secs, args.max_pairs)
+        budget = Budget(args.budget_secs, args.max_pairs).start()
         for j in range(1, config.e + 1):
             model = config.model(j)
             if model.a >= 3:
@@ -578,8 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p)
     p.add_argument("--point", help="comma-separated rational coordinates c2..ca")
     p.add_argument("--index", type=int, help="single genericity index (default all)")
-    p.add_argument("--budget-secs", type=float, default=120.0)
-    p.add_argument("--max-pairs", type=int)
+    p.add_argument("--budget-secs", type=float, default=120.0,
+                   help="wall-clock seconds for the whole check (default 120)")
+    p.add_argument("--max-pairs", type=int, help="S-pairs allowed per Groebner run")
     add_format(p)
     p.set_defaults(func=cmd_check)
 
@@ -587,8 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-min", type=int, default=3)
     p.add_argument("--a-max", type=int, default=4)
     p.add_argument("--b-max", type=int, default=9)
-    p.add_argument("--budget-secs", type=float, default=120.0)
-    p.add_argument("--max-pairs", type=int)
+    p.add_argument("--budget-secs", type=float, default=120.0,
+                   help="wall-clock seconds per (a, b, i) index, not for the whole scan "
+                        "(default 120)")
+    p.add_argument("--max-pairs", type=int, help="S-pairs allowed per Groebner run")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", help=f"verdict cache (or ${cache.ENV_VAR})")
     add_format(p, ("text", "json", "csv", "md"))
@@ -626,8 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verdict", help="deformability of a configuration")
     p.add_argument("--input", required=True, help="configuration JSON file")
-    p.add_argument("--budget-secs", type=float, default=120.0)
-    p.add_argument("--max-pairs", type=int)
+    p.add_argument("--budget-secs", type=float, default=120.0,
+                   help="wall-clock seconds for all genericity checks together (default 120)")
+    p.add_argument("--max-pairs", type=int, help="S-pairs allowed per Groebner run")
     add_format(p)
     p.set_defaults(func=cmd_verdict)
 
@@ -648,6 +653,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (InternalConsistencyError, AssertionError) as exc:
+        # An engine fault is no verdict: exit 1 would read as "fails".
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -1,11 +1,15 @@
 """Groebner-basis engine and the transversality / genericity decision procedures.
 
 The engine is a budgeted Buchberger implementation over exact rationals:
-normal pair-selection strategy (lowest lcm degree first), product and chain
-criteria, integer-content stripping of intermediate results, and a reduced
-(monic, sorted, hence unique) basis at the end. Budgets cover wall-clock
-seconds and processed S-pair count; exhaustion yields a first-class timeout
-verdict instead of an exception.
+normal pair-selection strategy (lowest lcm degree first, ties broken by the
+monomial order and then by pair index), product and chain criteria,
+integer-content stripping of intermediate results, and a reduced (monic,
+sorted, hence unique) basis at the end. Pending S-pairs sit in a heap keyed
+by the selection rule, and the normal form takes the largest remaining term
+from a max-heap, so neither rescans its whole set at each step. Budgets
+cover wall-clock seconds, on one clock shared by every run of a check, and
+processed S-pairs per run; exhaustion yields a first-class timeout verdict
+instead of an exception.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
@@ -15,10 +19,12 @@ generator presentations that must agree.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from operator import add, le, sub
+from time import monotonic
 from typing import Callable, Sequence
 
 from .expansion import LocalModel, big_f, f_coeff, jac_bar, theta_cap
@@ -32,6 +38,19 @@ class MonomialOrder(Enum):
     @property
     def key(self) -> Callable[[Exponents], tuple]:
         return grevlex_key if self is MonomialOrder.GREVLEX else lex_key
+
+    @property
+    def heap_key(self) -> Callable[[Exponents], tuple]:
+        """Key that sorts exactly opposite to ``key``, for a max-heap on heapq."""
+        return _grevlex_heap_key if self is MonomialOrder.GREVLEX else _lex_heap_key
+
+
+def _grevlex_heap_key(exps: Exponents) -> tuple:
+    return (-sum(exps), exps[::-1])
+
+
+def _lex_heap_key(exps: Exponents) -> tuple:
+    return tuple(-e for e in exps)
 
 
 class EngineStatus(Enum):
@@ -76,32 +95,29 @@ class Ideal:
 
 @dataclass
 class Budget:
-    """Wall-clock and S-pair budget; None means unlimited."""
+    """Wall-clock and S-pair budget; None means unlimited.
+
+    ``seconds`` runs on one clock, started by ``start()``: every engine run
+    given a started budget shares its clock, so the seconds bound them all
+    together. ``max_pairs`` bounds each Buchberger run on its own.
+    """
 
     seconds: float | None = None
     max_pairs: int | None = None
+    started_at: float | None = field(default=None, init=False, repr=False, compare=False)
 
-    def start(self) -> "_BudgetClock":
-        return _BudgetClock(self)
+    def start(self) -> "Budget":
+        """This budget with its clock running from now; a budget already
+        started is returned as it is."""
+        if self.started_at is not None:
+            return self
+        running = replace(self)
+        running.started_at = monotonic()
+        return running
 
-
-class _BudgetClock:
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.t0 = time.monotonic()
-        self.pairs = 0
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.t0
-
-    def charge_pair(self) -> bool:
-        """Account one S-pair; False when the budget is exhausted."""
-        self.pairs += 1
-        if self.budget.max_pairs is not None and self.pairs > self.budget.max_pairs:
-            return False
-        if self.budget.seconds is not None and self.elapsed() > self.budget.seconds:
-            return False
-        return True
+    def expired(self) -> bool:
+        return (self.seconds is not None and self.started_at is not None
+                and monotonic() - self.started_at > self.seconds)
 
 
 @dataclass
@@ -113,36 +129,58 @@ class GBResult:
 
 
 def _lcm_exps(e1: Exponents, e2: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(x <= y for x, y in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
-def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = MonomialOrder.GREVLEX) -> MPoly:
+def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = MonomialOrder.GREVLEX,
+                lms: Sequence[Exponents] | None = None) -> MPoly:
     """Fully reduce p modulo the basis: no result monomial is divisible
-    by any basis leading monomial."""
-    key = order.key
-    lead_data = [(max(g.terms, key=key), g) for g in basis if not g.is_zero()]
+    by any basis leading monomial.
+
+    Terms are reduced largest first, taken from a max-heap over the working
+    polynomial; an entry whose term has since cancelled is skipped when it
+    surfaces. Each term is reduced by the first basis element, in basis
+    order, whose leading monomial divides it. ``lms`` may give the basis
+    leading monomials when the caller already holds them.
+    """
+    key, heap_key = order.key, order.heap_key
+    if lms is None:
+        lms = [max(g.terms, key=key) if g.terms else None for g in basis]
+    # Terms are not copied into tails: one call reduces by few of the basis
+    # elements (about one in fifteen in check G at (5,7)).
+    reducers = [(lm, g.terms[lm], g.terms) for lm, g in zip(lms, basis) if g.terms]
     work = dict(p.terms)
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
     out: dict[Exponents, Fraction] = {}
-    while work:
-        mon = max(work, key=key)
-        coeff = work.pop(mon)
-        for lm, g in lead_data:
-            if _divides(lm, mon):
-                shift = tuple(a - b for a, b in zip(mon, lm))
-                factor = coeff / g.terms[lm]
-                for eg, cg in g.terms.items():
+    while heap:
+        mon = heapq.heappop(heap)[1]
+        coeff = work.pop(mon, None)
+        if coeff is None:
+            continue
+        for lm, lc, terms in reducers:
+            if all(map(le, lm, mon)):
+                shift = tuple(map(sub, mon, lm))
+                factor = coeff / lc
+                # Every new term lies below mon: a reduced term never returns.
+                for eg, cg in terms.items():
                     if eg == lm:
                         continue
-                    tgt = tuple(a + b for a, b in zip(eg, shift))
-                    s = work.get(tgt, Fraction(0)) - factor * cg
-                    if s:
-                        work[tgt] = s
+                    tgt = tuple(map(add, eg, shift))
+                    old = work.get(tgt)
+                    if old is None:
+                        work[tgt] = -factor * cg
+                        heapq.heappush(heap, (heap_key(tgt), tgt))
                     else:
-                        work.pop(tgt, None)
+                        s = old - factor * cg
+                        if s:
+                            work[tgt] = s
+                        else:
+                            del work[tgt]
                 break
         else:
             out[mon] = coeff
@@ -170,7 +208,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
     """
     if not ideal.generators:
         raise ValueError("Groebner engine needs at least one generator")
-    clock = (budget or Budget()).start()
+    budget = (budget or Budget()).start()
+    t0 = monotonic()
+    pairs = 0
     key = order.key
 
     basis = [g.content_free() for g in ideal.generators]
@@ -179,13 +219,21 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
     # Unit short-circuit: a constant generator makes everything trivial.
     if any(not any(lm) for lm in lms):
         one = [MPoly.constant(ideal.varset, 1)]
-        return GBResult(EngineStatus.OK, one, 0, clock.elapsed())
+        return GBResult(EngineStatus.OK, one, 0, monotonic() - t0)
 
-    pending: dict[tuple[int, int], Exponents] = {}
+    # Normal strategy: lowest lcm degree first, ties broken by the order and
+    # then by (i, j). Pairs are only pushed or popped smallest first, so the
+    # heap yields them in the order a full scan for the minimum would.
+    pending: list[tuple[int, tuple, tuple[int, int], Exponents]] = []
     done: set[tuple[int, int]] = set()
+
+    def push_pair(i: int, j: int) -> None:
+        lcm = _lcm_exps(lms[i], lms[j])
+        heapq.heappush(pending, (sum(lcm), key(lcm), (i, j), lcm))
+
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            pending[(i, j)] = _lcm_exps(lms[i], lms[j])
+            push_pair(i, j)
 
     def chain_skip(i: int, j: int, lcm: Exponents) -> bool:
         for k in range(len(basis)):
@@ -199,37 +247,36 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
         return False
 
     while pending:
-        (i, j) = min(pending, key=lambda ij: (sum(pending[ij]), key(pending[ij]), ij))
-        lcm = pending.pop((i, j))
+        _, _, (i, j), lcm = heapq.heappop(pending)
         done.add((i, j))
         # Product criterion: coprime leading monomials reduce to zero.
         if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
             continue
         if chain_skip(i, j, lcm):
             continue
-        if not clock.charge_pair():
-            return GBResult(EngineStatus.TIMEOUT, None, clock.pairs, clock.elapsed())
-        rem = normal_form(_s_poly(basis[i], basis[j], lms[i], lms[j]), basis, order)
+        pairs += 1
+        if (budget.max_pairs is not None and pairs > budget.max_pairs) or budget.expired():
+            return GBResult(EngineStatus.TIMEOUT, None, pairs, monotonic() - t0)
+        rem = normal_form(_s_poly(basis[i], basis[j], lms[i], lms[j]), basis, order, lms)
         if rem.is_zero():
             continue
         rem = rem.content_free()
         lm_new = max(rem.terms, key=key)
         if not any(lm_new):
             basis = [MPoly.constant(ideal.varset, 1)]
-            return GBResult(EngineStatus.OK, basis, clock.pairs, clock.elapsed())
+            return GBResult(EngineStatus.OK, basis, pairs, monotonic() - t0)
         new_idx = len(basis)
         basis.append(rem)
         lms.append(lm_new)
         for t in range(new_idx):
-            pending[(t, new_idx)] = _lcm_exps(lms[t], lm_new)
+            push_pair(t, new_idx)
 
-    reduced = _reduce_basis(basis, order)
-    return GBResult(EngineStatus.OK, reduced, clock.pairs, clock.elapsed())
+    reduced = _reduce_basis(basis, lms, order)
+    return GBResult(EngineStatus.OK, reduced, pairs, monotonic() - t0)
 
 
-def _reduce_basis(basis: list[MPoly], order: MonomialOrder) -> list[MPoly]:
+def _reduce_basis(basis: list[MPoly], lms: list[Exponents], order: MonomialOrder) -> list[MPoly]:
     key = order.key
-    lms = [max(g.terms, key=key) for g in basis]
     keep = []
     for i, lm in enumerate(lms):
         if any(j != i and _divides(lms[j], lm)
@@ -237,10 +284,12 @@ def _reduce_basis(basis: list[MPoly], order: MonomialOrder) -> list[MPoly]:
             continue
         keep.append(i)
     minimal = [basis[i] for i in keep]
+    minimal_lms = [lms[i] for i in keep]
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order) if others else g
+        r = (normal_form(g, others, order, minimal_lms[:i] + minimal_lms[i + 1:])
+             if others else g)
         if r.is_zero():
             continue
         lm = max(r.terms, key=key)
@@ -357,7 +406,8 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None,
 
     Holds iff F_{-i} * Jbar does NOT lie in the radical of the ideal of the
     other obstructions. Both generator presentations are run and must agree;
-    disagreement is an engine bug, not a verdict.
+    disagreement is an engine bug, not a verdict. The budget's seconds bound
+    both runs together.
     """
     if not 1 <= i <= model.a - 1:
         raise ValueError(f"index must be in [1, {model.a - 1}], got {i}")
@@ -368,6 +418,7 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None,
         status = GStatus.HOLDS if member is Membership.FALSE else GStatus.FAILS
         return GIndexResult(i, status, member)
 
+    budget = (budget or Budget()).start()
     ideal_f_form, cand_f_form = _presentation_obstruction(model, i)
     ideal_simple, cand_simple = _presentation_simplified(model, i)
     r1 = radical_member(cand_f_form, ideal_f_form, order, budget)
@@ -389,8 +440,9 @@ def check_g(model: LocalModel, budget: Budget | None = None,
     """Genericity at every index 1..a-1.
 
     Overall verdict: fails if any index fails, else timeout if any index
-    timed out, else holds.
+    timed out, else holds. The budget's seconds bound all indices together.
     """
+    budget = (budget or Budget()).start()
     per_index = [check_g_index(model, i, budget, order) for i in range(1, model.a)]
     if any(r.status is GStatus.FAILS for r in per_index):
         status = GStatus.FAILS

@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from equigen import cache
+from equigen import cache, cli, groebner
 from equigen.cli import main
+from equigen.groebner import InternalConsistencyError
 
 GOLDEN_F1_46 = "F_-1 = -3/16*c2^2*c3 + 3/4*c3*c4"
 GOLDEN_JACBAR_46 = ("jacbar = 27/16384*c2^6*c3 + 27/2048*c2^3*c3^3"
@@ -116,6 +117,20 @@ def test_check_g_timeout_exit(capsys):
     code, out, _ = run(capsys, "check", "G", "--a", "4", "--b", "7", "--max-pairs", "1")
     assert code == 2
     assert "timeout" in out
+
+
+def test_check_g_engine_fault_is_not_a_verdict(capsys, monkeypatch):
+    # Exit 1 means "fails"; an engine fault must exit 2 instead.
+    def disagree(model, i, *args, **kwargs):
+        raise InternalConsistencyError(f"presentations disagree at i={i}")
+
+    monkeypatch.setattr(cli, "check_g_index", disagree)
+    monkeypatch.setattr(groebner, "check_g_index", disagree)
+    for extra in ((), ("--index", "2")):
+        code, out, err = run(capsys, "check", "G", "--a", "4", "--b", "6", *extra)
+        assert code == 2
+        assert "internal error" in err and "disagree" in err
+        assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +334,17 @@ def test_lift_two_point_input_file(capsys, tmp_path):
     assert "point 2: c2 = " in out
 
 
+def test_lift_failed_self_check_is_not_a_verdict(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("inverse verification failed")
+
+    monkeypatch.setattr(cli, "lift_run", broken)
+    code, _, err = run(capsys, "lift", "--a", "2", "--b", "3", "--witness", "1",
+                       "--modulus", "10")
+    assert code == 2
+    assert "internal error: inverse verification failed" in err
+
+
 def test_lift_usage_errors(capsys):
     code, _, err = run(capsys, "lift", "--a", "2", "--b", "3", "--witness", "1")
     assert code == 2 and "--modulus" in err
@@ -369,6 +395,26 @@ def test_verdict_general_deforms(capsys, tmp_path):
     code, out, _ = run(capsys, "verdict", "--input", path, "--format", "json")
     assert code == 0
     assert json.loads(out)["status"] == "deforms"
+
+
+def test_verdict_budget_is_one_clock(capsys, tmp_path, monkeypatch):
+    # --budget-secs bounds the whole command: every model's check runs on
+    # the same started budget.
+    seen = []
+    real_check_g = cli.check_g
+
+    def spy(model, budget=None, *args):
+        seen.append(budget)
+        return real_check_g(model, budget, *args)
+
+    monkeypatch.setattr(cli, "check_g", spy)
+    path = write_input(tmp_path, {
+        "points": [{"a": 3, "b": 4}, {"a": 3, "b": 5}],
+        "dims": [{"j": 1, "twisted": 3, "plain": 2}, {"j": 2, "twisted": 3, "plain": 2}],
+    })
+    run(capsys, "verdict", "--input", path, "--budget-secs", "60")
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0].seconds == 60 and seen[0].started_at is not None
 
 
 def test_verdict_unknown_exit(capsys, tmp_path):

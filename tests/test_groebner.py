@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from equigen import groebner
 from equigen.expansion import LocalModel, big_f, jac_bar
 from equigen.groebner import (
     Budget,
@@ -26,7 +27,7 @@ from equigen.groebner import (
     radical_member,
     witness_verify,
 )
-from equigen.polycore import MPoly, VarSet, poly_text
+from equigen.polycore import Exponents, MPoly, VarSet, poly_text
 
 VS = VarSet(("x", "y"), (1, 1))
 VS3 = VarSet(("x", "y", "z"), (1, 1, 1))
@@ -92,6 +93,20 @@ def test_gb_lex_differs_from_grevlex():
     assert any("x" not in t for t in lex_texts)
 
 
+def test_gb_lex_textbook_system():
+    # x^2 + y + z = 1, x + y^2 + z = 1, x + y + z^2 = 1 in lex (x > y > z),
+    # Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 2 Sec. 8.
+    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    one = MPoly.constant(VS3, 1)
+    ideal = Ideal.of(VS3, [x**2 + y + z - one, x + y**2 + z - one, x + y + z**2 - one])
+    assert _gb_texts(ideal, MonomialOrder.LEX) == [
+        "z^6 - 4*z^4 + 4*z^3 - z^2",
+        "1/2*z^4 + y*z^2 - 1/2*z^2",
+        "y^2 - z^2 - y + z",
+        "z^2 + x + y - 1",
+    ]
+
+
 def test_normal_form_of_members_vanishes():
     res = buchberger(Ideal.of(VS, [X**2 - Y, X**3]))
     rng = random.Random(SEED)
@@ -102,6 +117,62 @@ def test_normal_form_of_members_vanishes():
                                   Fraction(rng.randint(-3, 3)))
             combo = combo + mult * g
         assert normal_form(combo, res.basis, MonomialOrder.GREVLEX).is_zero()
+
+
+def reference_normal_form(p, basis, order=MonomialOrder.GREVLEX):
+    """The engine's earlier normal form: a full max() scan of the working
+    terms per reduction step, first dividing basis element as reducer."""
+    key = order.key
+    lead_data = [(max(g.terms, key=key), g) for g in basis if not g.is_zero()]
+    work = dict(p.terms)
+    out: dict[Exponents, Fraction] = {}
+    while work:
+        mon = max(work, key=key)
+        coeff = work.pop(mon)
+        for lm, g in lead_data:
+            if all(x <= y for x, y in zip(lm, mon)):
+                shift = tuple(a - b for a, b in zip(mon, lm))
+                factor = coeff / g.terms[lm]
+                for eg, cg in g.terms.items():
+                    if eg == lm:
+                        continue
+                    tgt = tuple(a + b for a, b in zip(eg, shift))
+                    s = work.get(tgt, Fraction(0)) - factor * cg
+                    if s:
+                        work[tgt] = s
+                    else:
+                        work.pop(tgt, None)
+                break
+        else:
+            out[mon] = coeff
+    result = MPoly(p.varset)
+    result.terms = out
+    return result
+
+
+def _random_poly(rng, varset, n_terms, max_deg):
+    p = MPoly.zero(varset)
+    for _ in range(n_terms):
+        exps = tuple(rng.randint(0, max_deg) for _ in varset.names)
+        p = p + MPoly.monomial(varset, exps, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return p
+
+
+@pytest.mark.parametrize("order", list(MonomialOrder))
+def test_normal_form_matches_reference_scan(order):
+    # Divisor lists are arbitrary, not Groebner bases, so the remainder
+    # depends on which divisor reduces each term: equal results show the
+    # heap keeps both the term order and the reducer choice.
+    rng = random.Random(SEED)
+    for _ in range(300):
+        divisors = [_random_poly(rng, VS3, rng.randint(1, 4), 2)
+                    for _ in range(rng.randint(1, 4))]
+        divisors.insert(rng.randint(0, len(divisors)), MPoly.zero(VS3))
+        p = _random_poly(rng, VS3, rng.randint(0, 12), 5)
+        got = normal_form(p, divisors, order)
+        want = reference_normal_form(p, divisors, order)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
 
 
 def test_normal_form_is_linear():
@@ -211,6 +282,69 @@ def test_check_g_double_point_always_holds():
     for b in (3, 5, 9, 15):
         verdict = check_g(LocalModel(2, b))
         assert verdict.status is GStatus.HOLDS
+
+
+def test_check_g_56_pair_counts():
+    # Pins the pair-selection order: any change to which S-pairs are made,
+    # or in what order, moves these counts.
+    verdict = check_g(LocalModel(5, 6))
+    assert verdict.status is GStatus.HOLDS
+    assert [r.pairs_processed for r in verdict.per_index] == [252, 288, 344, 224]
+
+
+class _FakeClock:
+    """Stands in for time.monotonic; each normal form costs one second."""
+
+    def __init__(self, monkeypatch):
+        self.now = 0.0
+        monkeypatch.setattr(groebner, "monotonic", lambda: self.now)
+        real_normal_form = groebner.normal_form
+
+        def slow_normal_form(*args):
+            self.now += 1.0
+            return real_normal_form(*args)
+
+        monkeypatch.setattr(groebner, "normal_form", slow_normal_form)
+
+
+def test_budget_clock_shared_by_both_presentations(monkeypatch):
+    _FakeClock(monkeypatch)
+    model = LocalModel(3, 4)
+    runs = [radical_member(cand, ideal).elapsed
+            for ideal, cand in (_presentation_obstruction(model, 1),
+                                _presentation_simplified(model, 1))]
+    assert min(runs) >= 2
+    free = check_g_index(model, 1)
+    assert free.status is GStatus.HOLDS
+    assert free.elapsed == sum(runs)
+    # Each run fits the budget alone, both together do not.
+    res = check_g_index(model, 1, Budget(seconds=max(runs) + 0.5))
+    assert res.status is GStatus.TIMEOUT
+    assert res.elapsed <= sum(runs)
+    assert check_g_index(model, 1, Budget(seconds=sum(runs))).status is GStatus.HOLDS
+
+
+def test_budget_clock_shared_across_indices(monkeypatch):
+    _FakeClock(monkeypatch)
+    model = LocalModel(3, 4)
+    spent = [r.elapsed for r in check_g(model).per_index]
+    verdict = check_g(model, Budget(seconds=spent[0] + 1))
+    assert [r.status for r in verdict.per_index] == [GStatus.HOLDS, GStatus.TIMEOUT]
+    assert verdict.status is GStatus.TIMEOUT
+    # Elapsed stays per index: the second reports only its own time.
+    assert verdict.per_index[0].elapsed == spent[0]
+    assert verdict.per_index[1].elapsed < spent[1]
+
+
+def test_budget_max_pairs_per_run():
+    # max_pairs bounds each Buchberger run, not the sum over a check.
+    model = LocalModel(3, 4)
+    free = check_g_index(model, 1)
+    runs = [radical_member(cand, ideal).pairs_processed
+            for ideal, cand in (_presentation_obstruction(model, 1),
+                                _presentation_simplified(model, 1))]
+    assert free.pairs_processed == sum(runs)
+    assert check_g_index(model, 1, Budget(max_pairs=max(runs))).status is GStatus.HOLDS
 
 
 def test_check_g_index_timeout():

@@ -177,11 +177,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         ms = _parse_range(args.m)
         if not ms:
             raise UsageError("gen theta needs --m (single index or lo..hi)")
+        if min(ms) < 2:
+            raise UsageError("--m must be at least 2 for theta")
         table = theta_series(model, max(ms))
-        for m in ms:
-            if m < 2:
-                raise UsageError("--m must be at least 2 for theta")
-            items.append((f"theta_{m}", table[m]))
+        items.extend((f"theta_{m}", table[m]) for m in ms)
     if args.format == "json":
         doc = {"model": {"a": model.a, "b": model.b},
                "polynomials": [{"name": name, **poly_json(p)} for name, p in items]}
@@ -259,7 +258,12 @@ def _scan_cell(job: tuple[int, int, float | None, int | None, str | None]) -> di
     for i in range(1, a):
         key = cache.cache_key(a, b, i, __version__, "grevlex")
         entry = cache.load(cache_dir, key) if cache_dir else None
-        if entry is not None and (entry.get("a"), entry.get("b"), entry.get("i")) == (a, b, i):
+        hashes = _poly_hashes(model, i)
+        # A hit must match the inputs and the polynomials the current
+        # generator produces; anything else is recomputed and overwritten.
+        if (entry is not None
+                and (entry.get("a"), entry.get("b"), entry.get("i")) == (a, b, i)
+                and entry.get("poly_hashes") == hashes):
             entry = dict(entry, cached=True)
             indices.append(entry)
             continue
@@ -269,7 +273,7 @@ def _scan_cell(job: tuple[int, int, float | None, int | None, str | None]) -> di
             "engine_version": __version__, "order": "grevlex",
             "verdict": res.status.value, "membership": res.membership.value,
             "pairs": res.pairs_processed, "seconds": round(res.elapsed, 4),
-            "poly_hashes": _poly_hashes(model, i),
+            "poly_hashes": hashes,
             "cached": False,
         }
         if cache_dir and res.status is not GStatus.TIMEOUT:

@@ -6,14 +6,21 @@ The germ ``w^a = z^b * unit`` (gcd-free exponents ``2 <= a < b``,
 series whose coefficients are polynomials in ``c_2..c_a``. This module
 generates those coefficient polynomials and everything derived from them:
 
-* ``f_coeff``: coefficients of ``(1 + sum c_k s^{-k})^{beta/a}``,
-* ``gamma_coeff`` / ``theta_series``: a unit series and its inverse unit,
-* ``theta_cap``: coefficients of integer powers of the inverse unit,
+* ``f_coeff``: coefficients ``f_coeff(beta, m)`` of ``s^{-m}`` in
+  ``(1 + sum c_k s^{-k})^{beta/a}``, a sum over partitions of ``m``,
+* ``gamma_coeff``: the unit ``u`` with ``S = s*u(s)``, ``gamma_i = f_coeff(1, i)``,
+* ``theta_series``: its inverse unit, ``theta_m = -f_coeff(m-1, m) / (m-1)``,
+* ``theta_cap``: powers of the inverse unit,
+  ``Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i)``,
 * ``big_f``: the obstruction polynomials (singular-tail coefficients),
+  ``F_{-n} = sum_{m=1}^{n} (m/n) f_coeff(n, n-m) f_coeff(b, b+m)``,
 * ``f_bar`` / ``jac_bar``: the comparison-perturbed system and its Jacobian,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 
-Everything is exact; coefficients are Fractions and results are MPoly.
+The three inverse-unit formulas are Lagrange inversion of ``S = s*u(s)``:
+each is a single rescaled ``f_coeff`` value, so no series is inverted or
+composed. Everything is exact; coefficients are Fractions and results are
+MPoly.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .polycore import MPoly, VarSet
 
@@ -114,109 +120,6 @@ def gen_multinomial(alpha: Fraction | int, lam: Partition) -> Fraction:
     return num / den
 
 
-class CoeffSeries:
-    """Truncated power series in one symbol with polynomial coefficients.
-
-    coeffs[i] is the coefficient of x^i; indices >= cap are dropped.
-    Used internally for exact series inversion, powers, and composition.
-    """
-
-    __slots__ = ("varset", "cap", "coeffs")
-
-    def __init__(self, varset: VarSet, cap: int, coeffs: Sequence[MPoly] | None = None):
-        if cap < 1:
-            raise ValueError("series cap must be at least 1")
-        self.varset = varset
-        self.cap = cap
-        cs = list(coeffs) if coeffs else []
-        if len(cs) > cap:
-            cs = cs[:cap]
-        zero = MPoly.zero(varset)
-        cs.extend(zero for _ in range(cap - len(cs)))
-        self.coeffs = cs
-
-    @staticmethod
-    def one(varset: VarSet, cap: int) -> "CoeffSeries":
-        return CoeffSeries(varset, cap, [MPoly.constant(varset, 1)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoeffSeries):
-            return NotImplemented
-        return (self.varset, self.cap) == (other.varset, other.cap) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "CoeffSeries") -> "CoeffSeries":
-        self._check(other)
-        return CoeffSeries(self.varset, self.cap,
-                           [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "CoeffSeries") -> "CoeffSeries":
-        self._check(other)
-        return CoeffSeries(self.varset, self.cap,
-                           [x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def _check(self, other: "CoeffSeries") -> None:
-        if self.varset != other.varset or self.cap != other.cap:
-            raise ValueError("series caps or variable sets differ")
-
-    def __mul__(self, other: "CoeffSeries") -> "CoeffSeries":
-        self._check(other)
-        zero = MPoly.zero(self.varset)
-        out = [zero] * self.cap
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j in range(self.cap - i):
-                cj = other.coeffs[j]
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + ci * cj
-        return CoeffSeries(self.varset, self.cap, out)
-
-    def inverse(self) -> "CoeffSeries":
-        """Multiplicative inverse; the constant term must be a nonzero scalar."""
-        c0 = self.coeffs[0]
-        if not c0.is_constant() or c0.is_zero():
-            raise ValueError("series inverse needs a nonzero constant term")
-        inv0 = 1 / c0.constant_value()
-        zero = MPoly.zero(self.varset)
-        out = [zero] * self.cap
-        out[0] = MPoly.constant(self.varset, inv0)
-        for n in range(1, self.cap):
-            acc = zero
-            for i in range(1, n + 1):
-                if not self.coeffs[i].is_zero() and not out[n - i].is_zero():
-                    acc = acc + self.coeffs[i] * out[n - i]
-            out[n] = acc * (-inv0)
-        return CoeffSeries(self.varset, self.cap, out)
-
-    def power(self, n: int) -> "CoeffSeries":
-        """Integer power; negative exponents go through the inverse."""
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        result = CoeffSeries.one(self.varset, self.cap)
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def compose(self, inner: "CoeffSeries") -> "CoeffSeries":
-        """Substitute a series with zero constant term for the symbol."""
-        if not inner.coeffs[0].is_zero():
-            raise ValueError("composition needs zero constant term")
-        self._check(inner)
-        result = CoeffSeries(self.varset, self.cap, [self.coeffs[0]])
-        pw = CoeffSeries.one(self.varset, self.cap)
-        for i in range(1, self.cap):
-            pw = pw * inner
-            ci = self.coeffs[i]
-            if not ci.is_zero():
-                result = result + CoeffSeries(self.varset, self.cap,
-                                              [p * ci for p in pw.coeffs])
-        return result
-
-
 @functools.lru_cache(maxsize=None)
 def f_coeff(model: LocalModel, beta_num: int, m: int) -> MPoly:
     """Coefficient of s^{-m} in (1 + sum_{k=2}^{a} c_k s^{-k})^{beta_num / a}.
@@ -246,93 +149,48 @@ def gamma_coeff(model: LocalModel, i: int) -> MPoly:
     return f_coeff(model, 1, i)
 
 
-@functools.lru_cache(maxsize=None)
-def _inverse_unit_series(model: LocalModel, nmax: int) -> CoeffSeries:
-    """The unit P with s = S * P(S^{-1}), truncated past degree nmax.
-
-    With Q(x) = 1 + sum gamma_m x^m and y = S^{-1}, the inverse variable
-    x = s^{-1} satisfies the fixed point x = y*Q(x), and P = 1/Q(x(y)).
-    Each pass of the iteration is exact and gains at least two orders,
-    so nmax passes always reach the fixed point.
-    """
-    varset = model.varset
-    cap = nmax + 1
-    q = CoeffSeries.one(varset, cap)
-    for mth in range(2, cap):
-        q.coeffs[mth] = gamma_coeff(model, mth)
-    y = CoeffSeries(varset, cap, [MPoly.zero(varset), MPoly.constant(varset, 1)])
-    x = y
-    for _ in range(cap):
-        nxt = y * q.compose(x)
-        if nxt == x:
-            break
-        x = nxt
-    else:
-        raise AssertionError("inverse-unit fixed point did not stabilize")
-    return q.compose(x).inverse()
-
-
 def theta_series(model: LocalModel, nmax: int) -> dict[int, MPoly]:
     """Coefficients theta_2..theta_nmax of the inverse unit: s = S(1 + sum theta_m S^{-m}).
 
-    theta_m is weighted homogeneous of degree m and equals -gamma_m plus
-    corrections quadratic in the gammas.
+    By Lagrange inversion theta_m = -f_coeff(m-1, m) / (m-1); it is
+    weighted homogeneous of degree m and equals -gamma_m plus corrections
+    quadratic in the gammas.
     """
     if nmax < 2:
         raise ValueError(f"need nmax >= 2, got {nmax}")
-    p = _inverse_unit_series(model, nmax)
-    return {m: p.coeffs[m] for m in range(2, nmax + 1)}
+    return {m: f_coeff(model, m - 1, m) * Fraction(-1, m - 1) for m in range(2, nmax + 1)}
 
 
 @functools.lru_cache(maxsize=None)
-def theta_cap(model: LocalModel, l: int, i: int, nmax: int | None = None) -> MPoly:
+def theta_cap(model: LocalModel, l: int, i: int) -> MPoly:
     """Coefficient Theta_i^{(l)} of S^{-i} in (s/S)^l = (1 + sum theta_m S^{-m})^l, l < 0.
 
-    Computed by the partition expansion: sum over partitions lam of i with
-    parts in [2, i] of gen_multinomial(l, lam) * prod theta_k^{lam(k)}.
+    By Lagrange inversion Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i).
     Theta_0 = 1, Theta_1 = 0; weighted homogeneous of degree i.
     """
     if l >= 0:
         raise ValueError(f"need l < 0, got {l}")
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
-    if nmax is not None and nmax < i:
-        raise ValueError(f"truncation nmax={nmax} cannot resolve index i={i}")
-    varset = model.varset
-    if i == 0:
-        return MPoly.constant(varset, 1)
-    if i == 1:
-        return MPoly.zero(varset)
-    thetas = theta_series(model, i)
-    total = MPoly.zero(varset)
-    for lam in partitions(i, 2, i):
-        coeff = gen_multinomial(l, lam)
-        if not coeff:
-            continue
-        term = MPoly.constant(varset, coeff)
-        for k, mult in lam.items():
-            term = term * thetas[k] ** mult
-        total = total + term
-    return total
+    return f_coeff(model, i - l, i) * Fraction(-l, i - l)
 
 
 @functools.lru_cache(maxsize=None)
-def big_f(model: LocalModel, n: int, nmax: int | None = None) -> MPoly:
+def big_f(model: LocalModel, n: int) -> MPoly:
     """Obstruction polynomial F_{-n}: the S^{-n} coefficient of the singular tail.
 
-    F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} * f_{b+m}; weighted
-    homogeneous of degree b + n. Defined for 1 <= n <= a-1.
+    F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} * f_{b+m}
+           = sum_{m=1}^{n} (m/n) * f_coeff(n, n-m) * f_coeff(b, b+m);
+    weighted homogeneous of degree b + n. Defined for 1 <= n <= a-1.
     """
     if not 1 <= n <= model.a - 1:
         raise ValueError(f"need 1 <= n <= a-1 = {model.a - 1}, got {n}")
-    if nmax is not None and nmax < n:
-        raise ValueError(f"truncation nmax={nmax} cannot resolve index n={n}")
     total = MPoly.zero(model.varset)
     for m in range(1, n + 1):
         tail = f_coeff(model, model.b, model.b + m)
         if tail.is_zero():
             continue
-        total = total + theta_cap(model, -m, n - m) * tail
+        total = total + f_coeff(model, n, n - m) * Fraction(m, n) * tail
     return total
 
 

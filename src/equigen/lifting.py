@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Hashable, Mapping, Sequence, Union
 
 from .expansion import LocalModel, big_f, f_bar, f_bar_jacobian_matrix, f_coeff
 from .groebner import GStatus
@@ -150,12 +150,14 @@ def _coordinate_order(config: SingularConfig) -> list[Pair]:
     return coords
 
 
-def _echelonize(coords: Sequence[Pair], rows: list[dict[Pair, Fraction]]
-                ) -> tuple[list[dict[Pair, Fraction]], list[int | None], list[dict[int, Fraction]]]:
-    """Gauss-Jordan over the coordinate list (pivot scan left to right).
+def _echelonize(coords: Sequence[Hashable], rows: list[dict[Hashable, Fraction]]
+                ) -> tuple[list[dict[Hashable, Fraction]], list[int | None], list[dict[int, Fraction]]]:
+    """Gauss-Jordan over the column keys (pivot scan left to right), the one
+    exact row reduction of this module.
 
-    Returns reduced rows, the pivot column index of each row (None for zero
-    rows), and per-row combinations over the original row indices.
+    Returns fully reduced rows, the index into coords of each row's pivot
+    column (None for rows that reduce to zero), and per-row combinations
+    over the original row indices: work[r] = sum_i combos[r][i] * rows[i].
     """
     combos: list[dict[int, Fraction]] = [{i: Fraction(1)} for i in range(len(rows))]
     work = [dict(r) for r in rows]
@@ -236,31 +238,6 @@ def build_section_basis(config: SingularConfig, sections: Sequence[SectionProfil
                                   pair_value(config, w, lead)))
     entries.sort(key=lambda en: (-en.ord, en.leading[0]))
     return SectionBasis(config, entries)
-
-
-def _span_contains_unit(config: SingularConfig, sections: Sequence[SectionProfile],
-                        target: Pair) -> bool:
-    """Does the span of the sections contain a profile supported exactly on
-    the target coordinate (equivalently, the unit vector there)?"""
-    coords = _coordinate_order(config)
-    rows = [{p: r for p, r in s.residues} for s in sections]
-    work, pivots, _ = _echelonize(coords, rows)
-    unit = {target: Fraction(1)}
-    for row, piv in zip(work, pivots):
-        if piv is None:
-            continue
-        coord = coords[piv]
-        factor = unit.get(coord)
-        if not factor:
-            continue
-        scale = factor / row[coord]
-        for c2, v in row.items():
-            nv = unit.get(c2, Fraction(0)) - scale * v
-            if nv:
-                unit[c2] = nv
-            else:
-                unit.pop(c2, None)
-    return not unit
 
 
 @dataclass
@@ -348,21 +325,14 @@ def dual_kernel_basis(model: LocalModel, point: Sequence[Fraction]) -> list[tupl
     values = {f"c{k}": v for k, v in zip(range(2, model.a + 1), point)}
     jac = [[entry.evaluate(values) for entry in row]
            for row in f_bar_jacobian_matrix(model)]
-    # Gauss-Jordan inverse with exact arithmetic.
-    aug = [[jac[i][j] for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("Jacobian unexpectedly singular despite transversality")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    # Fully reduced rows are scaled unit rows; their combinations are J^-1.
+    work, pivots, combos = _echelonize(range(n), [
+        {k: v for k, v in enumerate(row) if v} for row in jac])
+    if None in pivots:
+        raise ValueError("Jacobian unexpectedly singular despite transversality")
+    inv = [None] * n
+    for r, p in enumerate(pivots):
+        inv[p] = [combos[r].get(i, Fraction(0)) / work[r][p] for i in range(n)]
     for i in range(n):
         for j in range(n):
             prod = sum(jac[i][k] * inv[k][j] for k in range(n))
@@ -676,12 +646,18 @@ def check_d(model: LocalModel, dim_twisted: int, dim_plain: int) -> bool:
 def polar_cover_table(config: SingularConfig, sections: Sequence[SectionProfile]
                       ) -> dict[int, set[int]]:
     """I_j = the set of pole orders m at point j realized by a section of the
-    span with polar support exactly {(j, m)}."""
-    table: dict[int, set[int]] = {}
-    for j in range(1, config.e + 1):
-        model = config.model(j)
-        table[j] = {m for m in range(1, model.a)
-                    if _span_contains_unit(config, sections, (j, m))}
+    span with polar support exactly {(j, m)}.
+
+    The span holds the unit vector at (j, m) iff a fully reduced row is
+    supported exactly there (rows without a pivot reduce to zero)."""
+    coords = _coordinate_order(config)
+    rows = [{p: r for p, r in s.residues} for s in sections]
+    work, pivots, _ = _echelonize(coords, rows)
+    table: dict[int, set[int]] = {j: set() for j in range(1, config.e + 1)}
+    for row, piv in zip(work, pivots):
+        if piv is not None and len(row) == 1:
+            j, m = coords[piv]
+            table[j].add(m)
     return table
 
 

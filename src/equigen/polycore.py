@@ -439,21 +439,3 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
 
-
-def det_cofactor(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Cofactor-expansion determinant. Test oracle only; sizes above 4 are refused."""
-    n = len(matrix)
-    if n > 4:
-        raise ValueError("cofactor oracle is limited to size <= 4")
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    varset = matrix[0][0].varset
-    if n == 1:
-        return matrix[0][0]
-    total = MPoly.zero(varset)
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        term = matrix[0][j] * det_cofactor(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total

@@ -77,6 +77,8 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and "multiple" in err
     code, _, err = run(capsys, "gen", "F", "--a", "4", "--b", "6", "--n", "5")
     assert code == 2 and "1..3" in err
+    code, out, err = run(capsys, "gen", "theta", "--a", "3", "--b", "4", "--m", "1")
+    assert code == 2 and not out and "--m must be at least 2 for theta" in err
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,27 @@ def test_scan_cache_round_trip(capsys, tmp_path):
         for e1, e2 in zip(r1["indices"], r2["indices"]):
             assert e1["poly_hashes"] == e2["poly_hashes"]
             assert e1["verdict"] == e2["verdict"]
+
+
+def test_scan_cache_stale_poly_hashes_recomputed(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
+            "--cache-dir", str(cache_dir), "--format", "json"]
+    run(capsys, *argv)
+    key = cache.cache_key(3, 4, 2, cli.__version__, "grevlex")
+    victim = cache_dir / f"{key}.json"
+    stored = json.loads(victim.read_text())
+    fresh_hashes = stored["poly_hashes"]
+    stored["poly_hashes"] = dict(fresh_hashes, candidate="0" * 64)
+    victim.write_text(json.dumps(stored))
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    by_index = {e["i"]: e for e in json.loads(out)["rows"][0]["indices"]}
+    assert by_index[1]["cached"] is True
+    assert by_index[2]["cached"] is False
+    assert by_index[2]["poly_hashes"] == fresh_hashes
+    assert json.loads(victim.read_text())["poly_hashes"] == fresh_hashes
 
 
 def test_scan_cache_env_var(capsys, tmp_path, monkeypatch):

@@ -30,6 +30,9 @@ M34 = LocalModel(3, 4)
 M35 = LocalModel(3, 5)
 M46 = LocalModel(4, 6)
 M47 = LocalModel(4, 7)
+M56 = LocalModel(5, 6)
+M57 = LocalModel(5, 7)
+M67 = LocalModel(6, 7)
 
 SEED = 20260816
 
@@ -207,7 +210,7 @@ def test_theta_cap_against_numeric_power():
     rng = random.Random(SEED + 1)
     imax = 8
     for _ in range(80):
-        model = rng.choice((M23, M34, M46, M47))
+        model = rng.choice((M23, M34, M46, M47, M56, M57, M67))
         l = rng.randint(-6, -1)
         point = _random_point(rng, model)
         thetas = theta_series(model, imax)
@@ -246,7 +249,7 @@ def test_big_f_index_range():
 def test_big_f_against_unit_identity():
     # sum_i f_i y^i P(y)^(b-i) telescopes to 1; its order-(b+n) tail gives F_-n
     rng = random.Random(SEED + 2)
-    for model in (M23, M34, M35, M46, M47):
+    for model in (M23, M34, M35, M46, M47, M56, M57, M67):
         b = model.b
         nmax = model.a - 1
         cut = b + nmax + 1

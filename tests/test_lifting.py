@@ -2,6 +2,7 @@
 engine with its non-interference audit."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -172,16 +173,35 @@ def test_dual_kernel_double_point():
     assert dual_kernel_basis(M23, (Fraction(2),)) == [(Fraction(2, 3),)]
 
 
-def test_dual_kernel_inverts_jacobian():
+DUAL_KERNEL_POINTS = [
+    (LocalModel(3, 4), (1, 1)),
+    (LocalModel(3, 4), (-2, "1/3")),
+    (M46, (1, 1, 1)),
+    (M46, ("1/2", -3, 2)),
+    (LocalModel(4, 7), (1, 2, 1)),
+    (LocalModel(4, 7), (-1, "2/3", 3)),
+    (LocalModel(5, 6), (1, 1, 1, 1)),
+    (LocalModel(5, 6), (2, -1, "1/2", 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "model, point", DUAL_KERNEL_POINTS,
+    ids=[f"M{m.a}{m.b}-{k}" for k, (m, _) in enumerate(DUAL_KERNEL_POINTS)])
+def test_dual_kernel_inverts_jacobian(model, point):
+    # V must be a two-sided exact inverse of the perturbed Jacobian at the point
     from equigen.expansion import f_bar_jacobian_matrix
 
-    point = (F1, F1, F1)
-    vecs = dual_kernel_basis(M46, point)
-    values = {f"c{k}": v for k, v in zip((2, 3, 4), point)}
-    jac = [[e.evaluate(values) for e in row] for row in f_bar_jacobian_matrix(M46)]
-    for j, v in enumerate(vecs):
-        image = [sum(jac[l][i] * v[i] for i in range(3)) for l in range(3)]
-        assert image == [F1 if l == j else Fraction(0) for l in range(3)]
+    point = tuple(Fraction(x) for x in point)
+    n = model.a - 1
+    vecs = dual_kernel_basis(model, point)
+    values = {f"c{k}": v for k, v in zip(range(2, model.a + 1), point)}
+    jac = [[e.evaluate(values) for e in row] for row in f_bar_jacobian_matrix(model)]
+    eye = [[F1 if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    assert [[sum(jac[i][k] * vecs[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)] == eye
+    assert [[sum(vecs[k][i] * jac[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == eye
 
 
 def test_dual_kernel_needs_transversality():
@@ -380,6 +400,51 @@ def test_polar_cover_table():
     assert table == {1: {1}, 2: {1}}  # (2,1) = s2 - s1 lies in the span
     table2 = polar_cover_table(CFG_DOUBLES, [s2])
     assert table2 == {1: set(), 2: set()}
+
+
+def _rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_polar_cover_table_matches_rank_oracle():
+    # e_(j,m) lies in the span iff appending it leaves the rank unchanged
+    rng = random.Random(20261017)
+    models = [M23, M25, LocalModel(3, 4), LocalModel(3, 5), M46, LocalModel(4, 7)]
+    for case in range(300):
+        cfg = SingularConfig(tuple(rng.choice(models) for _ in range(rng.randint(1, 3))))
+        coords = [(j, m) for j in range(1, cfg.e + 1) for m in range(1, cfg.model(j).a)]
+        vectors = []
+        for _ in range(rng.randint(0, len(coords) + 1)):
+            if len(vectors) >= 2 and rng.random() < 0.3:
+                # a dependent section: a combination of two earlier ones
+                u, v = rng.sample(vectors, 2)
+                x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+                vectors.append([x * p + y * q for p, q in zip(u, v)])
+            else:
+                support = rng.sample(range(len(coords)), rng.randint(1, min(3, len(coords))))
+                vectors.append([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                if i in support else Fraction(0)
+                                for i in range(len(coords))])
+        sections = [SectionProfile.of(f"s{k}", dict(zip(coords, vec)))
+                    for k, vec in enumerate(vectors)]
+        base = _rank(vectors)
+        expected = {j: set() for j in range(1, cfg.e + 1)}
+        for i, (j, m) in enumerate(coords):
+            unit = [F1 if k == i else Fraction(0) for k in range(len(coords))]
+            if _rank(vectors + [unit]) == base:
+                expected[j].add(m)
+        assert polar_cover_table(cfg, sections) == expected, (case, cfg, vectors)
 
 
 def test_verdict_uncovered_point_deforms():

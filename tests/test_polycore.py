@@ -11,7 +11,6 @@ from equigen.polycore import (
     MPoly,
     VarSet,
     det_bareiss,
-    det_cofactor,
     div_exact,
     divides,
     grevlex_key,
@@ -253,6 +252,25 @@ def test_det_identity_and_singular():
     assert det_bareiss(eye) == one
     row = [_poly(vs, [((1, 0), 1)]), _poly(vs, [((0, 1), 2)])]
     assert det_bareiss([row, list(row)]).is_zero()
+
+
+def det_cofactor(matrix):
+    """Cofactor-expansion determinant, the oracle for det_bareiss; sizes above 4 are refused."""
+    n = len(matrix)
+    if n > 4:
+        raise ValueError("cofactor oracle is limited to size <= 4")
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    varset = matrix[0][0].varset
+    if n == 1:
+        return matrix[0][0]
+    total = MPoly.zero(varset)
+    for j in range(n):
+        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
+        term = matrix[0][j] * det_cofactor(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
 
 
 def test_det_bareiss_matches_cofactor():

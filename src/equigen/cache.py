@@ -29,12 +29,15 @@ def resolve_dir(cli_value: str | None) -> str | None:
 
 
 def load(cache_dir: str, key: str) -> dict[str, Any] | None:
+    """The stored entry, or None when it is missing, unreadable, not JSON,
+    or not a JSON object."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
+            entry = json.load(fh)
+    except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
         return None
+    return entry if isinstance(entry, dict) else None
 
 
 def store(cache_dir: str, key: str, payload: dict[str, Any]) -> None:

@@ -63,8 +63,10 @@ def _parse_range(text: str | None, default: Sequence[int] = ()) -> list[int]:
     if text is None:
         return list(default)
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if lo > hi:
+            raise UsageError(f"range {text} is empty: {lo} > {hi}")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -97,14 +99,21 @@ def _parse_fraction_rows(text: str, modulus: int, n: int, what: str) -> list[TSe
 # configuration files
 
 
+def _require(value: Any, kind: type, what: str) -> Any:
+    if not isinstance(value, kind):
+        raise UsageError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def _load_input(path: str) -> dict[str, Any]:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read input file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"input file is not valid JSON: {exc}") from None
+    return _require(data, dict, "input file")
 
 
 def _parse_config(data: dict[str, Any]) -> SingularConfig:
@@ -121,7 +130,8 @@ def _parse_config(data: dict[str, Any]) -> SingularConfig:
 
 def _parse_sections(data: dict[str, Any]) -> list[SectionProfile]:
     out = []
-    for raw in data.get("sections", ()):
+    for raw in _require(data.get("sections", []), list, '"sections"'):
+        _require(raw, dict, "each section entry")
         try:
             residues = {(int(r["j"]), int(r["m"])): Fraction(str(r["r"]))
                         for r in raw.get("residues", ())}
@@ -135,7 +145,7 @@ def _parse_dims(data: dict[str, Any]) -> dict[int, tuple[int, int]] | None:
     if "dims" not in data:
         return None
     out = {}
-    for raw in data["dims"]:
+    for raw in _require(data["dims"], list, '"dims"'):
         try:
             out[int(raw["j"])] = (int(raw["twisted"]), int(raw["plain"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -145,7 +155,7 @@ def _parse_dims(data: dict[str, Any]) -> dict[int, tuple[int, int]] | None:
 
 def _parse_witnesses(data: dict[str, Any], config: SingularConfig) -> list[tuple[Fraction, ...]]:
     raw = data.get("witnesses")
-    if raw is None or len(raw) != config.e:
+    if not isinstance(raw, list) or len(raw) != config.e:
         raise UsageError(f'input needs a "witnesses" list with {config.e} points')
     try:
         return [tuple(Fraction(str(x)) for x in row) for row in raw]
@@ -475,7 +485,7 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     config = _parse_config(data)
     sections = _parse_sections(data)
     dims = _parse_dims(data)
-    flags = data.get("flags", {})
+    flags = _require(data.get("flags", {}), dict, '"flags"')
     nbar = bool(flags.get("nbar_nonzero", False))
     g_table: dict[int, GStatus] = {}
     if not all(p.a == 2 for p in config.points):

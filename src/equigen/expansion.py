@@ -14,7 +14,8 @@ generates those coefficient polynomials and everything derived from them:
   ``Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i)``,
 * ``big_f``: the obstruction polynomials (singular-tail coefficients),
   ``F_{-n} = sum_{m=1}^{n} (m/n) f_coeff(n, n-m) f_coeff(b, b+m)``,
-* ``f_bar`` / ``jac_bar``: the comparison-perturbed system and its Jacobian,
+* ``f_bar`` / ``jac_bar``: the comparison-perturbed system and its Jacobian
+  determinant; ``f_bar_jacobian_at`` gives the Jacobian at a rational point,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 
 The three inverse-unit formulas are Lagrange inversion of ``S = s*u(s)``:
@@ -29,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .polycore import MPoly, VarSet
 
@@ -255,6 +257,16 @@ def f_bar_jacobian_matrix(model: LocalModel) -> list[list[MPoly]]:
         fb = f_bar(model, j)
         rows.append([fb.diff(f"c{k}").evaluate(identify) for k in range(2, a + 1)])
     return rows
+
+
+def f_bar_jacobian_at(model: LocalModel, point: Sequence[Fraction]) -> list[dict[int, Fraction]]:
+    """``f_bar_jacobian_matrix`` at a rational point c2..ca, as sparse rows:
+    column k - 2 holds d/dc_k, zero entries are left out."""
+    if len(point) != model.a - 1:
+        raise ValueError(f"point must have {model.a - 1} coordinates")
+    values = {name: Fraction(x) for name, x in zip(model.varset.names, point)}
+    return [{k: v for k, v in enumerate(entry.evaluate(values) for entry in row) if v}
+            for row in f_bar_jacobian_matrix(model)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,7 +14,9 @@ instead of an exception.
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
 test at a rational point, and the per-index genericity test via two
-generator presentations that must agree.
+generator presentations that must agree. Transversality is decided at the
+point: the perturbed Jacobian is evaluated there and reduced by exact
+elimination, with no symbolic determinant.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from operator import add, le, sub
 from time import monotonic
 from typing import Callable, Sequence
 
-from .expansion import LocalModel, big_f, f_coeff, jac_bar, theta_cap
-from .polycore import Exponents, MPoly, VarSet, grevlex_key, lex_key
+from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
+from .polycore import Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key, lex_key
 
 
 class MonomialOrder(Enum):
@@ -130,10 +132,6 @@ class GBResult:
 
 def _lcm_exps(e1: Exponents, e2: Exponents) -> Exponents:
     return tuple(map(max, e1, e2))
-
-
-def _divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(map(le, e1, e2))
 
 
 def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = MonomialOrder.GREVLEX,
@@ -239,7 +237,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if _divides(lms[k], lcm):
+            if divides(lms[k], lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -279,7 +277,7 @@ def _reduce_basis(basis: list[MPoly], lms: list[Exponents], order: MonomialOrder
     key = order.key
     keep = []
     for i, lm in enumerate(lms):
-        if any(j != i and _divides(lms[j], lm)
+        if any(j != i and divides(lms[j], lm)
                and (lms[j] != lm or j < i) for j in range(len(basis))):
             continue
         keep.append(i)
@@ -344,18 +342,10 @@ def radical_member(p: MPoly, ideal: Ideal, order: MonomialOrder = MonomialOrder.
 
 
 def check_t(model: LocalModel, point: Sequence[Fraction]) -> bool:
-    """Transversality of the perturbed system at a rational point.
-
-    For a >= 3 this is nonvanishing of the Jacobian determinant at the
-    point; for a = 2 any nonzero point qualifies.
-    """
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != model.a - 1:
-        raise ValueError(f"point must have {model.a - 1} coordinates")
-    if model.a == 2:
-        return point != (Fraction(0),)
-    values = {f"c{k}": v for k, v in zip(range(2, model.a + 1), point)}
-    return jac_bar(model).evaluate(values) != 0
+    """Transversality of the perturbed system at a rational point: its
+    Jacobian there is invertible, i.e. exact elimination of the evaluated
+    matrix finds a pivot in every row."""
+    return None not in _echelonize(range(model.a - 1), f_bar_jacobian_at(model, point))[1]
 
 
 def _presentation_obstruction(model: LocalModel, i: int) -> tuple[Ideal, MPoly]:
@@ -411,13 +401,6 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None,
     """
     if not 1 <= i <= model.a - 1:
         raise ValueError(f"index must be in [1, {model.a - 1}], got {i}")
-    if model.a == 2:
-        # The ideal is zero and f_{b+1} * Jbar is a nonzero monomial.
-        candidate = f_coeff(model, model.b, model.b + 1) * jac_bar(model)
-        member = Membership.TRUE if candidate.is_zero() else Membership.FALSE
-        status = GStatus.HOLDS if member is Membership.FALSE else GStatus.FAILS
-        return GIndexResult(i, status, member)
-
     budget = (budget or Budget()).start()
     ideal_f_form, cand_f_form = _presentation_obstruction(model, i)
     ideal_simple, cand_simple = _presentation_simplified(model, i)

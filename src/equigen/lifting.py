@@ -22,13 +22,13 @@ as structured term lists validated against their admissible shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from .expansion import LocalModel, big_f, f_bar, f_bar_jacobian_matrix, f_coeff
+from .expansion import LocalModel, big_f, f_bar, f_bar_jacobian_at, f_coeff
 from .groebner import GStatus
-from .polycore import MPoly, VarSet
+from .polycore import MPoly, VarSet, _echelonize
 from .series import TSeries
 
 Pair = tuple[int, int]
@@ -148,49 +148,6 @@ def _coordinate_order(config: SingularConfig) -> list[Pair]:
               for m in range(1, config.model(j).a - 1 + 1)]
     coords.sort(key=lambda pr: (-pair_value(config, w, pr), pr[0]), reverse=True)
     return coords
-
-
-def _echelonize(coords: Sequence[Hashable], rows: list[dict[Hashable, Fraction]]
-                ) -> tuple[list[dict[Hashable, Fraction]], list[int | None], list[dict[int, Fraction]]]:
-    """Gauss-Jordan over the column keys (pivot scan left to right), the one
-    exact row reduction of this module.
-
-    Returns fully reduced rows, the index into coords of each row's pivot
-    column (None for rows that reduce to zero), and per-row combinations
-    over the original row indices: work[r] = sum_i combos[r][i] * rows[i].
-    """
-    combos: list[dict[int, Fraction]] = [{i: Fraction(1)} for i in range(len(rows))]
-    work = [dict(r) for r in rows]
-    pivots: list[int | None] = [None] * len(rows)
-    used_rows: set[int] = set()
-    for ci, coord in enumerate(coords):
-        pivot_row = next((r for r in range(len(work))
-                          if r not in used_rows and work[r].get(coord)), None)
-        if pivot_row is None:
-            continue
-        used_rows.add(pivot_row)
-        pivots[pivot_row] = ci
-        pval = work[pivot_row][coord]
-        for r in range(len(work)):
-            if r == pivot_row:
-                continue
-            factor = work[r].get(coord)
-            if not factor:
-                continue
-            scale = factor / pval
-            for c2, v in work[pivot_row].items():
-                nv = work[r].get(c2, Fraction(0)) - scale * v
-                if nv:
-                    work[r][c2] = nv
-                else:
-                    work[r].pop(c2, None)
-            for oi, v in combos[pivot_row].items():
-                nv = combos[r].get(oi, Fraction(0)) - scale * v
-                if nv:
-                    combos[r][oi] = nv
-                else:
-                    combos[r].pop(oi, None)
-    return work, pivots, combos
 
 
 @dataclass
@@ -313,29 +270,22 @@ def dual_kernel_basis(model: LocalModel, point: Sequence[Fraction]) -> list[tupl
 
     These are the columns of the exact inverse of the perturbed Jacobian at
     the point; existence is precisely the transversality condition, so a
-    singular Jacobian is a precondition error. The product J * V is verified
-    to be exactly the identity.
+    row without a pivot in the one elimination is a precondition error. The
+    product J * V is verified to be exactly the identity.
     """
-    from .groebner import check_t
-
     point = tuple(Fraction(x) for x in point)
-    if not check_t(model, point):
-        raise ValueError(f"transversality fails at {point}: no dual kernel basis")
     n = model.a - 1
-    values = {f"c{k}": v for k, v in zip(range(2, model.a + 1), point)}
-    jac = [[entry.evaluate(values) for entry in row]
-           for row in f_bar_jacobian_matrix(model)]
+    jac = f_bar_jacobian_at(model, point)
     # Fully reduced rows are scaled unit rows; their combinations are J^-1.
-    work, pivots, combos = _echelonize(range(n), [
-        {k: v for k, v in enumerate(row) if v} for row in jac])
+    work, pivots, combos = _echelonize(range(n), jac)
     if None in pivots:
-        raise ValueError("Jacobian unexpectedly singular despite transversality")
+        raise ValueError(f"transversality fails at {point}: no dual kernel basis")
     inv = [None] * n
     for r, p in enumerate(pivots):
         inv[p] = [combos[r].get(i, Fraction(0)) / work[r][p] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            prod = sum(jac[i][k] * inv[k][j] for k in range(n))
+            prod = sum(v * inv[k][j] for k, v in jac[i].items())
             if prod != (1 if i == j else 0):
                 raise AssertionError("inverse verification failed")
     return [tuple(inv[i][j] for i in range(n)) for j in range(n)]

@@ -4,7 +4,9 @@ Scalars are `fractions.Fraction` throughout; nothing in this package ever
 touches a float. Polynomials are sparse maps from exponent vectors to
 nonzero coefficients over a fixed, ordered variable set. Each variable
 carries a nonnegative integer weight used for weighted-degree bookkeeping
-(the coefficient variable ``c<k>`` has weight ``k``).
+(the coefficient variable ``c<k>`` has weight ``k``). Beside the
+fraction-free determinant sits ``_echelonize``, the package's one exact row
+reduction of rational matrices.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import le
+from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -139,13 +142,6 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -270,11 +266,6 @@ class MPoly:
 
     # -- degrees -----------------------------------------------------------
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def weighted_degree(self):
         """Weighted degree if homogeneous: int, "inhomogeneous", or "any".
 
@@ -373,7 +364,7 @@ def poly_json(p: MPoly) -> dict:
 
 
 def divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def div_exact(p: MPoly, q: MPoly) -> MPoly:
@@ -439,3 +430,45 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
 
+
+def _echelonize(coords: Sequence[Hashable], rows: list[dict[Hashable, Fraction]]
+                ) -> tuple[list[dict[Hashable, Fraction]], list[int | None], list[dict[int, Fraction]]]:
+    """Gauss-Jordan over the column keys (pivot scan left to right), the one
+    exact row reduction of this package.
+
+    Returns fully reduced rows, the index into coords of each row's pivot
+    column (None for rows that reduce to zero), and per-row combinations
+    over the original row indices: work[r] = sum_i combos[r][i] * rows[i].
+    """
+    combos: list[dict[int, Fraction]] = [{i: Fraction(1)} for i in range(len(rows))]
+    work = [dict(r) for r in rows]
+    pivots: list[int | None] = [None] * len(rows)
+    used_rows: set[int] = set()
+    for ci, coord in enumerate(coords):
+        pivot_row = next((r for r in range(len(work))
+                          if r not in used_rows and work[r].get(coord)), None)
+        if pivot_row is None:
+            continue
+        used_rows.add(pivot_row)
+        pivots[pivot_row] = ci
+        pval = work[pivot_row][coord]
+        for r in range(len(work)):
+            if r == pivot_row:
+                continue
+            factor = work[r].get(coord)
+            if not factor:
+                continue
+            scale = factor / pval
+            for c2, v in work[pivot_row].items():
+                nv = work[r].get(c2, Fraction(0)) - scale * v
+                if nv:
+                    work[r][c2] = nv
+                else:
+                    work[r].pop(c2, None)
+            for oi, v in combos[pivot_row].items():
+                nv = combos[r].get(oi, Fraction(0)) - scale * v
+                if nv:
+                    combos[r][oi] = nv
+                else:
+                    combos[r].pop(oi, None)
+    return work, pivots, combos

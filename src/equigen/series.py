@@ -20,7 +20,6 @@ identity), modulo the declared truncations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -215,9 +214,6 @@ class LaurentSlice:
     @staticmethod
     def zero(modulus: int, hi: int = 0) -> "LaurentSlice":
         return LaurentSlice(modulus, NEG_INF, hi, {})
-
-    def known_at(self, e: int) -> bool:
-        return e >= self.lo
 
     def coeff_at(self, e: int) -> TSeries:
         """Coefficient of s^e. Raises if e lies below the trust floor."""

@@ -79,6 +79,10 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and "1..3" in err
     code, out, err = run(capsys, "gen", "theta", "--a", "3", "--b", "4", "--m", "1")
     assert code == 2 and not out and "--m must be at least 2 for theta" in err
+    code, out, err = run(capsys, "gen", "F", "--a", "4", "--b", "6", "--n", "3..1")
+    assert code == 2 and not out and "3..1" in err
+    code, out, err = run(capsys, "gen", "f", "--a", "2", "--b", "3", "--m", "5..3")
+    assert code == 2 and not out and "5..3" in err
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +224,20 @@ def test_scan_cache_env_var(capsys, tmp_path, monkeypatch):
     assert os.listdir(cache_dir)
 
 
-def test_scan_corrupt_cache_entry_ignored(capsys, tmp_path):
+@pytest.mark.parametrize("content", [b"{ not json", b"[]", b"3", b"\xff\xfe"],
+                         ids=["not-json", "list", "number", "not-utf8"])
+def test_scan_corrupt_cache_entry_ignored(capsys, tmp_path, content):
     cache_dir = tmp_path / "cache"
     argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
             "--cache-dir", str(cache_dir), "--format", "json"]
     run(capsys, *argv)
     victim = sorted(cache_dir.iterdir())[0]
-    victim.write_text("{ not json")
+    victim.write_bytes(content)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0]["verdict"] == "holds"
+    assert json.loads(victim.read_text())["a"] == 3
 
 
 def test_scan_parallel_matches_serial(capsys):
@@ -453,6 +460,30 @@ def test_verdict_unknown_exit(capsys, tmp_path):
 def test_verdict_missing_input_file(capsys):
     code, _, err = run(capsys, "verdict", "--input", "/nonexistent.json")
     assert code == 2 and "cannot read" in err
+
+
+INPUT_COMMANDS = {"star": ["star", "build"], "lift": ["lift", "--modulus", "10"],
+                  "verdict": ["verdict"]}
+MALFORMED_INPUTS = {
+    "star-list": ("star", [1, 2]),
+    "lift-list": ("lift", [1, 2]),
+    "verdict-list": ("verdict", [1, 2]),
+    "star-section-number": ("star", {"points": [{"a": 2, "b": 3}], "sections": [5]}),
+    "verdict-section-string": ("verdict", {"points": [{"a": 2, "b": 3}], "sections": ["s"]}),
+    "verdict-sections-object": ("verdict", {"points": [{"a": 2, "b": 3}],
+                                            "sections": {"id": "s"}}),
+    "verdict-flags-list": ("verdict", {"points": [{"a": 2, "b": 3}], "flags": [1]}),
+    "verdict-dims-number": ("verdict", {"points": [{"a": 3, "b": 4}], "dims": 3}),
+    "lift-witnesses-number": ("lift", {"points": [{"a": 2, "b": 3}], "witnesses": 3}),
+}
+
+
+@pytest.mark.parametrize("command, doc", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_file_is_usage_error(capsys, tmp_path, command, doc):
+    # Exit 1 is a verdict ("does not deform"); a bad file must never reach it.
+    path = write_input(tmp_path, doc)
+    code, _, err = run(capsys, *INPUT_COMMANDS[command], "--input", path)
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

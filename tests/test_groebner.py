@@ -261,6 +261,29 @@ def test_check_t_arity():
         check_t(LocalModel(4, 6), (Fraction(1),))
 
 
+def test_check_t_matches_jacobian_determinant():
+    # Differential test: the pivot test at the point against the symbolic
+    # determinant jac_bar evaluated there. Every pattern of forced zero
+    # coordinates is drawn, so non-transversal points occur at each model.
+    rng = random.Random(SEED)
+    verdicts = []
+    for a in range(2, 6):
+        for b in range(a + 1, 13):
+            if b % a == 0:
+                continue
+            model = LocalModel(a, b)
+            det = jac_bar(model)
+            for zeros in itertools.product((False, True), repeat=a - 1):
+                for _ in range(2):
+                    point = tuple(Fraction(0) if z else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for z in zeros)
+                    values = dict(zip(model.varset.names, point))
+                    expected = det.evaluate(values) != 0
+                    assert check_t(model, point) is expected, (a, b, point)
+                    verdicts.append(expected)
+    assert verdicts.count(False) >= 50 and verdicts.count(True) >= 50
+
+
 # ---------------------------------------------------------------------------
 # condition (G)
 
@@ -279,9 +302,14 @@ def test_check_g_34_holds():
 
 
 def test_check_g_double_point_always_holds():
+    # The ideal of the other obstructions is empty, so membership is
+    # decided without a Groebner run.
     for b in (3, 5, 9, 15):
         verdict = check_g(LocalModel(2, b))
         assert verdict.status is GStatus.HOLDS
+        [result] = verdict.per_index
+        assert result.membership is Membership.FALSE
+        assert result.pairs_processed == 0
 
 
 def test_check_g_56_pair_counts():

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from equigen import expansion, groebner, polycore
 from equigen.expansion import LocalModel
-from equigen.groebner import GStatus
+from equigen.groebner import GStatus, check_t, witness_verify
 from equigen.lifting import (
     LiftState,
     PerturbContractError,
@@ -209,6 +210,23 @@ def test_dual_kernel_needs_transversality():
         dual_kernel_basis(M23, (Fraction(0),))
     with pytest.raises(ValueError, match="transversality"):
         dual_kernel_basis(M46, (F1, Fraction(0), F1))
+
+
+def test_transversality_is_decided_without_the_determinant(monkeypatch):
+    # (T), witnesses and the dual kernel all eliminate the Jacobian at the
+    # point; the symbolic determinant (723 terms at (6, 11)) is never built.
+    def refuse(*args):
+        raise AssertionError("symbolic Jacobian determinant requested")
+
+    monkeypatch.setattr(groebner, "jac_bar", refuse)
+    monkeypatch.setattr(expansion, "jac_bar", refuse)
+    monkeypatch.setattr(polycore, "det_bareiss", refuse)
+    model = LocalModel(6, 11)
+    point = (F1, Fraction(2), Fraction(-1), Fraction(3), F1)
+    assert check_t(model, point)
+    assert not check_t(model, (Fraction(0), F1, Fraction(0), Fraction(0), F1))
+    assert len(dual_kernel_basis(model, point)) == 5
+    assert witness_verify(M46, 1, (Fraction(2), Fraction(6), Fraction(-5)))
 
 
 # ---------------------------------------------------------------------------

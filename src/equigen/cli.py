@@ -22,6 +22,7 @@ from .groebner import (
     GStatus,
     InternalConsistencyError,
     _presentation_obstruction,
+    aggregate_status,
     check_g,
     check_g_index,
     check_t,
@@ -105,6 +106,19 @@ def _require(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _int(value: Any, what: str) -> int:
+    """An integer, or a string holding one. int() alone would truncate 2.9
+    to 2 and read true as 1, so anything else is a usage error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"{what} must be an integer, got {json.dumps(value)}")
+
+
 def _load_input(path: str) -> dict[str, Any]:
     try:
         with open(path) as fh:
@@ -121,7 +135,8 @@ def _parse_config(data: dict[str, Any]) -> SingularConfig:
     if not points:
         raise UsageError('input needs a nonempty "points" list')
     try:
-        return SingularConfig(tuple(LocalModel(int(p["a"]), int(p["b"])) for p in points))
+        return SingularConfig(tuple(LocalModel(_int(p["a"], '"a"'), _int(p["b"], '"b"'))
+                                    for p in points))
     except (KeyError, TypeError) as exc:
         raise UsageError(f'each point needs integer "a" and "b": {exc}') from None
     except ValueError as exc:
@@ -133,7 +148,7 @@ def _parse_sections(data: dict[str, Any]) -> list[SectionProfile]:
     for raw in _require(data.get("sections", []), list, '"sections"'):
         _require(raw, dict, "each section entry")
         try:
-            residues = {(int(r["j"]), int(r["m"])): Fraction(str(r["r"]))
+            residues = {(_int(r["j"], '"j"'), _int(r["m"], '"m"')): Fraction(str(r["r"]))
                         for r in raw.get("residues", ())}
             out.append(SectionProfile.of(str(raw["id"]), residues))
         except (KeyError, TypeError, ValueError) as exc:
@@ -147,7 +162,8 @@ def _parse_dims(data: dict[str, Any]) -> dict[int, tuple[int, int]] | None:
     out = {}
     for raw in _require(data["dims"], list, '"dims"'):
         try:
-            out[int(raw["j"])] = (int(raw["twisted"]), int(raw["plain"]))
+            out[_int(raw["j"], '"j"')] = (_int(raw["twisted"], '"twisted"'),
+                                          _int(raw["plain"], '"plain"'))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad dims entry: {exc}") from None
     return out
@@ -224,12 +240,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         results = [check_g_index(model, args.index, budget)]
     else:
         results = check_g(model, budget).per_index
-    worst = GStatus.HOLDS
-    for r in results:
-        if r.status is GStatus.FAILS:
-            worst = GStatus.FAILS
-        elif r.status is GStatus.TIMEOUT and worst is not GStatus.FAILS:
-            worst = GStatus.TIMEOUT
+    worst = aggregate_status(r.status for r in results)
     if args.format == "json":
         doc = {"a": model.a, "b": model.b, "verdict": worst.value,
                "indices": [{"i": r.index, "status": r.status.value,
@@ -265,17 +276,20 @@ def _scan_cell(job: tuple[int, int, float | None, int | None, str | None]) -> di
     a, b, budget_secs, max_pairs, cache_dir = job
     model = LocalModel(a, b)
     indices = []
+    statuses = []
     for i in range(1, a):
         key = cache.cache_key(a, b, i, __version__, "grevlex")
         entry = cache.load(cache_dir, key) if cache_dir else None
         hashes = _poly_hashes(model, i)
         # A hit must match the inputs and the polynomials the current
-        # generator produces; anything else is recomputed and overwritten.
+        # generator produces and hold a storable verdict; anything else is
+        # recomputed and overwritten.
         if (entry is not None
                 and (entry.get("a"), entry.get("b"), entry.get("i")) == (a, b, i)
-                and entry.get("poly_hashes") == hashes):
-            entry = dict(entry, cached=True)
-            indices.append(entry)
+                and entry.get("poly_hashes") == hashes
+                and entry.get("verdict") in (GStatus.HOLDS.value, GStatus.FAILS.value)):
+            indices.append(dict(entry, cached=True))
+            statuses.append(GStatus(entry["verdict"]))
             continue
         res = check_g_index(model, i, Budget(budget_secs, max_pairs))
         entry = {
@@ -289,12 +303,8 @@ def _scan_cell(job: tuple[int, int, float | None, int | None, str | None]) -> di
         if cache_dir and res.status is not GStatus.TIMEOUT:
             cache.store(cache_dir, key, {k: v for k, v in entry.items() if k != "cached"})
         indices.append(entry)
-    worst = "holds"
-    if any(e["verdict"] == "fails" for e in indices):
-        worst = "fails"
-    elif any(e["verdict"] == "timeout" for e in indices):
-        worst = "timeout"
-    return {"a": a, "b": b, "verdict": worst, "indices": indices,
+        statuses.append(res.status)
+    return {"a": a, "b": b, "verdict": aggregate_status(statuses).value, "indices": indices,
             "seconds": round(sum(e["seconds"] for e in indices), 4)}
 
 

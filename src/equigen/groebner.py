@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import add, le, sub
 from time import monotonic
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
 from .polycore import Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key, lex_key
@@ -309,8 +309,7 @@ class MembershipResult:
     elapsed: float = 0.0
 
 
-def radical_member(p: MPoly, ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
-                   budget: Budget | None = None) -> MembershipResult:
+def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> MembershipResult:
     """Does p lie in the radical of the ideal?
 
     Adds a fresh weight-0 variable y and tests whether the extended ideal
@@ -334,7 +333,7 @@ def radical_member(p: MPoly, ideal: Ideal, order: MonomialOrder = MonomialOrder.
     y = MPoly.variable(big, aux)
     gens = [embed(g) for g in ideal.generators]
     gens.append(MPoly.constant(big, 1) - y * embed(p))
-    result = buchberger(Ideal.of(big, gens), order, budget)
+    result = buchberger(Ideal.of(big, gens), budget=budget)
     if result.status is EngineStatus.TIMEOUT:
         return MembershipResult(Membership.TIMEOUT, result.pairs_processed, result.elapsed)
     verdict = Membership.TRUE if ideal_contains_one(result) else Membership.FALSE
@@ -389,8 +388,7 @@ class GVerdict:
     per_index: list[GIndexResult] = field(default_factory=list)
 
 
-def check_g_index(model: LocalModel, i: int, budget: Budget | None = None,
-                  order: MonomialOrder = MonomialOrder.GREVLEX) -> GIndexResult:
+def check_g_index(model: LocalModel, i: int, budget: Budget | None = None) -> GIndexResult:
     """Genericity at one index: can the i-th obstruction be made the only
     nonvanishing one at a transversal point?
 
@@ -404,8 +402,8 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None,
     budget = (budget or Budget()).start()
     ideal_f_form, cand_f_form = _presentation_obstruction(model, i)
     ideal_simple, cand_simple = _presentation_simplified(model, i)
-    r1 = radical_member(cand_f_form, ideal_f_form, order, budget)
-    r2 = radical_member(cand_simple, ideal_simple, order, budget)
+    r1 = radical_member(cand_f_form, ideal_f_form, budget)
+    r2 = radical_member(cand_simple, ideal_simple, budget)
     pairs = r1.pairs_processed + r2.pairs_processed
     elapsed = r1.elapsed + r2.elapsed
     if Membership.TIMEOUT in (r1.verdict, r2.verdict):
@@ -418,22 +416,22 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None,
     return GIndexResult(i, status, r1.verdict, pairs, elapsed)
 
 
-def check_g(model: LocalModel, budget: Budget | None = None,
-            order: MonomialOrder = MonomialOrder.GREVLEX) -> GVerdict:
-    """Genericity at every index 1..a-1.
+def aggregate_status(statuses: Iterable[GStatus]) -> GStatus:
+    """Overall verdict of several indices: fails if any index fails, else
+    timeout if any index timed out, else holds."""
+    seen = set(statuses)
+    for status in (GStatus.FAILS, GStatus.TIMEOUT):
+        if status in seen:
+            return status
+    return GStatus.HOLDS
 
-    Overall verdict: fails if any index fails, else timeout if any index
-    timed out, else holds. The budget's seconds bound all indices together.
-    """
+
+def check_g(model: LocalModel, budget: Budget | None = None) -> GVerdict:
+    """Genericity at every index 1..a-1, aggregated by ``aggregate_status``.
+    The budget's seconds bound all indices together."""
     budget = (budget or Budget()).start()
-    per_index = [check_g_index(model, i, budget, order) for i in range(1, model.a)]
-    if any(r.status is GStatus.FAILS for r in per_index):
-        status = GStatus.FAILS
-    elif any(r.status is GStatus.TIMEOUT for r in per_index):
-        status = GStatus.TIMEOUT
-    else:
-        status = GStatus.HOLDS
-    return GVerdict(model, status, per_index)
+    per_index = [check_g_index(model, i, budget) for i in range(1, model.a)]
+    return GVerdict(model, aggregate_status(r.status for r in per_index), per_index)
 
 
 def witness_verify(model: LocalModel, i: int, point: Sequence[Fraction]) -> bool:

@@ -1,21 +1,21 @@
-"""Truncated t-adic series, windowed Laurent expansions in s, and the
-coordinate-change solver for comparing two nearby parameterizations.
+"""Truncated t-adic series and the coordinate-change solver for comparing
+two nearby parameterizations.
 
-``TSeries`` is an element of Q[[t]] / t^K with exact coefficients.
-``LaurentSlice`` is a finite window of a Laurent expansion in s whose
-coefficients are TSeries: exponents above ``hi`` are genuinely zero,
-exponents below ``lo`` were not retained (unknown, never assumed zero).
-Every operation propagates both bounds honestly, so a result is only ever
-read where it is actually determined.
+``TSeries`` is an element of Q[[t]] / t^K with exact coefficients; it is
+the module's only series type. A Laurent expansion in s is handled as a
+dense list of TSeries over a window of s-exponents fixed before any
+arithmetic starts, so nothing outside the window is ever computed or read.
 
 ``reparam_solve`` finds the unique change of parameter
 ``s(next) = s - (1/a) * sum_{i=2}^{a} dprime_i s^{-(i-1)}
            + sum_{i=a+1}^{smax} eps_i s^{-(i-1)}``
 matching two coefficient vectors of the defining equation, order by order;
-``order_bound_audit`` checks the guaranteed valuation bounds of the output,
-and ``pm_identity_check`` verifies that the regular-part difference of the
-twisted expansions equals the singular-part difference (the matching
-identity), modulo the declared truncations.
+``order_bound_audit`` checks the guaranteed valuation bounds of the output.
+``substitution_check`` and ``pm_identity_check`` expand the powers of the
+unit W = s(next)/s by one recurrence and verify, on their windows, the
+back-substituted equation and the matching identity (the regular-part
+difference of the twisted expansions equals the singular-part difference),
+modulo the declared truncations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .expansion import LocalModel, SigmaModel, sigma_coeff
 
@@ -179,162 +179,6 @@ class TSeries:
         return " + ".join(parts) + f" + O(t^{self.modulus})"
 
 
-NEG_INF = float("-inf")
-
-
-class LaurentSlice:
-    """A retained window of a Laurent expansion in s with TSeries coefficients.
-
-    Exponents above ``hi`` are genuinely zero; exponents below ``lo`` were
-    dropped and are unknown. ``lo`` may be -inf when nothing was dropped.
-    """
-
-    __slots__ = ("modulus", "lo", "hi", "coeffs")
-
-    def __init__(self, modulus: int, lo, hi: int, coeffs: Mapping[int, TSeries] | None = None):
-        self.modulus = modulus
-        self.lo = lo
-        self.hi = hi
-        clean: dict[int, TSeries] = {}
-        for e, c in (coeffs or {}).items():
-            if c.modulus != modulus:
-                raise ValueError("mixed moduli in slice coefficients")
-            if e > hi or e < lo:
-                raise ValueError(f"exponent {e} outside window [{lo}, {hi}]")
-            if not c.is_zero():
-                clean[e] = c
-        self.coeffs = clean
-
-    @staticmethod
-    def monomial(modulus: int, exponent: int, coeff: TSeries | Scalar) -> "LaurentSlice":
-        if not isinstance(coeff, TSeries):
-            coeff = TSeries.constant(coeff, modulus)
-        return LaurentSlice(modulus, NEG_INF, exponent, {exponent: coeff})
-
-    @staticmethod
-    def zero(modulus: int, hi: int = 0) -> "LaurentSlice":
-        return LaurentSlice(modulus, NEG_INF, hi, {})
-
-    def coeff_at(self, e: int) -> TSeries:
-        """Coefficient of s^e. Raises if e lies below the trust floor."""
-        if e < self.lo:
-            raise ValueError(f"exponent {e} below retained window floor {self.lo}")
-        return self.coeffs.get(e, TSeries.zero(self.modulus))
-
-    def _check(self, other: "LaurentSlice") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __neg__(self) -> "LaurentSlice":
-        return LaurentSlice(self.modulus, self.lo, self.hi,
-                            {e: -c for e, c in self.coeffs.items()})
-
-    def __add__(self, other: "LaurentSlice") -> "LaurentSlice":
-        self._check(other)
-        lo = max(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = acc.get(e, TSeries.zero(self.modulus)) + c
-            if s.is_zero():
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-        acc = {e: c for e, c in acc.items() if e >= lo}
-        return LaurentSlice(self.modulus, lo, hi, acc)
-
-    def __sub__(self, other: "LaurentSlice") -> "LaurentSlice":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentSlice") -> "LaurentSlice":
-        """Product, trusted only where every contributing term was retained:
-        the floor is max(lo1 + hi2, lo2 + hi1)."""
-        self._check(other)
-        lo = max(self.lo + other.hi if self.lo != NEG_INF else NEG_INF,
-                 other.lo + self.hi if other.lo != NEG_INF else NEG_INF)
-        hi = self.hi + other.hi
-        acc: dict[int, TSeries] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e < lo:
-                    continue
-                s = acc.get(e, TSeries.zero(self.modulus)) + c1 * c2
-                if s.is_zero():
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        return LaurentSlice(self.modulus, lo, hi, acc)
-
-    def scale(self, factor: TSeries | Scalar) -> "LaurentSlice":
-        if not isinstance(factor, TSeries):
-            factor = TSeries.constant(factor, self.modulus)
-        out: dict[int, TSeries] = {}
-        for e, c in self.coeffs.items():
-            s = c * factor
-            if not s.is_zero():
-                out[e] = s
-        return LaurentSlice(self.modulus, self.lo, self.hi, out)
-
-    def power(self, n: int, floor=None) -> "LaurentSlice":
-        """Integer power. Negative powers require a unit slice: hi == 0 with
-        constant term 1; ``floor`` bounds how deep the inverse is expanded."""
-        if n >= 0:
-            result = LaurentSlice.monomial(self.modulus, 0, TSeries.constant(1, self.modulus))
-            base = self
-            k = n
-            while k:
-                if k & 1:
-                    result = result * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return result
-        return self.inverse_unit(floor).power(-n)
-
-    def inverse_unit(self, floor=None) -> "LaurentSlice":
-        """Inverse of 1 + u with u supported in negative exponents, by the
-        geometric series; terms below the floor are dropped (and the floor
-        bound is recorded honestly)."""
-        if self.hi != 0 or self.coeff_at(0) != TSeries.constant(1, self.modulus):
-            raise ValueError("inverse needs a unit slice: top exponent 0, constant term 1")
-        if floor is None:
-            floor = self.lo
-        u = self - LaurentSlice.monomial(self.modulus, 0, TSeries.constant(1, self.modulus))
-        if u.hi >= 0:
-            u = u.clip(u.lo, -1)
-        result = LaurentSlice.monomial(self.modulus, 0, TSeries.constant(1, self.modulus))
-        term = result
-        while True:
-            term = term * (-u)
-            if term.hi < floor:
-                break
-            result = result + term
-        return result
-
-    def clip(self, lo, hi: int) -> "LaurentSlice":
-        """Restrict the window. Raising hi is outlawed unless content allows;
-        lowering lo below the trust floor is refused."""
-        if lo < self.lo:
-            raise ValueError("cannot extend the window below the trust floor")
-        new_hi = min(hi, self.hi)
-        keep = {e: c for e, c in self.coeffs.items() if lo <= e <= new_hi}
-        return LaurentSlice(self.modulus, lo, new_hi, keep)
-
-    def agrees_with(self, other: "LaurentSlice", lo: int, hi: int) -> bool:
-        """Coefficient-wise equality on [lo, hi]; raises if either side does
-        not determine the whole window."""
-        self._check(other)
-        for e in range(lo, hi + 1):
-            if self.coeff_at(e) != other.coeff_at(e):
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"s^{e}: {c!r}" for e, c in sorted(self.coeffs.items(), reverse=True))
-        return f"LaurentSlice[{self.lo}..{self.hi}] {{{items}}}"
-
-
 @dataclass
 class ReparamResult:
     """Solution of the parameter-matching problem.
@@ -465,56 +309,63 @@ def order_bound_audit(result: ReparamResult, c_now: Sequence[TSeries],
     return AuditReport(entries)
 
 
-def reparam_unit_slice(result: ReparamResult, floor: int) -> LaurentSlice:
-    """The unit W = s(next)/s as a Laurent window down to the floor."""
+def _unit_coeffs(result: ReparamResult) -> list[TSeries]:
+    """The unit W = s(next)/s densely: entry m is its s^{-m} coefficient,
+    for 0 <= m <= result.smax (W has no s^{-1} term)."""
     K = result.modulus
-    coeffs = {0: TSeries.constant(1, K)}
-    for m, um in result.unit.items():
-        if -m >= floor and not um.is_zero():
-            coeffs[-m] = um
-    return LaurentSlice(K, max(floor, -result.smax), 0, coeffs)
+    return [TSeries.constant(1, K), TSeries.zero(K)] + [result.unit[m]
+                                                       for m in range(2, result.smax + 1)]
+
+
+def _unit_powers(unit: Sequence[TSeries], l: int, depth: int) -> list[TSeries]:
+    """[W^l]_0 .. [W^l]_depth, the s^{-m} coefficients of W^l for any integer l.
+
+    ``unit`` holds W = 1 + sum_{k >= 1} u_k s^{-k} densely (unit[0] == 1) as
+    far as it is known. J. C. P. Miller's power recurrence (Knuth, TAOCP
+    vol. 2, 4.7) gives p_0 = 1 and
+      p_m = (1/m) * sum_{k=1..m} ((l+1)k - m) u_k p_{m-k},
+    exact over Q[[t]]/t^K since it divides only by the integer m. A depth
+    past the known terms raises: an unknown u_m is never read as zero.
+    """
+    if depth >= len(unit):
+        raise ValueError(f"unit known to s^-{len(unit) - 1}, power asked to s^-{depth}")
+    p = [unit[0]]
+    for m in range(1, depth + 1):
+        acc = TSeries.zero(unit[0].modulus)
+        for k in range(1, m + 1):
+            weight = (l + 1) * k - m
+            if weight and unit[k] and p[m - k]:
+                acc = acc + unit[k] * p[m - k] * weight
+        p.append(acc / m)
+    return p
 
 
 def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
                        c_next: Sequence[TSeries]) -> bool:
     """Back-substitute the solved parameter into the defining expression and
-    compare both sides as Laurent windows; exactness oracle for the solver."""
-    model = result.model
-    a, K, smax = model.a, result.modulus, result.smax
-    w_unit = reparam_unit_slice(result, floor=-smax)
-    s_next = LaurentSlice.monomial(K, 1, 1) * w_unit
-    lhs = s_next.power(a)
+    compare both sides over the exponents a - smax .. a; exactness oracle
+    for the solver (it shares none of the solver's recurrence)."""
+    a, smax = result.model.a, result.smax
+    unit = _unit_coeffs(result)
+    # diff[n]: the s^{a-n} coefficient of
+    # s(next)^a + sum c_k(next) s(next)^{a-k} - s^a - sum c_k(now) s^{a-k}.
+    diff = _unit_powers(unit, a, smax)
+    diff[0] = diff[0] - 1
     for k in range(2, a + 1):
-        lhs = lhs + s_next.power(a - k).scale(c_next[k - 2])
-    rhs = LaurentSlice.monomial(K, a, 1)
-    for k in range(2, a + 1):
-        rhs = rhs + LaurentSlice.monomial(K, a - k, c_now[k - 2])
-    window_lo = a - smax
-    return lhs.agrees_with(rhs, window_lo, a)
-
-
-def regularize(slice_: LaurentSlice) -> tuple[LaurentSlice, LaurentSlice]:
-    """Split into the regular part (exponents >= 0) and singular part (< 0)."""
-    reg = {e: c for e, c in slice_.coeffs.items() if e >= 0}
-    sing = {e: c for e, c in slice_.coeffs.items() if e < 0}
-    reg_slice = LaurentSlice(slice_.modulus, max(slice_.lo, 0), max(slice_.hi, 0), reg)
-    sing_slice = LaurentSlice(slice_.modulus, slice_.lo, min(slice_.hi, -1), sing)
-    return reg_slice, sing_slice
-
-
-def residue_at(slice_: LaurentSlice) -> TSeries:
-    """The s^{-1} coefficient. Exponents above hi are knowably zero; below
-    the trust floor the answer is undetermined and an error is raised."""
-    return slice_.coeff_at(-1)
+        diff[k] = diff[k] - c_now[k - 2]
+        for m, p in enumerate(_unit_powers(unit, a - k, smax - k)):
+            diff[k + m] = diff[k + m] + c_next[k - 2] * p
+    return not any(diff)
 
 
 def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
                       c_next: Sequence[TSeries], smax: int, modulus: int) -> TriState:
     """Matching identity between two nearby twisted expansions.
 
-    Checks, as a windowed Laurent identity mod t^modulus:
+    Checks, on the s-exponents -smax .. l_max mod t^modulus:
       sum_{l >= 0} sigma_{-l}(next) s(next)^l - sum_{l >= 0} sigma_{-l}(now) s^l
-        == sum_{l <= -1} sigma_{-l}(now) s^l - sum_{l <= -1} sigma_{-l}(next) s(next)^l.
+        == sum_{l <= -1} sigma_{-l}(now) s^l - sum_{l <= -1} sigma_{-l}(next) s(next)^l,
+    regrouped as sum_l sigma_{-l}(next) s(next)^l - sigma_{-l}(now) s^l == 0.
 
     Coefficients at s-exponent e carry t-order at least b - e, so exponents
     below -(modulus - b) vanish mod t^modulus and the window decides the
@@ -527,13 +378,11 @@ def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
         return TriState.INCONCLUSIVE
     l_max = b + len(sigma_model.g0)
     l_sing = max(K - b - 1, 0)
+    # Past that threshold no other bound can leave the window undetermined:
+    # s(next)^l for l <= l_max needs W^l only to depth l + smax <= smax + l_max,
+    # which this solve provides, and every s^l has l >= -l_sing > -smax.
     result = reparam_solve(model, c_now, c_next, max(smax + l_max, model.a), K)
-
-    floor = -(smax + l_max)
-    w_unit = reparam_unit_slice(result, floor)
-    s_next = LaurentSlice.monomial(K, 1, 1) * w_unit
-    w_inv = w_unit.inverse_unit(floor)
-    s_next_inv = LaurentSlice.monomial(K, -1, 1) * w_inv
+    unit = _unit_coeffs(result)
 
     names = [f"c{k}" for k in range(2, model.a + 1)]
     val_now = dict(zip(names, c_now))
@@ -544,30 +393,13 @@ def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
         v = poly.evaluate(values)
         return v if isinstance(v, TSeries) else TSeries.constant(v, K)
 
-    lhs = LaurentSlice.zero(K)
-    pos_power = LaurentSlice.monomial(K, 0, 1)
-    for l in range(0, l_max + 1):
-        if l > 0:
-            pos_power = pos_power * s_next
+    # diff[i]: the s^{l_max - i} coefficient of the regrouped difference.
+    diff = [TSeries.zero(K)] * (l_max + smax + 1)
+    for l in range(-l_sing, l_max + 1):
         s_now = sigma_at(l, val_now)
         s_nxt = sigma_at(l, val_next)
-        if not s_nxt.is_zero():
-            lhs = lhs + pos_power.scale(s_nxt)
-        if not s_now.is_zero():
-            lhs = lhs - LaurentSlice.monomial(K, l, s_now)
-
-    rhs = LaurentSlice.zero(K)
-    neg_power = LaurentSlice.monomial(K, 0, 1)
-    for l in range(-1, -l_sing - 1, -1):
-        neg_power = neg_power * s_next_inv
-        s_now = sigma_at(l, val_now)
-        s_nxt = sigma_at(l, val_next)
-        if not s_now.is_zero():
-            rhs = rhs + LaurentSlice.monomial(K, l, s_now)
-        if not s_nxt.is_zero():
-            rhs = rhs - neg_power.scale(s_nxt)
-
-    window_lo, window_hi = -smax, l_max
-    if lhs.lo > window_lo or rhs.lo > window_lo:
-        return TriState.INCONCLUSIVE
-    return TriState.TRUE if lhs.agrees_with(rhs, window_lo, window_hi) else TriState.FALSE
+        diff[l_max - l] = diff[l_max - l] - s_now
+        if s_nxt:
+            for m, p in enumerate(_unit_powers(unit, l, l + smax)):
+                diff[l_max - l + m] = diff[l_max - l + m] + s_nxt * p
+    return TriState.FALSE if any(diff) else TriState.TRUE

@@ -216,6 +216,22 @@ def test_scan_cache_stale_poly_hashes_recomputed(capsys, tmp_path):
     assert json.loads(victim.read_text())["poly_hashes"] == fresh_hashes
 
 
+def test_scan_cache_unstorable_verdict_recomputed(capsys, tmp_path):
+    # timeouts are never stored, so a cached one is corrupt, not a verdict
+    cache_dir = tmp_path / "cache"
+    argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
+            "--cache-dir", str(cache_dir), "--format", "json"]
+    run(capsys, *argv)
+    victim = cache_dir / f"{cache.cache_key(3, 4, 1, cli.__version__, 'grevlex')}.json"
+    victim.write_text(json.dumps(dict(json.loads(victim.read_text()), verdict="timeout")))
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["verdict"] == "holds" and row["indices"][0]["cached"] is False
+    assert json.loads(victim.read_text())["verdict"] == "holds"
+
+
 def test_scan_cache_env_var(capsys, tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "envcache")
     monkeypatch.setenv(cache.ENV_VAR, cache_dir)
@@ -427,6 +443,16 @@ def test_verdict_general_deforms(capsys, tmp_path):
     assert json.loads(out)["status"] == "deforms"
 
 
+def test_verdict_integer_strings_accepted(capsys, tmp_path):
+    path = write_input(tmp_path, {
+        "points": [{"a": "3", "b": "4"}],
+        "dims": [{"j": "1", "twisted": "3", "plain": "2"}],
+    })
+    code, out, _ = run(capsys, "verdict", "--input", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["status"] == "deforms"
+
+
 def test_verdict_budget_is_one_clock(capsys, tmp_path, monkeypatch):
     # --budget-secs bounds the whole command: every model's check runs on
     # the same started budget.
@@ -475,6 +501,18 @@ MALFORMED_INPUTS = {
     "verdict-flags-list": ("verdict", {"points": [{"a": 2, "b": 3}], "flags": [1]}),
     "verdict-dims-number": ("verdict", {"points": [{"a": 3, "b": 4}], "dims": 3}),
     "lift-witnesses-number": ("lift", {"points": [{"a": 2, "b": 3}], "witnesses": 3}),
+    "verdict-fractional-numbers": ("verdict", {
+        "points": [{"a": 2.9, "b": 3.7}],
+        "sections": [{"id": "s", "residues": [{"j": 1.5, "m": 1, "r": "1"}]}]}),
+    "verdict-fractional-residue-index": ("verdict", {
+        "points": [{"a": 2, "b": 3}],
+        "sections": [{"id": "s", "residues": [{"j": 1.5, "m": 1, "r": "1"}]}]}),
+    "verdict-fractional-dims": ("verdict", {
+        "points": [{"a": 3, "b": 4}], "dims": [{"j": 1, "twisted": 1.5, "plain": 2.7}]}),
+    "verdict-boolean-residue-index": ("verdict", {
+        "points": [{"a": 2, "b": 3}],
+        "sections": [{"id": "s", "residues": [{"j": True, "m": 1, "r": "1"}]}]}),
+    "star-non-numeric-string": ("star", {"points": [{"a": "two", "b": 3}]}),
 }
 
 

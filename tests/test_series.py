@@ -1,5 +1,5 @@
-"""Truncated t-series, Laurent windows, the reparameterization solver with
-its order audits, and the regular/singular matching identity."""
+"""Truncated t-series, powers of the reparameterization unit, the solver
+with its order audits, and the regular/singular matching identity."""
 
 import random
 from fractions import Fraction
@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from equigen import series
 from equigen.expansion import LocalModel, SigmaModel
 from equigen.series import (
-    NEG_INF,
-    LaurentSlice,
     TriState,
     TSeries,
+    _unit_coeffs,
+    _unit_powers,
     order_bound_audit,
     pm_identity_check,
-    regularize,
     reparam_solve,
-    reparam_unit_slice,
-    residue_at,
     substitution_check,
 )
 
@@ -95,79 +93,6 @@ def test_tseries_pow_and_scalar_div():
     s = ts(1, 1)
     assert s ** 3 == ts(1, 3, 3, 1)
     assert (ts(2, 4) / 2) == ts(1, 2)
-
-
-# ---------------------------------------------------------------------------
-# LaurentSlice
-
-
-def test_slice_monomial_and_coeff():
-    m = LaurentSlice.monomial(K, -2, ts(1))
-    assert m.hi == -2
-    assert m.coeff_at(-2) == ts(1)
-    assert m.coeff_at(0) == TSeries.zero(K)
-    # coeff below the floor is not knowable
-    bounded = LaurentSlice(K, -1, 3, {0: ts(1)})
-    with pytest.raises(ValueError):
-        bounded.coeff_at(-2)
-
-
-def test_slice_add_window_is_max_of_floors():
-    a = LaurentSlice(K, -3, 0, {0: ts(1)})
-    b = LaurentSlice(K, -1, 2, {2: ts(1)})
-    s = a + b
-    assert s.lo == -1 and s.hi == 2
-
-
-def test_slice_mul_window_rule():
-    a = LaurentSlice(K, -2, 1, {1: ts(1)})
-    b = LaurentSlice(K, -3, 2, {2: ts(1)})
-    p = a * b
-    # lo = max(lo_a + hi_b, lo_b + hi_a), hi = hi_a + hi_b
-    assert p.lo == max(-2 + 2, -3 + 1) and p.hi == 3
-    assert p.coeff_at(3) == ts(1)
-
-
-def test_slice_mul_with_full_trust():
-    a = LaurentSlice(K, NEG_INF, 1, {1: ts(1), 0: ts(0, 1)})
-    b = LaurentSlice(K, NEG_INF, 0, {0: ts(1)})
-    p = a * b
-    assert p.lo == NEG_INF
-    assert p.coeff_at(1) == ts(1)
-    assert p.coeff_at(0) == ts(0, 1)
-
-
-def test_slice_inverse_unit_geometric():
-    # (1 - t*s^(-1))^(-1) = sum t^k s^(-k)
-    u = LaurentSlice(K, -4, 0, {0: ts(1), -1: ts(0, -1)})
-    inv = u.inverse_unit(-4)
-    for k in range(5):
-        expect = TSeries(K, [0] * k + [1])
-        assert inv.coeff_at(-k) == expect
-
-
-def test_slice_power_negative():
-    u = LaurentSlice(K, -3, 0, {0: ts(1), -1: ts(0, 1)})
-    sq = u.power(2, -3)
-    inv_sq = u.power(-2, -3)
-    prod = sq * inv_sq
-    for e in range(-3, 1):
-        assert prod.coeff_at(e) == (ts(1) if e == 0 else TSeries.zero(K))
-
-
-def test_slice_agrees_with():
-    a = LaurentSlice(K, -2, 0, {0: ts(1), -1: ts(2)})
-    b = LaurentSlice(K, -3, 0, {0: ts(1), -1: ts(2), -3: ts(9)})
-    assert a.agrees_with(b, -2, 0)
-    assert not a.agrees_with(b + LaurentSlice.monomial(K, -1, ts(1)), -2, 0)
-
-
-def test_regularize_split():
-    s = LaurentSlice(K, -2, 1, {1: ts(1), 0: ts(2), -1: ts(3), -2: ts(4)})
-    reg, sing = regularize(s)
-    assert reg.coeff_at(1) == ts(1) and reg.coeff_at(0) == ts(2)
-    assert sing.coeff_at(-1) == ts(3) and sing.coeff_at(-2) == ts(4)
-    assert residue_at(s) == ts(3)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +186,90 @@ def test_audit_entries_worked_example():
     assert audit.ok
 
 
-def test_unit_slice_window():
+def _corrupt(res):
+    # u_2 off by t^(K-1), the smallest change still visible mod t^K
+    res.unit[2] = res.unit[2] + TSeries.t_power(res.modulus - 1, res.modulus)
+    return res
+
+
+def test_substitution_check_rejects_corrupted_unit():
+    rng = random.Random(SEED + 3)
+    for a, b in ((2, 3), (3, 4), (4, 6)):
+        model = LocalModel(a, b)
+        for _ in range(20):
+            modulus = rng.randint(8, 12)
+            smax = rng.randint(a, 10)
+            c_now, c_next = _random_pair(rng, model, modulus)
+            res = reparam_solve(model, c_now, c_next, smax, modulus)
+            assert substitution_check(res, c_now, c_next)
+            assert substitution_check(_corrupt(res), c_now, c_next) is False
+
+
+# ---------------------------------------------------------------------------
+# powers of the unit W = s(next)/s
+
+
+def _convolve(x, y, depth):
+    return [sum((x[k] * y[m - k] for k in range(m + 1)), TSeries.zero(x[0].modulus))
+            for m in range(depth + 1)]
+
+
+def _inverse(unit, depth):
+    # back-substitution for W * W^-1 = 1, independent of the recurrence
+    inv = [unit[0]]
+    for m in range(1, depth + 1):
+        inv.append(-sum((unit[k] * inv[m - k] for k in range(1, m + 1)),
+                        TSeries.zero(unit[0].modulus)))
+    return inv
+
+
+def test_unit_powers_geometric_inverse():
+    # (1 - t s^-1)^-1 = sum t^k s^-k; u_1 != 0, so the recurrence starts at k = 1
+    unit = [ts(1), ts(0, -1), ts(), ts(), ts()]
+    assert _unit_powers(unit, -1, 4) == [TSeries.t_power(k, K) for k in range(5)]
+
+
+def _units(depth):
+    rng = random.Random(SEED + 5)
+    model, c_now, c_next = _worked_example()
+    return {
+        "one-minus-t": [ts(1), ts(0, -1)] + [ts()] * (depth - 1),
+        "one-plus-t": [ts(1), ts(0, 1)] + [ts()] * (depth - 1),
+        "solved": _unit_coeffs(reparam_solve(model, c_now, c_next, depth, K)),
+        "dense": [ts(1)] + [TSeries(K, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                        for _ in range(K)]) for _ in range(depth)],
+    }
+
+
+UNITS = _units(6)
+
+
+@pytest.mark.parametrize("unit", UNITS.values(), ids=UNITS.keys())
+def test_unit_powers_match_repeated_convolution(unit):
+    depth = len(unit) - 1
+    one = [ts(1)] + [ts()] * depth
+    ref = {0: one}
+    for l in range(1, 6):
+        ref[l] = _convolve(ref[l - 1], unit, depth)
+    inv = _inverse(unit, depth)
+    for l in range(-1, -4, -1):
+        ref[l] = _convolve(ref[l + 1], inv, depth)
+    for l in range(-3, 6):
+        assert _unit_powers(unit, l, depth) == ref[l]
+        # W^l * W^-l == 1 to depth
+        assert _convolve(_unit_powers(unit, l, depth), _unit_powers(unit, -l, depth),
+                         depth) == one
+
+
+def test_unit_powers_refuse_depth_past_smax():
     model, c_now, c_next = _worked_example()
     res = reparam_solve(model, c_now, c_next, 8, K)
-    u = reparam_unit_slice(res, -5)
-    assert u.hi == 0
-    assert u.coeff_at(0) == ts(1)
-    # unit coefficient at s^-2 is u_2 = -delta_2 / 2
-    assert u.coeff_at(-2) == ts(0, 0, 0, Fraction(-1, 2))
+    unit = _unit_coeffs(res)
+    # u_1 = 0 by the shape of s(next); u_2 = -delta_2 / 2
+    assert unit[:3] == [ts(1), ts(), ts(0, 0, 0, Fraction(-1, 2))]
+    assert len(_unit_powers(unit, -2, res.smax)) == res.smax + 1
+    with pytest.raises(ValueError):
+        _unit_powers(unit, 2, res.smax + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +319,21 @@ def test_pm_randomized_in_bounds():
                        for _ in range(rng.randint(0, 2)))
             sm = SigmaModel(model, g0)
             assert pm_identity_check(sm, c_now, c_next, smax, modulus) is TriState.TRUE
+
+
+def test_pm_rejects_corrupted_unit(monkeypatch):
+    solve = series.reparam_solve
+    rng = random.Random(SEED + 4)
+    for a, b in ((2, 3), (3, 4)):
+        model = LocalModel(a, b)
+        for _ in range(10):
+            modulus = rng.randint(7, 10)
+            smax = max(model.a, modulus - model.b + rng.randint(0, 2))
+            c_now, c_next = _random_pair(rng, model, modulus)
+            g0 = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                       for _ in range(rng.randint(0, 2)))
+            sm = SigmaModel(model, g0)
+            assert pm_identity_check(sm, c_now, c_next, smax, modulus) is TriState.TRUE
+            with monkeypatch.context() as patch:
+                patch.setattr(series, "reparam_solve", lambda *args: _corrupt(solve(*args)))
+                assert pm_identity_check(sm, c_now, c_next, smax, modulus) is TriState.FALSE

@@ -20,7 +20,6 @@ from .expansion import LocalModel, SigmaModel, big_f, f_coeff, jac_bar, theta_se
 from .groebner import (
     Budget,
     GStatus,
-    InternalConsistencyError,
     _presentation_obstruction,
     aggregate_status,
     check_g,
@@ -71,14 +70,20 @@ def _parse_range(text: str | None, default: Sequence[int] = ()) -> list[int]:
     return [int(text)]
 
 
+def _fraction(value: Any, what: str) -> Fraction:
+    """A rational such as 3, "-1/2" or 0.5, from the command line or an input
+    file. A malformed value or a zero denominator is a usage error."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise UsageError(f"bad {what} {json.dumps(value)}: {exc}") from None
+
+
 def _parse_point(text: str, n: int) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise UsageError(f"--point needs {n} comma-separated coordinates, got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad point coordinate: {exc}") from None
+    return tuple(_fraction(p, "point coordinate") for p in parts)
 
 
 def _parse_fraction_rows(text: str, modulus: int, n: int, what: str) -> list[TSeries]:
@@ -92,7 +97,7 @@ def _parse_fraction_rows(text: str, modulus: int, n: int, what: str) -> list[TSe
     for row in data:
         if not isinstance(row, list):
             raise UsageError(f"{what} rows must be lists of coefficients")
-        out.append(TSeries(modulus, [Fraction(str(x)) for x in row]))
+        out.append(TSeries(modulus, [_fraction(x, f"{what} coefficient") for x in row]))
     return out
 
 
@@ -148,7 +153,7 @@ def _parse_sections(data: dict[str, Any]) -> list[SectionProfile]:
     for raw in _require(data.get("sections", []), list, '"sections"'):
         _require(raw, dict, "each section entry")
         try:
-            residues = {(_int(r["j"], '"j"'), _int(r["m"], '"m"')): Fraction(str(r["r"]))
+            residues = {(_int(r["j"], '"j"'), _int(r["m"], '"m"')): _fraction(r["r"], '"r"')
                         for r in raw.get("residues", ())}
             out.append(SectionProfile.of(str(raw["id"]), residues))
         except (KeyError, TypeError, ValueError) as exc:
@@ -174,7 +179,7 @@ def _parse_witnesses(data: dict[str, Any], config: SingularConfig) -> list[tuple
     if not isinstance(raw, list) or len(raw) != config.e:
         raise UsageError(f'input needs a "witnesses" list with {config.e} points')
     try:
-        return [tuple(Fraction(str(x)) for x in row) for row in raw]
+        return [tuple(_fraction(x, "witness coordinate") for x in row) for row in raw]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad witness coordinate: {exc}") from None
 
@@ -363,7 +368,9 @@ def cmd_reparam(args: argparse.Namespace) -> int:
     audit = order_bound_audit(result, c_now, c_next)
     pm = None
     if args.pm:
-        g0 = tuple(Fraction(str(x)) for x in json.loads(args.g0)) if args.g0 else ()
+        g0 = (tuple(_fraction(x, "--g0 coefficient")
+                    for x in _require(json.loads(args.g0), list, "--g0"))
+              if args.g0 else ())
         pm = pm_identity_check(SigmaModel(model, g0), c_now, c_next, args.smax, K)
 
     if args.format == "json":
@@ -429,7 +436,7 @@ def cmd_star(args: argparse.Namespace) -> int:
         raise UsageError("star check needs --at with per-point coefficient vectors")
     try:
         rows = json.loads(args.at)
-        points = [tuple(Fraction(str(x)) for x in row) for row in rows]
+        points = [tuple(_fraction(x, "--at coordinate") for x in row) for row in rows]
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise UsageError(f"bad --at value: {exc}") from None
     try:
@@ -678,7 +685,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (InternalConsistencyError, AssertionError) as exc:
+    except Exception as exc:
         # An engine fault is no verdict: exit 1 would read as "fails".
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR

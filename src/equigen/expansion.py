@@ -15,7 +15,9 @@ generates those coefficient polynomials and everything derived from them:
 * ``big_f``: the obstruction polynomials (singular-tail coefficients),
   ``F_{-n} = sum_{m=1}^{n} (m/n) f_coeff(n, n-m) f_coeff(b, b+m)``,
 * ``f_bar`` / ``jac_bar``: the comparison-perturbed system and its Jacobian
-  determinant; ``f_bar_jacobian_at`` gives the Jacobian at a rational point,
+  determinant; the Jacobian matrix is built once per model, its determinant
+  by the division-free minors expansion of ``polycore.det_bareiss``, and
+  ``f_bar_jacobian_at`` gives the Jacobian at a rational point,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 
 The three inverse-unit formulas are Lagrange inversion of ``S = s*u(s)``:
@@ -30,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .polycore import MPoly, VarSet
@@ -241,22 +244,29 @@ def f_bar(model: LocalModel, j: int) -> MPoly:
     return total
 
 
-def f_bar_jacobian_matrix(model: LocalModel) -> list[list[MPoly]]:
+def _single_image(model: LocalModel, p: MPoly) -> MPoly:
+    """Identify the comparison copy with the plain variables (ct := c) in a
+    polynomial over the doubled ring, by adding the two halves of each
+    exponent vector."""
+    n1 = model.a - 1
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms.items():
+        key = tuple(map(add, exps[:n1], exps[n1:]))
+        acc[key] = acc.get(key, 0) + coeff
+    return MPoly(model.varset, acc)
+
+
+@functools.lru_cache(maxsize=None)
+def f_bar_jacobian_matrix(model: LocalModel) -> tuple[tuple[MPoly, ...], ...]:
     """Matrix d fbar_{b+j} / d c_k (j = 1..a-1 rows, k = 2..a columns).
 
     Derivatives are taken in the plain variables only; afterwards the
     comparison copy is identified with them (ct := c), so entries live in
-    the single ring c2..ca.
+    the single ring c2..ca. Cached per model, hence a tuple of tuples.
     """
-    a = model.a
-    single = model.varset
-    identify = {f"c{k}": MPoly.variable(single, f"c{k}") for k in range(2, a + 1)}
-    identify.update({f"ct{k}": MPoly.variable(single, f"c{k}") for k in range(2, a + 1)})
-    rows = []
-    for j in range(1, a):
-        fb = f_bar(model, j)
-        rows.append([fb.diff(f"c{k}").evaluate(identify) for k in range(2, a + 1)])
-    return rows
+    rows = (f_bar(model, j) for j in range(1, model.a))
+    return tuple(tuple(_single_image(model, fb.diff(f"c{k}")) for k in range(2, model.a + 1))
+                 for fb in rows)
 
 
 def f_bar_jacobian_at(model: LocalModel, point: Sequence[Fraction]) -> list[dict[int, Fraction]]:
@@ -275,6 +285,7 @@ def jac_bar(model: LocalModel) -> MPoly:
 
     For a = 2 this is the single derivative d f_{b+1} / d c_2.
     """
+    # Looked up on the module at each call, so a wrapper installed there is used.
     from .polycore import det_bareiss
 
     return det_bareiss(f_bar_jacobian_matrix(model))

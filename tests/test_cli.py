@@ -513,6 +513,11 @@ MALFORMED_INPUTS = {
         "points": [{"a": 2, "b": 3}],
         "sections": [{"id": "s", "residues": [{"j": True, "m": 1, "r": "1"}]}]}),
     "star-non-numeric-string": ("star", {"points": [{"a": "two", "b": 3}]}),
+    "star-zero-denominator-residue": ("star", {
+        "points": [{"a": 2, "b": 3}],
+        "sections": [{"id": "s", "residues": [{"j": 1, "m": 1, "r": "1/0"}]}]}),
+    "lift-zero-denominator-witness": ("lift", {"points": [{"a": 2, "b": 3}],
+                                               "witnesses": [["1/0"]]}),
 }
 
 
@@ -522,6 +527,41 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, command, doc):
     path = write_input(tmp_path, doc)
     code, _, err = run(capsys, *INPUT_COMMANDS[command], "--input", path)
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+ZERO_DENOMINATORS = {
+    "check-point": ["check", "T", "--a", "3", "--b", "4", "--point", "1/0,2"],
+    "lift-witness": ["lift", "--a", "2", "--b", "3", "--witness", "1/0", "--modulus", "6"],
+    "reparam-c-now": ["reparam", "--a", "2", "--b", "3", "--c-now", '[[0,0,"1/0"]]',
+                      "--c-next", "[[0,0,1,1]]", "--smax", "8", "--modulus", "10"],
+    "reparam-g0": ["reparam", "--a", "2", "--b", "3", "--c-now", "[[0,0,1]]",
+                   "--c-next", "[[0,0,1,1]]", "--smax", "8", "--modulus", "10",
+                   "--pm", "--g0", '["1/0"]'],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_DENOMINATORS.values(), ids=ZERO_DENOMINATORS.keys())
+def test_zero_denominator_is_usage_error(capsys, argv):
+    # ZeroDivisionError used to escape with exit 1, the code for "fails".
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "1/0" in err
+
+
+def test_star_check_zero_denominator_is_usage_error(capsys, star_input):
+    code, out, err = run(capsys, "star", "check", "--input", star_input,
+                         "--at", '[["1/0"], [10]]')
+    assert code == 2 and not out and err.startswith("error:")
+
+
+def test_unforeseen_engine_exception_is_not_a_verdict(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("engine broke")
+
+    monkeypatch.setattr(cli, "check_t", broken)
+    code, out, err = run(capsys, "check", "T", "--a", "3", "--b", "4", "--point", "1,2")
+    assert code == 2 and not out
+    assert err == "internal error: engine broke\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Obstruction polynomial generation, cross-checked against independent
 expansions that avoid the partition formulas entirely."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from equigen.expansion import (
     SigmaModel,
     big_f,
     f_bar,
+    f_bar_jacobian_at,
     f_bar_jacobian_matrix,
     f_coeff,
     gamma_coeff,
@@ -345,6 +347,55 @@ def test_jacobian_matrix_diagonal_shape():
     for row in mat:
         for entry in row:
             assert entry.varset == M46.varset
+
+
+def test_jacobian_matrix_is_immutable():
+    mat = f_bar_jacobian_matrix(M46)
+    assert isinstance(mat, tuple) and all(isinstance(row, tuple) for row in mat)
+    with pytest.raises(TypeError):
+        mat[0][0] = MPoly.zero(M46.varset)
+    with pytest.raises(TypeError):
+        mat[0] = ()
+    assert f_bar_jacobian_matrix(M46) is mat
+    # the rows at a point are fresh dicts, so changing them touches no cache
+    point = (Fraction(1), Fraction(2), Fraction(-1))
+    rows = f_bar_jacobian_at(M46, point)
+    rows[0].clear()
+    assert f_bar_jacobian_at(M46, point)[0]
+
+
+def _identified_by_evaluation(model):
+    """The Jacobian matrix with ct := c substituted by MPoly.evaluate."""
+    single = model.varset
+    identify = {}
+    for k in range(2, model.a + 1):
+        identify[f"c{k}"] = identify[f"ct{k}"] = MPoly.variable(single, f"c{k}")
+    return tuple(tuple(f_bar(model, j).diff(f"c{k}").evaluate(identify)
+                       for k in range(2, model.a + 1))
+                 for j in range(1, model.a))
+
+
+@pytest.mark.parametrize("a", range(2, 7))
+def test_jacobian_matrix_matches_evaluated_identification(a):
+    for b in range(a + 1, 13):
+        if b % a:
+            model = LocalModel(a, b)
+            assert f_bar_jacobian_matrix(model) == _identified_by_evaluation(model)
+
+
+# sha256 of poly_text(jac_bar(model)), recorded from the Bareiss elimination
+# the minors expansion replaced.
+JAC_BAR_SHA256 = {
+    (5, 7): "cb2582bc73cfe8651c996df0cd673afc5bc9c376b22c45a4b414d162cb59f7a1",
+    (6, 7): "a589a499e913d4d34760f0da033eda3a3ad71cbdad8c8ed0ad1665432c9b2cf0",
+    (7, 8): "33cdd5899ad14a824acfcba3ae3bda4ec429af5f112814fa6e9a687760ac214b",
+}
+
+
+@pytest.mark.parametrize("a, b", JAC_BAR_SHA256)
+def test_jac_bar_golden_hashes(a, b):
+    text = poly_text(jac_bar(LocalModel(a, b)))
+    assert hashlib.sha256(text.encode()).hexdigest() == JAC_BAR_SHA256[a, b]
 
 
 def test_jac_bar_frozen():

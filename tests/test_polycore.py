@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from equigen.expansion import LocalModel, f_bar_jacobian_matrix, jac_bar
 from equigen.polycore import (
     MPoly,
     VarSet,
+    _echelonize,
     det_bareiss,
-    div_exact,
     divides,
     grevlex_key,
     monomial_text,
@@ -216,19 +217,9 @@ def test_content_free_flips_negative_leading():
     assert poly_text(p.content_free()) == "x^2 - y"
 
 
-def test_divides_and_div_exact():
+def test_divides():
     assert divides((1, 0), (2, 1))
     assert not divides((2, 0), (1, 3))
-    p = _poly(VS2, [((1, 1), Fraction(3)), ((2, 0), 1)])
-    m = _poly(VS2, [((1, 0), Fraction(1, 2))])
-    assert div_exact(p * m, m) == p
-
-
-def test_div_exact_rejects_inexact():
-    p = _poly(VS2, [((1, 0), 1), ((0, 0), 1)])  # x + 1
-    m = _poly(VS2, [((0, 1), 1)])  # y
-    with pytest.raises(ValueError):
-        div_exact(p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +246,8 @@ def test_det_identity_and_singular():
 
 
 def det_cofactor(matrix):
-    """Cofactor-expansion determinant, the oracle for det_bareiss; sizes above 4 are refused."""
+    """Cofactor-expansion determinant; sizes above 4 are refused. It is the
+    expansion det_bareiss memoizes, so it checks the memo, not the method."""
     n = len(matrix)
     if n > 4:
         raise ValueError("cofactor oracle is limited to size <= 4")
@@ -308,3 +300,88 @@ def test_det_multiplicative_on_numbers():
                 for i in range(3)]
         to_poly = lambda m: [[MPoly.constant(VS2, x) for x in row] for row in m]
         assert det_bareiss(to_poly(prod)) == det_bareiss(to_poly(a)) * det_bareiss(to_poly(b))
+
+
+def test_det_input_checks():
+    with pytest.raises(ValueError, match="empty"):
+        det_bareiss([])
+    with pytest.raises(ValueError, match="square"):
+        det_bareiss([[MPoly.constant(VS2, 1), MPoly.constant(VS2, 2)]])
+    with pytest.raises(ValueError, match="variable sets"):
+        det_bareiss([[MPoly.constant(VS2, 1), MPoly.constant(VS2, 2)],
+                     [MPoly.constant(VS3, 3), MPoly.constant(VS2, 4)]])
+
+
+def echelon_det(rows):
+    """Rational determinant from _echelonize, an oracle independent of the
+    expansion: Gauss-Jordan only adds multiples of rows, so the determinant
+    is the product of the pivots times the sign of the permutation
+    r -> pivots[r], and 0 when some row has no pivot."""
+    n = len(rows)
+    work, pivots, _ = _echelonize(range(n), [{j: v for j, v in enumerate(row) if v}
+                                             for row in rows])
+    if None in pivots:
+        return Fraction(0)
+    inversions = sum(pivots[r] > pivots[s] for r in range(n) for s in range(r + 1, n))
+    det = Fraction(-1 if inversions % 2 else 1)
+    for r in range(n):
+        det *= work[r][pivots[r]]
+    return det
+
+
+def _rational_point(rng, names):
+    return {name: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for name in names}
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 12), (6, 7), (6, 11), (7, 8)])
+def test_det_matches_echelon_pivots(a, b):
+    # jac_bar is det_bareiss of the Jacobian matrix; compare it with the
+    # eliminated matrix at seeded points, some with zero coordinates.
+    model = LocalModel(a, b)
+    matrix = f_bar_jacobian_matrix(model)
+    det = jac_bar(model)
+    rng = random.Random(f"det:{a},{b}")
+    values = set()
+    for _ in range(5):
+        pt = _rational_point(rng, model.varset.names)
+        for name in pt:
+            if rng.random() < 0.25:
+                pt[name] = Fraction(0)
+        value = echelon_det([[entry.evaluate(pt) for entry in row] for row in matrix])
+        assert det.evaluate(pt) == value
+        values.add(value != 0)
+    assert True in values
+
+
+def _sparse_poly(rng, varset):
+    if rng.random() < 0.4:
+        return MPoly.zero(varset)
+    return _poly(varset, [(tuple(rng.randint(0, 2) for _ in varset.names),
+                           Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                          for _ in range(rng.randint(1, 3))])
+
+
+def test_det_matches_echelon_pivots_on_random_sparse_matrices():
+    rng = random.Random(20261018)
+    degenerate = 0
+    for case in range(120):
+        n = rng.randint(1, 6)
+        m = [[_sparse_poly(rng, VS3) for _ in range(n)] for _ in range(n)]
+        shape = case % 4
+        if shape == 1:
+            m[rng.randrange(n)] = [MPoly.zero(VS3)] * n
+        elif shape == 2:
+            col = rng.randrange(n)
+            for row in m:
+                row[col] = MPoly.zero(VS3)
+        elif shape == 3 and n > 1:
+            r1, r2 = rng.sample(range(n), 2)
+            m[r2] = list(m[r1])
+        det = det_bareiss(m)
+        if shape in (1, 2) or (shape == 3 and n > 1):
+            assert det.is_zero()
+            degenerate += 1
+        for _ in range(3):
+            pt = _rational_point(rng, VS3.names)
+            assert det.evaluate(pt) == echelon_det([[e.evaluate(pt) for e in row] for row in m])
+    assert degenerate >= 80

@@ -86,11 +86,16 @@ def _parse_point(text: str, n: int) -> tuple[Fraction, ...]:
     return tuple(_fraction(p, "point coordinate") for p in parts)
 
 
-def _parse_fraction_rows(text: str, modulus: int, n: int, what: str) -> list[TSeries]:
+def _json_arg(text: str, what: str) -> Any:
+    """A command-line value parsed as JSON; bad JSON is a usage error naming the flag."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _parse_fraction_rows(text: str, modulus: int, n: int, what: str) -> list[TSeries]:
+    data = _json_arg(text, what)
     if not isinstance(data, list) or len(data) != n:
         raise UsageError(f"{what} must be a JSON list of {n} coefficient rows")
     out = []
@@ -369,7 +374,7 @@ def cmd_reparam(args: argparse.Namespace) -> int:
     pm = None
     if args.pm:
         g0 = (tuple(_fraction(x, "--g0 coefficient")
-                    for x in _require(json.loads(args.g0), list, "--g0"))
+                    for x in _require(_json_arg(args.g0, "--g0"), list, "--g0"))
               if args.g0 else ())
         pm = pm_identity_check(SigmaModel(model, g0), c_now, c_next, args.smax, K)
 

@@ -353,7 +353,10 @@ def _eval_perturb(terms: Sequence[PerturbTerm], model: LocalModel, d: int, eq: i
     total = TSeries.zero(modulus)
     for term in terms:
         validate_perturb_term(term, model, d, eq, modulus)
-        val = TSeries.t_power(term.tpow, modulus) * term.alpha
+        if isinstance(term.alpha, TSeries):
+            val = term.alpha.shift(term.tpow)
+        else:
+            val = TSeries.t_power(term.tpow, modulus, term.alpha)
         for ci, e in zip(c, term.exps):
             if e:
                 val = val * ci ** e

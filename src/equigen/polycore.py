@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from operator import add, le
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -200,14 +200,10 @@ class MPoly:
         acc: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
         out = MPoly(self.varset)
-        out.terms = acc
+        out.terms = {e: c for e, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -252,16 +248,24 @@ class MPoly:
         missing = [n for n in self.varset.names if n not in values]
         if missing:
             raise KeyError(f"missing values for variables {missing}")
-        vals = [values[n] for n in self.varset.names]
+        if not self.terms:
+            return Fraction(0)
+        # powers[i][p - 1] is v_i ** p, built by repeated multiplication up to
+        # the largest exponent of variable i in this polynomial.
+        powers = []
+        for i, name in enumerate(self.varset.names):
+            v = values[name]
+            table = []
+            for _ in range(max(e[i] for e in self.terms)):
+                table.append(table[-1] * v if table else v)
+            powers.append(table)
         total = None
         for e, c in sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0])):
             term = c
-            for v, p in zip(vals, e):
+            for table, p in zip(powers, e):
                 if p:
-                    term = term * (v ** p)
+                    term = term * table[p - 1]
             total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
         return total
 
     # -- degrees -----------------------------------------------------------

@@ -232,6 +232,38 @@ def test_scan_cache_unstorable_verdict_recomputed(capsys, tmp_path):
     assert json.loads(victim.read_text())["verdict"] == "holds"
 
 
+def test_scan_cache_other_engine_recomputed(capsys, tmp_path, monkeypatch):
+    # an entry written by an engine with other sources is a miss: recomputed
+    # and overwritten under the current fingerprint
+    cache_dir = tmp_path / "cache"
+    argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
+            "--cache-dir", str(cache_dir), "--format", "json"]
+    run(capsys, *argv)
+    victim = cache_dir / f"{cache.cache_key(3, 4, 1, cli.__version__, 'grevlex')}.json"
+    assert json.loads(victim.read_text())["engine_fingerprint"] == cache.engine_fingerprint()
+    _, out, _ = run(capsys, *argv)
+    assert all(e["cached"] for e in json.loads(out)["rows"][0]["indices"])
+
+    monkeypatch.setattr(cache, "engine_fingerprint", lambda: "f" * 64)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["verdict"] == "holds"
+    assert [e["cached"] for e in row["indices"]] == [False, False]
+    assert all("engine_fingerprint" not in e for e in row["indices"])
+    assert json.loads(victim.read_text())["engine_fingerprint"] == "f" * 64
+    _, out, _ = run(capsys, *argv)
+    assert all(e["cached"] for e in json.loads(out)["rows"][0]["indices"])
+
+
+def test_scan_without_cache_reads_no_fingerprint(capsys, monkeypatch):
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    cache.engine_fingerprint.cache_clear()
+    code, _, _ = run(capsys, "scan", "--a-min", "3", "--a-max", "3", "--b-max", "4")
+    assert code == 0
+    assert cache.engine_fingerprint.cache_info().misses == 0
+
+
 def test_scan_cache_env_var(capsys, tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "envcache")
     monkeypatch.setenv(cache.ENV_VAR, cache_dir)
@@ -307,6 +339,14 @@ def test_reparam_usage_error(capsys):
                        "--c-now", "[[0,0,1]]", "--c-next", "not json",
                        "--smax", "8", "--modulus", "10")
     assert code == 2 and "JSON" in err
+
+
+def test_reparam_bad_g0_json_names_the_flag(capsys):
+    code, out, err = run(capsys, "reparam", "--a", "2", "--b", "3",
+                         "--c-now", "[[0,0,1]]", "--c-next", "[[0,0,1,1]]",
+                         "--smax", "8", "--modulus", "10", "--pm", "--g0", "nope")
+    assert code == 2 and not out
+    assert err.startswith("error: --g0 is not valid JSON: ")
 
 
 # ---------------------------------------------------------------------------

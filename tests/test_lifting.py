@@ -1,6 +1,8 @@
 """Weights, section bookkeeping, star systems, and the t-adic lifting
 engine with its non-interference audit."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -372,6 +374,18 @@ def test_lift_two_point_random_audit():
     rep = lift_run(CFG_DOUBLES, [(F1,), (Fraction(2),)], 16, prov)
     assert rep.audit_ok
     assert rep.audit  # interleaving actually observed the other point
+
+
+def test_lift_random_k60_golden_digest():
+    # sha256 of the final coefficients, recorded from the schoolbook-only
+    # series kernel; this lift's products cross the integer-convolution
+    # cutoff, so any change to the exact coefficients shows here
+    cfg = SingularConfig((LocalModel(3, 4), M25))
+    rep = lift_run(cfg, [(F1, F1), (Fraction(2),)], 60, random_provider(cfg, 7))
+    blob = json.dumps([[[str(c) for c in s.coeffs] for s in point] for point in rep.state.c])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "b7f71a08c86661b1bf701f28355defa1481d72d74e027b95cd390a9669f34056")
+    assert rep.audit_ok
 
 
 def test_lift_random_provider_deterministic():

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from equigen.expansion import LocalModel, f_bar_jacobian_matrix, jac_bar
+from equigen.expansion import (
+    LocalModel,
+    SigmaModel,
+    f_bar,
+    f_bar_jacobian_matrix,
+    jac_bar,
+    sigma_coeff,
+)
 from equigen.polycore import (
     MPoly,
     VarSet,
@@ -19,6 +26,7 @@ from equigen.polycore import (
     poly_json,
     poly_text,
 )
+from equigen.series import TSeries
 
 VS2 = VarSet(("x", "y"), (1, 1))
 VS3 = VarSet(("x", "y", "z"), (1, 1, 1))
@@ -135,6 +143,41 @@ def test_evaluate_requires_full_assignment():
     p = _poly(VS2, [((1, 1), 1)])
     with pytest.raises(KeyError):
         p.evaluate({"x": Fraction(1)})
+
+
+def _evaluate_term_by_term(poly, values):
+    """Reference evaluation: v ** p afresh for every term, in grevlex order."""
+    vals = [values[n] for n in poly.varset.names]
+    total = None
+    for e, c in sorted(poly.terms.items(), key=lambda kv: grevlex_key(kv[0])):
+        term = c
+        for v, p in zip(vals, e):
+            if p:
+                term = term * (v ** p)
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
+
+
+EVALUATED_POLYS = {
+    "f_bar-3-4": [f_bar(LocalModel(3, 4), j) for j in (1, 2)],
+    "f_bar-4-6": [f_bar(LocalModel(4, 6), j) for j in (1, 2, 3)],
+    "sigma-3-5": [sigma_coeff(SigmaModel(LocalModel(3, 5), (Fraction(1, 2), Fraction(-2))),
+                              l, tmax=12) for l in range(-6, 8)],
+}
+
+
+@pytest.mark.parametrize("polys", EVALUATED_POLYS.values(), ids=EVALUATED_POLYS.keys())
+def test_evaluate_at_series_matches_term_by_term_powers(polys):
+    rng = random.Random(20261018)
+    for modulus in (9, 24):
+        for _ in range(3):
+            values = {}
+            for name in polys[0].varset.names:
+                low = rng.randint(0, 3)
+                values[name] = TSeries(modulus, [0] * low + [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(modulus - low)])
+            for poly in polys:
+                assert poly.evaluate(values) == _evaluate_term_by_term(poly, values)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,132 @@ def test_tseries_pow_and_scalar_div():
 
 
 # ---------------------------------------------------------------------------
+# the arithmetic kernel against a Fraction schoolbook oracle
+
+
+def _oracle(modulus, coeffs):
+    """Dense, truncated, trimmed Fraction list: what a result must store."""
+    out = [Fraction(c) for c in coeffs][:modulus]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _oracle_add(x, y, sign=1):
+    n = max(len(x), len(y))
+    x, y = x + [0] * (n - len(x)), y + [0] * (n - len(y))
+    return [a + sign * b for a, b in zip(x, y)]
+
+
+def _oracle_mul(x, y, modulus):
+    out = [Fraction(0)] * modulus
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j < modulus:
+                out[i + j] += a * b
+    return out
+
+
+def _random_coeffs(rng, length):
+    """Zeros, negatives, small and huge mixed denominators, in one list."""
+    out = []
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.25:
+            out.append(Fraction(0))
+        elif kind < 0.75:
+            out.append(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 12))))
+        else:
+            out.append(Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                                rng.randint(1, 10 ** 25)))
+    if out and rng.random() < 0.5:
+        out[-1] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+    return out
+
+
+# operand lengths on both sides of the integer-convolution cutoff, the
+# zero series, single terms, and raw inputs longer than the modulus
+CUT = series.INT_CONV_MIN_TERMS
+KERNEL_LENGTHS = [0, 1, 2, 7, CUT - 1, CUT, CUT + 1, 2 * CUT + 3, 45]
+
+
+def _kernel_cases(count):
+    rng = random.Random(SEED + 7)
+    for _ in range(count):
+        modulus = rng.choice((1, 3, CUT - 1, CUT, CUT + 1, 30, 50))
+        lx, ly = rng.choice(KERNEL_LENGTHS), rng.choice(KERNEL_LENGTHS)
+        yield modulus, _random_coeffs(rng, lx), _random_coeffs(rng, ly)
+
+
+def _assert_kernel_result(s, modulus, expected):
+    assert s.modulus == modulus
+    assert list(s.coeffs) == _oracle(modulus, expected)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert not s.coeffs or s.coeffs[-1] != 0  # trimmed
+    assert len(s.coeffs) <= modulus
+
+
+def test_tseries_kernel_matches_fraction_oracle():
+    for modulus, x, y in _kernel_cases(400):
+        sx, sy = TSeries(modulus, x), TSeries(modulus, y)
+        ox, oy = _oracle(modulus, x), _oracle(modulus, y)
+        _assert_kernel_result(sx + sy, modulus, _oracle_add(ox, oy))
+        _assert_kernel_result(sx - sy, modulus, _oracle_add(ox, oy, -1))
+        _assert_kernel_result(-sx, modulus, [-c for c in ox])
+        _assert_kernel_result(sx * sy, modulus, _oracle_mul(ox, oy, modulus))
+        _assert_kernel_result(sy * sx, modulus, _oracle_mul(oy, ox, modulus))
+        k = y[0] if y else Fraction(0)
+        _assert_kernel_result(sx * k, modulus, [c * k for c in ox])
+        _assert_kernel_result(3 - sx, modulus, _oracle_add([Fraction(3)], ox, -1))
+        _assert_kernel_result(sx.shift(CUT), modulus, [0] * CUT + ox)
+        _assert_kernel_result(sx.truncate(max(1, modulus // 2)), max(1, modulus // 2), ox)
+
+
+def test_tseries_pow_matches_fraction_oracle():
+    rng = random.Random(SEED + 8)
+    for _ in range(60):
+        modulus = rng.choice((5, CUT, 40))
+        x = _random_coeffs(rng, rng.choice((1, 3, CUT - 1, CUT, 25)))
+        ox = _oracle(modulus, x)
+        expected = [Fraction(1)]
+        for n in range(5):
+            _assert_kernel_result(TSeries(modulus, x) ** n, modulus, expected)
+            expected = _oracle_mul(expected, ox, modulus)
+
+
+def test_tseries_integer_convolution_cutoff(monkeypatch):
+    # the integer path runs exactly when both operands store CUT terms or more
+    calls = []
+    convolve = series._convolve_numerators
+
+    def spy(x, y, n):
+        calls.append((len(x), len(y)))
+        return convolve(x, y, n)
+
+    monkeypatch.setattr(series, "_convolve_numerators", spy)
+    rng = random.Random(SEED + 9)
+    for lx, ly in [(CUT - 1, CUT), (CUT, CUT - 1), (CUT - 1, 45), (CUT, CUT), (CUT, 45)]:
+        x, y = _random_coeffs(rng, lx), _random_coeffs(rng, ly)
+        x[-1] = y[-1] = Fraction(1)
+        expected = _oracle_mul(x, y, 60)
+        _assert_kernel_result(TSeries(60, x) * TSeries(60, y), 60, expected)
+    assert calls == [(CUT, CUT), (CUT, 45)]
+
+
+def test_tseries_public_constructor_coerces_and_checks():
+    s = TSeries(3, [1, Fraction(1, 2), "2/3", 0])
+    assert s.coeffs == (1, Fraction(1, 2), Fraction(2, 3))
+    assert all(type(c) is Fraction for c in s.coeffs)
+    with pytest.raises(ValueError):
+        TSeries(0, [1])
+    with pytest.raises(ValueError):
+        ts(1).truncate(0)
+    assert TSeries.t_power(K, K, 5).is_zero()
+    assert TSeries.t_power(2, K, 0).is_zero()
+    assert ts(1, 2).shift(K) == TSeries.zero(K)
+
+
+# ---------------------------------------------------------------------------
 # reparameterization
 
 

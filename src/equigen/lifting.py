@@ -351,18 +351,26 @@ def validate_perturb_term(term: PerturbTerm, model: LocalModel, d: int, eq: int,
 def _eval_perturb(terms: Sequence[PerturbTerm], model: LocalModel, d: int, eq: int,
                   c: Sequence[TSeries], c_seed: Sequence[TSeries], modulus: int) -> TSeries:
     total = TSeries.zero(modulus)
+    # Each c_i ** e and each difference factor c_k - c_k(seed) is built at
+    # most once per call, however many terms share it.
+    powers: dict[tuple[int, int], TSeries] = {}
+    diffs: dict[int, TSeries] = {}
     for term in terms:
         validate_perturb_term(term, model, d, eq, modulus)
         if isinstance(term.alpha, TSeries):
             val = term.alpha.shift(term.tpow)
         else:
             val = TSeries.t_power(term.tpow, modulus, term.alpha)
-        for ci, e in zip(c, term.exps):
+        for i, e in enumerate(term.exps):
             if e:
-                val = val * ci ** e
+                if (i, e) not in powers:
+                    powers[(i, e)] = c[i] ** e
+                val = val * powers[(i, e)]
         if isinstance(term, PerturbTerm2):
-            val = val * (c[term.k1 - 2] - c_seed[term.k1 - 2])
-            val = val * (c[term.k2 - 2] - c_seed[term.k2 - 2])
+            for k in (term.k1, term.k2):
+                if k not in diffs:
+                    diffs[k] = c[k - 2] - c_seed[k - 2]
+                val = val * diffs[k]
         total = total + val
     return total
 

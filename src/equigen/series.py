@@ -6,13 +6,13 @@ the module's only series type. A Laurent expansion in s is handled as a
 dense list of TSeries over a window of s-exponents fixed before any
 arithmetic starts, so nothing outside the window is ever computed or read.
 
-Series arithmetic builds its results with the trusted constructor
-``TSeries._of``, which only trims trailing zeros; the public constructor
-coerces every coefficient to ``Fraction``. A product whose operands both
-store at least ``INT_CONV_MIN_TERMS`` terms puts each operand over the lcm
-of its denominators and convolves the integer numerators, making one
-``Fraction`` per output coefficient; shorter products run the schoolbook
-loop. The coefficients are the same either way.
+A series is stored as integer numerators over one shared positive
+denominator, in lowest terms, so series arithmetic makes no ``Fraction``:
+sums bring both operands to the lcm of their denominators, a scalar
+multiplies the numerators and the denominator, and a product convolves
+the numerators (one C-level dot product per output coefficient) after
+stripping the leading zeros of both operands. ``Fraction``s are made only
+where a caller reads a coefficient.
 
 ``reparam_solve`` finds the unique change of parameter
 ``s(next) = s - (1/a) * sum_{i=2}^{a} dprime_i s^{-(i-1)}
@@ -31,27 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Sequence, Union
 
 from .expansion import LocalModel, SigmaModel, sigma_coeff
 
 Scalar = Union[Fraction, int]
-
-
-_ZERO = Fraction(0)
-
-# Both operands of a series product must store at least this many terms for
-# the integer convolution; below it the schoolbook loop, which skips zero
-# entries, wins on the sparse low-order series the lift and the
-# reparameterization checks multiply (dense random operands favour the
-# integer path from 4 terms on). Best of 3 interleaved runs on a 2-vCPU Xeon,
-# six random lifts at K = 44 plus one at K = 90 on [(3,4),(2,5)]: 2.59 s at a
-# cutoff of 8, 2.61 s at 12, 2.43 s at 16, 2.51 s at 24, 2.77 s at 32; the
-# seed-4242 reparam plan (K <= 12, so 16 and up never convolve): 2.96 s at 8,
-# 2.50 s at 12, 2.37 s at 16.
-INT_CONV_MIN_TERMS = 16
 
 
 class TriState(Enum):
@@ -60,75 +46,110 @@ class TriState(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact scalar, in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 class TSeries:
     """Truncated power series in t: exact coefficients, fixed modulus K.
 
-    coeffs[i] is the t^i coefficient, a ``Fraction``; trailing zeros are
-    trimmed and the stored length never exceeds K. The order of the zero
-    series is K (a sentinel meaning "at least the modulus").
+    The t^i coefficient is ``_num[i] / _den``: ``_num`` is a tuple of ints
+    with trailing zeros trimmed, never longer than K, and ``_den`` is a
+    positive int. The form is canonical: ``gcd(_den, *_num) == 1`` and the
+    zero series has ``_den == 1``, so equal values have equal fields and
+    ``__eq__`` and ``__hash__`` compare them directly. The order of the
+    zero series is K (a sentinel meaning "at least the modulus").
 
     The public constructor coerces every coefficient with ``Fraction`` and
-    checks the modulus. Results of series arithmetic are built by the
-    trusted ``_of``, which only trims, since their coefficients are
-    already ``Fraction``s. A product of two series that both store at
-    least ``INT_CONV_MIN_TERMS`` terms is convolved over integer
-    numerators (``_convolve_numerators``); shorter products use the
-    schoolbook loop over ``Fraction``. Both give the same coefficients.
+    checks the modulus; ``coeffs`` and ``coeff`` hand coefficients back as
+    reduced ``Fraction``s. Results of series arithmetic are built by the
+    trusted ``_of``, which only trims and reduces.
     """
 
-    __slots__ = ("modulus", "coeffs")
+    __slots__ = ("modulus", "_num", "_den")
 
     def __init__(self, modulus: int, coeffs: Sequence[Scalar] = ()):
         if modulus < 1:
             raise ValueError("modulus must be at least 1")
         cs = [Fraction(c) for c in coeffs[:modulus]]
-        while cs and not cs[-1]:
-            cs.pop()
+        den = lcm(*[c.denominator for c in cs])
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
         self.modulus = modulus
-        self.coeffs = tuple(cs)
+        self._num = tuple(num)
+        self._den = den if num else 1
 
     @classmethod
-    def _of(cls, modulus: int, coeffs: list[Fraction]) -> "TSeries":
-        """Trusted constructor: ``coeffs`` are Fractions, at most ``modulus``
-        of them; only trailing zeros are trimmed (in place)."""
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+    def _of(cls, modulus: int, num: list[int], den: int) -> "TSeries":
+        """Trusted constructor: ``num`` holds at most ``modulus`` ints and
+        ``den`` is positive; trailing zeros are trimmed (in place) and the
+        fraction is put in lowest terms."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [a // g for a in num]
+                den //= g
         out = object.__new__(cls)
         out.modulus = modulus
-        out.coeffs = tuple(coeffs)
+        out._num = tuple(num)
+        out._den = den
         return out
 
     @staticmethod
     def zero(modulus: int) -> "TSeries":
-        return TSeries(modulus)
+        if modulus < 1:
+            raise ValueError("modulus must be at least 1")
+        return TSeries._of(modulus, [], 1)
 
     @staticmethod
     def constant(value: Scalar, modulus: int) -> "TSeries":
-        return TSeries(modulus, [value])
+        return TSeries.t_power(0, modulus, value)
 
     @staticmethod
     def t_power(n: int, modulus: int, coeff: Scalar = 1) -> "TSeries":
         if n < 0:
             raise ValueError("negative t-power")
-        return TSeries(modulus, [0] * n + [coeff])
+        if modulus < 1:
+            raise ValueError("modulus must be at least 1")
+        p, q = _ratio(coeff)
+        if not p or n >= modulus:
+            return TSeries._of(modulus, [], 1)
+        return TSeries._of(modulus, [0] * n + [p], q)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The stored coefficients as reduced ``Fraction``s; entry i is the
+        t^i coefficient."""
+        d = self._den
+        return tuple(Fraction(a, d) for a in self._num)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def ord(self) -> int:
         """t-adic valuation; the modulus itself for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, a in enumerate(self._num):
+            if a:
                 return i
         return self.modulus
 
     def coeff(self, i: int) -> Fraction:
         if not 0 <= i < self.modulus:
             raise ValueError(f"coefficient index {i} outside modulus {self.modulus}")
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[i], self._den) if i < len(self._num) else Fraction(0)
 
     def _coerce(self, other: "TSeries | Scalar") -> "TSeries":
         if isinstance(other, TSeries):
@@ -142,122 +163,135 @@ class TSeries:
             other = TSeries.constant(other, self.modulus)
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.modulus == other.modulus and self.coeffs == other.coeffs
+        return (self.modulus == other.modulus and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.coeffs))
+        return hash((self.modulus, self._num, self._den))
 
     def __neg__(self) -> "TSeries":
-        return TSeries._of(self.modulus, [-c for c in self.coeffs])
+        return TSeries._of(self.modulus, [-a for a in self._num], self._den)
+
+    def _sum(self, other: "TSeries | Scalar", op) -> "TSeries":
+        """self + other for ``op`` = ``add``, self - other for ``sub``."""
+        other = self._coerce(other)
+        x, y = self._num, other._num
+        if not y:
+            return self
+        dx, dy = self._den, other._den
+        d = dx
+        if dx != dy:
+            d = lcm(dx, dy)
+            if d != dx:
+                x = [a * (d // dx) for a in x]
+            if d != dy:
+                y = [b * (d // dy) for b in y]
+        out = list(map(op, x, y))
+        if len(x) > len(y):
+            out.extend(x[len(y):])
+        elif op is add:
+            out.extend(y[len(x):])
+        else:
+            out.extend([-b for b in y[len(x):]])
+        return TSeries._of(self.modulus, out, d)
 
     def __add__(self, other: "TSeries | Scalar") -> "TSeries":
-        other = self._coerce(other)
-        longer, shorter = self.coeffs, other.coeffs
-        if len(longer) < len(shorter):
-            longer, shorter = shorter, longer
-        out = list(longer)
-        for i, c in enumerate(shorter):
-            if c:
-                out[i] += c
-        return TSeries._of(self.modulus, out)
+        return self._sum(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other: "TSeries | Scalar") -> "TSeries":
-        other = self._coerce(other)
-        out = list(self.coeffs)
-        n = len(out)
-        for i, c in enumerate(other.coeffs[:n]):
-            if c:
-                out[i] -= c
-        out.extend([-c for c in other.coeffs[n:]])
-        return TSeries._of(self.modulus, out)
+        return self._sum(other, sub)
 
     def __rsub__(self, other: Scalar) -> "TSeries":
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "TSeries":
+        """self * p / q for ints p and q > 0."""
+        if not p:
+            return TSeries._of(self.modulus, [], 1)
+        num = list(self._num) if p == 1 else [a * p for a in self._num]
+        return TSeries._of(self.modulus, num, self._den * q)
+
     def __mul__(self, other: "TSeries | Scalar") -> "TSeries":
-        if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            return TSeries._of(self.modulus, [c * k for c in self.coeffs])
+        if not isinstance(other, TSeries):
+            return self._scaled(*_ratio(other))
         other = self._coerce(other)
-        x, y = self.coeffs, other.coeffs
+        K = self.modulus
+        x, y = self._num, other._num
         if not x or not y:
-            return TSeries._of(self.modulus, [])
-        n = min(self.modulus, len(x) + len(y) - 1)
-        if len(x) >= INT_CONV_MIN_TERMS and len(y) >= INT_CONV_MIN_TERMS:
-            return TSeries._of(self.modulus, _convolve_numerators(x, y, n))
-        out = [_ZERO] * n
-        for i, a in enumerate(x):
-            if a:
-                for k, b in enumerate(y[:n - i], i):
-                    if b:
-                        out[k] += a * b
-        return TSeries._of(self.modulus, out)
+            return TSeries._of(K, [], 1)
+        # Strip the leading zeros of both operands; the product is shifted
+        # back by the sum of their valuations.
+        vx = vy = 0
+        while not x[vx]:
+            vx += 1
+        while not y[vy]:
+            vy += 1
+        shift = vx + vy
+        if shift >= K:
+            return TSeries._of(K, [], 1)
+        x, y = x[vx:], y[vy:]
+        if len(x) < len(y):
+            x, y = y, x
+        n = min(K - shift, len(x) + len(y) - 1)
+        if len(y) == 1:
+            k = y[0]
+            out = [a * k for a in x[:n]]
+        else:
+            # out[k] = sum of x[i] * y[k - i]; with ry = y reversed, y[k - i]
+            # is ry[top - k + i], and map stops at the shorter slice.
+            top = len(y) - 1
+            ry = y[::-1]
+            m = min(n, len(y))
+            out = [sum(map(mul, x, ry[top - k:])) for k in range(m)]
+            out += [sum(map(mul, x[k - top:], ry)) for k in range(m, n)]
+        return TSeries._of(K, [0] * shift + out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "TSeries":
-        k = Fraction(other)
-        if not k:
+        p, q = _ratio(other)
+        if not p:
             raise ZeroDivisionError("division of a series by zero")
-        return self * (1 / k)
+        return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
 
     def __pow__(self, n: int) -> "TSeries":
         if n < 0:
             raise ValueError("negative power of a truncated series")
-        result = TSeries.constant(1, self.modulus)
+        if not n:
+            return TSeries.constant(1, self.modulus)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def shift(self, n: int) -> "TSeries":
         """Multiply by t^n (n >= 0); overflow past the modulus is dropped."""
         if n < 0:
             raise ValueError("negative shift")
-        if n >= self.modulus:
-            return TSeries._of(self.modulus, [])
-        return TSeries._of(self.modulus, [_ZERO] * n + list(self.coeffs[:self.modulus - n]))
+        K = self.modulus
+        if n >= K:
+            return TSeries._of(K, [], 1)
+        return TSeries._of(K, [0] * n + list(self._num[:K - n]), self._den)
 
     def truncate(self, modulus: int) -> "TSeries":
         if modulus > self.modulus:
             raise ValueError("cannot raise a truncation modulus")
         if modulus < 1:
             raise ValueError("modulus must be at least 1")
-        return TSeries._of(modulus, list(self.coeffs[:modulus]))
+        return TSeries._of(modulus, list(self._num[:modulus]), self._den)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._num:
             return f"O(t^{self.modulus})"
         parts = [f"{c}*t^{i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(parts) + f" + O(t^{self.modulus})"
-
-
-def _convolve_numerators(x: Sequence[Fraction], y: Sequence[Fraction], n: int) -> list[Fraction]:
-    """The first n coefficients of x * y, over integers.
-
-    Each operand is put over the lcm of its denominators, dx and dy; the
-    integer numerators are convolved (one C-level dot product per output
-    coefficient) and each sum becomes one Fraction(sum, dx * dy).
-    """
-    dx = lcm(*[c.denominator for c in x])
-    dy = lcm(*[c.denominator for c in y])
-    nx = [c.numerator * (dx // c.denominator) for c in x]
-    ry = [c.numerator * (dy // c.denominator) for c in reversed(y)]
-    top_x, top_y = len(x) - 1, len(y) - 1
-    d = dx * dy
-    out = []
-    for k in range(n):
-        lo = max(0, k - top_y)
-        hi = min(k, top_x) + 1
-        # sum over i in [lo, hi) of nx[i] * ny[k - i], where ny[k - i] == ry[top_y - k + i]
-        out.append(Fraction(sum(map(mul, nx[lo:hi], ry[top_y - k + lo:top_y - k + hi])), d))
-    return out
 
 
 @dataclass

@@ -19,6 +19,7 @@ from equigen.lifting import (
     PerturbTerm2,
     SectionProfile,
     SingularConfig,
+    _eval_perturb,
     build_section_basis,
     build_star_system,
     check_d,
@@ -266,6 +267,74 @@ def test_zero_fraction_alpha_is_always_admissible():
     validate_perturb_term(PerturbTerm1(Fraction(0), 0, (0,)), M23, 1, 1, 10)
 
 
+def _list_mul(x, y, modulus):
+    out = [Fraction(0)] * modulus
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j < modulus:
+                out[i + j] += a * b
+    return out
+
+
+def _term_oracle(term, c, c_seed, modulus):
+    """One perturbation term on its own, over dense Fraction lists."""
+    if isinstance(term.alpha, TSeries):
+        val = [Fraction(0)] * term.tpow + list(term.alpha.coeffs)
+    else:
+        val = [Fraction(0)] * term.tpow + [term.alpha]
+    val = (val + [Fraction(0)] * modulus)[:modulus]
+    factors = []
+    for ci, e in zip(c, term.exps):
+        factors += [list(ci.coeffs)] * e
+    if isinstance(term, PerturbTerm2):
+        for k in (term.k1, term.k2):
+            now, seed = c[k - 2].coeffs, c_seed[k - 2].coeffs
+            n = max(len(now), len(seed))
+            factors.append([(now[i] if i < len(now) else 0) - (seed[i] if i < len(seed) else 0)
+                            for i in range(n)])
+    for f in factors:
+        val = _list_mul(val, f, modulus)
+    return val
+
+
+def test_eval_perturb_matches_term_by_term():
+    # tables share exponents between terms and repeat difference factors
+    # (k1 == k2), so any per-call reuse of powers or differences shows here
+    rng = random.Random(20261018)
+    model, d, K = M46, 1, 24
+    for _ in range(12):
+        c_seed = [TSeries.t_power(d * i, K, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+                  for i in range(2, model.a + 1)]
+        c = [s + TSeries(K, [0] * (d * i + 1) + [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                                 for _ in range(rng.randint(0, 6))])
+             for i, s in zip(range(2, model.a + 1), c_seed)]
+        eq = rng.randint(1, model.a - 1)
+        shared = [tuple(rng.randint(0, 2) for _ in range(model.a - 1)) for _ in range(2)]
+        terms = []
+        for _ in range(rng.randint(2, 6)):
+            exps = rng.choice(shared)
+            weight = sum(k * e for k, e in zip(range(2, model.a + 1), exps))
+            alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            if rng.random() < 0.3:
+                alpha = TSeries(K, [alpha, Fraction(rng.randint(-3, 3), 2)])
+            if rng.random() < 0.5:
+                k1 = rng.randint(2, model.a)
+                k2 = k1 if rng.random() < 0.5 else rng.randint(2, model.a)
+                tpow = max(0, d * (model.b + eq) - d * (k1 + k2) - d * weight) + rng.randint(0, 2)
+                terms.append(PerturbTerm2(alpha, tpow, exps, k1, k2))
+            else:
+                tpow = max(0, d * (model.b + eq) + 1 - d * weight) + rng.randint(0, 2)
+                terms.append(PerturbTerm1(alpha, tpow, exps))
+        expected = [Fraction(0)] * K
+        for term in terms:
+            expected = [a + b for a, b in zip(expected, _term_oracle(term, c, c_seed, K))]
+        while expected and not expected[-1]:
+            expected.pop()
+        got = _eval_perturb(terms, model, d, eq, c, c_seed, K)
+        assert list(got.coeffs) == expected
+        assert any(expected)
+
+
 # ---------------------------------------------------------------------------
 # lifting
 
@@ -377,9 +446,9 @@ def test_lift_two_point_random_audit():
 
 
 def test_lift_random_k60_golden_digest():
-    # sha256 of the final coefficients, recorded from the schoolbook-only
-    # series kernel; this lift's products cross the integer-convolution
-    # cutoff, so any change to the exact coefficients shows here
+    # sha256 of the final coefficients, recorded from a series kernel that
+    # multiplied Fraction coefficients term by term; any change to the exact
+    # coefficients shows here
     cfg = SingularConfig((LocalModel(3, 4), M25))
     rep = lift_run(cfg, [(F1, F1), (Fraction(2),)], 60, random_provider(cfg, 7))
     blob = json.dumps([[[str(c) for c in s.coeffs] for s in point] for point in rep.state.c])

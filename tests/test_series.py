@@ -139,9 +139,9 @@ def _random_coeffs(rng, length):
     return out
 
 
-# operand lengths on both sides of the integer-convolution cutoff, the
-# zero series, single terms, and raw inputs longer than the modulus
-CUT = series.INT_CONV_MIN_TERMS
+# operand lengths around 16, the zero series, single terms, and raw inputs
+# longer than the modulus
+CUT = 16
 KERNEL_LENGTHS = [0, 1, 2, 7, CUT - 1, CUT, CUT + 1, 2 * CUT + 3, 45]
 
 
@@ -189,23 +189,42 @@ def test_tseries_pow_matches_fraction_oracle():
             expected = _oracle_mul(expected, ox, modulus)
 
 
-def test_tseries_integer_convolution_cutoff(monkeypatch):
-    # the integer path runs exactly when both operands store CUT terms or more
-    calls = []
-    convolve = series._convolve_numerators
+def _rep(s):
+    return s.modulus, s._num, s._den, hash(s)
 
-    def spy(x, y, n):
-        calls.append((len(x), len(y)))
-        return convolve(x, y, n)
 
-    monkeypatch.setattr(series, "_convolve_numerators", spy)
-    rng = random.Random(SEED + 9)
-    for lx, ly in [(CUT - 1, CUT), (CUT, CUT - 1), (CUT - 1, 45), (CUT, CUT), (CUT, 45)]:
-        x, y = _random_coeffs(rng, lx), _random_coeffs(rng, ly)
-        x[-1] = y[-1] = Fraction(1)
-        expected = _oracle_mul(x, y, 60)
-        _assert_kernel_result(TSeries(60, x) * TSeries(60, y), 60, expected)
-    assert calls == [(CUT, CUT), (CUT, 45)]
+def test_tseries_representation_is_canonical():
+    # equal values built along different paths store the same fields
+    half = TSeries(6, [0, Fraction(1, 2), Fraction(3, 4)])
+    assert (half._num, half._den) == ((0, 2, 3), 4)
+    assert _rep(TSeries(6, [0, Fraction(2, 4), Fraction(6, 8), 0])) == _rep(half)
+    # a sum that cancels the terms that set the denominator
+    tail = TSeries(6, [0, 0, Fraction(3, 4)])
+    assert _rep(half - tail) == _rep(TSeries(6, [0, Fraction(1, 2)]))
+    assert _rep(half - tail) == _rep(TSeries.t_power(1, 6, Fraction(1, 2)))
+    # products and scalar multiples
+    assert _rep(TSeries(6, [0, 1]) * TSeries(6, [Fraction(1, 2), Fraction(3, 4)])) == _rep(half)
+    assert _rep(TSeries(6, [0, 2, 3]) * Fraction(1, 4)) == _rep(half)
+    assert _rep(TSeries(6, [0, 2, 3]) / 4) == _rep(half)
+    assert _rep(half * 4) == _rep(TSeries(6, [0, 2, 3]))
+    assert _rep(TSeries(6, [0, Fraction(1, 3)]) * TSeries(6, [3, Fraction(9, 2)])) == _rep(
+        TSeries(6, [0, 1, Fraction(3, 2)]))
+    # truncate drops the term that set the denominator
+    assert _rep(half.truncate(2)) == _rep(TSeries(2, [0, Fraction(1, 2)]))
+    assert _rep(TSeries(6, [1, 2, Fraction(1, 7)]).truncate(2)) == _rep(TSeries(2, [1, 2]))
+    assert TSeries(6, [1, 2, Fraction(1, 7)]).truncate(2)._den == 1
+    # the zero series, however it arises
+    zero = _rep(TSeries(6))
+    assert zero[1:3] == ((), 1)
+    for z in (TSeries.zero(6), half - half, half * 0, half.shift(6),
+              TSeries(6, [0, 0, 0, 0, 0, 0, Fraction(1, 3)]), TSeries.t_power(2, 6, 0),
+              TSeries(6, [0, Fraction(1, 3)]) * TSeries(6, [0, 0, 0, 0, 0, 5]),
+              TSeries(6, [0, 0, Fraction(1, 3)]).truncate(6) - TSeries(6, [0, 0, Fraction(2, 6)])):
+        assert _rep(z) == zero
+    # mixed denominators in a sum land on the reduced lcm
+    s = TSeries(6, [Fraction(1, 6)]) + TSeries(6, [Fraction(1, 3), Fraction(1, 10)])
+    assert (s._num, s._den) == ((5, 1), 10)
+    assert s.coeffs == (Fraction(1, 2), Fraction(1, 10))
 
 
 def test_tseries_public_constructor_coerces_and_checks():

@@ -1,0 +1,117 @@
+"""Differential tests against sympy: truncated-series arithmetic and
+polynomial evaluation at series values, each compared with sympy ``Poly``
+arithmetic over QQ reduced mod t^K. Skipped when sympy is not installed."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from equigen.expansion import LocalModel, f_bar
+from equigen.polycore import MPoly, VarSet
+from equigen.series import TSeries
+
+sympy = pytest.importorskip("sympy")
+
+SEED = 20261018
+T = sympy.Symbol("t")
+
+
+def _rand_coeffs(rng, length):
+    """Zeros, small and large mixed denominators, leading zeros included."""
+    out = []
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.3:
+            out.append(Fraction(0))
+        elif kind < 0.8:
+            out.append(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9))))
+        else:
+            out.append(Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9)))
+    return out
+
+
+def _to_sympy(coeffs):
+    """The polynomial sum coeffs[i] t^i as a sympy Poly over QQ."""
+    terms = [sympy.Rational(c.numerator, c.denominator) * T ** i for i, c in enumerate(coeffs)]
+    return sympy.Poly(sum(terms, sympy.Integer(0)), T, domain=sympy.QQ)
+
+
+def _mod_tk(poly, modulus):
+    """Coefficients of poly mod t^modulus, ascending, trailing zeros trimmed."""
+    rest = poly.rem(sympy.Poly(T ** modulus, T, domain=sympy.QQ))
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(rest.all_coeffs())]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _assert_same(series, poly, modulus):
+    assert series.modulus == modulus
+    assert list(series.coeffs) == _mod_tk(poly, modulus)
+
+
+def test_tseries_arithmetic_matches_sympy():
+    rng = random.Random(SEED)
+    for _ in range(120):
+        modulus = rng.choice((1, 4, 9, 17, 30))
+        x = _rand_coeffs(rng, rng.randint(0, 20))
+        y = _rand_coeffs(rng, rng.randint(0, 20))
+        sx, sy = TSeries(modulus, x), TSeries(modulus, y)
+        px, py = _to_sympy(x), _to_sympy(y)
+        _assert_same(sx + sy, px + py, modulus)
+        _assert_same(sx - sy, px - py, modulus)
+        _assert_same(sx * sy, px * py, modulus)
+        k = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        _assert_same(sx * k, px * sympy.Rational(k.numerator, k.denominator), modulus)
+        if k:
+            _assert_same(sx / k, px * sympy.Rational(k.denominator, k.numerator), modulus)
+        n = rng.randint(0, 5)
+        _assert_same(sx ** n, px ** n, modulus)
+
+
+def _random_mpoly(rng, varset, nterms, max_deg):
+    terms = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randint(0, max_deg) for _ in varset.names)
+        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return MPoly(varset, terms)
+
+
+def _sympy_evaluate(poly, values):
+    """Sum of c * prod v_i ** e_i in sympy, each power computed afresh."""
+    total = sympy.Poly(0, T, domain=sympy.QQ)
+    for exps, c in poly.terms.items():
+        term = sympy.Poly(sympy.Rational(c.numerator, c.denominator), T, domain=sympy.QQ)
+        for name, e in zip(poly.varset.names, exps):
+            term = term * values[name] ** e
+        total = total + term
+    return total
+
+
+def _check_evaluate(poly, rng, modulus, length):
+    coeffs = {name: _rand_coeffs(rng, length) for name in poly.varset.names}
+    series = {name: TSeries(modulus, cs) for name, cs in coeffs.items()}
+    value = poly.evaluate(series)
+    if not isinstance(value, TSeries):  # the zero polynomial
+        value = TSeries.constant(value, modulus)
+    expected = _sympy_evaluate(poly, {n: _to_sympy(cs) for n, cs in coeffs.items()})
+    _assert_same(value, expected, modulus)
+
+
+def test_mpoly_evaluate_at_series_matches_sympy():
+    rng = random.Random(SEED + 1)
+    varset = VarSet(("x", "y", "z"), (1, 2, 3))
+    for _ in range(25):
+        modulus = rng.choice((3, 8, 14))
+        poly = _random_mpoly(rng, varset, rng.randint(0, 6), 4)
+        _check_evaluate(poly, rng, modulus, rng.randint(0, 10))
+
+
+@pytest.mark.parametrize("model,eq", [(LocalModel(3, 4), 1), (LocalModel(3, 4), 2),
+                                      (LocalModel(2, 5), 1), (LocalModel(4, 6), 1)])
+def test_f_bar_at_series_matches_sympy(model, eq):
+    # the residual the lift evaluates, at random series in every variable
+    rng = random.Random(f"{SEED}:{model.a}:{model.b}:{eq}")
+    for modulus in (6, 15):
+        _check_evaluate(f_bar(model, eq), rng, modulus, 8)

@@ -58,16 +58,20 @@ def _model(args: argparse.Namespace) -> LocalModel:
         raise UsageError(str(exc)) from None
 
 
-def _parse_range(text: str | None, default: Sequence[int] = ()) -> list[int]:
-    """Accept '3' or '1..4' (inclusive)."""
+def _parse_range(text: str | None, flag: str, default: Sequence[int] = ()) -> list[int]:
+    """Accept '3' or '1..4' (inclusive) as the value of flag."""
     if text is None:
         return list(default)
-    if ".." in text:
-        lo, hi = (int(x) for x in text.split("..", 1))
-        if lo > hi:
-            raise UsageError(f"range {text} is empty: {lo} > {hi}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = (int(x) for x in text.split("..", 1))
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise UsageError(f"{flag} must be an integer or a range lo..hi, got {json.dumps(text)}") from None
+    if lo > hi:
+        raise UsageError(f"range {text} is empty: {lo} > {hi}")
+    return list(range(lo, hi + 1))
 
 
 def _fraction(value: Any, what: str) -> Fraction:
@@ -197,12 +201,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     model = _model(args)
     items: list[tuple[str, Any]] = []
     if args.kind == "f":
-        for m in _parse_range(args.m):
+        for m in _parse_range(args.m, "--m"):
             items.append((f"f_{m}", f_coeff(model, model.b, m)))
         if not items:
             raise UsageError("gen f needs --m (single index or lo..hi)")
     elif args.kind == "F":
-        ns = _parse_range(args.n, default=range(1, model.a))
+        ns = _parse_range(args.n, "--n", default=range(1, model.a))
         for n in ns:
             if not 1 <= n <= model.a - 1:
                 raise UsageError(f"--n must lie in 1..{model.a - 1}")
@@ -210,7 +214,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.kind == "jacbar":
         items.append(("jacbar", jac_bar(model)))
     else:
-        ms = _parse_range(args.m)
+        ms = _parse_range(args.m, "--m")
         if not ms:
             raise UsageError("gen theta needs --m (single index or lo..hi)")
         if min(ms) < 2:

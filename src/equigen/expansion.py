@@ -16,7 +16,8 @@ generates those coefficient polynomials and everything derived from them:
   ``F_{-n} = sum_{m=1}^{n} (m/n) f_coeff(n, n-m) f_coeff(b, b+m)``,
 * ``f_bar`` / ``jac_bar``: the comparison-perturbed system and its Jacobian
   determinant; the Jacobian matrix is built once per model, its determinant
-  by the division-free minors expansion of ``polycore.det_bareiss``, and
+  by the division-free minors expansion of ``polycore.det_bareiss`` (run on
+  integer coefficients over packed exponent keys), and
   ``f_bar_jacobian_at`` gives the Jacobian at a rational point,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 

@@ -4,9 +4,14 @@ Scalars are `fractions.Fraction` throughout; nothing in this package ever
 touches a float. Polynomials are sparse maps from exponent vectors to
 nonzero coefficients over a fixed, ordered variable set. Each variable
 carries a nonnegative integer weight used for weighted-degree bookkeeping
-(the coefficient variable ``c<k>`` has weight ``k``). Beside the
-division-free determinant sits ``_echelonize``, the package's one exact row
-reduction of rational matrices.
+(the coefficient variable ``c<k>`` has weight ``k``).
+
+``det_bareiss`` is a division-free determinant of polynomial matrices. It
+clears each row's denominators and runs its memoized minors expansion on
+integer coefficients over packed exponents (one int per monomial, mixed
+radix wide enough that adding two keys never carries), so no Fraction is
+built until the result is unpacked. Beside it sits ``_echelonize``, the
+package's one exact row reduction of rational matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, mul
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -382,6 +387,16 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     minors are skipped, and no intermediate result is larger than a minor
     of the matrix.
 
+    The expansion runs on packed integer data. Each row is multiplied by
+    the lcm of its coefficient denominators, so every entry is integral and
+    the determinant is scaled by the product D of those lcms. A minor's
+    exponent of variable i is at most bound_i, the sum over rows of the
+    row's largest exponent of i, so an exponent vector packs into one int
+    with mixed radix bound_i + 1 and adding two packed keys adds the vectors
+    without carries. Minors are dicts from packed key to integer
+    coefficient; the full minor is unpacked once, each coefficient as
+    Fraction(c, D).
+
     The name is kept from the Bareiss elimination this replaced, because
     the benchmark's tracer wraps ``polycore.det_bareiss`` by name.
     """
@@ -394,20 +409,53 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     varset = matrix[0][0].varset
     if any(entry.varset != varset for row in matrix for entry in row):
         raise ValueError("matrix entries live in different variable sets")
-    minors = {0: MPoly.constant(varset, 1)}
-    for row in reversed(matrix):
-        larger: dict[int, MPoly] = {}
+    bounds = [sum(max((e[i] for entry in row for e in entry.terms), default=0) for row in matrix)
+              for i in range(len(varset))]
+    places = []
+    place = 1
+    for bound in bounds:
+        places.append(place)
+        place *= bound + 1
+    # rows[r][j] = (entry, -entry) as lists of (packed key, integer coefficient)
+    # pairs, or None for a zero entry; the sign of a cofactor picks one.
+    rows = []
+    scale = 1
+    for row in matrix:
+        lcm = math.lcm(*(c.denominator for entry in row for c in entry.terms.values()))
+        scale *= lcm
+        packed_row = []
+        for entry in row:
+            terms = [(sum(map(mul, e, places)), c.numerator * (lcm // c.denominator))
+                     for e, c in entry.terms.items()]
+            packed_row.append((terms, [(k, -c) for k, c in terms]) if terms else None)
+        rows.append(packed_row)
+    minors: dict[int, dict[int, int]] = {0: {0: 1}}
+    for row in reversed(rows):
+        larger: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
-            for j, entry in enumerate(row):
-                if cols >> j & 1 or not entry:
+            minor_terms = minor.items()
+            for j, signed in enumerate(row):
+                if signed is None or cols >> j & 1:
                     continue
-                term = entry * minor
-                if (cols & ((1 << j) - 1)).bit_count() & 1:
-                    term = -term
-                key = cols | 1 << j
-                larger[key] = larger[key] + term if key in larger else term
-        minors = {cols: minor for cols, minor in larger.items() if minor}
-    return minors.get((1 << n) - 1, MPoly.zero(varset))
+                acc = larger.setdefault(cols | 1 << j, {})
+                get = acc.get
+                for k1, c1 in signed[(cols & ((1 << j) - 1)).bit_count() & 1]:
+                    for k2, c2 in minor_terms:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+        minors = {}
+        for cols, acc in larger.items():
+            acc = {k: c for k, c in acc.items() if c}
+            if acc:
+                minors[cols] = acc
+    out = MPoly(varset)
+    for k, c in minors.get((1 << n) - 1, {}).items():
+        exps = []
+        for bound in bounds:
+            k, e = divmod(k, bound + 1)
+            exps.append(e)
+        out.terms[tuple(exps)] = Fraction(c, scale)
+    return out
 
 
 def _echelonize(coords: Sequence[Hashable], rows: list[dict[Hashable, Fraction]]

@@ -36,6 +36,7 @@ from operator import add, mul, sub
 from typing import Sequence, Union
 
 from .expansion import LocalModel, SigmaModel, sigma_coeff
+from .polycore import MPoly
 
 Scalar = Union[Fraction, int]
 
@@ -503,16 +504,16 @@ def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     val_now = dict(zip(names, c_now))
     val_next = dict(zip(names, c_next))
 
-    def sigma_at(l: int, values) -> TSeries:
-        poly = sigma_coeff(sigma_model, l, tmax=K)
+    def sigma_at(poly: MPoly, values) -> TSeries:
         v = poly.evaluate(values)
         return v if isinstance(v, TSeries) else TSeries.constant(v, K)
 
     # diff[i]: the s^{l_max - i} coefficient of the regrouped difference.
     diff = [TSeries.zero(K)] * (l_max + smax + 1)
     for l in range(-l_sing, l_max + 1):
-        s_now = sigma_at(l, val_now)
-        s_nxt = sigma_at(l, val_next)
+        poly = sigma_coeff(sigma_model, l, tmax=K)
+        s_now = sigma_at(poly, val_now)
+        s_nxt = sigma_at(poly, val_next)
         diff[l_max - l] = diff[l_max - l] - s_now
         if s_nxt:
             for m, p in enumerate(_unit_powers(unit, l, l + smax)):

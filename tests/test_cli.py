@@ -85,6 +85,20 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and not out and "5..3" in err
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (["gen", "f", "--a", "2", "--b", "3", "--m", "x"], "--m", "x"),
+    (["gen", "f", "--a", "2", "--b", "3", "--m", "3..4.5"], "--m", "3..4.5"),
+    (["gen", "theta", "--a", "3", "--b", "4", "--m", "2..x"], "--m", "2..x"),
+    (["gen", "F", "--a", "4", "--b", "6", "--n", "1..x"], "--n", "1..x"),
+    (["gen", "F", "--a", "4", "--b", "6", "--n", "1..2..3"], "--n", "1..2..3"),
+])
+def test_gen_non_integer_index_names_the_flag(capsys, argv, flag, text):
+    # int() alone used to report only "invalid literal for int() with base 10".
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f'error: {flag} must be an integer or a range lo..hi, got "{text}"\n'
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -428,3 +428,59 @@ def test_det_matches_echelon_pivots_on_random_sparse_matrices():
             pt = _rational_point(rng, VS3.names)
             assert det.evaluate(pt) == echelon_det([[e.evaluate(pt) for e in row] for row in m])
     assert degenerate >= 80
+
+
+# det_bareiss packs exponent vectors into ints with radix (sum of the row
+# maxima) + 1 and clears denominators row by row; these matrices fail when
+# the radix is too small to hold a determinant's exponents or when the row
+# scale is not divided back out.
+
+
+def test_det_exponent_beyond_every_entry():
+    x5 = MPoly.monomial(VS2, (5, 0))
+    zero = MPoly.zero(VS2)
+    m = [[x5 * Fraction(1, 2), zero, zero],
+         [zero, x5 * Fraction(1, 3), zero],
+         [zero, zero, x5 * Fraction(1, 9)]]
+    assert det_bareiss(m) == MPoly.monomial(VS2, (15, 0), Fraction(1, 54))
+    # the exponent of y reaches 12 in the permutation term, 4 in any entry
+    y4 = MPoly.monomial(VS2, (0, 4), Fraction(-5, 7))
+    x = MPoly.variable(VS2, "x")
+    m = [[x, y4, zero], [zero, x, y4], [y4, zero, x * Fraction(3, 4)]]
+    assert det_bareiss(m) == _poly(VS2, [((3, 0), Fraction(3, 4)), ((0, 12), Fraction(-125, 343))])
+
+
+def _high_degree_poly(rng, varset, den):
+    if rng.random() < 0.3:
+        return MPoly.zero(varset)
+    return _poly(varset, [(tuple(rng.randint(0, 7) for _ in varset.names),
+                           Fraction(rng.randint(-9, 9), den * rng.choice((1, 1, 2, 5))))
+                          for _ in range(rng.randint(1, 3))])
+
+
+def test_det_high_degree_sparse_with_row_denominators():
+    rng = random.Random(20261019)
+    for case in range(60):
+        n = rng.randint(1, 5)
+        dens = [rng.choice((1, 2, 3, 4, 7, 9, 16, 25)) for _ in range(n)]
+        m = [[_high_degree_poly(rng, VS3, den) for _ in range(n)] for den in dens]
+        det = det_bareiss(m)
+        if n <= 4:
+            assert det == det_cofactor(m)
+        for _ in range(2):
+            pt = _rational_point(rng, VS3.names)
+            assert det.evaluate(pt) == echelon_det([[e.evaluate(pt) for e in row] for row in m])
+
+
+def test_det_cancelling_to_zero_is_the_zero_polynomial():
+    x, y = MPoly.variable(VS2, "x"), MPoly.variable(VS2, "y")
+    first = [x * Fraction(1, 2), y * Fraction(1, 3)]
+    factor = (x + y) * Fraction(1, 5)
+    assert det_bareiss([first, [e * factor for e in first]]) == MPoly.zero(VS2)
+    # third row = p * first + q * second, with fractional polynomial p and q
+    first = [x ** 3 * Fraction(2, 3), y * Fraction(-1, 4), x * y + 1]
+    second = [y ** 2 * Fraction(1, 7), x ** 2, x * Fraction(5, 6)]
+    p, q = x * y * Fraction(3, 2) - 1, y ** 3 * Fraction(1, 9)
+    third = [p * e1 + q * e2 for e1, e2 in zip(first, second)]
+    det = det_bareiss([first, second, third])
+    assert det == MPoly.zero(VS2) and det.terms == {}

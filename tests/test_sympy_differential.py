@@ -1,13 +1,15 @@
 """Differential tests against sympy: truncated-series arithmetic and
 polynomial evaluation at series values, each compared with sympy ``Poly``
-arithmetic over QQ reduced mod t^K. Skipped when sympy is not installed."""
+arithmetic over QQ reduced mod t^K, and ``jac_bar`` compared with sympy's
+Berkowitz determinant of the same Jacobian matrix. Skipped when sympy is
+not installed."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from equigen.expansion import LocalModel, f_bar
+from equigen.expansion import LocalModel, f_bar, f_bar_jacobian_matrix, jac_bar
 from equigen.polycore import MPoly, VarSet
 from equigen.series import TSeries
 
@@ -115,3 +117,21 @@ def test_f_bar_at_series_matches_sympy(model, eq):
     rng = random.Random(f"{SEED}:{model.a}:{model.b}:{eq}")
     for modulus in (6, 15):
         _check_evaluate(f_bar(model, eq), rng, modulus, 8)
+
+
+def _sympy_poly(poly, gens):
+    """An MPoly as a sympy Poly over QQ in the given generators."""
+    terms = {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ)
+
+
+@pytest.mark.parametrize("a, b", [(3, 4), (4, 5), (4, 7), (5, 6), (5, 8)])
+def test_jac_bar_matches_sympy_berkowitz(a, b):
+    # an oracle independent of the packed minors expansion: sympy's
+    # division-free Berkowitz determinant of the same Jacobian matrix
+    model = LocalModel(a, b)
+    gens = sympy.symbols(model.varset.names)
+    matrix = sympy.Matrix([[_sympy_poly(entry, gens).as_expr() for entry in row]
+                           for row in f_bar_jacobian_matrix(model)])
+    expected = sympy.Poly(matrix.det(method="berkowitz"), *gens, domain=sympy.QQ)
+    assert _sympy_poly(jac_bar(model), gens) == expected

@@ -5,133 +5,20 @@ decision procedures for the transversality and genericity conditions, a
 budgeted Groebner engine for radical membership, truncated-series
 reparameterization with order audits, and an order-by-order t-adic lifting
 engine across several singular points.
-"""
 
-from .expansion import (
-    LocalModel,
-    SigmaModel,
-    big_f,
-    f_bar,
-    f_bar_jacobian_matrix,
-    f_coeff,
-    gamma_coeff,
-    gen_multinomial,
-    jac_bar,
-    partitions,
-    sigma_coeff,
-    theta_cap,
-    theta_series,
-)
-from .groebner import (
-    Budget,
-    GStatus,
-    GVerdict,
-    Ideal,
-    InternalConsistencyError,
-    Membership,
-    MonomialOrder,
-    buchberger,
-    check_g,
-    check_g_index,
-    check_t,
-    ideal_contains_one,
-    normal_form,
-    radical_member,
-    witness_verify,
-)
-from .lifting import (
-    DeformVerdict,
-    LiftReport,
-    PerturbContractError,
-    PerturbTerm1,
-    PerturbTerm2,
-    SectionProfile,
-    SingularConfig,
-    StarSystem,
-    build_section_basis,
-    build_star_system,
-    check_d,
-    choose_l,
-    compute_weights,
-    deform_verdict,
-    dual_kernel_basis,
-    lift_run,
-    pair_compare,
-    random_provider,
-    section_ord,
-    star_satisfied,
-    zero_provider,
-)
-from .polycore import MPoly, VarSet, poly_json, poly_text
-from .series import (
-    TriState,
-    TSeries,
-    order_bound_audit,
-    pm_identity_check,
-    reparam_solve,
-    substitution_check,
-)
+Import the functions from their modules (``equigen.expansion``,
+``equigen.groebner``, ...); the package itself holds only the version.
+"""
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budget",
-    "DeformVerdict",
-    "GStatus",
-    "GVerdict",
-    "Ideal",
-    "InternalConsistencyError",
-    "LiftReport",
-    "LocalModel",
-    "MPoly",
-    "Membership",
-    "MonomialOrder",
-    "PerturbContractError",
-    "PerturbTerm1",
-    "PerturbTerm2",
-    "SectionProfile",
-    "SigmaModel",
-    "SingularConfig",
-    "StarSystem",
-    "TSeries",
-    "TriState",
-    "VarSet",
-    "big_f",
-    "buchberger",
-    "build_section_basis",
-    "build_star_system",
-    "check_d",
-    "check_g",
-    "check_g_index",
-    "check_t",
-    "choose_l",
-    "compute_weights",
-    "deform_verdict",
-    "dual_kernel_basis",
-    "f_bar",
-    "f_bar_jacobian_matrix",
-    "f_coeff",
-    "gamma_coeff",
-    "gen_multinomial",
-    "ideal_contains_one",
-    "jac_bar",
-    "lift_run",
-    "normal_form",
-    "order_bound_audit",
-    "pair_compare",
-    "partitions",
-    "pm_identity_check",
-    "poly_json",
-    "poly_text",
-    "radical_member",
-    "random_provider",
-    "reparam_solve",
-    "section_ord",
-    "sigma_coeff",
-    "star_satisfied",
-    "substitution_check",
-    "theta_cap",
-    "theta_series",
-    "witness_verify",
-    "zero_provider",
+    "__version__",
+    "cache",
+    "cli",
+    "expansion",
+    "groebner",
+    "lifting",
+    "polycore",
+    "series",
 ]

@@ -2,14 +2,24 @@
 
 The engine is a budgeted Buchberger implementation over exact rationals:
 normal pair-selection strategy (lowest lcm degree first, ties broken by the
-monomial order and then by pair index), product and chain criteria,
-integer-content stripping of intermediate results, and a reduced (monic,
-sorted, hence unique) basis at the end. Pending S-pairs sit in a heap keyed
-by the selection rule, and the normal form takes the largest remaining term
-from a max-heap, so neither rescans its whole set at each step. Budgets
-cover wall-clock seconds, on one clock shared by every run of a check, and
-processed S-pairs per run; exhaustion yields a first-class timeout verdict
-instead of an exception.
+monomial order and then by pair index), product and chain criteria, and a
+reduced (monic, sorted, hence unique) basis at the end. Pending S-pairs sit
+in a heap keyed by the selection rule, and the normal form takes the largest
+remaining term from a max-heap, so neither rescans its whole set at each
+step. Budgets cover wall-clock seconds, on one clock shared by every run of
+a check, and processed S-pairs per run; exhaustion, in the pair loop or in
+the final inter-reduction, yields a first-class timeout verdict instead of
+an exception.
+
+The working basis is primitive integer polynomials (``primitive_terms``:
+coprime int coefficients, grevlex-leading coefficient positive). Each
+S-polynomial is built in ints as (lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2
+with g = gcd(lc1, lc2), a scalar multiple of the monic one; the normal form
+makes a Fraction only for a quotient coeff/lc that is not exact. The normal
+form is linear and picks reducers by support alone, and the primitive part
+is scale-invariant, so the basis, the S-pairs and the reduced monic basis
+are those of the monic computation. Only the reduced basis is returned,
+with Fraction coefficients.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
@@ -25,12 +35,14 @@ import heapq
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from operator import add, le, sub
 from time import monotonic
 from typing import Callable, Iterable, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
-from .polycore import Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key, lex_key
+from .polycore import (Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key, lex_key,
+                       primitive_terms)
 
 
 class MonomialOrder(Enum):
@@ -144,6 +156,10 @@ def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = Monomia
     surfaces. Each term is reduced by the first basis element, in basis
     order, whose leading monomial divides it. ``lms`` may give the basis
     leading monomials when the caller already holds them.
+
+    Coefficients may be ints or Fractions, as in the engine's integer
+    basis; a result coefficient is an int only where every step on its
+    term stayed integral.
     """
     key, heap_key = order.key, order.heap_key
     if lms is None:
@@ -154,7 +170,7 @@ def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = Monomia
     work = dict(p.terms)
     heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, int | Fraction] = {}
     while heap:
         mon = heapq.heappop(heap)[1]
         coeff = work.pop(mon, None)
@@ -163,7 +179,14 @@ def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = Monomia
         for lm, lc, terms in reducers:
             if all(map(le, lm, mon)):
                 shift = tuple(map(sub, mon, lm))
-                factor = coeff / lc
+                # An int quotient stays an int when it is exact; otherwise
+                # it is a Fraction, never int / int (a float).
+                if type(coeff) is int:
+                    factor, r = divmod(coeff, lc)
+                    if r:
+                        factor = Fraction(coeff, lc)
+                else:
+                    factor = coeff / lc
                 # Every new term lies below mon: a reduced term never returns.
                 for eg, cg in terms.items():
                     if eg == lm:
@@ -187,13 +210,36 @@ def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = Monomia
     return result
 
 
+def _int_poly(varset: VarSet, terms: dict[Exponents, int]) -> MPoly:
+    """An MPoly holding int coefficients: the engine's working basis."""
+    out = MPoly(varset)
+    out.terms = terms
+    return out
+
+
 def _s_poly(g1: MPoly, g2: MPoly, lm1: Exponents, lm2: Exponents) -> MPoly:
+    """S-polynomial of two integer basis elements, in integers.
+
+    With g = gcd(lc1, lc2) and L the lcm of the leading monomials it is
+    (lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2, which is lc1·lc2/g times
+    the monic S-polynomial. The cancelling term at L is never built.
+    """
     lcm = _lcm_exps(lm1, lm2)
-    m1 = MPoly.monomial(g1.varset, tuple(a - b for a, b in zip(lcm, lm1)),
-                        1 / g1.terms[lm1])
-    m2 = MPoly.monomial(g2.varset, tuple(a - b for a, b in zip(lcm, lm2)),
-                        1 / g2.terms[lm2])
-    return m1 * g1 - m2 * g2
+    lc1, lc2 = g1.terms[lm1], g2.terms[lm2]
+    g = gcd(lc1, lc2)
+    k1, k2 = lc2 // g, lc1 // g
+    shift1, shift2 = tuple(map(sub, lcm, lm1)), tuple(map(sub, lcm, lm2))
+    out = {tuple(map(add, e, shift1)): k1 * c for e, c in g1.terms.items() if e != lm1}
+    for e, c in g2.terms.items():
+        if e == lm2:
+            continue
+        tgt = tuple(map(add, e, shift2))
+        s = out.get(tgt, 0) - k2 * c
+        if s:
+            out[tgt] = s
+        else:
+            del out[tgt]
+    return _int_poly(g1.varset, out)
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
@@ -211,7 +257,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
     pairs = 0
     key = order.key
 
-    basis = [g.content_free() for g in ideal.generators]
+    varset = ideal.varset
+    basis = [_int_poly(varset, primitive_terms(g.terms)) for g in ideal.generators]
     lms = [max(g.terms, key=key) for g in basis]
 
     # Unit short-circuit: a constant generator makes everything trivial.
@@ -258,10 +305,10 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
         rem = normal_form(_s_poly(basis[i], basis[j], lms[i], lms[j]), basis, order, lms)
         if rem.is_zero():
             continue
-        rem = rem.content_free()
+        rem = _int_poly(varset, primitive_terms(rem.terms))
         lm_new = max(rem.terms, key=key)
         if not any(lm_new):
-            basis = [MPoly.constant(ideal.varset, 1)]
+            basis = [MPoly.constant(varset, 1)]
             return GBResult(EngineStatus.OK, basis, pairs, monotonic() - t0)
         new_idx = len(basis)
         basis.append(rem)
@@ -269,11 +316,17 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
         for t in range(new_idx):
             push_pair(t, new_idx)
 
-    reduced = _reduce_basis(basis, lms, order)
+    reduced = _reduce_basis(basis, lms, order, budget)
+    if reduced is None:
+        return GBResult(EngineStatus.TIMEOUT, None, pairs, monotonic() - t0)
     return GBResult(EngineStatus.OK, reduced, pairs, monotonic() - t0)
 
 
-def _reduce_basis(basis: list[MPoly], lms: list[Exponents], order: MonomialOrder) -> list[MPoly]:
+def _reduce_basis(basis: list[MPoly], lms: list[Exponents], order: MonomialOrder,
+                  budget: Budget) -> list[MPoly] | None:
+    """The reduced basis: minimal, each element fully reduced by the others,
+    monic with Fraction coefficients, sorted by leading monomial. None when
+    the budget's clock runs out between two normal forms."""
     key = order.key
     keep = []
     for i, lm in enumerate(lms):
@@ -285,13 +338,15 @@ def _reduce_basis(basis: list[MPoly], lms: list[Exponents], order: MonomialOrder
     minimal_lms = [lms[i] for i in keep]
     reduced = []
     for i, g in enumerate(minimal):
+        if budget.expired():
+            return None
         others = minimal[:i] + minimal[i + 1:]
         r = (normal_form(g, others, order, minimal_lms[:i] + minimal_lms[i + 1:])
              if others else g)
         if r.is_zero():
             continue
         lm = max(r.terms, key=key)
-        reduced.append(r * (1 / r.terms[lm]))
+        reduced.append(r * Fraction(1, r.terms[lm]))
     reduced.sort(key=lambda g: key(max(g.terms, key=key)))
     return reduced
 

@@ -292,23 +292,15 @@ class MPoly:
     # -- normalization -----------------------------------------------------
 
     def content_free(self) -> "MPoly":
-        """Divide out rational content; leading coefficient made positive.
+        """Divide out rational content: ``primitive_terms`` as Fractions.
 
-        The result has coprime integer coefficients, so repeated reduction
-        steps cannot grow denominators. Zero maps to zero.
+        The result has coprime integer coefficients, and its grevlex-leading
+        coefficient is positive whatever monomial order the caller uses.
+        Zero maps to zero.
         """
         if not self.terms:
             return self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        lead = max(self.terms, key=grevlex_key)
-        if self.terms[lead] < 0:
-            scale = -scale
-        return self * scale
+        return MPoly(self.varset, primitive_terms(self.terms))
 
     # -- presentation ------------------------------------------------------
 
@@ -325,6 +317,22 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({poly_text(self)})"
+
+
+def primitive_terms(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, int]:
+    """The primitive integer multiple of a nonzero polynomial's terms.
+
+    Coefficients may be ints or Fractions. For c = n/d in lowest terms the
+    content is gcd(n) / lcm(d), so each coefficient maps to the exact int
+    n // gcd(n) * (lcm(d) // d); the sign makes the grevlex-leading
+    coefficient positive.
+    """
+    coeffs = terms.values()
+    num_gcd = math.gcd(*[c.numerator for c in coeffs])
+    den_lcm = math.lcm(*[c.denominator for c in coeffs])
+    if terms[max(terms, key=grevlex_key)] < 0:
+        num_gcd = -num_gcd
+    return {e: c.numerator // num_gcd * (den_lcm // c.denominator) for e, c in terms.items()}
 
 
 def monomial_text(varset: VarSet, exps: Exponents) -> str:

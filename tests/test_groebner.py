@@ -27,7 +27,7 @@ from equigen.groebner import (
     radical_member,
     witness_verify,
 )
-from equigen.polycore import Exponents, MPoly, VarSet, poly_text
+from equigen.polycore import Exponents, MPoly, VarSet, poly_text, primitive_terms
 
 VS = VarSet(("x", "y"), (1, 1))
 VS3 = VarSet(("x", "y", "z"), (1, 1, 1))
@@ -182,6 +182,93 @@ def test_normal_form_is_linear():
     q = X * Y - MPoly.constant(VS, 2)
     lhs = normal_form(p + q, res.basis, order)
     assert lhs == normal_form(p, res.basis, order) + normal_form(q, res.basis, order)
+
+
+# ---------------------------------------------------------------------------
+# the integer basis kernel
+
+
+def monic_s_poly(g1, g2, lm1, lm2):
+    """The engine's earlier S-polynomial: monomial multipliers with a
+    Fraction 1/lc each, through MPoly products."""
+    lcm = tuple(map(max, lm1, lm2))
+    m1 = MPoly.monomial(g1.varset, tuple(a - b for a, b in zip(lcm, lm1)), 1 / g1.terms[lm1])
+    m2 = MPoly.monomial(g2.varset, tuple(a - b for a, b in zip(lcm, lm2)), 1 / g2.terms[lm2])
+    return m1 * g1 - m2 * g2
+
+
+def _random_int_poly(rng, varset, n_terms, max_deg):
+    # Coefficients share small prime factors, so gcd(lc1, lc2) is often not 1.
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(rng.randint(0, max_deg) for _ in varset.names)
+        terms[exps] = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35))
+    return MPoly(varset, terms)
+
+
+@pytest.mark.parametrize("order", list(MonomialOrder))
+def test_integer_s_poly_matches_monic_oracle(order):
+    rng = random.Random(SEED)
+    checked = 0
+    for _ in range(300):
+        polys = [_random_int_poly(rng, VS3, rng.randint(1, 5), 3) for _ in range(rng.randint(2, 5))]
+        basis = [p.content_free() for p in polys if p.terms]
+        if len(basis) < 2:
+            continue
+        int_basis = [groebner._int_poly(VS3, primitive_terms(g.terms)) for g in basis]
+        lms = [max(g.terms, key=order.key) for g in basis]
+        i, j = rng.sample(range(len(basis)), 2)
+        s_new = groebner._s_poly(int_basis[i], int_basis[j], lms[i], lms[j])
+        s_old = monic_s_poly(basis[i], basis[j], lms[i], lms[j])
+        assert all(type(c) is int for c in s_new.terms.values())
+        assert tuple(map(max, lms[i], lms[j])) not in s_new.terms
+        assert set(s_new.terms) == set(s_old.terms)
+        nf_new = normal_form(s_new, int_basis, order, lms)
+        nf_old = normal_form(s_old, basis, order, lms)
+        assert set(nf_new.terms) == set(nf_old.terms)
+        if nf_new.terms:
+            assert primitive_terms(nf_new.terms) == nf_old.content_free().terms
+            checked += 1
+    assert checked > 100
+
+
+def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
+    seen: set[type] = set()
+    results = []
+    real_normal_form, real_buchberger = groebner.normal_form, groebner.buchberger
+
+    def watched_normal_form(p, basis, *rest):
+        out = real_normal_form(p, basis, *rest)
+        for poly in (p, out, *basis):
+            seen.update(map(type, poly.terms.values()))
+        return out
+
+    def watched_buchberger(*args, **kwargs):
+        res = real_buchberger(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(groebner, "normal_form", watched_normal_form)
+    monkeypatch.setattr(groebner, "buchberger", watched_buchberger)
+    # Both presentations' ideals I + (1 - y*p) at every index; (4,6), i = 2
+    # contains 1.
+    for a, b in ((4, 6), (4, 7)):
+        check_g(LocalModel(a, b))
+    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    one = MPoly.constant(VS3, 1)
+    for ideal in (Ideal.of(VS, [X**2 - Y, X**3]),
+                  Ideal.of(VS, [3 * (X**2 - Y)]),
+                  Ideal.of(VS, [X - MPoly.constant(VS, 1), Y**5]),
+                  Ideal.of(VS3, [x**2 + y + z - one, x + y**2 + z - one, x + y + z**2 - one])):
+        for order in MonomialOrder:
+            groebner.buchberger(ideal, order)
+    assert len(results) == 12 + 8
+    for res in results:
+        assert res.status is EngineStatus.OK
+        for g in res.basis:
+            assert all(type(c) is Fraction for c in g.terms.values())
+    assert seen <= {int, Fraction}
+    assert int in seen
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +449,22 @@ def test_budget_clock_shared_across_indices(monkeypatch):
     # Elapsed stays per index: the second reports only its own time.
     assert verdict.per_index[0].elapsed == spent[0]
     assert verdict.per_index[1].elapsed < spent[1]
+
+
+def test_budget_bounds_final_inter_reduction(monkeypatch):
+    clock = _FakeClock(monkeypatch)
+    gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
+    free = buchberger(Ideal.of(VS, gens))
+    assert free.status is EngineStatus.OK
+    # One normal form per processed pair, then at least two more in the
+    # inter-reduction.
+    assert clock.now >= free.pairs_processed + 2
+    # The pair loop fits the budget; the inter-reduction runs past it.
+    res = buchberger(Ideal.of(VS, gens), budget=Budget(seconds=free.pairs_processed + 0.5))
+    assert res.status is EngineStatus.TIMEOUT
+    assert res.basis is None
+    assert res.pairs_processed == free.pairs_processed
+    assert res.elapsed < free.elapsed
 
 
 def test_budget_max_pairs_per_run():

@@ -25,6 +25,7 @@ from equigen.polycore import (
     monomial_text,
     poly_json,
     poly_text,
+    primitive_terms,
 )
 from equigen.series import TSeries
 
@@ -258,6 +259,17 @@ def test_content_free_primitive():
 def test_content_free_flips_negative_leading():
     p = _poly(VS2, [((2, 0), -2), ((0, 1), 2)])
     assert poly_text(p.content_free()) == "x^2 - y"
+
+
+def test_primitive_terms_sign_from_grevlex_leading():
+    # x*y^3 leads in grevlex, x^2 in lex: the sign follows grevlex either way.
+    p = _poly(VS2, [((2, 0), Fraction(3, 2)), ((1, 3), Fraction(-9, 4))])
+    terms = primitive_terms(p.terms)
+    assert terms == {(2, 0): -2, (1, 3): 3}
+    assert all(type(c) is int for c in terms.values())
+    assert p.content_free().terms == terms
+    assert all(type(c) is Fraction for c in p.content_free().terms.values())
+    assert primitive_terms({(1, 0): 6, (0, 1): Fraction(-4, 3)}) == {(1, 0): 9, (0, 1): -2}
 
 
 def test_divides():

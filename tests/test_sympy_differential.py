@@ -1,14 +1,16 @@
 """Differential tests against sympy: truncated-series arithmetic and
 polynomial evaluation at series values, each compared with sympy ``Poly``
-arithmetic over QQ reduced mod t^K, and ``jac_bar`` compared with sympy's
-Berkowitz determinant of the same Jacobian matrix. Skipped when sympy is
-not installed."""
+arithmetic over QQ reduced mod t^K, ``jac_bar`` compared with sympy's
+Berkowitz determinant of the same Jacobian matrix, and the engine's reduced
+grevlex bases compared with sympy's ``groebner``. Skipped when sympy is not
+installed."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from equigen import groebner
 from equigen.expansion import LocalModel, f_bar, f_bar_jacobian_matrix, jac_bar
 from equigen.polycore import MPoly, VarSet
 from equigen.series import TSeries
@@ -135,3 +137,31 @@ def test_jac_bar_matches_sympy_berkowitz(a, b):
                            for row in f_bar_jacobian_matrix(model)])
     expected = sympy.Poly(matrix.det(method="berkowitz"), *gens, domain=sympy.QQ)
     assert _sympy_poly(jac_bar(model), gens) == expected
+
+
+GB_CASES = ([(3, 4, i) for i in (1, 2)] + [(4, 6, i) for i in (1, 2, 3)]
+            + [(4, 7, i) for i in (1, 2, 3)] + [(5, 6, 4)])
+
+
+@pytest.mark.parametrize("a, b, i", GB_CASES)
+def test_reduced_grevlex_bases_match_sympy(a, b, i, monkeypatch):
+    # Both presentations' ideals J = I + (1 - y*p), as radical membership
+    # hands them to the engine, against sympy's reduced grevlex basis.
+    runs = []
+    real_buchberger = groebner.buchberger
+
+    def capture(ideal, *args, **kwargs):
+        res = real_buchberger(ideal, *args, **kwargs)
+        runs.append((ideal, res))
+        return res
+
+    monkeypatch.setattr(groebner, "buchberger", capture)
+    groebner.check_g_index(LocalModel(a, b), i)
+    assert len(runs) == 2
+    for ideal, res in runs:
+        gens = sympy.symbols(ideal.varset.names)
+        expected = sympy.groebner([_sympy_poly(g, gens).as_expr() for g in ideal.generators],
+                                  *gens, order="grevlex", domain=sympy.QQ)
+        got = [_sympy_poly(g, gens) for g in res.basis]
+        assert len(got) == len(expected.polys)
+        assert set(got) == set(expected.polys)

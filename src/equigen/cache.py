@@ -2,11 +2,12 @@
 
 Entries are keyed by sha256 of the canonical JSON of the inputs that
 determine a verdict: the local model, the index, the engine version, and
-the monomial order. Each stored entry also carries the engine fingerprint,
-a sha256 of the package's own sources; an entry written by another engine
-is a miss, so the scan recomputes it and overwrites it in place. Writes go
-through a temp file and an atomic rename so parallel workers never see
-torn entries; a hit returns the stored verdict bit-identically.
+the monomial order (always grevlex). Each stored entry also carries the
+engine fingerprint, a sha256 of the package's own sources; an entry written
+by another engine is a miss, so the scan recomputes it and overwrites it in
+place. Writes go through a temp file and an atomic rename so parallel
+workers never see torn entries; a hit returns the stored verdict
+bit-identically.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def engine_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def cache_key(a: int, b: int, index: int, engine_version: str, order: str) -> str:
-    payload = {"a": a, "b": b, "i": index, "engine_version": engine_version, "order": order}
+def cache_key(a: int, b: int, index: int, engine_version: str) -> str:
+    payload = {"a": a, "b": b, "i": index, "engine_version": engine_version, "order": "grevlex"}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

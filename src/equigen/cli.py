@@ -292,7 +292,7 @@ def _scan_cell(job: tuple[int, int, float | None, int | None, str | None]) -> di
     indices = []
     statuses = []
     for i in range(1, a):
-        key = cache.cache_key(a, b, i, __version__, "grevlex")
+        key = cache.cache_key(a, b, i, __version__)
         entry = cache.load(cache_dir, key) if cache_dir else None
         hashes = _poly_hashes(model, i)
         # A hit must match the inputs and the polynomials the current
@@ -512,7 +512,9 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     sections = _parse_sections(data)
     dims = _parse_dims(data)
     flags = _require(data.get("flags", {}), dict, '"flags"')
-    nbar = bool(flags.get("nbar_nonzero", False))
+    nbar = flags.get("nbar_nonzero", False)
+    if not isinstance(nbar, bool):
+        raise UsageError('"flags.nbar_nonzero" must be a JSON boolean')
     g_table: dict[int, GStatus] = {}
     if not all(p.a == 2 for p in config.points):
         budget = Budget(args.budget_secs, args.max_pairs).start()

@@ -33,7 +33,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Sequence
 
 from .polycore import MPoly, VarSet
@@ -200,20 +199,6 @@ def big_f(model: LocalModel, n: int) -> MPoly:
     return total
 
 
-def _doubled_image(model: LocalModel, p: MPoly, tilde: bool) -> MPoly:
-    """Reinterpret a polynomial in c2..ca inside the doubled ring.
-
-    tilde = True maps it to the comparison copy ct2..cta.
-    """
-    varset = model.doubled_varset
-    n1 = model.a - 1
-    out = MPoly.zero(varset)
-    for exps, coeff in p.terms.items():
-        full = (0,) * n1 + exps if tilde else exps + (0,) * n1
-        out = out + MPoly.monomial(varset, full, coeff)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def f_bar(model: LocalModel, j: int) -> MPoly:
     """Perturbed coefficient polynomial over the doubled ring (c, ct).
@@ -230,10 +215,11 @@ def f_bar(model: LocalModel, j: int) -> MPoly:
         raise ValueError(f"need 1 <= j <= a-1 = {model.a - 1}, got {j}")
     a = model.a
     varset = model.doubled_varset
-    total = _doubled_image(model, f_coeff(model, model.b, model.b + j), tilde=False)
+    tilde = [f"ct{k}" for k in range(2, a + 1)]
+    total = f_coeff(model, model.b, model.b + j).rename(varset)
     for k in range(2, j):
         weight = Fraction(j - k, a)
-        f_tail = _doubled_image(model, f_coeff(model, model.b, model.b + j - k), tilde=True)
+        f_tail = f_coeff(model, model.b, model.b + j - k).rename(varset, tilde)
         diff_k = (MPoly.variable(varset, f"c{k}")
                   - MPoly.variable(varset, f"ct{k}"))
         total = total + weight * diff_k * f_tail
@@ -245,18 +231,6 @@ def f_bar(model: LocalModel, j: int) -> MPoly:
     return total
 
 
-def _single_image(model: LocalModel, p: MPoly) -> MPoly:
-    """Identify the comparison copy with the plain variables (ct := c) in a
-    polynomial over the doubled ring, by adding the two halves of each
-    exponent vector."""
-    n1 = model.a - 1
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in p.terms.items():
-        key = tuple(map(add, exps[:n1], exps[n1:]))
-        acc[key] = acc.get(key, 0) + coeff
-    return MPoly(model.varset, acc)
-
-
 @functools.lru_cache(maxsize=None)
 def f_bar_jacobian_matrix(model: LocalModel) -> tuple[tuple[MPoly, ...], ...]:
     """Matrix d fbar_{b+j} / d c_k (j = 1..a-1 rows, k = 2..a columns).
@@ -266,7 +240,8 @@ def f_bar_jacobian_matrix(model: LocalModel) -> tuple[tuple[MPoly, ...], ...]:
     the single ring c2..ca. Cached per model, hence a tuple of tuples.
     """
     rows = (f_bar(model, j) for j in range(1, model.a))
-    return tuple(tuple(_single_image(model, fb.diff(f"c{k}")) for k in range(2, model.a + 1))
+    single = model.varset.names * 2
+    return tuple(tuple(fb.diff(f"c{k}").rename(model.varset, single) for k in range(2, model.a + 1))
                  for fb in rows)
 
 

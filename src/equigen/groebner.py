@@ -1,10 +1,11 @@
 """Groebner-basis engine and the transversality / genericity decision procedures.
 
 The engine is a budgeted Buchberger implementation over exact rationals:
-normal pair-selection strategy (lowest lcm degree first, ties broken by the
-monomial order and then by pair index), product and chain criteria, and a
-reduced (monic, sorted, hence unique) basis at the end. Pending S-pairs sit
-in a heap keyed by the selection rule, and the normal form takes the largest
+normal pair-selection strategy (lowest lcm first, ties broken by pair index),
+product and chain criteria, and a reduced (monic, sorted, hence unique) basis
+at the end, all in grevlex: radical membership, the one question the engine
+answers, has the same answer in every monomial order. Pending S-pairs sit in
+a heap keyed by the selection rule, and the normal form takes the largest
 remaining term from a max-heap, so neither rescans its whole set at each
 step. Budgets cover wall-clock seconds, on one clock shared by every run of
 a check, and processed S-pairs per run; exhaustion, in the pair loop or in
@@ -38,33 +39,15 @@ from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
 from time import monotonic
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
-from .polycore import (Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key, lex_key,
-                       primitive_terms)
-
-
-class MonomialOrder(Enum):
-    GREVLEX = "grevlex"
-    LEX = "lex"
-
-    @property
-    def key(self) -> Callable[[Exponents], tuple]:
-        return grevlex_key if self is MonomialOrder.GREVLEX else lex_key
-
-    @property
-    def heap_key(self) -> Callable[[Exponents], tuple]:
-        """Key that sorts exactly opposite to ``key``, for a max-heap on heapq."""
-        return _grevlex_heap_key if self is MonomialOrder.GREVLEX else _lex_heap_key
+from .polycore import Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key, primitive_terms
 
 
 def _grevlex_heap_key(exps: Exponents) -> tuple:
+    """Key that sorts exactly opposite to ``grevlex_key``, for a max-heap on heapq."""
     return (-sum(exps), exps[::-1])
-
-
-def _lex_heap_key(exps: Exponents) -> tuple:
-    return tuple(-e for e in exps)
 
 
 class EngineStatus(Enum):
@@ -146,8 +129,7 @@ def _lcm_exps(e1: Exponents, e2: Exponents) -> Exponents:
     return tuple(map(max, e1, e2))
 
 
-def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = MonomialOrder.GREVLEX,
-                lms: Sequence[Exponents] | None = None) -> MPoly:
+def normal_form(p: MPoly, basis: Sequence[MPoly], lms: Sequence[Exponents] | None = None) -> MPoly:
     """Fully reduce p modulo the basis: no result monomial is divisible
     by any basis leading monomial.
 
@@ -161,14 +143,13 @@ def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = Monomia
     basis; a result coefficient is an int only where every step on its
     term stayed integral.
     """
-    key, heap_key = order.key, order.heap_key
     if lms is None:
-        lms = [max(g.terms, key=key) if g.terms else None for g in basis]
+        lms = [max(g.terms, key=grevlex_key) if g.terms else None for g in basis]
     # Terms are not copied into tails: one call reduces by few of the basis
     # elements (about one in fifteen in check G at (5,7)).
     reducers = [(lm, g.terms[lm], g.terms) for lm, g in zip(lms, basis) if g.terms]
     work = dict(p.terms)
-    heap = [(heap_key(e), e) for e in work]
+    heap = [(_grevlex_heap_key(e), e) for e in work]
     heapq.heapify(heap)
     out: dict[Exponents, int | Fraction] = {}
     while heap:
@@ -195,7 +176,7 @@ def normal_form(p: MPoly, basis: Sequence[MPoly], order: MonomialOrder = Monomia
                     old = work.get(tgt)
                     if old is None:
                         work[tgt] = -factor * cg
-                        heapq.heappush(heap, (heap_key(tgt), tgt))
+                        heapq.heappush(heap, (_grevlex_heap_key(tgt), tgt))
                     else:
                         s = old - factor * cg
                         if s:
@@ -242,39 +223,37 @@ def _s_poly(g1: MPoly, g2: MPoly, lm1: Exponents, lm2: Exponents) -> MPoly:
     return _int_poly(g1.varset, out)
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
-               budget: Budget | None = None) -> GBResult:
-    """Compute a reduced Groebner basis, or report budget exhaustion.
+def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
+    """Compute a reduced grevlex Groebner basis, or report budget exhaustion.
 
     The reduced basis is monic, pairwise top-irreducible, and sorted by
-    leading monomial, hence unique for the ideal and order: permuting the
-    input generators cannot change it.
+    leading monomial, hence unique for the ideal: permuting the input
+    generators cannot change it.
     """
     if not ideal.generators:
         raise ValueError("Groebner engine needs at least one generator")
     budget = (budget or Budget()).start()
     t0 = monotonic()
     pairs = 0
-    key = order.key
 
     varset = ideal.varset
     basis = [_int_poly(varset, primitive_terms(g.terms)) for g in ideal.generators]
-    lms = [max(g.terms, key=key) for g in basis]
+    lms = [max(g.terms, key=grevlex_key) for g in basis]
 
     # Unit short-circuit: a constant generator makes everything trivial.
     if any(not any(lm) for lm in lms):
         one = [MPoly.constant(ideal.varset, 1)]
         return GBResult(EngineStatus.OK, one, 0, monotonic() - t0)
 
-    # Normal strategy: lowest lcm degree first, ties broken by the order and
-    # then by (i, j). Pairs are only pushed or popped smallest first, so the
-    # heap yields them in the order a full scan for the minimum would.
-    pending: list[tuple[int, tuple, tuple[int, int], Exponents]] = []
+    # Normal strategy: lowest lcm first (grevlex_key leads with the degree),
+    # ties broken by (i, j). Pairs are only pushed or popped smallest first,
+    # so the heap yields them in the order a full scan for the minimum would.
+    pending: list[tuple[tuple, tuple[int, int], Exponents]] = []
     done: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int) -> None:
         lcm = _lcm_exps(lms[i], lms[j])
-        heapq.heappush(pending, (sum(lcm), key(lcm), (i, j), lcm))
+        heapq.heappush(pending, (grevlex_key(lcm), (i, j), lcm))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -292,7 +271,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
         return False
 
     while pending:
-        _, _, (i, j), lcm = heapq.heappop(pending)
+        _, (i, j), lcm = heapq.heappop(pending)
         done.add((i, j))
         # Product criterion: coprime leading monomials reduce to zero.
         if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
@@ -302,11 +281,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
         pairs += 1
         if (budget.max_pairs is not None and pairs > budget.max_pairs) or budget.expired():
             return GBResult(EngineStatus.TIMEOUT, None, pairs, monotonic() - t0)
-        rem = normal_form(_s_poly(basis[i], basis[j], lms[i], lms[j]), basis, order, lms)
+        rem = normal_form(_s_poly(basis[i], basis[j], lms[i], lms[j]), basis, lms)
         if rem.is_zero():
             continue
         rem = _int_poly(varset, primitive_terms(rem.terms))
-        lm_new = max(rem.terms, key=key)
+        lm_new = max(rem.terms, key=grevlex_key)
         if not any(lm_new):
             basis = [MPoly.constant(varset, 1)]
             return GBResult(EngineStatus.OK, basis, pairs, monotonic() - t0)
@@ -316,18 +295,16 @@ def buchberger(ideal: Ideal, order: MonomialOrder = MonomialOrder.GREVLEX,
         for t in range(new_idx):
             push_pair(t, new_idx)
 
-    reduced = _reduce_basis(basis, lms, order, budget)
+    reduced = _reduce_basis(basis, lms, budget)
     if reduced is None:
         return GBResult(EngineStatus.TIMEOUT, None, pairs, monotonic() - t0)
     return GBResult(EngineStatus.OK, reduced, pairs, monotonic() - t0)
 
 
-def _reduce_basis(basis: list[MPoly], lms: list[Exponents], order: MonomialOrder,
-                  budget: Budget) -> list[MPoly] | None:
+def _reduce_basis(basis: list[MPoly], lms: list[Exponents], budget: Budget) -> list[MPoly] | None:
     """The reduced basis: minimal, each element fully reduced by the others,
     monic with Fraction coefficients, sorted by leading monomial. None when
     the budget's clock runs out between two normal forms."""
-    key = order.key
     keep = []
     for i, lm in enumerate(lms):
         if any(j != i and divides(lms[j], lm)
@@ -341,13 +318,13 @@ def _reduce_basis(basis: list[MPoly], lms: list[Exponents], order: MonomialOrder
         if budget.expired():
             return None
         others = minimal[:i] + minimal[i + 1:]
-        r = (normal_form(g, others, order, minimal_lms[:i] + minimal_lms[i + 1:])
+        r = (normal_form(g, others, minimal_lms[:i] + minimal_lms[i + 1:])
              if others else g)
         if r.is_zero():
             continue
-        lm = max(r.terms, key=key)
+        lm = max(r.terms, key=grevlex_key)
         reduced.append(r * Fraction(1, r.terms[lm]))
-    reduced.sort(key=lambda g: key(max(g.terms, key=key)))
+    reduced.sort(key=lambda g: grevlex_key(max(g.terms, key=grevlex_key)))
     return reduced
 
 
@@ -379,15 +356,9 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     while aux in ideal.varset.names:
         aux += "_"
     big = ideal.varset.extend(aux, weight=0)
-
-    def embed(q: MPoly) -> MPoly:
-        out = MPoly(big)
-        out.terms = {e + (0,): c for e, c in q.terms.items()}
-        return out
-
     y = MPoly.variable(big, aux)
-    gens = [embed(g) for g in ideal.generators]
-    gens.append(MPoly.constant(big, 1) - y * embed(p))
+    gens = [g.rename(big) for g in ideal.generators]
+    gens.append(MPoly.constant(big, 1) - y * p.rename(big))
     result = buchberger(Ideal.of(big, gens), budget=budget)
     if result.status is EngineStatus.TIMEOUT:
         return MembershipResult(Membership.TIMEOUT, result.pairs_processed, result.elapsed)

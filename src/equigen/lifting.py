@@ -219,19 +219,6 @@ class StarSystem:
     equations: list[StarEquation]
 
 
-def _block_embed(config: SingularConfig, joint: VarSet, j: int, p: MPoly) -> MPoly:
-    """Map a polynomial in the single-point ring of point j into the joint ring."""
-    model = config.model(j)
-    names = [f"c{k}_{j}" for k in range(2, model.a + 1)]
-    out = MPoly.zero(joint)
-    for exps, coeff in p.terms.items():
-        full = [0] * len(joint)
-        for name, e in zip(names, exps):
-            full[joint.index(name)] = e
-        out = out + MPoly.monomial(joint, tuple(full), coeff)
-    return out
-
-
 def build_star_system(config: SingularConfig, basis: SectionBasis) -> StarSystem:
     joint = VarSet.blocks([p.a for p in config.points])
     w = compute_weights(config)
@@ -244,7 +231,7 @@ def build_star_system(config: SingularConfig, basis: SectionBasis) -> StarSystem
         for (j, m), r in contributors:
             model = config.model(j)
             term = big_f(model, model.a - m) * (r * model.a)
-            poly = poly + _block_embed(config, joint, j, term)
+            poly = poly + term.rename(joint, [f"c{k}_{j}" for k in range(2, model.a + 1)])
         equations.append(StarEquation(section.id, entry.ord, contributors, poly))
     return StarSystem(config, joint, equations)
 

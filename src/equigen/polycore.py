@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul
+from operator import add, le, mul, neg
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -28,12 +28,7 @@ Scalar = Union[Fraction, int]
 
 def grevlex_key(exps: Exponents) -> tuple:
     """Sort key realizing graded reverse lexicographic order (ascending)."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def lex_key(exps: Exponents) -> tuple:
-    """Sort key realizing lexicographic order (ascending)."""
-    return exps
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,7 @@ class MPoly:
                 table.append(table[-1] * v if table else v)
             powers.append(table)
         total = None
-        for e, c in sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0])):
+        for e, c in self.terms.items():
             term = c
             for table, p in zip(powers, e):
                 if p:
@@ -289,27 +284,37 @@ class MPoly:
             return "inhomogeneous"
         return degs.pop()
 
-    # -- normalization -----------------------------------------------------
+    # -- change of ring ----------------------------------------------------
 
-    def content_free(self) -> "MPoly":
-        """Divide out rational content: ``primitive_terms`` as Fractions.
+    def rename(self, varset: VarSet, names: Sequence[str] | None = None) -> "MPoly":
+        """This polynomial over ``varset``: variable i becomes the variable
+        ``names[i]`` there, by default the one of the same name.
 
-        The result has coprime integer coefficients, and its grevlex-leading
-        coefficient is positive whatever monomial order the caller uses.
-        Zero maps to zero.
+        Variables sent to one name are identified, so their exponents add;
+        terms that cancel are dropped. Other variables get exponent 0.
         """
-        if not self.terms:
-            return self
-        return MPoly(self.varset, primitive_terms(self.terms))
+        if names is None:
+            names = self.varset.names
+        elif len(names) != len(self.varset):
+            raise ValueError(f"need {len(self.varset)} names, got {len(names)}")
+        targets = [varset.index(name) for name in names]
+        acc: dict[Exponents, Fraction] = {}
+        for exps, coeff in self.terms.items():
+            full = [0] * len(varset)
+            for t, e in zip(targets, exps):
+                full[t] += e
+            key = tuple(full)
+            acc[key] = acc.get(key, 0) + coeff
+        out = MPoly(varset)
+        out.terms = {e: c for e, c in acc.items() if c}
+        return out
 
     # -- presentation ------------------------------------------------------
 
-    def sorted_terms(self, reverse: bool = True) -> Iterator[tuple[Exponents, Fraction]]:
-        """Terms in canonical (graded reverse lexicographic) order.
-
-        Descending by default, so the leading term comes first.
-        """
-        for e in sorted(self.terms, key=grevlex_key, reverse=reverse):
+    def sorted_terms(self) -> Iterator[tuple[Exponents, Fraction]]:
+        """Terms in canonical (graded reverse lexicographic) order,
+        descending, so the leading term comes first."""
+        for e in sorted(self.terms, key=grevlex_key, reverse=True):
             yield e, self.terms[e]
 
     def text(self) -> str:

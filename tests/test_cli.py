@@ -214,7 +214,7 @@ def test_scan_cache_stale_poly_hashes_recomputed(capsys, tmp_path):
     argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
             "--cache-dir", str(cache_dir), "--format", "json"]
     run(capsys, *argv)
-    key = cache.cache_key(3, 4, 2, cli.__version__, "grevlex")
+    key = cache.cache_key(3, 4, 2, cli.__version__)
     victim = cache_dir / f"{key}.json"
     stored = json.loads(victim.read_text())
     fresh_hashes = stored["poly_hashes"]
@@ -236,7 +236,7 @@ def test_scan_cache_unstorable_verdict_recomputed(capsys, tmp_path):
     argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
             "--cache-dir", str(cache_dir), "--format", "json"]
     run(capsys, *argv)
-    victim = cache_dir / f"{cache.cache_key(3, 4, 1, cli.__version__, 'grevlex')}.json"
+    victim = cache_dir / f"{cache.cache_key(3, 4, 1, cli.__version__)}.json"
     victim.write_text(json.dumps(dict(json.loads(victim.read_text()), verdict="timeout")))
 
     code, out, _ = run(capsys, *argv)
@@ -253,7 +253,7 @@ def test_scan_cache_other_engine_recomputed(capsys, tmp_path, monkeypatch):
     argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
             "--cache-dir", str(cache_dir), "--format", "json"]
     run(capsys, *argv)
-    victim = cache_dir / f"{cache.cache_key(3, 4, 1, cli.__version__, 'grevlex')}.json"
+    victim = cache_dir / f"{cache.cache_key(3, 4, 1, cli.__version__)}.json"
     assert json.loads(victim.read_text())["engine_fingerprint"] == cache.engine_fingerprint()
     _, out, _ = run(capsys, *argv)
     assert all(e["cached"] for e in json.loads(out)["rows"][0]["indices"])
@@ -554,6 +554,10 @@ MALFORMED_INPUTS = {
                                             "sections": {"id": "s"}}),
     "verdict-flags-list": ("verdict", {"points": [{"a": 2, "b": 3}], "flags": [1]}),
     "verdict-dims-number": ("verdict", {"points": [{"a": 3, "b": 4}], "dims": 3}),
+    "verdict-flag-string": ("verdict", {
+        "points": [{"a": 2, "b": 3}],
+        "sections": [{"id": "s", "residues": [{"j": 1, "m": 1, "r": "1"}]}],
+        "flags": {"nbar_nonzero": "false"}}),
     "lift-witnesses-number": ("lift", {"points": [{"a": 2, "b": 3}], "witnesses": 3}),
     "verdict-fractional-numbers": ("verdict", {
         "points": [{"a": 2.9, "b": 3.7}],

@@ -15,7 +15,6 @@ from equigen.groebner import (
     GStatus,
     Ideal,
     Membership,
-    MonomialOrder,
     _presentation_obstruction,
     _presentation_simplified,
     buchberger,
@@ -27,7 +26,7 @@ from equigen.groebner import (
     radical_member,
     witness_verify,
 )
-from equigen.polycore import Exponents, MPoly, VarSet, poly_text, primitive_terms
+from equigen.polycore import Exponents, MPoly, VarSet, grevlex_key, poly_text, primitive_terms
 
 VS = VarSet(("x", "y"), (1, 1))
 VS3 = VarSet(("x", "y", "z"), (1, 1, 1))
@@ -37,8 +36,8 @@ Y = MPoly.variable(VS, "y")
 SEED = 20260816
 
 
-def _gb_texts(ideal, order=MonomialOrder.GREVLEX, budget=None):
-    res = buchberger(ideal, order, budget)
+def _gb_texts(ideal, budget=None):
+    res = buchberger(ideal, budget)
     assert res.status is EngineStatus.OK
     return [poly_text(g) for g in res.basis]
 
@@ -85,28 +84,6 @@ def test_gb_invariant_under_generator_order():
         assert texts == expect
 
 
-def test_gb_lex_differs_from_grevlex():
-    # lex eliminates: basis of (x^2 + y^2 - 1, x - y) in lex(x > y) has a
-    # univariate-in-y element
-    gens = [X**2 + Y**2 - MPoly.constant(VS, 1), X - Y]
-    lex_texts = _gb_texts(Ideal.of(VS, gens), MonomialOrder.LEX)
-    assert any("x" not in t for t in lex_texts)
-
-
-def test_gb_lex_textbook_system():
-    # x^2 + y + z = 1, x + y^2 + z = 1, x + y + z^2 = 1 in lex (x > y > z),
-    # Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 2 Sec. 8.
-    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
-    one = MPoly.constant(VS3, 1)
-    ideal = Ideal.of(VS3, [x**2 + y + z - one, x + y**2 + z - one, x + y + z**2 - one])
-    assert _gb_texts(ideal, MonomialOrder.LEX) == [
-        "z^6 - 4*z^4 + 4*z^3 - z^2",
-        "1/2*z^4 + y*z^2 - 1/2*z^2",
-        "y^2 - z^2 - y + z",
-        "z^2 + x + y - 1",
-    ]
-
-
 def test_normal_form_of_members_vanishes():
     res = buchberger(Ideal.of(VS, [X**2 - Y, X**3]))
     rng = random.Random(SEED)
@@ -116,18 +93,17 @@ def test_normal_form_of_members_vanishes():
             mult = MPoly.monomial(VS, (rng.randint(0, 2), rng.randint(0, 2)),
                                   Fraction(rng.randint(-3, 3)))
             combo = combo + mult * g
-        assert normal_form(combo, res.basis, MonomialOrder.GREVLEX).is_zero()
+        assert normal_form(combo, res.basis).is_zero()
 
 
-def reference_normal_form(p, basis, order=MonomialOrder.GREVLEX):
+def reference_normal_form(p, basis):
     """The engine's earlier normal form: a full max() scan of the working
     terms per reduction step, first dividing basis element as reducer."""
-    key = order.key
-    lead_data = [(max(g.terms, key=key), g) for g in basis if not g.is_zero()]
+    lead_data = [(max(g.terms, key=grevlex_key), g) for g in basis if not g.is_zero()]
     work = dict(p.terms)
     out: dict[Exponents, Fraction] = {}
     while work:
-        mon = max(work, key=key)
+        mon = max(work, key=grevlex_key)
         coeff = work.pop(mon)
         for lm, g in lead_data:
             if all(x <= y for x, y in zip(lm, mon)):
@@ -158,8 +134,7 @@ def _random_poly(rng, varset, n_terms, max_deg):
     return p
 
 
-@pytest.mark.parametrize("order", list(MonomialOrder))
-def test_normal_form_matches_reference_scan(order):
+def test_normal_form_matches_reference_scan():
     # Divisor lists are arbitrary, not Groebner bases, so the remainder
     # depends on which divisor reduces each term: equal results show the
     # heap keeps both the term order and the reducer choice.
@@ -169,19 +144,18 @@ def test_normal_form_matches_reference_scan(order):
                     for _ in range(rng.randint(1, 4))]
         divisors.insert(rng.randint(0, len(divisors)), MPoly.zero(VS3))
         p = _random_poly(rng, VS3, rng.randint(0, 12), 5)
-        got = normal_form(p, divisors, order)
-        want = reference_normal_form(p, divisors, order)
+        got = normal_form(p, divisors)
+        want = reference_normal_form(p, divisors)
         assert got == want
         assert list(got.terms) == list(want.terms)
 
 
 def test_normal_form_is_linear():
     res = buchberger(Ideal.of(VS, [X**2 - Y]))
-    order = MonomialOrder.GREVLEX
     p = X**3 + Y
     q = X * Y - MPoly.constant(VS, 2)
-    lhs = normal_form(p + q, res.basis, order)
-    assert lhs == normal_form(p, res.basis, order) + normal_form(q, res.basis, order)
+    lhs = normal_form(p + q, res.basis)
+    assert lhs == normal_form(p, res.basis) + normal_form(q, res.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +180,27 @@ def _random_int_poly(rng, varset, n_terms, max_deg):
     return MPoly(varset, terms)
 
 
-@pytest.mark.parametrize("order", list(MonomialOrder))
-def test_integer_s_poly_matches_monic_oracle(order):
+def test_integer_s_poly_matches_monic_oracle():
     rng = random.Random(SEED)
     checked = 0
     for _ in range(300):
         polys = [_random_int_poly(rng, VS3, rng.randint(1, 5), 3) for _ in range(rng.randint(2, 5))]
-        basis = [p.content_free() for p in polys if p.terms]
+        basis = [MPoly(VS3, primitive_terms(p.terms)) for p in polys if p.terms]
         if len(basis) < 2:
             continue
         int_basis = [groebner._int_poly(VS3, primitive_terms(g.terms)) for g in basis]
-        lms = [max(g.terms, key=order.key) for g in basis]
+        lms = [max(g.terms, key=grevlex_key) for g in basis]
         i, j = rng.sample(range(len(basis)), 2)
         s_new = groebner._s_poly(int_basis[i], int_basis[j], lms[i], lms[j])
         s_old = monic_s_poly(basis[i], basis[j], lms[i], lms[j])
         assert all(type(c) is int for c in s_new.terms.values())
         assert tuple(map(max, lms[i], lms[j])) not in s_new.terms
         assert set(s_new.terms) == set(s_old.terms)
-        nf_new = normal_form(s_new, int_basis, order, lms)
-        nf_old = normal_form(s_old, basis, order, lms)
+        nf_new = normal_form(s_new, int_basis, lms)
+        nf_old = normal_form(s_old, basis, lms)
         assert set(nf_new.terms) == set(nf_old.terms)
         if nf_new.terms:
-            assert primitive_terms(nf_new.terms) == nf_old.content_free().terms
+            assert primitive_terms(nf_new.terms) == primitive_terms(nf_old.terms)
             checked += 1
     assert checked > 100
 
@@ -260,9 +233,8 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
                   Ideal.of(VS, [3 * (X**2 - Y)]),
                   Ideal.of(VS, [X - MPoly.constant(VS, 1), Y**5]),
                   Ideal.of(VS3, [x**2 + y + z - one, x + y**2 + z - one, x + y + z**2 - one])):
-        for order in MonomialOrder:
-            groebner.buchberger(ideal, order)
-    assert len(results) == 12 + 8
+        groebner.buchberger(ideal)
+    assert len(results) == 12 + 4
     for res in results:
         assert res.status is EngineStatus.OK
         for g in res.basis:

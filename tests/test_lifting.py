@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from equigen import expansion, groebner, polycore
+from equigen import expansion, groebner, lifting, polycore
 from equigen.expansion import LocalModel
 from equigen.groebner import GStatus, check_t, witness_verify
 from equigen.lifting import (
@@ -27,6 +27,7 @@ from equigen.lifting import (
     compute_weights,
     deform_verdict,
     dual_kernel_basis,
+    lift_point_step,
     lift_run,
     make_lift_state,
     pair_compare,
@@ -473,6 +474,31 @@ def test_lift_rejects_dishonest_provider():
 
     with pytest.raises(PerturbContractError, match="PerturbTerm1"):
         lift_run(M23, (F1,), 10, prov)
+
+
+# The random provider, because under the zero provider the seed of (3,4) at
+# witness (1,1) is already exact and neither invariant check can fire.
+M34 = LocalModel(3, 4)
+CFG_34 = SingularConfig((M34,))
+
+
+def test_lift_step_rejects_state_violating_its_invariant():
+    prov = random_provider(CFG_34, 7)
+    state = make_lift_state(CFG_34, [(F1, F1)], 30)
+    for _ in range(3):
+        lift_point_step(state, prov, 1)
+        state.k += 1
+    d = state.weights.d[0]
+    # A change at t^(2d+1) in c2 breaks equation 1 far below its closed order.
+    state.c[0][0] = state.c[0][0] + TSeries.t_power(2 * d + 1, 30, Fraction(7))
+    with pytest.raises(ValueError, match=r"violates its invariant .* residual order 6 < 9"):
+        lift_point_step(state, prov, 1)
+
+
+def test_lift_run_rejects_unclosed_final_residual(monkeypatch):
+    monkeypatch.setattr(lifting, "lift_point_step", lambda state, providers, j: None)
+    with pytest.raises(AssertionError, match=r"not closed: order 6 < 30"):
+        lift_run(M34, (F1, F1), 30, random_provider(CFG_34, 7))
 
 
 def test_lift_modulus_at_first_obstruction_keeps_seed():

@@ -251,14 +251,14 @@ def test_text_descending_grevlex(p):
 
 def test_content_free_primitive():
     p = _poly(VS2, [((2, 0), Fraction(4, 6)), ((0, 1), Fraction(-2, 3))])
-    q = p.content_free()
+    q = MPoly(VS2, primitive_terms(p.terms))
     # integer coefficients with gcd 1 and positive leading coefficient
     assert poly_text(q) == "x^2 - y"
 
 
 def test_content_free_flips_negative_leading():
     p = _poly(VS2, [((2, 0), -2), ((0, 1), 2)])
-    assert poly_text(p.content_free()) == "x^2 - y"
+    assert poly_text(MPoly(VS2, primitive_terms(p.terms))) == "x^2 - y"
 
 
 def test_primitive_terms_sign_from_grevlex_leading():
@@ -267,9 +267,49 @@ def test_primitive_terms_sign_from_grevlex_leading():
     terms = primitive_terms(p.terms)
     assert terms == {(2, 0): -2, (1, 3): 3}
     assert all(type(c) is int for c in terms.values())
-    assert p.content_free().terms == terms
-    assert all(type(c) is Fraction for c in p.content_free().terms.values())
     assert primitive_terms({(1, 0): 6, (0, 1): Fraction(-4, 3)}) == {(1, 0): 9, (0, 1): -2}
+
+
+# ---------------------------------------------------------------------------
+# change of ring
+
+
+def test_rename_embeds_by_name_and_by_list():
+    big = VarSet(("y", "x", "t"), (1, 1, 0))
+    p = _poly(VS2, [((2, 1), Fraction(3, 2)), ((0, 3), -1)])
+    q = p.rename(big)
+    assert q.terms == {(1, 2, 0): Fraction(3, 2), (3, 0, 0): -1}
+    assert all(type(c) is Fraction for c in q.terms.values())
+    assert p.rename(big, ["t", "y"]).terms == {(1, 0, 2): Fraction(3, 2), (3, 0, 0): -1}
+    assert q.rename(VS2, ["y", "x", "x"]) == p
+    assert MPoly.zero(VS2).rename(big) == MPoly.zero(big)
+
+
+def test_rename_identification_adds_exponents_and_drops_cancelled_terms():
+    # x*y^2 - x^2*y + x*y + x^2 + 5*z with x, y -> x and z -> y: the first
+    # two cancel, the next two add.
+    p = _poly(VS3, [((1, 2, 0), 1), ((2, 1, 0), -1), ((1, 1, 0), 1), ((2, 0, 0), 1),
+                    ((0, 0, 1), 5)])
+    q = p.rename(VS2, ["x", "x", "y"])
+    assert q.terms == {(2, 0): Fraction(2), (0, 1): Fraction(5)}
+    p = _poly(VS2, [((1, 0), 1), ((0, 1), -1)])
+    assert p.rename(VarSet(("u",), (1,)), ["u", "u"]).is_zero()
+
+
+def test_rename_rejects_wrong_length_names():
+    p = _poly(VS2, [((1, 1), 1)])
+    with pytest.raises(ValueError, match="need 2 names, got 3"):
+        p.rename(VS3, ["x", "y", "z"])
+    with pytest.raises(ValueError):
+        p.rename(VS3, ["x"])
+
+
+def test_rename_rejects_unknown_name():
+    p = _poly(VS2, [((1, 1), 1)])
+    with pytest.raises(KeyError, match="'w'"):
+        p.rename(VS3, ["x", "w"])
+    with pytest.raises(KeyError, match="'y'"):
+        p.rename(VarSet(("x", "z"), (1, 1)))
 
 
 def test_divides():

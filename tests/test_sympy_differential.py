@@ -1,8 +1,9 @@
 """Differential tests against sympy: truncated-series arithmetic and
 polynomial evaluation at series values, each compared with sympy ``Poly``
-arithmetic over QQ reduced mod t^K, ``jac_bar`` compared with sympy's
-Berkowitz determinant of the same Jacobian matrix, and the engine's reduced
-grevlex bases compared with sympy's ``groebner``. Skipped when sympy is not
+arithmetic over QQ reduced mod t^K, ``big_f`` compared with sympy series
+of the branch rewritten in S, ``jac_bar`` compared with sympy's Berkowitz
+determinant of the same Jacobian matrix, and the engine's reduced grevlex
+bases compared with sympy's ``groebner``. Skipped when sympy is not
 installed."""
 
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from equigen import groebner
-from equigen.expansion import LocalModel, f_bar, f_bar_jacobian_matrix, jac_bar
+from equigen.expansion import LocalModel, big_f, f_bar, f_bar_jacobian_matrix, jac_bar
 from equigen.polycore import MPoly, VarSet
 from equigen.series import TSeries
 
@@ -125,6 +126,35 @@ def _sympy_poly(poly, gens):
     """An MPoly as a sympy Poly over QQ in the given generators."""
     terms = {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in poly.terms.items()}
     return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ)
+
+
+def _truncate(expr, var, top):
+    """expr as a polynomial in var with every power above var^top dropped."""
+    poly = sympy.Poly(sympy.expand(expr), var)
+    return sum((c * var ** m for (m,), c in poly.terms() if m <= top), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("a, b", [(3, 4), (3, 5), (4, 5), (4, 7), (5, 6)])
+def test_big_f_matches_sympy_series_in_S(a, b):
+    # An oracle independent of the Lagrange closed form. With x = 1/s and
+    # X = 1/S, where S = s*(1 + sum c_k x^k)^(1/a): sympy expands the tail
+    # sum_{m>=1} f_{b+m} x^m of (1 + sum c_k x^k)^(b/a), x(X) comes from the
+    # fixed point x = X*(1 + sum c_k x^k)^(1/a), and the X^n coefficient of
+    # the tail at x(X) is F_{-n}.
+    model = LocalModel(a, b)
+    gens = sympy.symbols(model.varset.names)
+    x, X = sympy.symbols("x X")
+    unit = 1 + sum(c * x ** k for c, k in zip(gens, range(2, a + 1)))
+    power = sympy.Poly(sympy.series(unit ** sympy.Rational(b, a), x, 0, b + a).removeO(), x)
+    tail = sum(power.coeff_monomial(x ** (b + m)) * x ** m for m in range(1, a))
+    root = sympy.series(unit ** sympy.Rational(1, a), x, 0, a - 1).removeO()
+    x_of_X = X
+    for _ in range(a - 1):  # each round fixes one more power of X
+        x_of_X = _truncate(X * root.subs(x, x_of_X), X, a - 1)
+    in_S = sympy.Poly(_truncate(tail.subs(x, x_of_X), X, a - 1), X)
+    for n in range(1, a):
+        expected = sympy.Poly(in_S.coeff_monomial(X ** n), *gens, domain=sympy.QQ)
+        assert _sympy_poly(big_f(model, n), gens) == expected
 
 
 @pytest.mark.parametrize("a, b", [(3, 4), (4, 5), (4, 7), (5, 6), (5, 8)])

@@ -52,10 +52,7 @@ class UsageError(Exception):
 def _model(args: argparse.Namespace) -> LocalModel:
     if args.a is None or args.b is None:
         raise UsageError("--a and --b are required")
-    try:
-        return LocalModel(args.a, args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return LocalModel(args.a, args.b)
 
 
 def _parse_range(text: str | None, flag: str, default: Sequence[int] = ()) -> list[int]:
@@ -98,16 +95,22 @@ def _json_arg(text: str, what: str) -> Any:
         raise UsageError(f"{what} is not valid JSON: {exc}") from None
 
 
+def _fraction_rows(rows: list[Any], what: str) -> list[list[Fraction]]:
+    """Each row of a JSON list as rationals. A row must itself be a list:
+    a string row would otherwise be read one character at a time."""
+    out = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise UsageError(f"{what} rows must be lists of coefficients")
+        out.append([_fraction(x, f"{what} coefficient") for x in row])
+    return out
+
+
 def _parse_fraction_rows(text: str, modulus: int, n: int, what: str) -> list[TSeries]:
     data = _json_arg(text, what)
     if not isinstance(data, list) or len(data) != n:
         raise UsageError(f"{what} must be a JSON list of {n} coefficient rows")
-    out = []
-    for row in data:
-        if not isinstance(row, list):
-            raise UsageError(f"{what} rows must be lists of coefficients")
-        out.append(TSeries(modulus, [_fraction(x, f"{what} coefficient") for x in row]))
-    return out
+    return [TSeries(modulus, row) for row in _fraction_rows(data, what)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +156,6 @@ def _parse_config(data: dict[str, Any]) -> SingularConfig:
                                     for p in points))
     except (KeyError, TypeError) as exc:
         raise UsageError(f'each point needs integer "a" and "b": {exc}') from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _parse_sections(data: dict[str, Any]) -> list[SectionProfile]:
@@ -187,10 +188,7 @@ def _parse_witnesses(data: dict[str, Any], config: SingularConfig) -> list[tuple
     raw = data.get("witnesses")
     if not isinstance(raw, list) or len(raw) != config.e:
         raise UsageError(f'input needs a "witnesses" list with {config.e} points')
-    try:
-        return [tuple(_fraction(x, "witness coordinate") for x in row) for row in raw]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad witness coordinate: {exc}") from None
+    return [tuple(row) for row in _fraction_rows(raw, '"witnesses"')]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +325,8 @@ def _detail(row: dict[str, Any]) -> str:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cache_dir = cache.resolve_dir(args.cache_dir)
     jobs = []
     for a in range(args.a_min, args.a_max + 1):
@@ -335,8 +335,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 jobs.append((a, b, args.budget_secs, args.max_pairs, cache_dir))
     if not jobs:
         raise UsageError("empty scan grid")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_cell, jobs))
     else:
         rows = [_scan_cell(j) for j in jobs]
@@ -443,15 +444,8 @@ def cmd_star(args: argparse.Namespace) -> int:
 
     if args.at is None:
         raise UsageError("star check needs --at with per-point coefficient vectors")
-    try:
-        rows = json.loads(args.at)
-        points = [tuple(_fraction(x, "--at coordinate") for x in row) for row in rows]
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad --at value: {exc}") from None
-    try:
-        ok = star_satisfied(system, points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rows = _require(_json_arg(args.at, "--at"), list, "--at")
+    ok = star_satisfied(system, [tuple(row) for row in _fraction_rows(rows, "--at")])
     print(f"star system: {'satisfied' if ok else 'not satisfied'}")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -475,10 +469,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         raise UsageError("lift needs --modulus")
     providers = (random_provider(config, args.seed) if args.perturb == "random"
                  else zero_provider)
-    try:
-        report = lift_run(config, witnesses, args.modulus, providers)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = lift_run(config, witnesses, args.modulus, providers)
 
     if args.format == "json":
         doc = {"points": [{"a": p.a, "b": p.b} for p in config.points],
@@ -522,10 +513,7 @@ def cmd_verdict(args: argparse.Namespace) -> int:
             model = config.model(j)
             if model.a >= 3:
                 g_table[j] = check_g(model, budget).status
-    try:
-        v = deform_verdict(config, sections, dims, g_table or None, nbar)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    v = deform_verdict(config, sections, dims, g_table or None, nbar)
     if args.format == "json":
         print(json.dumps({"status": v.status, "reason": v.reason,
                           "certificate": v.certificate}, indent=2))
@@ -635,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock seconds per (a, b, i) index, not for the whole scan "
                         "(default 120)")
     p.add_argument("--max-pairs", type=int, help="S-pairs allowed per Groebner run")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1 (capped at the number of grid cells)")
     p.add_argument("--cache-dir", help=f"verdict cache (or ${cache.ENV_VAR})")
     add_format(p, ("text", "json", "csv", "md"))
     p.set_defaults(func=cmd_scan)
@@ -690,10 +679,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

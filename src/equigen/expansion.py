@@ -7,7 +7,8 @@ series whose coefficients are polynomials in ``c_2..c_a``. This module
 generates those coefficient polynomials and everything derived from them:
 
 * ``f_coeff``: coefficients ``f_coeff(beta, m)`` of ``s^{-m}`` in
-  ``(1 + sum c_k s^{-k})^{beta/a}``, a sum over partitions of ``m``,
+  ``(1 + sum c_k s^{-k})^{beta/a}``, one multinomial-theorem pass over
+  the exponent vectors of weighted degree ``m``,
 * ``gamma_coeff``: the unit ``u`` with ``S = s*u(s)``, ``gamma_i = f_coeff(1, i)``,
 * ``theta_series``: its inverse unit, ``theta_m = -f_coeff(m-1, m) / (m-1)``,
 * ``theta_cap``: powers of the inverse unit,
@@ -36,8 +37,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polycore import MPoly, VarSet
-
-Partition = dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -80,71 +79,37 @@ class SigmaModel:
         object.__setattr__(self, "g0", tuple(Fraction(g) for g in self.g0))
 
 
-def partitions(n: int, lo: int = 2, hi: int | None = None) -> list[Partition]:
-    """All partitions of n with parts in [lo, hi], as part -> multiplicity maps.
-
-    n = 0 yields the empty partition; n < 0 yields nothing. hi = None means
-    no upper bound (effectively n).
-    """
-    if n < 0:
-        return []
-    cap = n if hi is None else min(hi, n)
-    results: list[Partition] = []
-    current: Partition = {}
-
-    def descend(remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            results.append(dict(current))
-            return
-        for part in range(min(max_part, remaining), lo - 1, -1):
-            current[part] = current.get(part, 0) + 1
-            descend(remaining - part, part)
-            if current[part] == 1:
-                del current[part]
-            else:
-                current[part] -= 1
-
-    descend(n, cap)
-    return results
-
-
-def gen_multinomial(alpha: Fraction | int, lam: Partition) -> Fraction:
-    """Generalized multinomial: falling factorial of alpha over multiplicity factorials.
-
-    With beta_j the multiplicities of lam and B their sum, this is
-    ``prod_{i=0}^{B-1} (alpha - i) / prod_j beta_j!``.
-    """
-    alpha = Fraction(alpha)
-    total = sum(lam.values())
-    num = Fraction(1)
-    for i in range(total):
-        num *= alpha - i
-    den = 1
-    for mult in lam.values():
-        den *= math.factorial(mult)
-    return num / den
-
-
 @functools.lru_cache(maxsize=None)
 def f_coeff(model: LocalModel, beta_num: int, m: int) -> MPoly:
     """Coefficient of s^{-m} in (1 + sum_{k=2}^{a} c_k s^{-k})^{beta_num / a}.
 
-    Sum over partitions of m with parts in [2, a]; each partition lam
-    contributes gen_multinomial(beta_num/a, lam) * prod c_k^{lam(k)}.
+    Multinomial theorem: each exponent vector (e_2..e_a) with sum k*e_k = m
+    contributes alpha(alpha-1)...(alpha-B+1) / prod e_k! * prod c_k^{e_k},
+    where alpha = beta_num/a and B = sum e_k.
     Weighted homogeneous of degree m. m = 0 gives 1 and m = 1 gives 0.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    varset = model.varset
     alpha = Fraction(beta_num, model.a)
-    total = MPoly.zero(varset)
-    for lam in partitions(m, 2, model.a):
-        coeff = gen_multinomial(alpha, lam)
-        if not coeff:
-            continue
-        exps = tuple(lam.get(k, 0) for k in range(2, model.a + 1))
-        total = total + MPoly.monomial(varset, exps, coeff)
-    return total
+    falling = [Fraction(1)]
+    for i in range(m // 2):
+        falling.append(falling[-1] * (alpha - i))
+    terms: dict[tuple[int, ...], Fraction] = {}
+
+    def place(k: int, rest: int, tail: tuple[int, ...], total: int, den: int) -> None:
+        # tail holds e_{k+1}..e_a; choose e_k, largest first. e_2 is forced.
+        if k == 2:
+            e2, odd = divmod(rest, 2)
+            if not odd:
+                coeff = falling[total + e2] / (den * math.factorial(e2))
+                if coeff:
+                    terms[(e2,) + tail] = coeff
+            return
+        for e in range(rest // k, -1, -1):
+            place(k - 1, rest - k * e, (e,) + tail, total + e, den * math.factorial(e))
+
+    place(model.a, m, (), 0, 1)
+    return MPoly(model.varset, terms)
 
 
 def gamma_coeff(model: LocalModel, i: int) -> MPoly:

@@ -314,6 +314,37 @@ def test_scan_parallel_matches_serial(capsys):
     assert strip_secs(out1) == strip_secs(out2)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "scan", "--a-max", "3", "--b-max", "4", "--jobs", jobs)
+    assert code == 2 and not out
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_scan_pool_is_capped_at_grid_size(capsys, monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # (3,4), (3,5) and (3,7): three cells, so at most three workers.
+    code, out, _ = run(capsys, "scan", "--a-max", "3", "--b-max", "7", "--jobs", "64",
+                       "--format", "csv")
+    assert code == 0 and seen == [3]
+    assert len(out.strip().splitlines()) == 4
+
+
 # ---------------------------------------------------------------------------
 # reparam
 
@@ -576,6 +607,8 @@ MALFORMED_INPUTS = {
         "sections": [{"id": "s", "residues": [{"j": 1, "m": 1, "r": "1/0"}]}]}),
     "lift-zero-denominator-witness": ("lift", {"points": [{"a": 2, "b": 3}],
                                                "witnesses": [["1/0"]]}),
+    # A string row is not a coordinate list; read by character it would be (1, 1).
+    "lift-witness-row-string": ("lift", {"points": [{"a": 3, "b": 4}], "witnesses": ["11"]}),
 }
 
 
@@ -609,6 +642,13 @@ def test_zero_denominator_is_usage_error(capsys, argv):
 def test_star_check_zero_denominator_is_usage_error(capsys, star_input):
     code, out, err = run(capsys, "star", "check", "--input", star_input,
                          "--at", '[["1/0"], [10]]')
+    assert code == 2 and not out and err.startswith("error:")
+
+
+@pytest.mark.parametrize("at", ['"12"', '["1", [10]]'], ids=["string", "string-row"])
+def test_star_check_string_at_is_usage_error(capsys, star_input, at):
+    # A string is not a list of rows; read by character "12" would be [[1], [2]].
+    code, out, err = run(capsys, "star", "check", "--input", star_input, "--at", at)
     assert code == 2 and not out and err.startswith("error:")
 
 

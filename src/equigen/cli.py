@@ -38,7 +38,8 @@ from .lifting import (
     zero_provider,
 )
 from .polycore import poly_json, poly_text
-from .series import TriState, TSeries, order_bound_audit, pm_identity_check, reparam_solve, substitution_check
+from .series import (TriState, TSeries, order_bound_audit, pm_identity_check, pm_window_bound,
+                     reparam_solve, substitution_check)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -382,6 +383,7 @@ def cmd_reparam(args: argparse.Namespace) -> int:
                     for x in _require(_json_arg(args.g0, "--g0"), list, "--g0"))
               if args.g0 else ())
         pm = pm_identity_check(SigmaModel(model, g0), c_now, c_next, args.smax, K)
+        smax_needed = pm_window_bound(model, K)
 
     if args.format == "json":
         doc = {
@@ -397,6 +399,7 @@ def cmd_reparam(args: argparse.Namespace) -> int:
         }
         if pm is not None:
             doc["pm_identity"] = pm.value
+            doc["pm_smax_needed"] = smax_needed
         print(json.dumps(doc, indent=2))
     else:
         for i in sorted(result.delta_prime):
@@ -409,7 +412,9 @@ def cmd_reparam(args: argparse.Namespace) -> int:
                   f"actual {e.actual} (margin {e.margin})")
         print(f"audit: {'ok' if audit.ok else 'FAILED'}")
         if pm is not None:
-            print(f"matching identity: {pm.value}")
+            why = (f" (needs --smax >= {smax_needed}, got {args.smax})"
+                   if pm is TriState.INCONCLUSIVE else "")
+            print(f"matching identity: {pm.value}{why}")
     if not sub_ok or not audit.ok or pm is TriState.FALSE:
         return EXIT_FAIL
     if pm is TriState.INCONCLUSIVE:

@@ -324,6 +324,47 @@ class MPoly:
         return f"MPoly({poly_text(self)})"
 
 
+def evaluate_many(polys: Sequence[MPoly], values: Mapping[str, object]) -> list:
+    """``[p.evaluate(values) for p in polys]`` with one shared monomial table.
+
+    The polynomials share one variable set. Each monomial any of them needs
+    is built once, from the monomial one degree lower in its last variable,
+    by one product; each term is then one scalar multiple of a table entry.
+    """
+    if not polys:
+        return []
+    varset = polys[0].varset
+    if any(p.varset != varset for p in polys):
+        raise ValueError("evaluate_many needs polynomials over one variable set")
+    missing = [n for n in varset.names if n not in values]
+    if missing:
+        raise KeyError(f"missing values for variables {missing}")
+    vals = [values[n] for n in varset.names]
+    table: dict[Exponents, object] = {}
+
+    def monomial(e: Exponents):
+        chain = []
+        while e not in table and any(e):
+            i = max(k for k, p in enumerate(e) if p)
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        m = table.get(e)
+        for e, i in reversed(chain):
+            m = vals[i] if m is None else m * vals[i]
+            table[e] = m
+        return m
+
+    out = []
+    for p in polys:
+        total = None
+        for e, c in p.terms.items():
+            m = monomial(e)
+            term = c if m is None else m * c
+            total = term if total is None else total + term
+        out.append(Fraction(0) if total is None else total)
+    return out
+
+
 def primitive_terms(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, int]:
     """The primitive integer multiple of a nonzero polynomial's terms.
 

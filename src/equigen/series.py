@@ -18,12 +18,20 @@ where a caller reads a coefficient.
 ``s(next) = s - (1/a) * sum_{i=2}^{a} dprime_i s^{-(i-1)}
            + sum_{i=a+1}^{smax} eps_i s^{-(i-1)}``
 matching two coefficient vectors of the defining equation, order by order;
+it carries the binomial powers (W - 1)^j, 2 <= j <= a, of the unit
+W = s(next)/s beside it, and reads [W^e]_m off them.
 ``order_bound_audit`` checks the guaranteed valuation bounds of the output.
-``substitution_check`` and ``pm_identity_check`` expand the powers of the
-unit W = s(next)/s by one recurrence and verify, on their windows, the
-back-substituted equation and the matching identity (the regular-part
-difference of the twisted expansions equals the singular-part difference),
-modulo the declared truncations.
+
+Two checks verify a solution on their windows, modulo the declared
+truncations. ``pm_identity_check`` checks the matching identity (the
+regular-part difference of the twisted expansions equals the singular-part
+difference): it expands the unit once into its binomial powers
+V_j = (W - 1)^j, which vanish on the window after about K/3 of them, and
+takes every W^l it needs as sum_j C(l, j) V_j; the sigma polynomials share
+one monomial table per point. ``substitution_check`` back-substitutes the
+solved parameter into the defining equation with J. C. P. Miller's power
+recurrence for W^l; it shares none of the solver's recurrence and stays
+the solver's independent oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from operator import add, mul, sub
 from typing import Sequence, Union
 
 from .expansion import LocalModel, SigmaModel, sigma_coeff
-from .polycore import MPoly
+from .polycore import evaluate_many
 
 Scalar = Union[Fraction, int]
 
@@ -347,22 +355,30 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
     one = TSeries.constant(1, modulus)
     cnow = {k: c_now[k - 2] for k in range(2, a + 1)}
     cnext = {k: c_next[k - 2] for k in range(2, a + 1)}
+    binom = [_binomials(e, a) for e in range(a + 1)]
 
-    # w[e][m]: the s^{-m} coefficient of (s(next)/s)^e; filled in m order.
+    # With W = s(next)/s: v[j][m] is the s^{-m} coefficient of (W - 1)^j, so
+    # v[1][m] = u_m, and w[e][m] that of W^e = sum_j C(e, j) (W - 1)^j, for
+    # e <= a - 2 (the exponents the c_k(next) terms read). Both fill in m order.
     u: dict[int, TSeries] = {}
-    w: list[list[TSeries]] = [[zero] * (smax + 1) for _ in range(a + 1)]
-    for e in range(a + 1):
-        w[e][0] = one
+    v: list[list[TSeries]] = [[zero] * (smax + 1) for _ in range(a + 1)]
+    w: list[list[TSeries]] = [[one] + [zero] * smax for _ in range(a - 1)]
     for m in range(2, smax + 1):
-        # Convolve upward with the u_m-free parts; the linear correction is
-        # e * u_m since w[e][m] = known[e] + e * u_m by induction on e.
+        # W - 1 starts at s^-2, so v[j][m] for j >= 2 reads only u_k with
+        # k <= m - 2, and [W^e]_m = e * u_m + sum_{j >= 2} C(e, j) v[j][m].
+        for j in range(2, min(a, m // 2) + 1):
+            prev = v[j - 1]
+            acc = zero
+            for k in range(2, m - 2 * j + 3):
+                if u[k] and prev[m - k]:
+                    acc = acc + u[k] * prev[m - k]
+            v[j][m] = acc
         known = [zero] * (a + 1)
-        for e in range(1, a + 1):
-            acc = known[e - 1]
-            for jj in range(2, m - 1):
-                if u[jj].is_zero():
-                    continue
-                acc = acc + w[e - 1][m - jj] * u[jj]
+        for e in range(2, a + 1):
+            acc = zero
+            for j in range(2, e + 1):
+                if v[j][m]:
+                    acc = acc + v[j][m] * binom[e][j]
             known[e] = acc
         lhs_known = known[a]
         for k in range(2, a + 1):
@@ -371,7 +387,8 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
         rhs = cnow[m] if 2 <= m <= a else zero
         um = (rhs - lhs_known) / a
         u[m] = um
-        for e in range(1, a + 1):
+        v[1][m] = um
+        for e in range(1, a - 1):
             w[e][m] = known[e] + um * e
 
     delta_prime = {i: u[i] * (-a) for i in range(2, a + 1)}
@@ -456,6 +473,70 @@ def _unit_powers(unit: Sequence[TSeries], l: int, depth: int) -> list[TSeries]:
     return p
 
 
+def _binomials(l: int, n: int) -> list[int]:
+    """C(l, 0) .. C(l, n) for any integer l, by C(l, j) = C(l, j-1) (l-j+1) / j
+    (exact integer division, also for negative l)."""
+    out = [1]
+    for j in range(1, n + 1):
+        out.append(out[-1] * (l - j + 1) // j)
+    return out
+
+
+class _BinomialPowers:
+    """The binomial powers V_j = (W - 1)^j, j = 0, 1, ..., of the unit W,
+    and every integer power of W from them.
+
+    ``unit`` is as for ``_unit_powers``. ``powers[j]`` holds the s^{-m}
+    coefficients of V_j for 0 <= m <= depth; the list stops before the
+    first V_j that vanishes on that window. W - 1 has s-valuation at least
+    1, so V_j has at least j and the list holds at most depth + 1 entries.
+    ``power(l, depth)`` is then [W^l]_m = sum_j C(l, j) [V_j]_m.
+    """
+
+    __slots__ = ("depth", "powers", "_rows")
+
+    def __init__(self, unit: Sequence[TSeries], depth: int):
+        if depth >= len(unit):
+            raise ValueError(f"unit known to s^-{len(unit) - 1}, power asked to s^-{depth}")
+        zero = TSeries.zero(unit[0].modulus)
+        step = [zero] + list(unit[1:depth + 1])
+        powers = [[unit[0]] + [zero] * depth]
+        current = step
+        while any(current):
+            powers.append(current)
+            low = next(m for m, c in enumerate(current) if c)
+            product = [zero] * (depth + 1)
+            for m in range(low + 1, depth + 1):
+                acc = zero
+                for k in range(1, m - low + 1):
+                    if step[k] and current[m - k]:
+                        acc = acc + step[k] * current[m - k]
+                product[m] = acc
+            current = product
+        self.depth = depth
+        self.powers = powers
+        # _rows[m] = (den, rows): [V_0]_m, [V_1]_m, ... (j <= m) over one
+        # denominator, transposed so rows[i] holds their t^i numerators and
+        # each t^i coefficient of a power is one dot product with binomials.
+        self._rows = []
+        for m in range(depth + 1):
+            column = [powers[j][m] for j in range(min(m, len(powers) - 1) + 1)]
+            den = lcm(*[c._den for c in column])
+            width = max(len(c._num) for c in column)
+            nums = [[a * (den // c._den) for a in c._num] + [0] * (width - len(c._num))
+                    for c in column]
+            self._rows.append((den, list(zip(*nums))))
+
+    def power(self, l: int, depth: int) -> list[TSeries]:
+        """[W^l]_0 .. [W^l]_depth for any integer l."""
+        if depth > self.depth:
+            raise ValueError(f"powers known to s^-{self.depth}, asked to s^-{depth}")
+        binom = _binomials(l, len(self.powers) - 1)
+        K = self.powers[0][0].modulus
+        return [TSeries._of(K, [sum(map(mul, binom, row)) for row in rows], den)
+                for den, rows in self._rows[:depth + 1]]
+
+
 def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
                        c_next: Sequence[TSeries]) -> bool:
     """Back-substitute the solved parameter into the defining expression and
@@ -474,6 +555,47 @@ def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
     return not any(diff)
 
 
+def pm_window_bound(model: LocalModel, modulus: int) -> int:
+    """The least smax at which the matching identity is decided mod
+    t^modulus: modulus - b (see ``pm_identity_check``)."""
+    return modulus - model.b
+
+
+def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
+                   c_next: Sequence[TSeries], smax: int, modulus: int) -> list[TSeries]:
+    """The regrouped difference of ``pm_identity_check``: entry i is its
+    s^{l_max - i} coefficient, for s-exponents l_max down to -smax.
+
+    The unit is solved to depth smax + l_max and expanded once into the
+    binomial powers V_j = (W - 1)^j; each s(next)^l = s^l W^l then needs
+    only [W^l]_m = sum_j C(l, j) [V_j]_m.
+    """
+    model = sigma_model.model
+    K = modulus
+    l_max = model.b + len(sigma_model.g0)
+    l_sing = max(K - model.b - 1, 0)
+    depth = smax + l_max
+    # s(next)^l for l <= l_max needs W^l only to depth l + smax <= depth, and
+    # every s^l has l >= -l_sing > -smax.
+    result = reparam_solve(model, c_now, c_next, max(depth, model.a), K)
+    powers = _BinomialPowers(_unit_coeffs(result), depth)
+
+    names = [f"c{k}" for k in range(2, model.a + 1)]
+    ls = range(-l_sing, l_max + 1)
+    polys = [sigma_coeff(sigma_model, l, tmax=K) for l in ls]
+    sig_now = evaluate_many(polys, dict(zip(names, c_now)))
+    sig_next = evaluate_many(polys, dict(zip(names, c_next)))
+
+    diff = [TSeries.zero(K)] * (depth + 1)
+    for l, s_now, s_nxt in zip(ls, sig_now, sig_next):
+        diff[l_max - l] = diff[l_max - l] - s_now
+        if s_nxt:
+            for m, p in enumerate(powers.power(l, l + smax)):
+                if p:
+                    diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
+    return diff
+
+
 def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
                       c_next: Sequence[TSeries], smax: int, modulus: int) -> TriState:
     """Matching identity between two nearby twisted expansions.
@@ -485,37 +607,12 @@ def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
 
     Coefficients at s-exponent e carry t-order at least b - e, so exponents
     below -(modulus - b) vanish mod t^modulus and the window decides the
-    identity iff smax >= modulus - b. Below that threshold the verdict is
-    INCONCLUSIVE, never a silent pass.
+    identity iff smax >= ``pm_window_bound`` = modulus - b. Below that
+    threshold the verdict is INCONCLUSIVE, never a silent pass; malformed
+    coefficient vectors raise ``ValueError`` whatever the window.
     """
-    model = sigma_model.model
-    b, K = model.b, modulus
-    if smax < K - b:
+    _validate_coeff_vectors(sigma_model.model, c_now, c_next, modulus)
+    if smax < pm_window_bound(sigma_model.model, modulus):
         return TriState.INCONCLUSIVE
-    l_max = b + len(sigma_model.g0)
-    l_sing = max(K - b - 1, 0)
-    # Past that threshold no other bound can leave the window undetermined:
-    # s(next)^l for l <= l_max needs W^l only to depth l + smax <= smax + l_max,
-    # which this solve provides, and every s^l has l >= -l_sing > -smax.
-    result = reparam_solve(model, c_now, c_next, max(smax + l_max, model.a), K)
-    unit = _unit_coeffs(result)
-
-    names = [f"c{k}" for k in range(2, model.a + 1)]
-    val_now = dict(zip(names, c_now))
-    val_next = dict(zip(names, c_next))
-
-    def sigma_at(poly: MPoly, values) -> TSeries:
-        v = poly.evaluate(values)
-        return v if isinstance(v, TSeries) else TSeries.constant(v, K)
-
-    # diff[i]: the s^{l_max - i} coefficient of the regrouped difference.
-    diff = [TSeries.zero(K)] * (l_max + smax + 1)
-    for l in range(-l_sing, l_max + 1):
-        poly = sigma_coeff(sigma_model, l, tmax=K)
-        s_now = sigma_at(poly, val_now)
-        s_nxt = sigma_at(poly, val_next)
-        diff[l_max - l] = diff[l_max - l] - s_now
-        if s_nxt:
-            for m, p in enumerate(_unit_powers(unit, l, l + smax)):
-                diff[l_max - l + m] = diff[l_max - l + m] + s_nxt * p
+    diff = _pm_difference(sigma_model, c_now, c_next, smax, modulus)
     return TriState.FALSE if any(diff) else TriState.TRUE

@@ -376,7 +376,24 @@ def test_reparam_pm_inconclusive_exit(capsys):
                        "--c-now", "[[0,0,1]]", "--c-next", "[[0,0,1,1]]",
                        "--smax", "3", "--modulus", "10", "--pm")
     assert code == 2
-    assert "inconclusive" in out
+    assert "matching identity: inconclusive (needs --smax >= 7, got 3)" in out
+    code, out, _ = run(capsys, "reparam", "--a", "2", "--b", "3",
+                       "--c-now", "[[0,0,1]]", "--c-next", "[[0,0,1,1]]",
+                       "--smax", "3", "--modulus", "10", "--pm", "--format", "json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["pm_identity"] == "inconclusive" and doc["pm_smax_needed"] == 7
+
+
+def test_reparam_json_names_the_pm_window_bound(capsys):
+    args = ("reparam", "--a", "2", "--b", "3", "--c-now", "[[0,0,1]]",
+            "--c-next", "[[0,0,1,1]]", "--smax", "8", "--modulus", "10", "--format", "json")
+    code, out, _ = run(capsys, *args, "--pm")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pm_identity"] == "true" and doc["pm_smax_needed"] == 7
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and "pm_smax_needed" not in json.loads(out)
 
 
 def test_reparam_usage_error(capsys):

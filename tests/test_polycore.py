@@ -21,6 +21,7 @@ from equigen.polycore import (
     _echelonize,
     det_bareiss,
     divides,
+    evaluate_many,
     grevlex_key,
     monomial_text,
     poly_json,
@@ -179,6 +180,24 @@ def test_evaluate_at_series_matches_term_by_term_powers(polys):
                     Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(modulus - low)])
             for poly in polys:
                 assert poly.evaluate(values) == _evaluate_term_by_term(poly, values)
+            assert evaluate_many(polys, values) == [_evaluate_term_by_term(poly, values)
+                                                    for poly in polys]
+
+
+@given(polys(VS2), polys(VS2), coeffs, coeffs)
+def test_evaluate_many_matches_evaluate(p, q, a, b):
+    vals = {"x": a, "y": b}
+    batch = [p, q, p * q, MPoly.zero(VS2), MPoly.constant(VS2, 3)]
+    assert evaluate_many(batch, vals) == [r.evaluate(vals) for r in batch]
+
+
+def test_evaluate_many_checks_its_input():
+    assert evaluate_many([], {}) == []
+    p = _poly(VS2, [((1, 1), 1)])
+    with pytest.raises(KeyError):
+        evaluate_many([p], {"x": Fraction(1)})
+    with pytest.raises(ValueError):
+        evaluate_many([p, _poly(VS3, [((0, 0, 1), 1)])], {"x": 1, "y": 1, "z": 1})
 
 
 # ---------------------------------------------------------------------------

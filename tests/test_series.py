@@ -1,6 +1,7 @@
 """Truncated t-series, powers of the reparameterization unit, the solver
 with its order audits, and the regular/singular matching identity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,14 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from equigen import series
-from equigen.expansion import LocalModel, SigmaModel
+from equigen.expansion import LocalModel, SigmaModel, sigma_coeff
 from equigen.series import (
     TriState,
     TSeries,
+    _binomials,
+    _BinomialPowers,
     _unit_coeffs,
     _unit_powers,
     order_bound_audit,
     pm_identity_check,
+    pm_window_bound,
     reparam_solve,
     substitution_check,
 )
@@ -309,6 +313,46 @@ def test_reparam_identical_inputs_give_zero():
     assert all(s.is_zero() for s in res.epsilon.values())
 
 
+def _unit_by_convolution(model, c_now, c_next, smax, modulus):
+    """The solver's unit as the convolution recurrence computed it before the
+    binomial powers: w[e][m] = [W^e]_m, and the u_m-free part known[e] of
+    w[e][m] is convolved up from w[e - 1] one exponent e at a time."""
+    a = model.a
+    zero = TSeries.zero(modulus)
+    u = {}
+    w = [[zero] * (smax + 1) for _ in range(a + 1)]
+    for e in range(a + 1):
+        w[e][0] = TSeries.constant(1, modulus)
+    for m in range(2, smax + 1):
+        known = [zero] * (a + 1)
+        for e in range(1, a + 1):
+            acc = known[e - 1]
+            for jj in range(2, m - 1):
+                acc = acc + w[e - 1][m - jj] * u[jj]
+            known[e] = acc
+        lhs = known[a]
+        for k in range(2, a + 1):
+            if m - k >= 0:
+                lhs = lhs + c_next[k - 2] * w[a - k][m - k]
+        rhs = c_now[m - 2] if 2 <= m <= a else zero
+        u[m] = (rhs - lhs) / a
+        for e in range(1, a + 1):
+            w[e][m] = known[e] + u[m] * e
+    return u
+
+
+def test_reparam_unit_matches_convolution_recurrence():
+    rng = random.Random(SEED + 6)
+    for a, b in ((2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)):
+        model = LocalModel(a, b)
+        for _ in range(3):
+            modulus = rng.randint(8, 12)
+            smax = rng.randint(20, 24)
+            c_now, c_next = _random_pair(rng, model, modulus)
+            res = reparam_solve(model, c_now, c_next, smax, modulus)
+            assert res.unit == _unit_by_convolution(model, c_now, c_next, smax, modulus)
+
+
 def test_reparam_validation():
     model, c_now, c_next = _worked_example()
     with pytest.raises(ValueError):
@@ -417,6 +461,46 @@ def test_unit_powers_refuse_depth_past_smax():
         _unit_powers(unit, 2, res.smax + 1)
 
 
+def test_binomials_for_any_integer():
+    for l in range(0, 8):
+        assert _binomials(l, 9) == [math.comb(l, j) for j in range(10)]
+    for l in range(-6, 0):
+        # C(l, j) = (-1)^j C(j - l - 1, j) for negative l
+        assert _binomials(l, 9) == [(-1) ** j * math.comb(j - l - 1, j) for j in range(10)]
+
+
+@pytest.mark.parametrize("unit", UNITS.values(), ids=UNITS.keys())
+def test_binomial_powers_match_miller_recurrence(unit):
+    depth = len(unit) - 1
+    bp = _BinomialPowers(unit, depth)
+    assert len(bp.powers) <= depth + 1
+    assert bp.powers[0] == [ts(1)] + [ts()] * depth
+    assert bp.powers[1] == [ts()] + unit[1:]
+    for l in range(-3, 6):
+        assert bp.power(l, depth) == _unit_powers(unit, l, depth)
+        assert bp.power(l, depth - 2) == _unit_powers(unit, l, depth - 2)
+
+
+def test_binomial_powers_stop_at_first_vanishing_power():
+    # W - 1 = -t s^-1: V_j = (-t)^j s^-j is nonzero mod t^K exactly for j < K
+    depth = 14
+    bp = _BinomialPowers([ts(1), ts(0, -1)] + [ts()] * (depth - 1), depth)
+    assert len(bp.powers) == K
+    assert all(bp.powers[j][j] == TSeries.t_power(j, K, (-1) ** j) for j in range(K))
+    # W = 1: only V_0 survives and every power of W is 1
+    bp = _BinomialPowers([ts(1)] + [ts()] * depth, depth)
+    assert len(bp.powers) == 1
+    assert bp.power(-4, depth) == [ts(1)] + [ts()] * depth
+
+
+def test_binomial_powers_refuse_depth_past_the_unit():
+    unit = UNITS["solved"]
+    with pytest.raises(ValueError):
+        _BinomialPowers(unit, len(unit))
+    with pytest.raises(ValueError):
+        _BinomialPowers(unit, 4).power(2, 5)
+
+
 # ---------------------------------------------------------------------------
 # matching identity
 
@@ -482,3 +566,92 @@ def test_pm_rejects_corrupted_unit(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(series, "reparam_solve", lambda *args: _corrupt(solve(*args)))
                 assert pm_identity_check(sm, c_now, c_next, smax, modulus) is TriState.FALSE
+
+
+def test_pm_validates_before_the_window_test():
+    # Malformed coefficient vectors raise whatever the window: at smax = 1
+    # (below the bound K - b = 6) as at smax = 8 (above it).
+    model = LocalModel(3, 4)
+    c_now, c_next = _random_pair(random.Random(SEED + 7), model, K)
+    sm = SigmaModel(model)
+    malformed = {
+        "one-entry": ([c_now[0]], [c_next[0]]),
+        "modulus-8": ([s.truncate(8) for s in c_now], [s.truncate(8) for s in c_next]),
+    }
+    for now, nxt in malformed.values():
+        for smax in (1, 8):
+            with pytest.raises(ValueError):
+                pm_identity_check(sm, now, nxt, smax, K)
+
+
+def test_pm_window_bound_is_the_threshold():
+    model, c_now, c_next = _worked_example()
+    bound = pm_window_bound(model, K)
+    assert bound == K - model.b == 7
+    sm = SigmaModel(model)
+    assert pm_identity_check(sm, c_now, c_next, bound - 1, K) is TriState.INCONCLUSIVE
+    assert pm_identity_check(sm, c_now, c_next, bound, K) is TriState.TRUE
+
+
+def test_pm_expands_binomial_powers_and_substitution_keeps_miller(monkeypatch):
+    # substitution_check stays the solver's independent oracle on Miller's
+    # recurrence; the matching identity no longer calls it.
+    model, c_now, c_next = _worked_example()
+    res = reparam_solve(model, c_now, c_next, 8, K)
+
+    def refuse(*args):
+        raise AssertionError("_unit_powers called")
+
+    monkeypatch.setattr(series, "_unit_powers", refuse)
+    assert pm_identity_check(SigmaModel(model), c_now, c_next, 8, K) is TriState.TRUE
+    with pytest.raises(AssertionError):
+        substitution_check(res, c_now, c_next)
+
+
+def _pm_difference_by_miller(sigma_model, c_now, c_next, smax, modulus):
+    """The regrouped matching-identity difference as computed before the
+    binomial powers: one Miller recurrence for W^l and one ``MPoly.evaluate``
+    per s-exponent l and point."""
+    model = sigma_model.model
+    l_max = model.b + len(sigma_model.g0)
+    l_sing = max(modulus - model.b - 1, 0)
+    result = series.reparam_solve(model, c_now, c_next, max(smax + l_max, model.a), modulus)
+    unit = _unit_coeffs(result)
+    names = [f"c{k}" for k in range(2, model.a + 1)]
+
+    def sigma_at(poly, values):
+        v = poly.evaluate(dict(zip(names, values)))
+        return v if isinstance(v, TSeries) else TSeries.constant(v, modulus)
+
+    diff = [TSeries.zero(modulus)] * (l_max + smax + 1)
+    for l in range(-l_sing, l_max + 1):
+        poly = sigma_coeff(sigma_model, l, tmax=modulus)
+        s_nxt = sigma_at(poly, c_next)
+        diff[l_max - l] = diff[l_max - l] - sigma_at(poly, c_now)
+        if s_nxt:
+            for m, p in enumerate(_unit_powers(unit, l, l + smax)):
+                diff[l_max - l + m] = diff[l_max - l + m] + s_nxt * p
+    return diff
+
+
+def test_pm_difference_matches_miller_reference(monkeypatch):
+    solve = series.reparam_solve
+    rng = random.Random(SEED + 8)
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6)):
+        model = LocalModel(a, b)
+        for _ in range(3):
+            modulus = rng.randint(8, 11)
+            smax = max(a, pm_window_bound(model, modulus) + rng.randint(0, 2))
+            c_now, c_next = _random_pair(rng, model, modulus)
+            g0 = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                       for _ in range(rng.randint(1, 2)))
+            sm = SigmaModel(model, g0)
+            args = (sm, c_now, c_next, smax, modulus)
+            diff = series._pm_difference(*args)
+            assert diff == _pm_difference_by_miller(*args)
+            assert not any(diff)
+            with monkeypatch.context() as patch:
+                patch.setattr(series, "reparam_solve", lambda *args: _corrupt(solve(*args)))
+                diff = series._pm_difference(*args)
+                assert diff == _pm_difference_by_miller(*args)
+                assert any(diff)

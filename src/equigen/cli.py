@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -54,6 +55,18 @@ def _model(args: argparse.Namespace) -> LocalModel:
     if args.a is None or args.b is None:
         raise UsageError("--a and --b are required")
     return LocalModel(args.a, args.b)
+
+
+def _budget(args: argparse.Namespace) -> Budget:
+    """The unstarted budget of --budget-secs and --max-pairs, both checked:
+    a deadline that never expires (nan, inf) or has already (<= 0) bounds
+    nothing."""
+    if not 0 < args.budget_secs < math.inf:
+        raise UsageError(f"--budget-secs must be a finite number of seconds > 0, "
+                         f"got {args.budget_secs}")
+    if args.max_pairs is not None and args.max_pairs < 0:
+        raise UsageError(f"--max-pairs must be at least 0, got {args.max_pairs}")
+    return Budget(args.budget_secs, args.max_pairs)
 
 
 def _parse_range(text: str | None, flag: str, default: Sequence[int] = ()) -> list[int]:
@@ -236,6 +249,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     model = _model(args)
+    budget = _budget(args)
     if args.cond == "T":
         if args.point is None:
             raise UsageError("check T needs --point")
@@ -248,7 +262,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"(T) at {args.point}: {'holds' if ok else 'fails'}")
         return EXIT_OK if ok else EXIT_FAIL
 
-    budget = Budget(args.budget_secs, args.max_pairs)
     if args.index is not None:
         results = [check_g_index(model, args.index, budget)]
     else:
@@ -285,8 +298,8 @@ def _poly_hashes(model: LocalModel, i: int) -> dict[str, str]:
     }
 
 
-def _scan_cell(job: tuple[int, int, float | None, int | None, str | None]) -> dict[str, Any]:
-    a, b, budget_secs, max_pairs, cache_dir = job
+def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
+    a, b, budget, cache_dir = job
     model = LocalModel(a, b)
     indices = []
     statuses = []
@@ -304,7 +317,7 @@ def _scan_cell(job: tuple[int, int, float | None, int | None, str | None]) -> di
             indices.append(dict(entry, cached=True))
             statuses.append(GStatus(entry["verdict"]))
             continue
-        res = check_g_index(model, i, Budget(budget_secs, max_pairs))
+        res = check_g_index(model, i, budget)
         entry = {
             "a": a, "b": b, "i": i,
             "engine_version": __version__, "order": "grevlex",
@@ -328,12 +341,13 @@ def _detail(row: dict[str, Any]) -> str:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    budget = _budget(args)
     cache_dir = cache.resolve_dir(args.cache_dir)
     jobs = []
     for a in range(args.a_min, args.a_max + 1):
         for b in range(a + 1, args.b_max + 1):
             if b % a:
-                jobs.append((a, b, args.budget_secs, args.max_pairs, cache_dir))
+                jobs.append((a, b, budget, cache_dir))
     if not jobs:
         raise UsageError("empty scan grid")
     workers = min(args.jobs, len(jobs))
@@ -370,6 +384,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_reparam(args: argparse.Namespace) -> int:
     model = _model(args)
+    if args.g0 is not None and not args.pm:
+        raise UsageError("--g0 is read only by --pm: add --pm or drop --g0")
     K = args.modulus
     n = model.a - 1
     c_now = _parse_fraction_rows(args.c_now, K, n, "--c-now")
@@ -511,9 +527,9 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     nbar = flags.get("nbar_nonzero", False)
     if not isinstance(nbar, bool):
         raise UsageError('"flags.nbar_nonzero" must be a JSON boolean')
+    budget = _budget(args).start()
     g_table: dict[int, GStatus] = {}
     if not all(p.a == 2 for p in config.points):
-        budget = Budget(args.budget_secs, args.max_pairs).start()
         for j in range(1, config.e + 1):
             model = config.model(j)
             if model.a >= 3:

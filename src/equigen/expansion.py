@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import MPoly, VarSet
+from .polycore import MPoly, VarSet, evaluate_many
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,8 @@ def f_bar_jacobian_at(model: LocalModel, point: Sequence[Fraction]) -> list[dict
     column k - 2 holds d/dc_k, zero entries are left out."""
     if len(point) != model.a - 1:
         raise ValueError(f"point must have {model.a - 1} coordinates")
-    values = {name: Fraction(x) for name, x in zip(model.varset.names, point)}
-    return [{k: v for k, v in enumerate(entry.evaluate(values) for entry in row) if v}
+    point = [Fraction(x) for x in point]
+    return [{k: v for k, v in enumerate(evaluate_many(row, point)) if v}
             for row in f_bar_jacobian_matrix(model)]
 
 

@@ -42,7 +42,8 @@ from time import monotonic
 from typing import Iterable, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
-from .polycore import Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key, primitive_terms
+from .polycore import (Exponents, MPoly, VarSet, _echelonize, divides, evaluate_many, grevlex_key,
+                       primitive_terms)
 
 
 def _grevlex_heap_key(exps: Exponents) -> tuple:
@@ -466,12 +467,7 @@ def witness_verify(model: LocalModel, i: int, point: Sequence[Fraction]) -> bool
     point = tuple(Fraction(x) for x in point)
     if len(point) != model.a - 1:
         raise ValueError(f"point must have {model.a - 1} coordinates")
-    values = {f"c{k}": v for k, v in zip(range(2, model.a + 1), point)}
-    for n in range(1, model.a):
-        val = big_f(model, n).evaluate(values)
-        if n == i:
-            if val == 0:
-                return False
-        elif val != 0:
-            return False
+    values = evaluate_many([big_f(model, n) for n in range(1, model.a)], point)
+    if any((val != 0) != (n == i) for n, val in enumerate(values, start=1)):
+        return False
     return check_t(model, point)

@@ -83,16 +83,17 @@ def pair_value(config: SingularConfig, weights: Weights, pair: Pair) -> int:
     return weights.d[j - 1] * (model.b + model.a - m)
 
 
+def _pair_key(config: SingularConfig, weights: Weights, pair: Pair) -> tuple[int, int]:
+    """Sort key of the pair order (ascending): smaller attached value means
+    larger pair; ties are broken by the larger point index."""
+    return -pair_value(config, weights, pair), pair[0]
+
+
 def pair_compare(config: SingularConfig, p1: Pair, p2: Pair) -> int:
-    """Total order on pole coordinates: smaller attached value means larger
-    pair; ties are broken by the larger point index. Returns -1, 0, or 1."""
+    """Total order on pole coordinates (see ``_pair_key``). Returns -1, 0, or 1."""
     w = compute_weights(config)
-    v1, v2 = pair_value(config, w, p1), pair_value(config, w, p2)
-    if v1 != v2:
-        return 1 if v1 < v2 else -1
-    if p1[0] != p2[0]:
-        return 1 if p1[0] > p2[0] else -1
-    return 0
+    k1, k2 = _pair_key(config, w, p1), _pair_key(config, w, p2)
+    return (k1 > k2) - (k1 < k2)
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,7 @@ def section_ord(config: SingularConfig, section: SectionProfile) -> tuple[Pair |
     if not section.psupp:
         return None, math.inf
     w = compute_weights(config)
-    best = max(section.psupp,
-               key=lambda pr: (-pair_value(config, w, pr), pr[0]))
+    best = max(section.psupp, key=lambda pr: _pair_key(config, w, pr))
     return best, pair_value(config, w, best)
 
 
@@ -146,7 +146,7 @@ def _coordinate_order(config: SingularConfig) -> list[Pair]:
     w = compute_weights(config)
     coords = [(j, m) for j in range(1, config.e + 1)
               for m in range(1, config.model(j).a - 1 + 1)]
-    coords.sort(key=lambda pr: (-pair_value(config, w, pr), pr[0]), reverse=True)
+    coords.sort(key=lambda pr: _pair_key(config, w, pr), reverse=True)
     return coords
 
 
@@ -241,15 +241,13 @@ def star_satisfied(system: StarSystem, points: Sequence[Sequence[Fraction]]) -> 
     config = system.config
     if len(points) != config.e:
         raise ValueError(f"need {config.e} coefficient vectors")
-    values: dict[str, Fraction] = {}
-    for j in range(1, config.e + 1):
+    flat: list[Fraction] = []
+    for j, vec in enumerate(points, start=1):
         model = config.model(j)
-        vec = points[j - 1]
         if len(vec) != model.a - 1:
             raise ValueError(f"point {j} needs {model.a - 1} coordinates")
-        for k, v in zip(range(2, model.a + 1), vec):
-            values[f"c{k}_{j}"] = Fraction(v)
-    return all(eq.poly.evaluate(values) == 0 for eq in system.equations)
+        flat.extend(Fraction(v) for v in vec)
+    return all(eq.poly.evaluate(flat) == 0 for eq in system.equations)
 
 
 def dual_kernel_basis(model: LocalModel, point: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
@@ -266,7 +264,8 @@ def dual_kernel_basis(model: LocalModel, point: Sequence[Fraction]) -> list[tupl
     # Fully reduced rows are scaled unit rows; their combinations are J^-1.
     work, pivots, combos = _echelonize(range(n), jac)
     if None in pivots:
-        raise ValueError(f"transversality fails at {point}: no dual kernel basis")
+        raise ValueError(f"transversality fails at ({', '.join(map(str, point))}): "
+                         "no dual kernel basis")
     inv = [None] * n
     for r, p in enumerate(pivots):
         inv[p] = [combos[r].get(i, Fraction(0)) / work[r][p] for i in range(n)]
@@ -391,7 +390,7 @@ def random_provider(config: SingularConfig, seed: int) -> Provider:
                 tpow = max(0, d * (model.b + eq) + 1 - d * weight) + rng.randint(0, 2)
                 alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 terms.append(PerturbTerm1(alpha, tpow, tuple(exps)))
-            if model.a >= 2 and rng.random() < 0.7:
+            if rng.random() < 0.7:
                 k1 = rng.randint(2, model.a)
                 k2 = rng.randint(2, model.a)
                 tpow = max(0, d * (model.b + eq) - d * (k1 + k2)) + rng.randint(0, 2)
@@ -458,16 +457,12 @@ def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
     model = state.config.model(j)
     d = state.weights.d[j - 1]
     K = state.modulus
-    values: dict[str, TSeries] = {}
-    for k_idx in range(2, model.a + 1):
-        values[f"c{k_idx}"] = state.c[j - 1][k_idx - 2]
-        values[f"ct{k_idx}"] = state.c_seed[j - 1][k_idx - 2]
-    fbar_val = f_bar(model, eq).evaluate(values)
+    # VarSet.doubled: c2..ca, then the comparison copy ct2..cta.
+    fbar_val = f_bar(model, eq).evaluate(state.c[j - 1] + state.c_seed[j - 1])
     if not isinstance(fbar_val, TSeries):
         fbar_val = TSeries.constant(fbar_val, K)
-    wit_values = {f"c{k_idx}": w for k_idx, w in zip(range(2, model.a + 1), state.witnesses[j - 1])}
     target = TSeries.t_power(d * (model.b + eq), K,
-                             f_coeff(model, model.b, model.b + eq).evaluate(wit_values))
+                             f_coeff(model, model.b, model.b + eq).evaluate(state.witnesses[j - 1]))
     o_val = _eval_perturb(providers(state, j, eq), model, d, eq,
                           state.c[j - 1], state.c_seed[j - 1], K)
     return fbar_val - target - o_val

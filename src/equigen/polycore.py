@@ -238,35 +238,14 @@ class MPoly:
         out.terms = acc
         return out
 
-    def evaluate(self, values: Mapping[str, object]):
-        """Evaluate at a full assignment of the variables.
+    def evaluate(self, point: Sequence[object]):
+        """Evaluate at ``point``, one value per variable in ``varset`` order.
 
         Values may be Fractions, ints, polynomials, or truncated series:
         anything with ring addition/multiplication against Fractions works.
-        Partial assignments are rejected.
+        A point of the wrong length is rejected.
         """
-        missing = [n for n in self.varset.names if n not in values]
-        if missing:
-            raise KeyError(f"missing values for variables {missing}")
-        if not self.terms:
-            return Fraction(0)
-        # powers[i][p - 1] is v_i ** p, built by repeated multiplication up to
-        # the largest exponent of variable i in this polynomial.
-        powers = []
-        for i, name in enumerate(self.varset.names):
-            v = values[name]
-            table = []
-            for _ in range(max(e[i] for e in self.terms)):
-                table.append(table[-1] * v if table else v)
-            powers.append(table)
-        total = None
-        for e, c in self.terms.items():
-            term = c
-            for table, p in zip(powers, e):
-                if p:
-                    term = term * table[p - 1]
-            total = term if total is None else total + term
-        return total
+        return evaluate_many((self,), point)[0]
 
     # -- degrees -----------------------------------------------------------
 
@@ -324,41 +303,42 @@ class MPoly:
         return f"MPoly({poly_text(self)})"
 
 
-def evaluate_many(polys: Sequence[MPoly], values: Mapping[str, object]) -> list:
-    """``[p.evaluate(values) for p in polys]`` with one shared monomial table.
+def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
+    """``[p.evaluate(point) for p in polys]``, the one evaluation routine.
 
-    The polynomials share one variable set. Each monomial any of them needs
-    is built once, from the monomial one degree lower in its last variable,
-    by one product; each term is then one scalar multiple of a table entry.
+    The polynomials share one variable set, and ``point`` holds one value
+    per variable in its order. They share one monomial table: a monomial
+    not yet in it is reached by walking down in its last nonzero variable
+    to a known monomial or a single variable, then built on the way back up
+    with one product per new monomial. Each term is then one scalar
+    multiple of a table entry.
     """
     if not polys:
         return []
     varset = polys[0].varset
     if any(p.varset != varset for p in polys):
         raise ValueError("evaluate_many needs polynomials over one variable set")
-    missing = [n for n in varset.names if n not in values]
-    if missing:
-        raise KeyError(f"missing values for variables {missing}")
-    vals = [values[n] for n in varset.names]
+    if len(point) != len(varset):
+        raise ValueError(f"need {len(varset)} values, one per variable {varset.names}, "
+                         f"got {len(point)}")
     table: dict[Exponents, object] = {}
-
-    def monomial(e: Exponents):
-        chain = []
-        while e not in table and any(e):
-            i = max(k for k, p in enumerate(e) if p)
-            chain.append((e, i))
-            e = e[:i] + (e[i] - 1,) + e[i + 1:]
-        m = table.get(e)
-        for e, i in reversed(chain):
-            m = vals[i] if m is None else m * vals[i]
-            table[e] = m
-        return m
-
     out = []
     for p in polys:
         total = None
         for e, c in p.terms.items():
-            m = monomial(e)
+            m = table.get(e)
+            if m is None and any(e):
+                chain = []
+                while m is None and any(e):
+                    i = len(e) - 1
+                    while not e[i]:
+                        i -= 1
+                    chain.append((e, i))
+                    e = e[:i] + (e[i] - 1,) + e[i + 1:]
+                    m = table.get(e)
+                for e, i in reversed(chain):
+                    m = point[i] if m is None else m * point[i]
+                    table[e] = m
             term = c if m is None else m * c
             total = term if total is None else total + term
         out.append(Fraction(0) if total is None else total)

@@ -580,11 +580,10 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     result = reparam_solve(model, c_now, c_next, max(depth, model.a), K)
     powers = _BinomialPowers(_unit_coeffs(result), depth)
 
-    names = [f"c{k}" for k in range(2, model.a + 1)]
     ls = range(-l_sing, l_max + 1)
     polys = [sigma_coeff(sigma_model, l, tmax=K) for l in ls]
-    sig_now = evaluate_many(polys, dict(zip(names, c_now)))
-    sig_next = evaluate_many(polys, dict(zip(names, c_next)))
+    sig_now = evaluate_many(polys, c_now)
+    sig_next = evaluate_many(polys, c_next)
 
     diff = [TSeries.zero(K)] * (depth + 1)
     for l, s_now, s_nxt in zip(ls, sig_now, sig_next):

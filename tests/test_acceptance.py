@@ -284,12 +284,12 @@ def test_criterion_4b_power_consistency():
         n = rng.randint(4, 12) + 1
         if model not in f_polys:
             f_polys[model] = [f_coeff(model, b, m) for m in range(13)]
-        values = {f"c{k}": _rand_fraction(rng) for k in range(2, a + 1)}
+        values = [_rand_fraction(rng) for _ in range(2, a + 1)]
         f_vals = [p.evaluate(values) for p in f_polys[model][:n]]
         base = [F(1)] + [F(0)] * (n - 1)
         for k in range(2, a + 1):
             if k < n:
-                base[k] = values[f"c{k}"]
+                base[k] = values[k - 2]
         if _ser_pow(f_vals, a, n) != _ser_pow(base, b, n):
             failures += 1
             first = first or f"case {case}: ({a},{b}) at {values}"
@@ -311,7 +311,7 @@ def test_criterion_4c_theta_gamma_round_trip():
                 theta_series(model, 8),
             )
         gammas, thetas = tables[model]
-        values = {f"c{k}": _rand_fraction(rng) for k in range(2, model.a + 1)}
+        values = [_rand_fraction(rng) for _ in range(2, model.a + 1)]
         n = nmax + 1
         q = [F(1), F(0)] + [g.evaluate(values) for g in gammas[: n - 2]]
         p = [F(1), F(0)] + [thetas[m].evaluate(values) for m in range(2, n)]
@@ -342,7 +342,7 @@ def test_criterion_4d_theta_cap_vs_power():
         if model not in tables:
             tables[model] = theta_series(model, 8)
         thetas = tables[model]
-        values = {f"c{k}": _rand_fraction(rng) for k in range(2, model.a + 1)}
+        values = [_rand_fraction(rng) for _ in range(2, model.a + 1)]
         n = i + 1
         p = [F(1), F(0)] + [thetas[m].evaluate(values) for m in range(2, n)]
         p = p[:n]

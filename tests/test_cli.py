@@ -139,6 +139,39 @@ def test_check_g_timeout_exit(capsys):
     assert "timeout" in out
 
 
+BUDGET_COMMANDS = {
+    "check": ["check", "G", "--a", "3", "--b", "4"],
+    "scan": ["scan", "--a-max", "3", "--b-max", "4"],
+    "verdict": ["verdict", "--input"],
+}
+
+
+def _budget_argv(command, tmp_path):
+    argv = list(BUDGET_COMMANDS[command])
+    if command == "verdict":
+        argv.append(write_input(tmp_path, {"points": [{"a": 3, "b": 4}],
+                                           "dims": [{"j": 1, "twisted": 3, "plain": 2}]}))
+    return argv
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+@pytest.mark.parametrize("secs, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"),
+                                         ("-1", "-1.0")])
+def test_budget_secs_must_be_finite_and_positive(capsys, tmp_path, command, secs, shown):
+    # nan and inf never expire, 0 and -1 have expired before any work: none
+    # of them bounds what the user waits for.
+    code, out, err = run(capsys, *_budget_argv(command, tmp_path), "--budget-secs", secs)
+    assert code == 2 and not out
+    assert err == f"error: --budget-secs must be a finite number of seconds > 0, got {shown}\n"
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+def test_max_pairs_below_zero_is_usage_error(capsys, tmp_path, command):
+    code, out, err = run(capsys, *_budget_argv(command, tmp_path), "--max-pairs", "-1")
+    assert code == 2 and not out
+    assert err == "error: --max-pairs must be at least 0, got -1\n"
+
+
 def test_check_g_engine_fault_is_not_a_verdict(capsys, monkeypatch):
     # Exit 1 means "fails"; an engine fault must exit 2 instead.
     def disagree(model, i, *args, **kwargs):
@@ -411,6 +444,14 @@ def test_reparam_bad_g0_json_names_the_flag(capsys):
     assert err.startswith("error: --g0 is not valid JSON: ")
 
 
+def test_reparam_g0_without_pm_is_usage_error(capsys):
+    code, out, err = run(capsys, "reparam", "--a", "2", "--b", "3",
+                         "--c-now", "[[0,0,1]]", "--c-next", "[[0,0,1,1]]",
+                         "--smax", "8", "--modulus", "10", "--g0", "[1]")
+    assert code == 2 and not out
+    assert err == "error: --g0 is read only by --pm: add --pm or drop --g0\n"
+
+
 # ---------------------------------------------------------------------------
 # star
 
@@ -501,6 +542,13 @@ def test_lift_usage_errors(capsys):
     code, _, err = run(capsys, "lift", "--a", "2", "--b", "3", "--witness", "0",
                        "--modulus", "10")
     assert code == 2 and "transversality" in err
+
+
+def test_lift_transversality_error_prints_the_point(capsys):
+    code, out, err = run(capsys, "lift", "--a", "3", "--b", "4", "--witness", "0,0",
+                         "--modulus", "10")
+    assert code == 2 and not out
+    assert err == "error: transversality fails at (0, 0): no dual kernel basis\n"
 
 
 # ---------------------------------------------------------------------------

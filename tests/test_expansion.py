@@ -153,8 +153,7 @@ def _scalar_compose(outer, inner, n):
 
 
 def _random_point(rng, model):
-    return {f"c{k}": Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            for k in range(2, model.a + 1)}
+    return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2, model.a + 1)]
 
 
 def test_theta_gamma_round_trip():
@@ -275,12 +274,8 @@ def test_f_bar_diagonal_restores_f():
     for model in (M23, M34, M46):
         for j in range(1, model.a):
             bar = f_bar(model, j)
-            values = {}
-            for k in range(2, model.a + 1):
-                v = MPoly.variable(model.varset, f"c{k}")
-                values[f"c{k}"] = v
-                values[f"ct{k}"] = v
-            assert bar.evaluate(values) == f_coeff(model, model.b, model.b + j)
+            plain = [MPoly.variable(model.varset, f"c{k}") for k in range(2, model.a + 1)]
+            assert bar.evaluate(plain + plain) == f_coeff(model, model.b, model.b + j)
 
 
 def test_f_bar_frozen_structure():
@@ -298,8 +293,8 @@ def test_f_bar_cross_term_shape():
         vs = bar.varset
         c2 = MPoly.variable(vs, "c2")
         ct2 = MPoly.variable(vs, "ct2")
-        plain = {f"c{k}": MPoly.variable(vs, f"c{k}") for k in range(2, model.a + 1)}
-        tilde = {f"c{k}": MPoly.variable(vs, f"ct{k}") for k in range(2, model.a + 1)}
+        plain = [MPoly.variable(vs, f"c{k}") for k in range(2, model.a + 1)]
+        tilde = [MPoly.variable(vs, f"ct{k}") for k in range(2, model.a + 1)]
         f_j = f_coeff(model, b, b + 3).evaluate(plain)
         f_prev_tilde = f_coeff(model, b, b + 1).evaluate(tilde)
         assert bar == f_j + (c2 - ct2) * f_prev_tilde * Fraction(1, model.a)
@@ -312,8 +307,7 @@ def test_f_bar_low_index_has_no_correction():
             if j >= model.a:
                 continue
             bar = f_bar(model, j)
-            plain = {f"c{k}": MPoly.variable(bar.varset, f"c{k}")
-                     for k in range(2, model.a + 1)}
+            plain = [MPoly.variable(bar.varset, f"c{k}") for k in range(2, model.a + 1)]
             assert bar == f_coeff(model, model.b, model.b + j).evaluate(plain)
 
 
@@ -343,9 +337,7 @@ def test_jacobian_matrix_is_immutable():
 def _identified_by_evaluation(model):
     """The Jacobian matrix with ct := c substituted by MPoly.evaluate."""
     single = model.varset
-    identify = {}
-    for k in range(2, model.a + 1):
-        identify[f"c{k}"] = identify[f"ct{k}"] = MPoly.variable(single, f"c{k}")
+    identify = [MPoly.variable(single, f"c{k}") for k in range(2, model.a + 1)] * 2
     return tuple(tuple(f_bar(model, j).diff(f"c{k}").evaluate(identify)
                        for k in range(2, model.a + 1))
                  for j in range(1, model.a))

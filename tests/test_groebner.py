@@ -336,8 +336,7 @@ def test_check_t_matches_jacobian_determinant():
                 for _ in range(2):
                     point = tuple(Fraction(0) if z else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                   for z in zeros)
-                    values = dict(zip(model.varset.names, point))
-                    expected = det.evaluate(values) != 0
+                    expected = det.evaluate(point) != 0
                     assert check_t(model, point) is expected, (a, b, point)
                     verdicts.append(expected)
     assert verdicts.count(False) >= 50 and verdicts.count(True) >= 50
@@ -479,22 +478,20 @@ def test_presentations_agree_on_small_grid():
 def test_witness_46_index_1():
     m = LocalModel(4, 6)
     point = (Fraction(2), Fraction(6), Fraction(-5))
-    vals = dict(zip(("c2", "c3", "c4"), point))
-    assert big_f(m, 2).evaluate(vals) == 0
-    assert big_f(m, 3).evaluate(vals) == 0
-    assert big_f(m, 1).evaluate(vals) == -27
-    assert jac_bar(m).evaluate(vals) == Fraction(15309, 32)
+    assert big_f(m, 2).evaluate(point) == 0
+    assert big_f(m, 3).evaluate(point) == 0
+    assert big_f(m, 1).evaluate(point) == -27
+    assert jac_bar(m).evaluate(point) == Fraction(15309, 32)
     assert witness_verify(m, 1, point)
 
 
 def test_witness_46_index_3():
     m = LocalModel(4, 6)
     point = (Fraction(0), Fraction(1), Fraction(0))
-    vals = dict(zip(("c2", "c3", "c4"), point))
-    assert big_f(m, 1).evaluate(vals) == 0
-    assert big_f(m, 2).evaluate(vals) == 0
-    assert big_f(m, 3).evaluate(vals) == Fraction(-1, 16)
-    assert jac_bar(m).evaluate(vals) == Fraction(27, 1024)
+    assert big_f(m, 1).evaluate(point) == 0
+    assert big_f(m, 2).evaluate(point) == 0
+    assert big_f(m, 3).evaluate(point) == Fraction(-1, 16)
+    assert jac_bar(m).evaluate(point) == Fraction(27, 1024)
     assert witness_verify(m, 3, point)
 
 

@@ -136,24 +136,23 @@ def test_diff_product_rule(p, q):
 
 @given(polys(VS2), polys(VS2), coeffs, coeffs)
 def test_evaluate_is_homomorphism(p, q, a, b):
-    vals = {"x": a, "y": b}
+    vals = [a, b]
     assert (p + q).evaluate(vals) == p.evaluate(vals) + q.evaluate(vals)
     assert (p * q).evaluate(vals) == p.evaluate(vals) * q.evaluate(vals)
 
 
 def test_evaluate_requires_full_assignment():
     p = _poly(VS2, [((1, 1), 1)])
-    with pytest.raises(KeyError):
-        p.evaluate({"x": Fraction(1)})
+    with pytest.raises(ValueError, match="need 2 values"):
+        p.evaluate([Fraction(1)])
 
 
-def _evaluate_term_by_term(poly, values):
+def _evaluate_term_by_term(poly, point):
     """Reference evaluation: v ** p afresh for every term, in grevlex order."""
-    vals = [values[n] for n in poly.varset.names]
     total = None
     for e, c in sorted(poly.terms.items(), key=lambda kv: grevlex_key(kv[0])):
         term = c
-        for v, p in zip(vals, e):
+        for v, p in zip(point, e):
             if p:
                 term = term * (v ** p)
         total = term if total is None else total + term
@@ -173,11 +172,11 @@ def test_evaluate_at_series_matches_term_by_term_powers(polys):
     rng = random.Random(20261018)
     for modulus in (9, 24):
         for _ in range(3):
-            values = {}
-            for name in polys[0].varset.names:
+            values = []
+            for _ in polys[0].varset.names:
                 low = rng.randint(0, 3)
-                values[name] = TSeries(modulus, [0] * low + [
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(modulus - low)])
+                values.append(TSeries(modulus, [0] * low + [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(modulus - low)]))
             for poly in polys:
                 assert poly.evaluate(values) == _evaluate_term_by_term(poly, values)
             assert evaluate_many(polys, values) == [_evaluate_term_by_term(poly, values)
@@ -186,18 +185,20 @@ def test_evaluate_at_series_matches_term_by_term_powers(polys):
 
 @given(polys(VS2), polys(VS2), coeffs, coeffs)
 def test_evaluate_many_matches_evaluate(p, q, a, b):
-    vals = {"x": a, "y": b}
+    vals = [a, b]
     batch = [p, q, p * q, MPoly.zero(VS2), MPoly.constant(VS2, 3)]
     assert evaluate_many(batch, vals) == [r.evaluate(vals) for r in batch]
 
 
 def test_evaluate_many_checks_its_input():
-    assert evaluate_many([], {}) == []
+    assert evaluate_many([], []) == []
     p = _poly(VS2, [((1, 1), 1)])
-    with pytest.raises(KeyError):
-        evaluate_many([p], {"x": Fraction(1)})
-    with pytest.raises(ValueError):
-        evaluate_many([p, _poly(VS3, [((0, 0, 1), 1)])], {"x": 1, "y": 1, "z": 1})
+    with pytest.raises(ValueError, match="need 2 values"):
+        evaluate_many([p], [Fraction(1)])
+    with pytest.raises(ValueError, match="need 2 values"):
+        evaluate_many([p], [1, 1, 1])
+    with pytest.raises(ValueError, match="one variable set"):
+        evaluate_many([p, _poly(VS3, [((0, 0, 1), 1)])], [1, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +444,8 @@ def echelon_det(rows):
     return det
 
 
-def _rational_point(rng, names):
-    return {name: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for name in names}
+def _rational_point(rng, n):
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
 
 
 @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 12), (6, 7), (6, 11), (7, 8)])
@@ -457,10 +458,10 @@ def test_det_matches_echelon_pivots(a, b):
     rng = random.Random(f"det:{a},{b}")
     values = set()
     for _ in range(5):
-        pt = _rational_point(rng, model.varset.names)
-        for name in pt:
+        pt = _rational_point(rng, len(model.varset))
+        for i in range(len(pt)):
             if rng.random() < 0.25:
-                pt[name] = Fraction(0)
+                pt[i] = Fraction(0)
         value = echelon_det([[entry.evaluate(pt) for entry in row] for row in matrix])
         assert det.evaluate(pt) == value
         values.add(value != 0)
@@ -496,7 +497,7 @@ def test_det_matches_echelon_pivots_on_random_sparse_matrices():
             assert det.is_zero()
             degenerate += 1
         for _ in range(3):
-            pt = _rational_point(rng, VS3.names)
+            pt = _rational_point(rng, len(VS3))
             assert det.evaluate(pt) == echelon_det([[e.evaluate(pt) for e in row] for row in m])
     assert degenerate >= 80
 
@@ -539,7 +540,7 @@ def test_det_high_degree_sparse_with_row_denominators():
         if n <= 4:
             assert det == det_cofactor(m)
         for _ in range(2):
-            pt = _rational_point(rng, VS3.names)
+            pt = _rational_point(rng, len(VS3))
             assert det.evaluate(pt) == echelon_det([[e.evaluate(pt) for e in row] for row in m])
 
 

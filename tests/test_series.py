@@ -617,10 +617,9 @@ def _pm_difference_by_miller(sigma_model, c_now, c_next, smax, modulus):
     l_sing = max(modulus - model.b - 1, 0)
     result = series.reparam_solve(model, c_now, c_next, max(smax + l_max, model.a), modulus)
     unit = _unit_coeffs(result)
-    names = [f"c{k}" for k in range(2, model.a + 1)]
 
     def sigma_at(poly, values):
-        v = poly.evaluate(dict(zip(names, values)))
+        v = poly.evaluate(values)
         return v if isinstance(v, TSeries) else TSeries.constant(v, modulus)
 
     diff = [TSeries.zero(modulus)] * (l_max + smax + 1)

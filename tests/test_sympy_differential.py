@@ -83,24 +83,23 @@ def _random_mpoly(rng, varset, nterms, max_deg):
     return MPoly(varset, terms)
 
 
-def _sympy_evaluate(poly, values):
+def _sympy_evaluate(poly, point):
     """Sum of c * prod v_i ** e_i in sympy, each power computed afresh."""
     total = sympy.Poly(0, T, domain=sympy.QQ)
     for exps, c in poly.terms.items():
         term = sympy.Poly(sympy.Rational(c.numerator, c.denominator), T, domain=sympy.QQ)
-        for name, e in zip(poly.varset.names, exps):
-            term = term * values[name] ** e
+        for v, e in zip(point, exps):
+            term = term * v ** e
         total = total + term
     return total
 
 
 def _check_evaluate(poly, rng, modulus, length):
-    coeffs = {name: _rand_coeffs(rng, length) for name in poly.varset.names}
-    series = {name: TSeries(modulus, cs) for name, cs in coeffs.items()}
-    value = poly.evaluate(series)
+    coeffs = [_rand_coeffs(rng, length) for _ in poly.varset.names]
+    value = poly.evaluate([TSeries(modulus, cs) for cs in coeffs])
     if not isinstance(value, TSeries):  # the zero polynomial
         value = TSeries.constant(value, modulus)
-    expected = _sympy_evaluate(poly, {n: _to_sympy(cs) for n, cs in coeffs.items()})
+    expected = _sympy_evaluate(poly, [_to_sympy(cs) for cs in coeffs])
     _assert_same(value, expected, modulus)
 
 

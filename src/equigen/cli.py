@@ -46,6 +46,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
+DEFAULT_SEED = 20260816
+
 
 class UsageError(Exception):
     pass
@@ -251,6 +253,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     model = _model(args)
     budget = _budget(args)
     if args.cond == "T":
+        if args.index is not None:
+            raise UsageError("--index is read only by check G: use check G or drop --index")
         if args.point is None:
             raise UsageError("check T needs --point")
         point = _parse_point(args.point, model.a - 1)
@@ -262,6 +266,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"(T) at {args.point}: {'holds' if ok else 'fails'}")
         return EXIT_OK if ok else EXIT_FAIL
 
+    if args.point is not None:
+        raise UsageError("--point is read only by check T: use check T or drop --point")
     if args.index is not None:
         results = [check_g_index(model, args.index, budget)]
     else:
@@ -449,6 +455,8 @@ def cmd_star(args: argparse.Namespace) -> int:
     basis = build_section_basis(config, sections)
     system = build_star_system(config, basis)
     if args.action == "build":
+        if args.at is not None:
+            raise UsageError("--at is read only by star check: use star check or drop --at")
         if args.format == "json":
             doc = {"points": [{"a": p.a, "b": p.b} for p in config.points],
                    "equations": [{"section": eq.section_id, "ord": eq.ord,
@@ -488,8 +496,11 @@ def cmd_lift(args: argparse.Namespace) -> int:
         witnesses = [_parse_point(args.witness, model.a - 1)]
     if args.modulus is None:
         raise UsageError("lift needs --modulus")
-    providers = (random_provider(config, args.seed) if args.perturb == "random"
-                 else zero_provider)
+    if args.seed is not None and args.perturb != "random":
+        raise UsageError("--seed is read only by --perturb random: add --perturb random "
+                         "or drop --seed")
+    providers = (random_provider(config, DEFAULT_SEED if args.seed is None else args.seed)
+                 if args.perturb == "random" else zero_provider)
     report = lift_run(config, witnesses, args.modulus, providers)
 
     if args.format == "json":
@@ -511,7 +522,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
         for (j, eq), o in sorted(report.residual_orders.items()):
             closed = report.state.closed_modulus(j, eq)
             print(f"  residual point {j} eq {eq}: order >= {o} (required {closed})")
-    return EXIT_OK if report.audit_ok else EXIT_FAIL
+    # The audit is a self-check of the engine, not a verdict on the input.
+    return EXIT_OK if report.audit_ok else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="comma-separated witness for single-point lift")
     p.add_argument("--modulus", type=int)
     p.add_argument("--perturb", choices=["none", "random"], default="none")
-    p.add_argument("--seed", type=int, default=20260816)
+    p.add_argument("--seed", type=int,
+                   help=f"seed of --perturb random (default {DEFAULT_SEED})")
     add_format(p)
     p.set_defaults(func=cmd_lift)
 
@@ -689,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("selftest", help="built-in consistency checks")
-    p.add_argument("--seed", type=int, default=20260816)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_selftest)
 
     return parser

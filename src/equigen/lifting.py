@@ -22,7 +22,7 @@ as structured term lists validated against their admissible shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
@@ -343,6 +343,8 @@ def _eval_perturb(terms: Sequence[PerturbTerm], model: LocalModel, d: int, eq: i
     diffs: dict[int, TSeries] = {}
     for term in terms:
         validate_perturb_term(term, model, d, eq, modulus)
+        if not term.alpha:
+            continue
         if isinstance(term.alpha, TSeries):
             val = term.alpha.shift(term.tpow)
         else:
@@ -411,16 +413,26 @@ class LiftState:
     Invariant: c[j][i-2] is congruent to t^{d_j * i} * witness_i mod
     t^{d_j * i + 1}, and every equation (j, eq) holds mod
     t^{min(d_j (b_j + eq) + k, K)}.
+
+    ``targets[(j, eq)]`` is the constant t^{d_j (b_j + eq)} f_{b_j+eq}(witness_j),
+    computed once per lift. ``residuals[(j, eq)]`` is the last residual that
+    ``residual`` computed from scratch, with what it read: the c[j-1] series
+    objects (series are immutable, so identity means an equal value) and the
+    provider's terms. ``_read_residual`` serves it again while both are
+    unchanged.
     """
 
     config: SingularConfig
     weights: Weights
-    witnesses: list[tuple[Fraction, ...]]
     c: list[list[TSeries]]
     c_seed: list[list[TSeries]]
     kernels: list[list[tuple[Fraction, ...]]]
     k: int
     modulus: int
+    targets: dict[tuple[int, int], TSeries]
+    residuals: dict[tuple[int, int],
+                    tuple[tuple[TSeries, ...], tuple[PerturbTerm, ...], TSeries]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def closed_modulus(self, j: int, eq: int, k: int | None = None) -> int:
         model = self.config.model(j)
@@ -438,6 +450,7 @@ def make_lift_state(config: SingularConfig, witnesses: Sequence[Sequence[Fractio
     wit = [tuple(Fraction(x) for x in w) for w in witnesses]
     kernels = []
     c: list[list[TSeries]] = []
+    targets: dict[tuple[int, int], TSeries] = {}
     for j in range(1, config.e + 1):
         model = config.model(j)
         if len(wit[j - 1]) != model.a - 1:
@@ -449,23 +462,44 @@ def make_lift_state(config: SingularConfig, witnesses: Sequence[Sequence[Fractio
         kernels.append(dual_kernel_basis(model, wit[j - 1]))
         c.append([TSeries.t_power(d * i, modulus, wi)
                   for i, wi in zip(range(2, model.a + 1), wit[j - 1])])
-    return LiftState(config, weights, wit, c, [list(v) for v in c], kernels, 1, modulus)
+        for eq in range(1, model.a):
+            value = f_coeff(model, model.b, model.b + eq).evaluate(wit[j - 1])
+            targets[(j, eq)] = TSeries.t_power(d * (model.b + eq), modulus, value)
+    return LiftState(config, weights, c, [list(v) for v in c], kernels, 1, modulus, targets)
 
 
 def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
-    """fbar_{b+eq}(c) - t^{d(b+eq)} f_{b+eq}(witness) - o_{b+eq}(c) at point j."""
+    """fbar_{b+eq}(c) - t^{d(b+eq)} f_{b+eq}(witness) - o_{b+eq}(c) at point j.
+
+    Always computed from scratch; the result replaces ``state.residuals[(j, eq)]``
+    together with the c[j-1] series objects and the provider terms it read.
+    """
     model = state.config.model(j)
     d = state.weights.d[j - 1]
     K = state.modulus
+    c = tuple(state.c[j - 1])
     # VarSet.doubled: c2..ca, then the comparison copy ct2..cta.
-    fbar_val = f_bar(model, eq).evaluate(state.c[j - 1] + state.c_seed[j - 1])
+    fbar_val = f_bar(model, eq).evaluate(c + tuple(state.c_seed[j - 1]))
     if not isinstance(fbar_val, TSeries):
         fbar_val = TSeries.constant(fbar_val, K)
-    target = TSeries.t_power(d * (model.b + eq), K,
-                             f_coeff(model, model.b, model.b + eq).evaluate(state.witnesses[j - 1]))
-    o_val = _eval_perturb(providers(state, j, eq), model, d, eq,
-                          state.c[j - 1], state.c_seed[j - 1], K)
-    return fbar_val - target - o_val
+    terms = tuple(providers(state, j, eq))
+    o_val = _eval_perturb(terms, model, d, eq, c, state.c_seed[j - 1], K)
+    value = fbar_val - state.targets[(j, eq)] - o_val
+    state.residuals[(j, eq)] = (c, terms, value)
+    return value
+
+
+def _read_residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
+    """The residual of (j, eq), served from ``state.residuals`` when it was
+    computed from the same c[j-1] series objects and equal provider terms;
+    on any mismatch, ``residual`` computes it afresh from the terms just read."""
+    terms = tuple(providers(state, j, eq))
+    stored = state.residuals.get((j, eq))
+    if (stored is not None and all(x is y for x, y in zip(stored[0], state.c[j - 1]))
+            and stored[1] == terms):
+        return stored[2]
+    # Pass the terms just read, so the provider runs once per read.
+    return residual(state, lambda *_: terms, j, eq)
 
 
 def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
@@ -473,7 +507,9 @@ def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
 
     Each equation's defect at t^{d(b+eq)+k} is cancelled by moving the
     coefficients along the dual kernel vector scaled by t^{d i + k}; lower
-    equations stay closed because the kernel vectors are exact.
+    equations stay closed because the kernel vectors are exact. Residuals
+    are read through ``_read_residual``, so one computed since the last
+    change of c[j-1] and of the provider's terms is not computed again.
     """
     model = state.config.model(j)
     d = state.weights.d[j - 1]
@@ -483,7 +519,7 @@ def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
         bar_order = d * (model.b + eq) + k
         if bar_order >= K:
             continue
-        res = residual(state, providers, j, eq)
+        res = _read_residual(state, providers, j, eq)
         if res.ord() < bar_order:
             raise ValueError(
                 f"state violates its invariant at point {j}, equation {eq}: "
@@ -531,6 +567,11 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     non-interference audit). Runs until every equation is closed mod
     t^modulus; with the modulus at or below the first obstruction order the
     seed is already final and no corrections happen.
+
+    The audit's reads before a sub-step may reuse a stored residual (see
+    ``_read_residual``); its reads after the sub-step and the final closure
+    check always call ``residual``, so every audit entry compares a fresh
+    recomputation with the value from before the step.
     """
     if isinstance(config, LocalModel):
         config = SingularConfig((config,))
@@ -556,7 +597,7 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
                 for eq in range(1, config.model(l).a):
                     stage_k = k + 1 if l < j else k
                     cm = state.closed_modulus(l, eq, stage_k)
-                    before[(l, eq)] = residual(state, providers, l, eq).truncate(cm)
+                    before[(l, eq)] = _read_residual(state, providers, l, eq).truncate(cm)
             lift_point_step(state, providers, j)
             for (l, eq), prev in before.items():
                 stage_k = k + 1 if l < j else k

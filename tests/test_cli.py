@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from equigen import cache, cli, groebner
+from equigen import cache, cli, groebner, lifting
 from equigen.cli import main
 from equigen.groebner import InternalConsistencyError
 
@@ -110,6 +110,19 @@ def test_check_t_exit_codes(capsys):
     assert code == 1 and "fails" in out
     code, _, err = run(capsys, "check", "T", "--a", "4", "--b", "6", "--point", "1,2")
     assert code == 2 and "3" in err
+
+
+def test_check_t_index_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "T", "--a", "4", "--b", "6", "--point", "2,6,-5",
+                         "--index", "2")
+    assert code == 2 and not out
+    assert err == "error: --index is read only by check G: use check G or drop --index\n"
+
+
+def test_check_g_point_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "G", "--a", "3", "--b", "4", "--point", "1,2")
+    assert code == 2 and not out
+    assert err == "error: --point is read only by check T: use check T or drop --point\n"
 
 
 def test_check_g_holds(capsys):
@@ -476,6 +489,12 @@ def test_star_build(capsys, star_input):
     assert "-5/16*c2_2^3 + 9/8*c2_1^2 = 0" in out
 
 
+def test_star_build_at_is_usage_error(capsys, star_input):
+    code, out, err = run(capsys, "star", "build", "--input", star_input, "--at", "[[1], [1]]")
+    assert code == 2 and not out
+    assert err == "error: --at is read only by star check: use star check or drop --at\n"
+
+
 def test_star_check(capsys, star_input):
     code, out, _ = run(capsys, "star", "check", "--input", star_input,
                        "--at", "[[\"50/3\"], [10]]")
@@ -532,6 +551,30 @@ def test_lift_failed_self_check_is_not_a_verdict(capsys, monkeypatch):
                        "--modulus", "10")
     assert code == 2
     assert "internal error: inverse verification failed" in err
+
+
+def test_lift_failed_audit_is_not_a_verdict(capsys, monkeypatch):
+    # a failed non-interference audit is a fault of the engine: exit 2, not 1
+    real_lift_run = lifting.lift_run
+
+    def audit_fails(*args, **kwargs):
+        report = real_lift_run(*args, **kwargs)
+        report.audit = [lifting.LiftAuditEntry(1, 1, 2, 1, 13, False)]
+        return report
+
+    monkeypatch.setattr(cli, "lift_run", audit_fails)
+    code, out, _ = run(capsys, "lift", "--a", "2", "--b", "3", "--witness", "1",
+                       "--modulus", "10")
+    assert code == 2
+    assert out.startswith("lift to t^10: 5 steps, audit FAILED\n")
+
+
+def test_lift_seed_without_random_perturbation_is_usage_error(capsys):
+    code, out, err = run(capsys, "lift", "--a", "2", "--b", "3", "--witness", "1",
+                         "--modulus", "10", "--seed", "5")
+    assert code == 2 and not out
+    assert err == ("error: --seed is read only by --perturb random: "
+                   "add --perturb random or drop --seed\n")
 
 
 def test_lift_usage_errors(capsys):

@@ -299,7 +299,8 @@ def _term_oracle(term, c, c_seed, modulus):
 
 def test_eval_perturb_matches_term_by_term():
     # tables share exponents between terms and repeat difference factors
-    # (k1 == k2), so any per-call reuse of powers or differences shows here
+    # (k1 == k2), so any per-call reuse of powers or differences shows here;
+    # zero coefficients, as a Fraction and as the zero series, are drawn too
     rng = random.Random(20261018)
     model, d, K = M46, 1, 24
     for _ in range(12):
@@ -317,6 +318,8 @@ def test_eval_perturb_matches_term_by_term():
             alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             if rng.random() < 0.3:
                 alpha = TSeries(K, [alpha, Fraction(rng.randint(-3, 3), 2)])
+            if rng.random() < 0.25:
+                alpha = rng.choice([Fraction(0), TSeries.zero(K)])
             if rng.random() < 0.5:
                 k1 = rng.randint(2, model.a)
                 k2 = k1 if rng.random() < 0.5 else rng.randint(2, model.a)
@@ -333,6 +336,20 @@ def test_eval_perturb_matches_term_by_term():
         got = _eval_perturb(terms, model, d, eq, c, c_seed, K)
         assert list(got.coeffs) == expected
         assert any(expected)
+
+
+@pytest.mark.parametrize("term, message", [
+    (PerturbTerm1(Fraction(0), 5, (0, 0)), "malformed"),
+    (PerturbTerm1(TSeries.zero(10), 5, (0, 0)), "malformed"),
+    (PerturbTerm2(Fraction(0), 0, (0,), 1, 2), "difference factor index"),
+    (PerturbTerm2(TSeries.zero(10), 0, (0,), 2, 3), "difference factor index"),
+    (PerturbTerm1(TSeries.zero(12), 5, (0,)), "modulus 12 != 10"),
+])
+def test_eval_perturb_validates_zero_alpha_terms(term, message):
+    # a zero coefficient skips the products, not the contract
+    seed = [TSeries.t_power(2, 10)]
+    with pytest.raises(PerturbContractError, match=message):
+        _eval_perturb([term], M23, 1, 1, seed, seed, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +460,80 @@ def test_lift_two_point_random_audit():
     rep = lift_run(CFG_DOUBLES, [(F1,), (Fraction(2),)], 16, prov)
     assert rep.audit_ok
     assert rep.audit  # interleaving actually observed the other point
+
+
+def test_lift_audit_sees_a_provider_reading_another_point():
+    # Point 2's second equation reads coefficient 13 of point 1's c2, which
+    # point 1's step sets in round 3; the term is gated on that round, so
+    # point 2's own checks never see it (its equation is closed mod t^K and
+    # skipped from round 2 on, and the final check runs after round 3).
+    # Only the audit's fresh recomputation after point 1's step can. Point 2
+    # is otherwise unperturbed and never moves, so in round 4 only the
+    # provider's terms tell its "before" read from the stored residual.
+    cfg = SingularConfig((M23, M34))
+    base = random_provider(cfg, 7)
+
+    def prov(state, j, eq):
+        if j == 1:
+            return base(state, j, eq)
+        if eq == 2:
+            alpha = state.c[0][0].coeff(13) if state.k == 3 else Fraction(0)
+            return [PerturbTerm1(alpha, 25, (0, 0))]
+        return ()
+
+    rep = lift_run(cfg, [(F1,), (F1, F1)], 26, prov)
+    assert rep.state.c[0][0].coeff(13) != 0
+    assert rep.state.c[1] == make_lift_state(cfg, [(F1,), (F1, F1)], 26).c[1]
+    assert not rep.audit_ok
+    assert [(en.k, en.stepped_point, en.observed_point, en.eq)
+            for en in rep.audit if not en.unchanged] == [(3, 1, 2, 2)]
+
+
+def _count_residual_calls(monkeypatch):
+    calls = []
+    fresh = lifting.residual
+
+    def counted(state, providers, j, eq):
+        calls.append((j, eq))
+        return fresh(state, providers, j, eq)
+
+    monkeypatch.setattr(lifting, "residual", counted)
+    return calls
+
+
+def test_stored_residuals_live_in_one_lift(monkeypatch):
+    # a record shared between lifts would serve the second run's reads
+    calls = _count_residual_calls(monkeypatch)
+    cfg = SingularConfig((M34, M25))
+    runs = []
+    for _ in range(2):
+        del calls[:]
+        rep = lift_run(cfg, [(F1, F1), (Fraction(2),)], 40, random_provider(cfg, 3))
+        runs.append((len(calls), rep.state.c))
+    assert runs[0] == runs[1]
+    assert runs[0][0] > 0
+
+
+def test_audit_after_reads_and_final_check_recompute(monkeypatch):
+    # every audit entry has its own fresh "after" read, and the final
+    # closure check one per equation
+    calls = _count_residual_calls(monkeypatch)
+    step = lifting.lift_point_step
+
+    def marked(state, providers, j):
+        step(state, providers, j)
+        calls.append("step")
+
+    monkeypatch.setattr(lifting, "lift_point_step", marked)
+    rep = lift_run(CFG_DOUBLES, [(F1,), (Fraction(2),)], 16, random_provider(CFG_DOUBLES, 17))
+    assert rep.audit
+    fresh = [c for c in calls if c != "step"]
+    assert len(fresh) >= len(rep.audit) + len(rep.residual_orders)
+    # after the last sub-step only its "after" reads and the final check remain
+    tail = calls[len(calls) - calls[::-1].index("step"):]
+    last = rep.audit[-1]
+    after = [en for en in rep.audit if (en.k, en.stepped_point) == (last.k, last.stepped_point)]
+    assert len(tail) == len(after) + len(rep.residual_orders)
 
 
 def test_lift_random_k60_golden_digest():

@@ -345,6 +345,8 @@ def _detail(row: dict[str, Any]) -> str:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.a_min < 2:
+        raise UsageError(f"--a-min must be at least 2, got {args.a_min}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     budget = _budget(args)

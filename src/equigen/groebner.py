@@ -42,7 +42,7 @@ from time import monotonic
 from typing import Iterable, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
-from .polycore import (Exponents, MPoly, VarSet, _echelonize, divides, evaluate_many, grevlex_key,
+from .polycore import (Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key,
                        primitive_terms)
 
 
@@ -460,14 +460,3 @@ def check_g(model: LocalModel, budget: Budget | None = None) -> GVerdict:
     per_index = [check_g_index(model, i, budget) for i in range(1, model.a)]
     return GVerdict(model, aggregate_status(r.status for r in per_index), per_index)
 
-
-def witness_verify(model: LocalModel, i: int, point: Sequence[Fraction]) -> bool:
-    """Confirm a genericity witness: every other obstruction vanishes at the
-    point, the i-th does not, and the point is transversal."""
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != model.a - 1:
-        raise ValueError(f"point must have {model.a - 1} coordinates")
-    values = evaluate_many([big_f(model, n) for n in range(1, model.a)], point)
-    if any((val != 0) != (n == i) for n, val in enumerate(values, start=1)):
-        return False
-    return check_t(model, point)

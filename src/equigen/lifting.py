@@ -89,13 +89,6 @@ def _pair_key(config: SingularConfig, weights: Weights, pair: Pair) -> tuple[int
     return -pair_value(config, weights, pair), pair[0]
 
 
-def pair_compare(config: SingularConfig, p1: Pair, p2: Pair) -> int:
-    """Total order on pole coordinates (see ``_pair_key``). Returns -1, 0, or 1."""
-    w = compute_weights(config)
-    k1, k2 = _pair_key(config, w, p1), _pair_key(config, w, p2)
-    return (k1 > k2) - (k1 < k2)
-
-
 @dataclass(frozen=True)
 class SectionProfile:
     """A section given by its residue data: nonzero coefficients of the
@@ -127,18 +120,6 @@ class SectionProfile:
 def validate_section(config: SingularConfig, section: SectionProfile) -> None:
     for pair in section.psupp:
         config.validate_pair(pair)
-
-
-def section_ord(config: SingularConfig, section: SectionProfile) -> tuple[Pair | None, int | float]:
-    """Leading pole coordinate P (the largest in the pair order) and the
-    section order, the minimum attached value over the polar support.
-    The empty support has no P and infinite order."""
-    validate_section(config, section)
-    if not section.psupp:
-        return None, math.inf
-    w = compute_weights(config)
-    best = max(section.psupp, key=lambda pr: _pair_key(config, w, pr))
-    return best, pair_value(config, w, best)
 
 
 def _coordinate_order(config: SingularConfig) -> list[Pair]:
@@ -418,8 +399,8 @@ class LiftState:
     computed once per lift. ``residuals[(j, eq)]`` is the last residual that
     ``residual`` computed from scratch, with what it read: the c[j-1] series
     objects (series are immutable, so identity means an equal value) and the
-    provider's terms. ``_read_residual`` serves it again while both are
-    unchanged.
+    provider's terms. Only the reads inside ``lift_point_step`` go through
+    ``_read_residual``, which serves it again while both are unchanged.
     """
 
     config: SingularConfig
@@ -473,6 +454,7 @@ def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
 
     Always computed from scratch; the result replaces ``state.residuals[(j, eq)]``
     together with the c[j-1] series objects and the provider terms it read.
+    The audit and the final closure check in ``lift_run`` call it directly.
     """
     model = state.config.model(j)
     d = state.weights.d[j - 1]
@@ -490,9 +472,10 @@ def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
 
 
 def _read_residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
-    """The residual of (j, eq), served from ``state.residuals`` when it was
-    computed from the same c[j-1] series objects and equal provider terms;
-    on any mismatch, ``residual`` computes it afresh from the terms just read."""
+    """The residual of (j, eq) for a read inside a step, served from
+    ``state.residuals`` when it was computed from the same c[j-1] series
+    objects and equal provider terms; on any mismatch, ``residual`` computes
+    it afresh from the terms just read."""
     terms = tuple(providers(state, j, eq))
     stored = state.residuals.get((j, eq))
     if (stored is not None and all(x is y for x, y in zip(stored[0], state.c[j - 1]))
@@ -507,9 +490,10 @@ def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
 
     Each equation's defect at t^{d(b+eq)+k} is cancelled by moving the
     coefficients along the dual kernel vector scaled by t^{d i + k}; lower
-    equations stay closed because the kernel vectors are exact. Residuals
-    are read through ``_read_residual``, so one computed since the last
-    change of c[j-1] and of the provider's terms is not computed again.
+    equations stay closed because the kernel vectors are exact. These are
+    the only residual reads that go through ``_read_residual``, so one
+    computed since the last change of c[j-1] and of the provider's terms is
+    not computed again.
     """
     model = state.config.model(j)
     d = state.weights.d[j - 1]
@@ -541,7 +525,7 @@ class LiftAuditEntry:
     observed_point: int
     eq: int
     closed_modulus: int
-    unchanged: bool
+    closed: bool
 
 
 @dataclass
@@ -554,24 +538,22 @@ class LiftReport:
 
     @property
     def audit_ok(self) -> bool:
-        return all(en.unchanged for en in self.audit)
+        return all(en.closed for en in self.audit)
 
 
 def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
              providers: Provider | None = None) -> LiftReport:
     """Drive the lift to the working modulus, one order per round.
 
-    Rounds sweep the points in index order (round-robin); after each
-    per-point sub-step, every other point's residuals are re-read at their
-    currently closed modulus and must be bit-identical (the
-    non-interference audit). Runs until every equation is closed mod
+    Rounds sweep the points in index order (round-robin). After each
+    per-point sub-step, every other equation (l, eq) is checked against the
+    state invariant (the non-interference audit): one entry per equation,
+    one fresh ``residual`` read, closed when its order reaches the modulus
+    the invariant promises at that stage (round k + 1 for points already
+    stepped, k for the rest). Runs until every equation is closed mod
     t^modulus; with the modulus at or below the first obstruction order the
-    seed is already final and no corrections happen.
-
-    The audit's reads before a sub-step may reuse a stored residual (see
-    ``_read_residual``); its reads after the sub-step and the final closure
-    check always call ``residual``, so every audit entry compares a fresh
-    recomputation with the value from before the step.
+    seed is already final and no corrections happen. The final closure
+    check also recomputes every residual from scratch.
     """
     if isinstance(config, LocalModel):
         config = SingularConfig((config,))
@@ -590,20 +572,14 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     while first_open() < modulus:
         k = state.k
         for j in range(1, config.e + 1):
-            before = {}
+            lift_point_step(state, providers, j)
             for l in range(1, config.e + 1):
                 if l == j:
                     continue
                 for eq in range(1, config.model(l).a):
-                    stage_k = k + 1 if l < j else k
-                    cm = state.closed_modulus(l, eq, stage_k)
-                    before[(l, eq)] = _read_residual(state, providers, l, eq).truncate(cm)
-            lift_point_step(state, providers, j)
-            for (l, eq), prev in before.items():
-                stage_k = k + 1 if l < j else k
-                cm = state.closed_modulus(l, eq, stage_k)
-                now = residual(state, providers, l, eq).truncate(cm)
-                audit.append(LiftAuditEntry(k, j, l, eq, cm, now == prev))
+                    cm = state.closed_modulus(l, eq, k + 1 if l < j else k)
+                    closed = residual(state, providers, l, eq).ord() >= cm
+                    audit.append(LiftAuditEntry(k, j, l, eq, cm, closed))
         state.k += 1
         steps += 1
         history.append((state.k - 1, [list(v) for v in state.c]))

@@ -247,22 +247,6 @@ class MPoly:
         """
         return evaluate_many((self,), point)[0]
 
-    # -- degrees -----------------------------------------------------------
-
-    def weighted_degree(self):
-        """Weighted degree if homogeneous: int, "inhomogeneous", or "any".
-
-        "any" is the distinguished answer for the zero polynomial, which is
-        homogeneous of every degree.
-        """
-        if not self.terms:
-            return "any"
-        w = self.varset.weights
-        degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}
-        if len(degs) > 1:
-            return "inhomogeneous"
-        return degs.pop()
-
     # -- change of ring ----------------------------------------------------
 
     def rename(self, varset: VarSet, names: Sequence[str] | None = None) -> "MPoly":

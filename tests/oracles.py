@@ -1,0 +1,69 @@
+"""Test oracles: small reference functions that only the tests call.
+
+They restate, outside the library, facts the library relies on: the pair
+order of pole coordinates, the order of a section, weighted homogeneity of a
+polynomial, and what makes a genericity witness.
+"""
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from equigen.expansion import LocalModel, big_f
+from equigen.groebner import check_t
+from equigen.lifting import (
+    Pair,
+    SectionProfile,
+    SingularConfig,
+    _pair_key,
+    compute_weights,
+    pair_value,
+    validate_section,
+)
+from equigen.polycore import MPoly, evaluate_many
+
+
+def pair_compare(config: SingularConfig, p1: Pair, p2: Pair) -> int:
+    """Total order on pole coordinates (see ``lifting._pair_key``). Returns -1, 0, or 1."""
+    w = compute_weights(config)
+    k1, k2 = _pair_key(config, w, p1), _pair_key(config, w, p2)
+    return (k1 > k2) - (k1 < k2)
+
+
+def section_ord(config: SingularConfig, section: SectionProfile) -> tuple[Pair | None, int | float]:
+    """Leading pole coordinate P (the largest in the pair order) and the
+    section order, the minimum attached value over the polar support.
+    The empty support has no P and infinite order."""
+    validate_section(config, section)
+    if not section.psupp:
+        return None, math.inf
+    w = compute_weights(config)
+    best = max(section.psupp, key=lambda pr: _pair_key(config, w, pr))
+    return best, pair_value(config, w, best)
+
+
+def weighted_degree(p: MPoly):
+    """Weighted degree of ``p`` if homogeneous: int, "inhomogeneous", or "any".
+
+    "any" is the distinguished answer for the zero polynomial, which is
+    homogeneous of every degree.
+    """
+    if not p.terms:
+        return "any"
+    w = p.varset.weights
+    degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in p.terms}
+    if len(degs) > 1:
+        return "inhomogeneous"
+    return degs.pop()
+
+
+def witness_verify(model: LocalModel, i: int, point: Sequence[Fraction]) -> bool:
+    """Confirm a genericity witness: every other obstruction vanishes at the
+    point, the i-th does not, and the point is transversal."""
+    point = tuple(Fraction(x) for x in point)
+    if len(point) != model.a - 1:
+        raise ValueError(f"point must have {model.a - 1} coordinates")
+    values = evaluate_many([big_f(model, n) for n in range(1, model.a)], point)
+    if any((val != 0) != (n == i) for n, val in enumerate(values, start=1)):
+        return False
+    return check_t(model, point)

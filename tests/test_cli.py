@@ -367,6 +367,13 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("a_min, a_max", [("0", "0"), ("-3", "-2")])
+def test_scan_rejects_a_min_below_two(capsys, a_min, a_max):
+    code, out, err = run(capsys, "scan", "--a-min", a_min, "--a-max", a_max, "--b-max", "3")
+    assert code == 2 and not out
+    assert err == f"error: --a-min must be at least 2, got {a_min}\n"
+
+
 def test_scan_pool_is_capped_at_grid_size(capsys, monkeypatch):
     seen = []
 

@@ -24,9 +24,10 @@ from equigen.groebner import (
     ideal_contains_one,
     normal_form,
     radical_member,
-    witness_verify,
 )
 from equigen.polycore import Exponents, MPoly, VarSet, grevlex_key, poly_text, primitive_terms
+
+from oracles import witness_verify
 
 VS = VarSet(("x", "y"), (1, 1))
 VS3 = VarSet(("x", "y", "z"), (1, 1, 1))

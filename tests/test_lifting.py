@@ -11,7 +11,7 @@ import pytest
 
 from equigen import expansion, groebner, lifting, polycore
 from equigen.expansion import LocalModel
-from equigen.groebner import GStatus, check_t, witness_verify
+from equigen.groebner import GStatus, check_t
 from equigen.lifting import (
     LiftState,
     PerturbContractError,
@@ -30,17 +30,17 @@ from equigen.lifting import (
     lift_point_step,
     lift_run,
     make_lift_state,
-    pair_compare,
     polar_cover_table,
     random_provider,
     residual,
-    section_ord,
     star_satisfied,
     validate_perturb_term,
     zero_provider,
 )
 from equigen.polycore import poly_text
 from equigen.series import TSeries
+
+from oracles import pair_compare, section_ord, witness_verify
 
 M23 = LocalModel(2, 3)
 M25 = LocalModel(2, 5)
@@ -467,9 +467,10 @@ def test_lift_audit_sees_a_provider_reading_another_point():
     # point 1's step sets in round 3; the term is gated on that round, so
     # point 2's own checks never see it (its equation is closed mod t^K and
     # skipped from round 2 on, and the final check runs after round 3).
-    # Only the audit's fresh recomputation after point 1's step can. Point 2
-    # is otherwise unperturbed and never moves, so in round 4 only the
-    # provider's terms tell its "before" read from the stored residual.
+    # Only the audit's fresh read after point 1's step can. Point 2 is
+    # otherwise unperturbed and never moves, and from round 4 on the term is
+    # zero again, so its fresh reads find the equation closed: round 3's
+    # entry is the only one that breaks the invariant.
     cfg = SingularConfig((M23, M34))
     base = random_provider(cfg, 7)
 
@@ -486,7 +487,7 @@ def test_lift_audit_sees_a_provider_reading_another_point():
     assert rep.state.c[1] == make_lift_state(cfg, [(F1,), (F1, F1)], 26).c[1]
     assert not rep.audit_ok
     assert [(en.k, en.stepped_point, en.observed_point, en.eq)
-            for en in rep.audit if not en.unchanged] == [(3, 1, 2, 2)]
+            for en in rep.audit if not en.closed] == [(3, 1, 2, 2)]
 
 
 def _count_residual_calls(monkeypatch):
@@ -516,12 +517,15 @@ def test_stored_residuals_live_in_one_lift(monkeypatch):
 
 def test_audit_after_reads_and_final_check_recompute(monkeypatch):
     # every audit entry has its own fresh "after" read, and the final
-    # closure check one per equation
+    # closure check one per equation; outside the steps there is no other read
     calls = _count_residual_calls(monkeypatch)
     step = lifting.lift_point_step
+    inside = []
 
     def marked(state, providers, j):
+        n = len(calls)
         step(state, providers, j)
+        inside.append(len(calls) - n)
         calls.append("step")
 
     monkeypatch.setattr(lifting, "lift_point_step", marked)
@@ -529,6 +533,7 @@ def test_audit_after_reads_and_final_check_recompute(monkeypatch):
     assert rep.audit
     fresh = [c for c in calls if c != "step"]
     assert len(fresh) >= len(rep.audit) + len(rep.residual_orders)
+    assert len(fresh) - sum(inside) == len(rep.audit) + len(rep.residual_orders)
     # after the last sub-step only its "after" reads and the final check remain
     tail = calls[len(calls) - calls[::-1].index("step"):]
     last = rep.audit[-1]

@@ -487,6 +487,11 @@ def cmd_star(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     if args.input:
+        given = [flag for flag, value in (("--a", args.a), ("--b", args.b),
+                                          ("--witness", args.witness)) if value is not None]
+        if given:
+            raise UsageError(f"--input gives the points and witnesses: drop {', '.join(given)} "
+                             "or drop --input")
         data = _load_input(args.input)
         config = _parse_config(data)
         witnesses = _parse_witnesses(data, config)
@@ -544,10 +549,14 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     budget = _budget(args).start()
     g_table: dict[int, GStatus] = {}
     if not all(p.a == 2 for p in config.points):
+        # (G) depends on (a, b) alone: points of one type share one check.
+        by_model: dict[LocalModel, GStatus] = {}
         for j in range(1, config.e + 1):
             model = config.model(j)
             if model.a >= 3:
-                g_table[j] = check_g(model, budget).status
+                if model not in by_model:
+                    by_model[model] = check_g(model, budget).status
+                g_table[j] = by_model[model]
     v = deform_verdict(config, sections, dims, g_table or None, nbar)
     if args.format == "json":
         print(json.dumps({"status": v.status, "reason": v.reason,

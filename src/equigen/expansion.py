@@ -9,8 +9,9 @@ generates those coefficient polynomials and everything derived from them:
 * ``f_coeff``: coefficients ``f_coeff(beta, m)`` of ``s^{-m}`` in
   ``(1 + sum c_k s^{-k})^{beta/a}``, one multinomial-theorem pass over
   the exponent vectors of weighted degree ``m``,
-* ``gamma_coeff``: the unit ``u`` with ``S = s*u(s)``, ``gamma_i = f_coeff(1, i)``,
-* ``theta_series``: its inverse unit, ``theta_m = -f_coeff(m-1, m) / (m-1)``,
+* ``theta_series``: the inverse of the unit ``u`` with ``S = s*u(s)``
+  (``u`` has coefficients ``gamma_i = f_coeff(1, i)``),
+  ``theta_m = -f_coeff(m-1, m) / (m-1)``,
 * ``theta_cap``: powers of the inverse unit,
   ``Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i)``,
 * ``big_f``: the obstruction polynomials (singular-tail coefficients),
@@ -22,7 +23,7 @@ generates those coefficient polynomials and everything derived from them:
   ``f_bar_jacobian_at`` gives the Jacobian at a rational point,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 
-The three inverse-unit formulas are Lagrange inversion of ``S = s*u(s)``:
+The inverse-unit formulas are Lagrange inversion of ``S = s*u(s)``:
 each is a single rescaled ``f_coeff`` value, so no series is inverted or
 composed. Everything is exact; coefficients are Fractions and results are
 MPoly.
@@ -110,13 +111,6 @@ def f_coeff(model: LocalModel, beta_num: int, m: int) -> MPoly:
 
     place(model.a, m, (), 0, 1)
     return MPoly(model.varset, terms)
-
-
-def gamma_coeff(model: LocalModel, i: int) -> MPoly:
-    """Coefficient gamma_i of s^{-i} in the unit u(s) with S = s*u(s)."""
-    if i < 2:
-        raise ValueError(f"gamma index starts at 2, got {i}")
-    return f_coeff(model, 1, i)
 
 
 def theta_series(model: LocalModel, nmax: int) -> dict[int, MPoly]:

@@ -51,11 +51,6 @@ def _grevlex_heap_key(exps: Exponents) -> tuple:
     return (-sum(exps), exps[::-1])
 
 
-class EngineStatus(Enum):
-    OK = "ok"
-    TIMEOUT = "timeout"
-
-
 class Membership(Enum):
     TRUE = "true"
     FALSE = "false"
@@ -120,7 +115,8 @@ class Budget:
 
 @dataclass
 class GBResult:
-    status: EngineStatus
+    """The reduced basis, or None when the budget ran out."""
+
     basis: list[MPoly] | None
     pairs_processed: int
     elapsed: float
@@ -187,16 +183,7 @@ def normal_form(p: MPoly, basis: Sequence[MPoly], lms: Sequence[Exponents] | Non
                 break
         else:
             out[mon] = coeff
-    result = MPoly(p.varset)
-    result.terms = out
-    return result
-
-
-def _int_poly(varset: VarSet, terms: dict[Exponents, int]) -> MPoly:
-    """An MPoly holding int coefficients: the engine's working basis."""
-    out = MPoly(varset)
-    out.terms = terms
-    return out
+    return MPoly._of(p.varset, out)
 
 
 def _s_poly(g1: MPoly, g2: MPoly, lm1: Exponents, lm2: Exponents) -> MPoly:
@@ -221,7 +208,7 @@ def _s_poly(g1: MPoly, g2: MPoly, lm1: Exponents, lm2: Exponents) -> MPoly:
             out[tgt] = s
         else:
             del out[tgt]
-    return _int_poly(g1.varset, out)
+    return MPoly._of(g1.varset, out)
 
 
 def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
@@ -238,13 +225,13 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
     pairs = 0
 
     varset = ideal.varset
-    basis = [_int_poly(varset, primitive_terms(g.terms)) for g in ideal.generators]
+    basis = [MPoly._of(varset, primitive_terms(g.terms)) for g in ideal.generators]
     lms = [max(g.terms, key=grevlex_key) for g in basis]
 
     # Unit short-circuit: a constant generator makes everything trivial.
     if any(not any(lm) for lm in lms):
         one = [MPoly.constant(ideal.varset, 1)]
-        return GBResult(EngineStatus.OK, one, 0, monotonic() - t0)
+        return GBResult(one, 0, monotonic() - t0)
 
     # Normal strategy: lowest lcm first (grevlex_key leads with the degree),
     # ties broken by (i, j). Pairs are only pushed or popped smallest first,
@@ -279,17 +266,19 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
             continue
         if chain_skip(i, j, lcm):
             continue
+        # The budget is tested before the pair is counted: a refused pair
+        # is not processed.
+        if (budget.max_pairs is not None and pairs >= budget.max_pairs) or budget.expired():
+            return GBResult(None, pairs, monotonic() - t0)
         pairs += 1
-        if (budget.max_pairs is not None and pairs > budget.max_pairs) or budget.expired():
-            return GBResult(EngineStatus.TIMEOUT, None, pairs, monotonic() - t0)
         rem = normal_form(_s_poly(basis[i], basis[j], lms[i], lms[j]), basis, lms)
         if rem.is_zero():
             continue
-        rem = _int_poly(varset, primitive_terms(rem.terms))
+        rem = MPoly._of(varset, primitive_terms(rem.terms))
         lm_new = max(rem.terms, key=grevlex_key)
         if not any(lm_new):
             basis = [MPoly.constant(varset, 1)]
-            return GBResult(EngineStatus.OK, basis, pairs, monotonic() - t0)
+            return GBResult(basis, pairs, monotonic() - t0)
         new_idx = len(basis)
         basis.append(rem)
         lms.append(lm_new)
@@ -297,9 +286,7 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
             push_pair(t, new_idx)
 
     reduced = _reduce_basis(basis, lms, budget)
-    if reduced is None:
-        return GBResult(EngineStatus.TIMEOUT, None, pairs, monotonic() - t0)
-    return GBResult(EngineStatus.OK, reduced, pairs, monotonic() - t0)
+    return GBResult(reduced, pairs, monotonic() - t0)
 
 
 def _reduce_basis(basis: list[MPoly], lms: list[Exponents], budget: Budget) -> list[MPoly] | None:
@@ -345,7 +332,7 @@ class MembershipResult:
 def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> MembershipResult:
     """Does p lie in the radical of the ideal?
 
-    Adds a fresh weight-0 variable y and tests whether the extended ideal
+    Adds a fresh variable y and tests whether the extended ideal
     I + (1 - y*p) contains 1. Sound and complete whenever the engine
     finishes within budget. The zero ideal short-circuits to p == 0.
     """
@@ -356,12 +343,12 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     aux = "y"
     while aux in ideal.varset.names:
         aux += "_"
-    big = ideal.varset.extend(aux, weight=0)
+    big = ideal.varset.extend(aux)
     y = MPoly.variable(big, aux)
     gens = [g.rename(big) for g in ideal.generators]
     gens.append(MPoly.constant(big, 1) - y * p.rename(big))
     result = buchberger(Ideal.of(big, gens), budget=budget)
-    if result.status is EngineStatus.TIMEOUT:
+    if result.basis is None:
         return MembershipResult(Membership.TIMEOUT, result.pairs_processed, result.elapsed)
     verdict = Membership.TRUE if ideal_contains_one(result) else Membership.FALSE
     return MembershipResult(verdict, result.pairs_processed, result.elapsed)
@@ -410,7 +397,6 @@ class GIndexResult:
 
 @dataclass
 class GVerdict:
-    model: LocalModel
     status: GStatus
     per_index: list[GIndexResult] = field(default_factory=list)
 
@@ -458,5 +444,5 @@ def check_g(model: LocalModel, budget: Budget | None = None) -> GVerdict:
     The budget's seconds bound all indices together."""
     budget = (budget or Budget()).start()
     per_index = [check_g_index(model, i, budget) for i in range(1, model.a)]
-    return GVerdict(model, aggregate_status(r.status for r in per_index), per_index)
+    return GVerdict(aggregate_status(r.status for r in per_index), per_index)
 

@@ -110,12 +110,6 @@ class SectionProfile:
     def psupp(self) -> tuple[Pair, ...]:
         return tuple(p for p, _ in self.residues)
 
-    def residue(self, pair: Pair) -> Fraction:
-        for p, r in self.residues:
-            if p == pair:
-                return r
-        return Fraction(0)
-
 
 def validate_section(config: SingularConfig, section: SectionProfile) -> None:
     for pair in section.psupp:
@@ -206,7 +200,7 @@ def build_star_system(config: SingularConfig, basis: SectionBasis) -> StarSystem
     equations = []
     for entry in basis.entries:
         section = entry.section
-        contributors = [(pair, section.residue(pair)) for pair in section.psupp
+        contributors = [(pair, r) for pair, r in section.residues
                         if pair_value(config, w, pair) == entry.ord]
         poly = MPoly.zero(joint)
         for (j, m), r in contributors:

@@ -2,9 +2,7 @@
 
 Scalars are `fractions.Fraction` throughout; nothing in this package ever
 touches a float. Polynomials are sparse maps from exponent vectors to
-nonzero coefficients over a fixed, ordered variable set. Each variable
-carries a nonnegative integer weight used for weighted-degree bookkeeping
-(the coefficient variable ``c<k>`` has weight ``k``).
+nonzero coefficients over a fixed, ordered variable set.
 
 ``det_bareiss`` is a division-free determinant of polynomial matrices. It
 clears each row's denominators and runs its memoized minors expansion on
@@ -33,18 +31,13 @@ def grevlex_key(exps: Exponents) -> tuple:
 
 @dataclass(frozen=True)
 class VarSet:
-    """An ordered set of named variables with nonnegative integer weights."""
+    """An ordered set of named variables."""
 
     names: tuple[str, ...]
-    weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.names) != len(self.weights):
-            raise ValueError("names and weights must have equal length")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names}")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("variable weights must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -55,17 +48,16 @@ class VarSet:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def extend(self, name: str, weight: int = 0) -> "VarSet":
+    def extend(self, name: str) -> "VarSet":
         """Append one variable (used for auxiliary membership variables)."""
-        return VarSet(self.names + (name,), self.weights + (weight,))
+        return VarSet(self.names + (name,))
 
     @staticmethod
     def coefficients(a: int) -> "VarSet":
-        """Variables c2..ca, with weight(c_k) = k."""
+        """Variables c2..ca."""
         if a < 2:
             raise ValueError(f"need a >= 2, got {a}")
-        ks = range(2, a + 1)
-        return VarSet(tuple(f"c{k}" for k in ks), tuple(ks))
+        return VarSet(tuple(f"c{k}" for k in range(2, a + 1)))
 
     @staticmethod
     def doubled(a: int) -> "VarSet":
@@ -73,21 +65,17 @@ class VarSet:
         if a < 2:
             raise ValueError(f"need a >= 2, got {a}")
         ks = range(2, a + 1)
-        names = tuple(f"c{k}" for k in ks) + tuple(f"ct{k}" for k in ks)
-        return VarSet(names, tuple(ks) + tuple(ks))
+        return VarSet(tuple(f"c{k}" for k in ks) + tuple(f"ct{k}" for k in ks))
 
     @staticmethod
     def blocks(a_list: Sequence[int]) -> "VarSet":
-        """Variables c{k}_{j} for point j = 1..e, k = 2..a_j, weight k."""
+        """Variables c{k}_{j} for point j = 1..e, k = 2..a_j."""
         names: list[str] = []
-        weights: list[int] = []
         for j, a in enumerate(a_list, start=1):
             if a < 2:
                 raise ValueError(f"need a_j >= 2, got {a}")
-            for k in range(2, a + 1):
-                names.append(f"c{k}_{j}")
-                weights.append(k)
-        return VarSet(tuple(names), tuple(weights))
+            names.extend(f"c{k}_{j}" for k in range(2, a + 1))
+        return VarSet(tuple(names))
 
 
 class MPoly:
@@ -95,6 +83,10 @@ class MPoly:
 
     Instances are treated as immutable; all operations return new objects.
     Equality is structural (same variable set, same terms).
+
+    The public constructor checks every exponent vector and coerces every
+    coefficient with ``Fraction``. Results of polynomial arithmetic are
+    built by the trusted ``_of``.
     """
 
     __slots__ = ("varset", "terms")
@@ -114,6 +106,16 @@ class MPoly:
                     clean[tuple(exps)] = c
         self.terms = clean
 
+    @classmethod
+    def _of(cls, varset: VarSet, terms: dict[Exponents, Scalar]) -> "MPoly":
+        """Trusted constructor: ``terms`` already maps exponent vectors of
+        the right length to nonzero coefficients, and is kept, not copied.
+        The Groebner engine's working basis holds int coefficients."""
+        out = object.__new__(cls)
+        out.varset = varset
+        out.terms = terms
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -129,10 +131,6 @@ class MPoly:
         exps = [0] * len(varset)
         exps[varset.index(name)] = 1
         return MPoly(varset, {tuple(exps): Fraction(1)})
-
-    @staticmethod
-    def monomial(varset: VarSet, exps: Exponents, coeff: Scalar = 1) -> "MPoly":
-        return MPoly(varset, {tuple(exps): Fraction(coeff)})
 
     # -- predicates --------------------------------------------------------
 
@@ -160,9 +158,7 @@ class MPoly:
             raise ValueError("polynomials live in different variable sets")
 
     def __neg__(self) -> "MPoly":
-        out = MPoly(self.varset)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MPoly._of(self.varset, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "MPoly | Scalar") -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -175,9 +171,7 @@ class MPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        out = MPoly(self.varset)
-        out.terms = acc
-        return out
+        return MPoly._of(self.varset, acc)
 
     __radd__ = __add__
 
@@ -192,19 +186,14 @@ class MPoly:
     def __mul__(self, other: "MPoly | Scalar") -> "MPoly":
         if isinstance(other, (int, Fraction)):
             k = Fraction(other)
-            out = MPoly(self.varset)
-            if k:
-                out.terms = {e: c * k for e, c in self.terms.items()}
-            return out
+            return MPoly._of(self.varset, {e: c * k for e, c in self.terms.items()} if k else {})
         self._check_ring(other)
         acc: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 acc[e] = acc.get(e, 0) + c1 * c2
-        out = MPoly(self.varset)
-        out.terms = {e: c for e, c in acc.items() if c}
-        return out
+        return MPoly._of(self.varset, {e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -234,9 +223,7 @@ class MPoly:
                     acc[e2] = s
                 else:
                     acc.pop(e2, None)
-        out = MPoly(self.varset)
-        out.terms = acc
-        return out
+        return MPoly._of(self.varset, acc)
 
     def evaluate(self, point: Sequence[object]):
         """Evaluate at ``point``, one value per variable in ``varset`` order.
@@ -268,9 +255,7 @@ class MPoly:
                 full[t] += e
             key = tuple(full)
             acc[key] = acc.get(key, 0) + coeff
-        out = MPoly(varset)
-        out.terms = {e: c for e, c in acc.items() if c}
-        return out
+        return MPoly._of(varset, {e: c for e, c in acc.items() if c})
 
     # -- presentation ------------------------------------------------------
 
@@ -279,9 +264,6 @@ class MPoly:
         descending, so the leading term comes first."""
         for e in sorted(self.terms, key=grevlex_key, reverse=True):
             yield e, self.terms[e]
-
-    def text(self) -> str:
-        return poly_text(self)
 
     def __repr__(self) -> str:
         return f"MPoly({poly_text(self)})"
@@ -466,14 +448,14 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
             acc = {k: c for k, c in acc.items() if c}
             if acc:
                 minors[cols] = acc
-    out = MPoly(varset)
+    terms = {}
     for k, c in minors.get((1 << n) - 1, {}).items():
         exps = []
         for bound in bounds:
             k, e = divmod(k, bound + 1)
             exps.append(e)
-        out.terms[tuple(exps)] = Fraction(c, scale)
-    return out
+        terms[tuple(exps)] = Fraction(c, scale)
+    return MPoly._of(varset, terms)
 
 
 def _echelonize(coords: Sequence[Hashable], rows: list[dict[Hashable, Fraction]]

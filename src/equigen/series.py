@@ -289,13 +289,6 @@ class TSeries:
             return TSeries._of(K, [], 1)
         return TSeries._of(K, [0] * n + list(self._num[:K - n]), self._den)
 
-    def truncate(self, modulus: int) -> "TSeries":
-        if modulus > self.modulus:
-            raise ValueError("cannot raise a truncation modulus")
-        if modulus < 1:
-            raise ValueError("modulus must be at least 1")
-        return TSeries._of(modulus, list(self._num[:modulus]), self._den)
-
     def __repr__(self) -> str:
         if not self._num:
             return f"O(t^{self.modulus})"

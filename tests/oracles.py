@@ -1,11 +1,13 @@
 """Test oracles: small reference functions that only the tests call.
 
 They restate, outside the library, facts the library relies on: the pair
-order of pole coordinates, the order of a section, weighted homogeneity of a
-polynomial, and what makes a genericity witness.
+order of pole coordinates, the order of a section, the weights of the
+coefficient variables and weighted homogeneity of a polynomial, and what
+makes a genericity witness.
 """
 
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,15 +44,24 @@ def section_ord(config: SingularConfig, section: SectionProfile) -> tuple[Pair |
     return best, pair_value(config, w, best)
 
 
+def variable_weight(name: str) -> int:
+    """Weight k of a coefficient variable ``c<k>``, ``ct<k>`` or ``c<k>_<j>``."""
+    match = re.fullmatch(r"ct?(\d+)(?:_\d+)?", name)
+    if match is None:
+        raise ValueError(f"{name!r} is not a coefficient variable")
+    return int(match.group(1))
+
+
 def weighted_degree(p: MPoly):
     """Weighted degree of ``p`` if homogeneous: int, "inhomogeneous", or "any".
 
-    "any" is the distinguished answer for the zero polynomial, which is
-    homogeneous of every degree.
+    Variables are weighted by ``variable_weight``. "any" is the
+    distinguished answer for the zero polynomial, which is homogeneous of
+    every degree.
     """
     if not p.terms:
         return "any"
-    w = p.varset.weights
+    w = [variable_weight(name) for name in p.varset.names]
     degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in p.terms}
     if len(degs) > 1:
         return "inhomogeneous"

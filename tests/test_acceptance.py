@@ -15,7 +15,6 @@ from equigen.expansion import (
     SigmaModel,
     big_f,
     f_coeff,
-    gamma_coeff,
     jac_bar,
     theta_cap,
     theta_series,
@@ -39,7 +38,7 @@ from equigen.lifting import (
     residual,
     SectionProfile,
 )
-from equigen.polycore import MPoly, VarSet
+from equigen.polycore import MPoly, VarSet, poly_text
 from equigen.series import (
     TriState,
     TSeries,
@@ -49,7 +48,7 @@ from equigen.series import (
     substitution_check,
 )
 
-from oracles import weighted_degree
+from oracles import variable_weight, weighted_degree
 
 SEED = 20260816
 
@@ -220,7 +219,7 @@ def test_criterion_3_a2_single_monomial():
         e = (b + 1) // 2
         expect = math.prod(F(b, 2) - i for i in range(e)) / math.factorial(e)
         if len(p.terms) != 1 or p.terms.get((e,)) != expect or not expect:
-            problems.append(f"b={b}: {p.text()}")
+            problems.append(f"b={b}: {poly_text(p)}")
     _report(3, "a=2: F_-1 is the single monomial c2^((b+1)/2), nonzero coefficient",
             not problems, "; ".join(problems))
 
@@ -237,8 +236,8 @@ def _euler_defect(p: MPoly):
     if deg == "any":
         return MPoly.zero(p.varset)
     total = MPoly.zero(p.varset)
-    for name, w in zip(p.varset.names, p.varset.weights):
-        total = total + MPoly.variable(p.varset, name) * p.diff(name) * w
+    for name in p.varset.names:
+        total = total + MPoly.variable(p.varset, name) * p.diff(name) * variable_weight(name)
     return total - p * deg
 
 
@@ -255,7 +254,7 @@ def test_criterion_4a_homogeneity_and_euler():
             p, deg = f_coeff(model, rng.choice((1, 3, model.b)), m), m
         elif kind == 1:
             m = rng.randint(2, 7)
-            p, deg = gamma_coeff(model, m), m
+            p, deg = f_coeff(model, 1, m), m
         elif kind == 2:
             if model not in theta_tables:
                 theta_tables[model] = theta_series(model, 7)
@@ -309,7 +308,7 @@ def test_criterion_4c_theta_gamma_round_trip():
         nmax = rng.randint(4, 8)
         if model not in tables:
             tables[model] = (
-                [gamma_coeff(model, m) for m in range(2, 9)],
+                [f_coeff(model, 1, m) for m in range(2, 9)],
                 theta_series(model, 8),
             )
         gammas, thetas = tables[model]

@@ -8,12 +8,14 @@ import pytest
 
 from equigen import cache, cli, groebner, lifting
 from equigen.cli import main
+from equigen.expansion import LocalModel
 from equigen.groebner import InternalConsistencyError
 
 GOLDEN_F1_46 = "F_-1 = -3/16*c2^2*c3 + 3/4*c3*c4"
 GOLDEN_JACBAR_46 = ("jacbar = 27/16384*c2^6*c3 + 27/2048*c2^3*c3^3"
                     " - 81/4096*c2^4*c3*c4 + 27/1024*c3^5 - 27/512*c2*c3^3*c4"
                     " + 81/1024*c2^2*c3*c4^2 - 27/256*c3*c4^3")
+M34 = LocalModel(3, 4)
 
 
 def run(capsys, *argv):
@@ -150,6 +152,13 @@ def test_check_g_timeout_exit(capsys):
     code, out, _ = run(capsys, "check", "G", "--a", "4", "--b", "7", "--max-pairs", "1")
     assert code == 2
     assert "timeout" in out
+
+
+def test_check_g_zero_pair_budget_reports_no_pairs(capsys):
+    code, out, _ = run(capsys, "check", "G", "--a", "3", "--b", "4", "--max-pairs", "0")
+    assert code == 2
+    assert out.splitlines()[:2] == ["i=1: timeout (pairs=0, 0.00s)",
+                                    "i=2: timeout (pairs=0, 0.00s)"]
 
 
 BUDGET_COMMANDS = {
@@ -584,6 +593,22 @@ def test_lift_seed_without_random_perturbation_is_usage_error(capsys):
                    "add --perturb random or drop --seed\n")
 
 
+def test_lift_input_with_model_flags_is_usage_error(capsys, tmp_path):
+    doc = {"points": [{"a": 2, "b": 3}], "witnesses": [["1"]]}
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lift", "--input", str(path), "--a", "3", "--b", "4",
+                         "--witness", "5,6", "--modulus", "8")
+    assert code == 2 and not out
+    assert err == ("error: --input gives the points and witnesses: "
+                   "drop --a, --b, --witness or drop --input\n")
+    code, out, err = run(capsys, "lift", "--input", str(path), "--witness", "1",
+                         "--modulus", "8")
+    assert code == 2 and not out
+    assert err == ("error: --input gives the points and witnesses: "
+                   "drop --witness or drop --input\n")
+
+
 def test_lift_usage_errors(capsys):
     code, _, err = run(capsys, "lift", "--a", "2", "--b", "3", "--witness", "1")
     assert code == 2 and "--modulus" in err
@@ -671,6 +696,33 @@ def test_verdict_budget_is_one_clock(capsys, tmp_path, monkeypatch):
     run(capsys, "verdict", "--input", path, "--budget-secs", "60")
     assert len(seen) == 2 and seen[0] is seen[1]
     assert seen[0].seconds == 60 and seen[0].started_at is not None
+
+
+def test_verdict_checks_each_point_type_once(capsys, tmp_path, monkeypatch):
+    # (G) depends on (a, b) alone: two (3,4) points make one check, on the
+    # one started budget, and print what two checks did.
+    path = write_input(tmp_path, {
+        "points": [{"a": 3, "b": 4}, {"a": 3, "b": 4}],
+        "dims": [{"j": 1, "twisted": 3, "plain": 2}, {"j": 2, "twisted": 3, "plain": 2}],
+    })
+    # The verdict of one check per point.
+    g_table = {j: groebner.check_g(M34).status for j in (1, 2)}
+    expected = lifting.deform_verdict(lifting.SingularConfig((M34, M34)), [],
+                                      {1: (3, 2), 2: (3, 2)}, g_table)
+    seen = []
+    real_check_g = cli.check_g
+
+    def spy(model, budget=None, *args):
+        seen.append((model, budget))
+        return real_check_g(model, budget, *args)
+
+    monkeypatch.setattr(cli, "check_g", spy)
+    code, out, _ = run(capsys, "verdict", "--input", path, "--format", "json")
+    assert [model for model, _ in seen] == [M34]
+    assert seen[0][1].started_at is not None
+    assert code == 0
+    assert json.loads(out) == {"status": expected.status, "reason": expected.reason,
+                               "certificate": expected.certificate}
 
 
 def test_verdict_unknown_exit(capsys, tmp_path):

@@ -105,7 +105,7 @@ def _check_evaluate(poly, rng, modulus, length):
 
 def test_mpoly_evaluate_at_series_matches_sympy():
     rng = random.Random(SEED + 1)
-    varset = VarSet(("x", "y", "z"), (1, 2, 3))
+    varset = VarSet(("x", "y", "z"))
     for _ in range(25):
         modulus = rng.choice((3, 8, 14))
         poly = _random_mpoly(rng, varset, rng.randint(0, 6), 4)

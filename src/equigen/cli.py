@@ -21,6 +21,8 @@ from .expansion import LocalModel, SigmaModel, big_f, f_coeff, jac_bar, theta_se
 from .groebner import (
     Budget,
     GStatus,
+    Ideal,
+    _check_g_index_on,
     _presentation_obstruction,
     aggregate_status,
     check_g,
@@ -38,7 +40,7 @@ from .lifting import (
     star_satisfied,
     zero_provider,
 )
-from .polycore import poly_json, poly_text
+from .polycore import MPoly, poly_json, poly_text
 from .series import (TriState, TSeries, order_bound_audit, pm_identity_check, pm_window_bound,
                      reparam_solve, substitution_check)
 
@@ -295,8 +297,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 # scan
 
 
-def _poly_hashes(model: LocalModel, i: int) -> dict[str, str]:
-    ideal, candidate = _presentation_obstruction(model, i)
+def _poly_hashes(ideal: Ideal, candidate: MPoly) -> dict[str, str]:
     gens = sorted(poly_text(g) for g in ideal.generators)
     return {
         "generators": hashlib.sha256("\n".join(gens).encode()).hexdigest(),
@@ -312,7 +313,11 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
     for i in range(1, a):
         key = cache.cache_key(a, b, i, __version__)
         entry = cache.load(cache_dir, key) if cache_dir else None
-        hashes = _poly_hashes(model, i)
+        # One build of the obstruction presentation serves the hashes and
+        # the check; the index's clock runs from before it.
+        index_budget = budget.start()
+        obstruction = _presentation_obstruction(model, i)
+        hashes = _poly_hashes(*obstruction)
         # A hit must match the inputs and the polynomials the current
         # generator produces and hold a storable verdict; anything else is
         # recomputed and overwritten.
@@ -323,7 +328,7 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
             indices.append(dict(entry, cached=True))
             statuses.append(GStatus(entry["verdict"]))
             continue
-        res = check_g_index(model, i, budget)
+        res = _check_g_index_on(model, i, obstruction, index_budget)
         entry = {
             "a": a, "b": b, "i": i,
             "engine_version": __version__, "order": "grevlex",

@@ -22,6 +22,19 @@ is scale-invariant, so the basis, the S-pairs and the reduced monic basis
 are those of the monic computation. Only the reduced basis is returned,
 with Fraction coefficients.
 
+Inside the engine each monomial is one int (``_Packing``): the partial sums
+S_n, ..., S_1 of its exponents (S_k = e_1 + ... + e_k), most significant
+first, above the exponents themselves, each exponent in a field with a
+clear guard bit on top. Comparing two ints is then grevlex, a product is
+``+``, a quotient ``-``, and a divides b iff ``(b - a) & guard`` is 0
+(Monagan and Pearce, CASC 2007); an lcm is a per-field max of the
+exponents. The field width comes from the generators' largest degree, with
+room for the lcm of any two of their terms. Every term a run builds has at
+most the degree of a generator or of a processed S-pair's lcm, so a pair
+whose lcm does not fit starts the run again with wider fields; the run is
+deterministic, so its pairs and its basis do not depend on the width.
+``buchberger`` packs the generators and unpacks only the reduced basis.
+
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
 test at a rational point, and the per-index genericity test via two
@@ -37,18 +50,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from operator import add, le, sub
 from time import monotonic
 from typing import Iterable, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
-from .polycore import (Exponents, MPoly, VarSet, _echelonize, divides, grevlex_key,
-                       primitive_terms)
-
-
-def _grevlex_heap_key(exps: Exponents) -> tuple:
-    """Key that sorts exactly opposite to ``grevlex_key``, for a max-heap on heapq."""
-    return (-sum(exps), exps[::-1])
+from .polycore import Exponents, MPoly, VarSet, _echelonize, primitive_terms
 
 
 class Membership(Enum):
@@ -122,93 +128,172 @@ class GBResult:
     elapsed: float
 
 
-def _lcm_exps(e1: Exponents, e2: Exponents) -> Exponents:
-    return tuple(map(max, e1, e2))
+class _Packing:
+    """Monomials over n variables, packed into one int each.
+
+    The int has 2n fields of ``width`` bits. The low n fields are the word:
+    exponent e_k in field k - 1, with the top bit of each field, its guard,
+    left clear. The high n fields are the order key: the partial sum
+    S_k = e_1 + ... + e_k in field k - 1, so the degree S_n is the most
+    significant field. Comparing ints is then grevlex, a product is ``+``,
+    a quotient ``-``, and m1 divides m2 iff ``(m2 - m1) & guard`` is 0. A
+    packing made for degree d holds every monomial of degree up to
+    ``max_deg`` >= 2d without a carry between fields.
+    """
+
+    __slots__ = ("max_deg", "guard", "_width", "_ones", "_low", "_key_shift", "_deg_shift",
+                 "_shifts")
+
+    def __init__(self, n: int, degree: int) -> None:
+        width = (2 * degree).bit_length() + 1
+        self.max_deg = (1 << (width - 1)) - 1
+        self._width = width
+        self._ones = sum(1 << (k * width) for k in range(n))
+        self.guard = self._ones << (width - 1)
+        self._key_shift = n * width
+        self._low = (1 << self._key_shift) - 1
+        self._deg_shift = (2 * n - 1) * width
+        self._shifts = [k * width for k in range(n)]
+
+    @staticmethod
+    def of(polys: Sequence[MPoly]) -> "_Packing":
+        """The packing made for the largest degree among the polynomials."""
+        return _Packing(len(polys[0].varset),
+                        max((sum(e) for p in polys for e in p.terms), default=0))
+
+    def _with_key(self, word: int) -> int:
+        # The low n fields of word * ones are the partial sums S_1..S_n.
+        return ((word * self._ones) & self._low) << self._key_shift | word
+
+    def pack(self, exps: Exponents) -> int:
+        return self._with_key(sum(e << s for e, s in zip(exps, self._shifts)))
+
+    def unpack(self, mon: int) -> Exponents:
+        mask = (1 << self._width) - 1
+        return tuple((mon >> s) & mask for s in self._shifts)
+
+    def degree(self, mon: int) -> int:
+        return mon >> self._deg_shift
+
+    def lcm(self, m1: int, m2: int) -> int:
+        """The lcm by a per-field max of the words. It is exact whenever
+        both monomials fit, although its degree may reach 2 * max_deg."""
+        low, guard = self._low, self.guard
+        w1, w2 = m1 & low, m2 & low
+        ge = ((w1 | guard) - w2) & guard  # guard bit set where e1 >= e2
+        take1 = ge - (ge >> (self._width - 1))
+        return self._with_key(w2 ^ ((w1 ^ w2) & take1))
+
+    def poly(self, p: MPoly) -> "_Poly":
+        return _Poly({self.pack(e): c for e, c in p.terms.items()})
+
+    def mpoly(self, varset: VarSet, p: "_Poly") -> MPoly:
+        return MPoly._of(varset, {self.unpack(m): c for m, c in p.terms.items()})
 
 
-def normal_form(p: MPoly, basis: Sequence[MPoly], lms: Sequence[Exponents] | None = None) -> MPoly:
+class _Poly:
+    """A polynomial inside the engine: ``terms`` maps packed monomials to
+    int or Fraction coefficients; ``lm`` is the leading monomial, None for
+    the zero polynomial."""
+
+    __slots__ = ("terms", "lm")
+
+    def __init__(self, terms: dict[int, int | Fraction]) -> None:
+        self.terms = terms
+        self.lm = max(terms) if terms else None
+
+
+class _Overflow(Exception):
+    """An S-pair's lcm is of a degree that the run's packing cannot hold."""
+
+    def __init__(self, degree: int) -> None:
+        super().__init__(degree)
+        self.degree = degree
+
+
+def normal_form(p: _Poly, basis: Sequence[_Poly], guard: int) -> _Poly:
     """Fully reduce p modulo the basis: no result monomial is divisible
     by any basis leading monomial.
 
-    Terms are reduced largest first, taken from a max-heap over the working
-    polynomial; an entry whose term has since cancelled is skipped when it
-    surfaces. Each term is reduced by the first basis element, in basis
-    order, whose leading monomial divides it. ``lms`` may give the basis
-    leading monomials when the caller already holds them.
+    Monomials are packed ints of one ``_Packing``, and ``guard`` is its
+    guard mask. Terms are reduced largest first, taken from a max-heap over
+    the working polynomial; an entry whose term has since cancelled is
+    skipped when it surfaces. Each term is reduced by the first basis
+    element, in basis order, whose leading monomial divides it.
 
     Coefficients may be ints or Fractions, as in the engine's integer
     basis; a result coefficient is an int only where every step on its
     term stayed integral.
     """
-    if lms is None:
-        lms = [max(g.terms, key=grevlex_key) if g.terms else None for g in basis]
     # Terms are not copied into tails: one call reduces by few of the basis
     # elements (about one in fifteen in check G at (5,7)).
-    reducers = [(lm, g.terms[lm], g.terms) for lm, g in zip(lms, basis) if g.terms]
+    reducers = [(g.lm, g.terms[g.lm], g.terms) for g in basis if g.terms]
     work = dict(p.terms)
-    heap = [(_grevlex_heap_key(e), e) for e in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
-    out: dict[Exponents, int | Fraction] = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
+    out: dict[int, int | Fraction] = {}
     while heap:
-        mon = heapq.heappop(heap)[1]
+        mon = -heappop(heap)
         coeff = work.pop(mon, None)
         if coeff is None:
             continue
         for lm, lc, terms in reducers:
-            if all(map(le, lm, mon)):
-                shift = tuple(map(sub, mon, lm))
-                # An int quotient stays an int when it is exact; otherwise
-                # it is a Fraction, never int / int (a float).
-                if type(coeff) is int:
-                    factor, r = divmod(coeff, lc)
-                    if r:
-                        factor = Fraction(coeff, lc)
+            shift = mon - lm
+            if shift & guard:
+                continue
+            # An int quotient stays an int when it is exact; otherwise
+            # it is a Fraction, never int / int (a float).
+            if type(coeff) is int:
+                factor, r = divmod(coeff, lc)
+                if r:
+                    factor = Fraction(coeff, lc)
+            else:
+                factor = coeff / lc
+            # Every new term lies below mon: a reduced term never returns.
+            for eg, cg in terms.items():
+                if eg == lm:
+                    continue
+                tgt = eg + shift
+                old = work.get(tgt)
+                if old is None:
+                    work[tgt] = -factor * cg
+                    heappush(heap, -tgt)
                 else:
-                    factor = coeff / lc
-                # Every new term lies below mon: a reduced term never returns.
-                for eg, cg in terms.items():
-                    if eg == lm:
-                        continue
-                    tgt = tuple(map(add, eg, shift))
-                    old = work.get(tgt)
-                    if old is None:
-                        work[tgt] = -factor * cg
-                        heapq.heappush(heap, (_grevlex_heap_key(tgt), tgt))
+                    s = old - factor * cg
+                    if s:
+                        work[tgt] = s
                     else:
-                        s = old - factor * cg
-                        if s:
-                            work[tgt] = s
-                        else:
-                            del work[tgt]
-                break
+                        del work[tgt]
+            break
         else:
             out[mon] = coeff
-    return MPoly._of(p.varset, out)
+    return _Poly(out)
 
 
-def _s_poly(g1: MPoly, g2: MPoly, lm1: Exponents, lm2: Exponents) -> MPoly:
+def _s_poly(g1: _Poly, g2: _Poly, lcm: int) -> _Poly:
     """S-polynomial of two integer basis elements, in integers.
 
     With g = gcd(lc1, lc2) and L the lcm of the leading monomials it is
     (lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2, which is lc1·lc2/g times
     the monic S-polynomial. The cancelling term at L is never built.
     """
-    lcm = _lcm_exps(lm1, lm2)
+    lm1, lm2 = g1.lm, g2.lm
     lc1, lc2 = g1.terms[lm1], g2.terms[lm2]
     g = gcd(lc1, lc2)
     k1, k2 = lc2 // g, lc1 // g
-    shift1, shift2 = tuple(map(sub, lcm, lm1)), tuple(map(sub, lcm, lm2))
-    out = {tuple(map(add, e, shift1)): k1 * c for e, c in g1.terms.items() if e != lm1}
+    shift1, shift2 = lcm - lm1, lcm - lm2
+    out = {e + shift1: k1 * c for e, c in g1.terms.items() if e != lm1}
     for e, c in g2.terms.items():
         if e == lm2:
             continue
-        tgt = tuple(map(add, e, shift2))
+        tgt = e + shift2
         s = out.get(tgt, 0) - k2 * c
         if s:
             out[tgt] = s
         else:
             del out[tgt]
-    return MPoly._of(g1.varset, out)
+    return _Poly(out)
 
 
 def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
@@ -222,36 +307,58 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
         raise ValueError("Groebner engine needs at least one generator")
     budget = (budget or Budget()).start()
     t0 = monotonic()
-    pairs = 0
-
     varset = ideal.varset
-    basis = [MPoly._of(varset, primitive_terms(g.terms)) for g in ideal.generators]
-    lms = [max(g.terms, key=grevlex_key) for g in basis]
+    gens = [MPoly._of(varset, primitive_terms(g.terms)) for g in ideal.generators]
+    packing = _Packing.of(gens)
+    while True:
+        try:
+            basis, pairs = _buchberger_packed(varset, gens, packing, budget)
+        except _Overflow as wide:
+            packing = _Packing(len(varset), wide.degree)
+            continue
+        return GBResult(basis, pairs, monotonic() - t0)
+
+
+def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
+                       budget: Budget) -> tuple[list[MPoly] | None, int]:
+    """``buchberger``'s run on one packing: the reduced basis (None on a
+    timeout) and the pairs processed.
+
+    Raises ``_Overflow`` when a pair that passes the criteria has an lcm of
+    degree above ``packing.max_deg``. The S-polynomial and its normal form
+    stay within that degree (grevlex is graded, and a reduction step brings
+    only terms below the one it reduces), so that one test covers every
+    monomial the run builds. A pending pair's lcm is exact up to twice the
+    limit, so it may order the heap and meet the criteria first.
+    """
+    pairs = 0
+    basis = [packing.poly(g) for g in gens]
+    lms = [g.lm for g in basis]
 
     # Unit short-circuit: a constant generator makes everything trivial.
-    if any(not any(lm) for lm in lms):
-        one = [MPoly.constant(ideal.varset, 1)]
-        return GBResult(one, 0, monotonic() - t0)
+    if 0 in lms:
+        return [MPoly.constant(varset, 1)], 0
 
-    # Normal strategy: lowest lcm first (grevlex_key leads with the degree),
-    # ties broken by (i, j). Pairs are only pushed or popped smallest first,
-    # so the heap yields them in the order a full scan for the minimum would.
-    pending: list[tuple[tuple, tuple[int, int], Exponents]] = []
+    guard, lcm_of, degree = packing.guard, packing.lcm, packing.degree
+    # Normal strategy: lowest lcm first (packed ints compare as grevlex,
+    # degree first), ties broken by (i, j). Pairs are only pushed or popped
+    # smallest first, so the heap yields them in the order a full scan for
+    # the minimum would.
+    pending: list[tuple[int, int, int]] = []
     done: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int) -> None:
-        lcm = _lcm_exps(lms[i], lms[j])
-        heapq.heappush(pending, (grevlex_key(lcm), (i, j), lcm))
+        heapq.heappush(pending, (lcm_of(lms[i], lms[j]), i, j))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             push_pair(i, j)
 
-    def chain_skip(i: int, j: int, lcm: Exponents) -> bool:
-        for k in range(len(basis)):
+    def chain_skip(i: int, j: int, lcm: int) -> bool:
+        for k, lm in enumerate(lms):
             if k == i or k == j:
                 continue
-            if divides(lms[k], lcm):
+            if not (lcm - lm) & guard:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -259,61 +366,59 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
         return False
 
     while pending:
-        _, (i, j), lcm = heapq.heappop(pending)
+        lcm, i, j = heapq.heappop(pending)
         done.add((i, j))
         # Product criterion: coprime leading monomials reduce to zero.
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        if lcm == lms[i] + lms[j]:
             continue
         if chain_skip(i, j, lcm):
             continue
         # The budget is tested before the pair is counted: a refused pair
         # is not processed.
         if (budget.max_pairs is not None and pairs >= budget.max_pairs) or budget.expired():
-            return GBResult(None, pairs, monotonic() - t0)
+            return None, pairs
+        if degree(lcm) > packing.max_deg:
+            raise _Overflow(degree(lcm))
         pairs += 1
-        rem = normal_form(_s_poly(basis[i], basis[j], lms[i], lms[j]), basis, lms)
-        if rem.is_zero():
+        rem = normal_form(_s_poly(basis[i], basis[j], lcm), basis, guard)
+        if not rem.terms:
             continue
-        rem = MPoly._of(varset, primitive_terms(rem.terms))
-        lm_new = max(rem.terms, key=grevlex_key)
-        if not any(lm_new):
-            basis = [MPoly.constant(varset, 1)]
-            return GBResult(basis, pairs, monotonic() - t0)
+        rem = _Poly(primitive_terms(rem.terms, rem.lm))
+        if rem.lm == 0:
+            return [MPoly.constant(varset, 1)], pairs
         new_idx = len(basis)
         basis.append(rem)
-        lms.append(lm_new)
+        lms.append(rem.lm)
         for t in range(new_idx):
             push_pair(t, new_idx)
 
-    reduced = _reduce_basis(basis, lms, budget)
-    return GBResult(reduced, pairs, monotonic() - t0)
+    return _reduce_basis(varset, basis, packing, budget), pairs
 
 
-def _reduce_basis(basis: list[MPoly], lms: list[Exponents], budget: Budget) -> list[MPoly] | None:
+def _reduce_basis(varset: VarSet, basis: list[_Poly], packing: _Packing,
+                  budget: Budget) -> list[MPoly] | None:
     """The reduced basis: minimal, each element fully reduced by the others,
     monic with Fraction coefficients, sorted by leading monomial. None when
     the budget's clock runs out between two normal forms."""
+    guard = packing.guard
+    lms = [g.lm for g in basis]
     keep = []
     for i, lm in enumerate(lms):
-        if any(j != i and divides(lms[j], lm)
+        if any(j != i and not (lm - lms[j]) & guard
                and (lms[j] != lm or j < i) for j in range(len(basis))):
             continue
         keep.append(i)
     minimal = [basis[i] for i in keep]
-    minimal_lms = [lms[i] for i in keep]
     reduced = []
     for i, g in enumerate(minimal):
         if budget.expired():
             return None
         others = minimal[:i] + minimal[i + 1:]
-        r = (normal_form(g, others, minimal_lms[:i] + minimal_lms[i + 1:])
-             if others else g)
-        if r.is_zero():
-            continue
-        lm = max(r.terms, key=grevlex_key)
-        reduced.append(r * Fraction(1, r.terms[lm]))
-    reduced.sort(key=lambda g: grevlex_key(max(g.terms, key=grevlex_key)))
-    return reduced
+        r = normal_form(g, others, guard) if others else g
+        if r.terms:
+            reduced.append(r)
+    reduced.sort(key=lambda g: g.lm)
+    return [packing.mpoly(varset, r) * Fraction(1, r.terms[r.lm]) for r in reduced]
 
 
 def ideal_contains_one(result: GBResult) -> bool:
@@ -413,7 +518,15 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None) -> GI
     if not 1 <= i <= model.a - 1:
         raise ValueError(f"index must be in [1, {model.a - 1}], got {i}")
     budget = (budget or Budget()).start()
-    ideal_f_form, cand_f_form = _presentation_obstruction(model, i)
+    return _check_g_index_on(model, i, _presentation_obstruction(model, i), budget)
+
+
+def _check_g_index_on(model: LocalModel, i: int, obstruction: tuple[Ideal, MPoly],
+                      budget: Budget) -> GIndexResult:
+    """``check_g_index`` with the obstruction presentation already built,
+    as ``_presentation_obstruction(model, i)`` returns it, and the budget
+    already started."""
+    ideal_f_form, cand_f_form = obstruction
     ideal_simple, cand_simple = _presentation_simplified(model, i)
     r1 = radical_member(cand_f_form, ideal_f_form, budget)
     r2 = radical_member(cand_simple, ideal_simple, budget)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul, neg
+from operator import add, mul, neg
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -311,18 +311,21 @@ def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
     return out
 
 
-def primitive_terms(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, int]:
+def primitive_terms(terms: Mapping[Hashable, Scalar], lead: Hashable | None = None) -> dict:
     """The primitive integer multiple of a nonzero polynomial's terms.
 
     Coefficients may be ints or Fractions. For c = n/d in lowest terms the
     content is gcd(n) / lcm(d), so each coefficient maps to the exact int
-    n // gcd(n) * (lcm(d) // d); the sign makes the grevlex-leading
-    coefficient positive.
+    n // gcd(n) * (lcm(d) // d); the sign makes the leading coefficient
+    positive: the one at ``lead``, by default at the grevlex-largest
+    exponent vector. The terms keep their order.
     """
     coeffs = terms.values()
     num_gcd = math.gcd(*[c.numerator for c in coeffs])
     den_lcm = math.lcm(*[c.denominator for c in coeffs])
-    if terms[max(terms, key=grevlex_key)] < 0:
+    if lead is None:
+        lead = max(terms, key=grevlex_key)
+    if terms[lead] < 0:
         num_gcd = -num_gcd
     return {e: c.numerator // num_gcd * (den_lcm // c.denominator) for e, c in terms.items()}
 
@@ -370,10 +373,6 @@ def poly_json(p: MPoly) -> dict:
             for e, c in p.sorted_terms()
         ],
     }
-
-
-def divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(map(le, e1, e2))
 
 
 def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:

@@ -2,13 +2,15 @@
 
 They restate, outside the library, facts the library relies on: the pair
 order of pole coordinates, the order of a section, the weights of the
-coefficient variables and weighted homogeneity of a polynomial, and what
-makes a genericity witness.
+coefficient variables and weighted homogeneity of a polynomial, what makes
+a genericity witness, and divisibility of monomials by their exponent
+vectors.
 """
 
 import math
 import re
 from fractions import Fraction
+from operator import le
 from typing import Sequence
 
 from equigen.expansion import LocalModel, big_f
@@ -22,7 +24,12 @@ from equigen.lifting import (
     pair_value,
     validate_section,
 )
-from equigen.polycore import MPoly, evaluate_many
+from equigen.polycore import Exponents, MPoly, evaluate_many
+
+
+def divides(e1: Exponents, e2: Exponents) -> bool:
+    """Does the monomial with exponents e1 divide the one with exponents e2?"""
+    return all(map(le, e1, e2))
 
 
 def pair_compare(config: SingularConfig, p1: Pair, p2: Pair) -> int:

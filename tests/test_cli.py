@@ -325,6 +325,31 @@ def test_scan_cache_other_engine_recomputed(capsys, tmp_path, monkeypatch):
     assert all(e["cached"] for e in json.loads(out)["rows"][0]["indices"])
 
 
+@pytest.mark.parametrize("use_cache", [False, True])
+def test_scan_builds_each_obstruction_presentation_once(capsys, tmp_path, monkeypatch, use_cache):
+    # The hashes and the check share one build per index; a warm cache
+    # builds it once too, for the hashes.
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    built = []
+    real = groebner._presentation_obstruction
+
+    def spy(model, i):
+        built.append((model.a, model.b, i))
+        return real(model, i)
+
+    monkeypatch.setattr(groebner, "_presentation_obstruction", spy)
+    monkeypatch.setattr(cli, "_presentation_obstruction", spy)
+    argv = ["scan", "--a-min", "3", "--a-max", "4", "--b-max", "5"]
+    if use_cache:
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    every_index = [(3, 4, 1), (3, 4, 2), (3, 5, 1), (3, 5, 2), (4, 5, 1), (4, 5, 2), (4, 5, 3)]
+    for _ in range(2 if use_cache else 1):
+        built.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert built == every_index
+
+
 def test_scan_without_cache_reads_no_fingerprint(capsys, monkeypatch):
     monkeypatch.delenv(cache.ENV_VAR, raising=False)
     cache.engine_fingerprint.cache_clear()

@@ -4,6 +4,7 @@ procedures for transversality and genericity."""
 import itertools
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -26,7 +27,7 @@ from equigen.groebner import (
 )
 from equigen.polycore import Exponents, MPoly, VarSet, grevlex_key, poly_text, primitive_terms
 
-from oracles import witness_verify
+from oracles import divides, witness_verify
 
 VS = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
@@ -84,6 +85,12 @@ def test_gb_invariant_under_generator_order():
         assert texts == expect
 
 
+def _nf(p, divisors):
+    """``normal_form`` of MPolys, packed and unpacked by the engine's packing."""
+    pk = groebner._Packing.of([p, *divisors])
+    return pk.mpoly(p.varset, normal_form(pk.poly(p), [pk.poly(g) for g in divisors], pk.guard))
+
+
 def test_normal_form_of_members_vanishes():
     res = buchberger(Ideal.of(VS, [X**2 - Y, X**3]))
     rng = random.Random(SEED)
@@ -93,7 +100,7 @@ def test_normal_form_of_members_vanishes():
             mult = MPoly(VS, {(rng.randint(0, 2), rng.randint(0, 2)):
                               Fraction(rng.randint(-3, 3))})
             combo = combo + mult * g
-        assert normal_form(combo, res.basis).is_zero()
+        assert _nf(combo, res.basis).is_zero()
 
 
 def reference_normal_form(p, basis):
@@ -144,7 +151,7 @@ def test_normal_form_matches_reference_scan():
                     for _ in range(rng.randint(1, 4))]
         divisors.insert(rng.randint(0, len(divisors)), MPoly.zero(VS3))
         p = _random_poly(rng, VS3, rng.randint(0, 12), 5)
-        got = normal_form(p, divisors)
+        got = _nf(p, divisors)
         want = reference_normal_form(p, divisors)
         assert got == want
         assert list(got.terms) == list(want.terms)
@@ -154,8 +161,8 @@ def test_normal_form_is_linear():
     res = buchberger(Ideal.of(VS, [X**2 - Y]))
     p = X**3 + Y
     q = X * Y - MPoly.constant(VS, 2)
-    lhs = normal_form(p + q, res.basis)
-    assert lhs == normal_form(p, res.basis) + normal_form(q, res.basis)
+    lhs = _nf(p + q, res.basis)
+    assert lhs == _nf(p, res.basis) + _nf(q, res.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +198,100 @@ def test_integer_s_poly_matches_monic_oracle():
         int_basis = [MPoly._of(VS3, primitive_terms(g.terms)) for g in basis]
         lms = [max(g.terms, key=grevlex_key) for g in basis]
         i, j = rng.sample(range(len(basis)), 2)
-        s_new = groebner._s_poly(int_basis[i], int_basis[j], lms[i], lms[j])
+        pk = groebner._Packing.of(basis)
+        g1, g2 = pk.poly(int_basis[i]), pk.poly(int_basis[j])
+        s_new = pk.mpoly(VS3, groebner._s_poly(g1, g2, pk.lcm(g1.lm, g2.lm)))
         s_old = monic_s_poly(basis[i], basis[j], lms[i], lms[j])
         assert all(type(c) is int for c in s_new.terms.values())
         assert tuple(map(max, lms[i], lms[j])) not in s_new.terms
         assert set(s_new.terms) == set(s_old.terms)
-        nf_new = normal_form(s_new, int_basis, lms)
-        nf_old = normal_form(s_old, basis, lms)
+        nf_new = _nf(s_new, int_basis)
+        nf_old = _nf(s_old, basis)
         assert set(nf_new.terms) == set(nf_old.terms)
         if nf_new.terms:
             assert primitive_terms(nf_new.terms) == primitive_terms(nf_old.terms)
             checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+def _random_exps(rng, n, top):
+    """An exponent vector of degree at most top, top itself one time in
+    four; single entries reach top too."""
+    total = top if rng.random() < 0.25 else rng.randint(0, top)
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_monomials_match_exponent_vectors(n):
+    rng = random.Random(SEED + n)
+    for degree in (1, 5, 23):
+        pk = groebner._Packing(n, degree)
+        top = pk.max_deg
+        assert top >= 2 * degree
+        corners = [tuple(top if k == j else 0 for k in range(n)) for j in range(n)]
+        vecs = [(0,) * n, *corners] + [_random_exps(rng, n, top) for _ in range(150)]
+        for _ in range(300):
+            e1, e2 = rng.choice(vecs), rng.choice(vecs)
+            if rng.random() < 0.3:  # a divisor of e2, and its cofactor
+                e1 = tuple(rng.randint(0, e) for e in e2)
+            m1, m2 = pk.pack(e1), pk.pack(e2)
+            assert pk.unpack(m1) == e1 and pk.degree(m1) == sum(e1)
+            assert (m1 < m2) == (grevlex_key(e1) < grevlex_key(e2))
+            assert (m1 == m2) == (e1 == e2)
+            assert (not (m2 - m1) & pk.guard) == divides(e1, e2)
+            lcm = tuple(map(max, e1, e2))
+            assert pk.lcm(m1, m2) == pk.pack(lcm)
+            assert pk.unpack(pk.lcm(m1, m2)) == lcm and pk.degree(pk.lcm(m1, m2)) == sum(lcm)
+            if sum(e1) + sum(e2) <= top:
+                assert m1 + m2 == pk.pack(tuple(map(add, e1, e2)))
+            if divides(e1, e2):
+                assert m2 - m1 == pk.pack(tuple(map(sub, e2, e1)))
+
+
+def _watch_packings(monkeypatch):
+    """The degree limit of each packed run, in the order the runs start."""
+    limits = []
+    real_run = groebner._buchberger_packed
+
+    def watched_run(varset, gens, packing, budget):
+        limits.append(packing.max_deg)
+        return real_run(varset, gens, packing, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger_packed", watched_run)
+    return limits
+
+
+def test_overflowing_s_pair_reruns_with_wider_fields(monkeypatch):
+    # Degree-3 input: the first packing holds degree 7, and an S-pair of
+    # degree 8 makes the run start again with wider fields. Basis and pair
+    # count are pinned from the engine on exponent tuples.
+    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    ideal = Ideal.of(VS3, [x * y**2 - y * z**2, x * z - y**3])
+    limits = _watch_packings(monkeypatch)
+    res = buchberger(ideal)
+    assert limits == [7, 31]
+    assert res.pairs_processed == 7
+    assert [poly_text(g) for g in res.basis] == [
+        "y^3 - x*z", "x*y^2 - y*z^2", "y^2*z^2 - x^2*z", "x^2*y*z - x*z^3",
+        "y*z^4 - x^3*z", "x*z^6 - x^5*z"]
+    # A pair budget counts the pairs of the run that finishes.
+    for n in range(7):
+        res = buchberger(ideal, Budget(max_pairs=n))
+        assert res.basis is None and res.pairs_processed == n
+
+
+def test_high_degree_input_fits_the_first_packing(monkeypatch):
+    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    limits = _watch_packings(monkeypatch)
+    res = buchberger(Ideal.of(VS3, [x**300 * y - z**2, y**2 * z - x**150]))
+    assert limits == [1023]
+    assert res.pairs_processed == 1
+    assert [poly_text(g) for g in res.basis] == ["y^5*z^2 - z^2", "x^150 - y^2*z"]
 
 
 def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
@@ -375,6 +464,13 @@ def test_check_g_56_pair_counts():
     verdict = check_g(LocalModel(5, 6))
     assert verdict.status is GStatus.HOLDS
     assert [r.pairs_processed for r in verdict.per_index] == [252, 288, 344, 224]
+
+
+def test_check_g_57_pair_counts():
+    verdict = check_g(LocalModel(5, 7))
+    assert verdict.status is GStatus.HOLDS
+    assert [r.status for r in verdict.per_index] == [GStatus.HOLDS] * 4
+    assert [r.pairs_processed for r in verdict.per_index] == [400, 530, 366, 246]
 
 
 class _FakeClock:

@@ -20,7 +20,6 @@ from equigen.polycore import (
     VarSet,
     _echelonize,
     det_bareiss,
-    divides,
     evaluate_many,
     grevlex_key,
     monomial_text,
@@ -30,7 +29,7 @@ from equigen.polycore import (
 )
 from equigen.series import TSeries
 
-from oracles import weighted_degree
+from oracles import divides, weighted_degree
 
 VS2 = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))

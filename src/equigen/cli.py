@@ -62,15 +62,15 @@ def _model(args: argparse.Namespace) -> LocalModel:
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    """The unstarted budget of --budget-secs and --max-pairs, both checked:
-    a deadline that never expires (nan, inf) or has already (<= 0) bounds
-    nothing."""
-    if not 0 < args.budget_secs < math.inf:
-        raise UsageError(f"--budget-secs must be a finite number of seconds > 0, "
-                         f"got {args.budget_secs}")
+    """The unstarted budget of --budget-secs (120 when not given) and
+    --max-pairs, both checked: a deadline that never expires (nan, inf) or
+    has already (<= 0) bounds nothing."""
+    seconds = 120.0 if args.budget_secs is None else args.budget_secs
+    if not 0 < seconds < math.inf:
+        raise UsageError(f"--budget-secs must be a finite number of seconds > 0, got {seconds}")
     if args.max_pairs is not None and args.max_pairs < 0:
         raise UsageError(f"--max-pairs must be at least 0, got {args.max_pairs}")
-    return Budget(args.budget_secs, args.max_pairs)
+    return Budget(seconds, args.max_pairs)
 
 
 def _parse_range(text: str | None, flag: str, default: Sequence[int] = ()) -> list[int]:
@@ -215,6 +215,11 @@ def _parse_witnesses(data: dict[str, Any], config: SingularConfig) -> list[tuple
 
 def cmd_gen(args: argparse.Namespace) -> int:
     model = _model(args)
+    if args.n is not None and args.kind != "F":
+        raise UsageError("--n is read only by gen F: use gen F or drop --n")
+    if args.m is not None and args.kind not in ("f", "theta"):
+        raise UsageError("--m is read only by gen f and gen theta: "
+                         "use gen f or gen theta or drop --m")
     items: list[tuple[str, Any]] = []
     if args.kind == "f":
         for m in _parse_range(args.m, "--m"):
@@ -253,10 +258,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     model = _model(args)
-    budget = _budget(args)
     if args.cond == "T":
-        if args.index is not None:
-            raise UsageError("--index is read only by check G: use check G or drop --index")
+        for flag, value in (("--index", args.index), ("--budget-secs", args.budget_secs),
+                            ("--max-pairs", args.max_pairs)):
+            if value is not None:
+                raise UsageError(f"{flag} is read only by check G: use check G or drop {flag}")
         if args.point is None:
             raise UsageError("check T needs --point")
         point = _parse_point(args.point, model.a - 1)
@@ -270,6 +276,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.point is not None:
         raise UsageError("--point is read only by check T: use check T or drop --point")
+    budget = _budget(args)
     if args.index is not None:
         results = [check_g_index(model, args.index, budget)]
     else:
@@ -658,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p)
     p.add_argument("--point", help="comma-separated rational coordinates c2..ca")
     p.add_argument("--index", type=int, help="single genericity index (default all)")
-    p.add_argument("--budget-secs", type=float, default=120.0,
+    p.add_argument("--budget-secs", type=float,
                    help="wall-clock seconds for the whole check (default 120)")
     p.add_argument("--max-pairs", type=int, help="S-pairs allowed per Groebner run")
     add_format(p)

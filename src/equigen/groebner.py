@@ -518,6 +518,8 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None) -> GI
     if not 1 <= i <= model.a - 1:
         raise ValueError(f"index must be in [1, {model.a - 1}], got {i}")
     budget = (budget or Budget()).start()
+    if budget.expired():
+        return GIndexResult(i, GStatus.TIMEOUT, Membership.TIMEOUT)
     return _check_g_index_on(model, i, _presentation_obstruction(model, i), budget)
 
 
@@ -525,10 +527,14 @@ def _check_g_index_on(model: LocalModel, i: int, obstruction: tuple[Ideal, MPoly
                       budget: Budget) -> GIndexResult:
     """``check_g_index`` with the obstruction presentation already built,
     as ``_presentation_obstruction(model, i)`` returns it, and the budget
-    already started."""
+    already started. The simplified presentation is built only while the
+    clock has time after the first run."""
     ideal_f_form, cand_f_form = obstruction
-    ideal_simple, cand_simple = _presentation_simplified(model, i)
     r1 = radical_member(cand_f_form, ideal_f_form, budget)
+    if budget.expired():
+        return GIndexResult(i, GStatus.TIMEOUT, Membership.TIMEOUT, r1.pairs_processed,
+                            r1.elapsed)
+    ideal_simple, cand_simple = _presentation_simplified(model, i)
     r2 = radical_member(cand_simple, ideal_simple, budget)
     pairs = r1.pairs_processed + r2.pairs_processed
     elapsed = r1.elapsed + r2.elapsed

@@ -137,7 +137,6 @@ class SectionBasis:
     """Echelonized representatives with pairwise distinct leading coordinates,
     sorted by decreasing section order (ties by increasing point index)."""
 
-    config: SingularConfig
     entries: list[BasisEntry]
 
 
@@ -149,7 +148,7 @@ def build_section_basis(config: SingularConfig, sections: Sequence[SectionProfil
     its id; leading coordinates are pairwise distinct by construction.
     """
     if not sections:
-        return SectionBasis(config, [])
+        return SectionBasis([])
     for s in sections:
         validate_section(config, s)
     ids = [s.id for s in sections]
@@ -169,7 +168,7 @@ def build_section_basis(config: SingularConfig, sections: Sequence[SectionProfil
         entries.append(BasisEntry(SectionProfile.of(ids[ri], row), lead,
                                   pair_value(config, w, lead)))
     entries.sort(key=lambda en: (-en.ord, en.leading[0]))
-    return SectionBasis(config, entries)
+    return SectionBasis(entries)
 
 
 @dataclass
@@ -190,7 +189,6 @@ class StarSystem:
     """
 
     config: SingularConfig
-    varset: VarSet
     equations: list[StarEquation]
 
 
@@ -208,7 +206,7 @@ def build_star_system(config: SingularConfig, basis: SectionBasis) -> StarSystem
             term = big_f(model, model.a - m) * (r * model.a)
             poly = poly + term.rename(joint, [f"c{k}_{j}" for k in range(2, model.a + 1)])
         equations.append(StarEquation(section.id, entry.ord, contributors, poly))
-    return StarSystem(config, joint, equations)
+    return StarSystem(config, equations)
 
 
 def star_satisfied(system: StarSystem, points: Sequence[Sequence[Fraction]]) -> bool:

@@ -17,21 +17,23 @@ where a caller reads a coefficient.
 ``reparam_solve`` finds the unique change of parameter
 ``s(next) = s - (1/a) * sum_{i=2}^{a} dprime_i s^{-(i-1)}
            + sum_{i=a+1}^{smax} eps_i s^{-(i-1)}``
-matching two coefficient vectors of the defining equation, order by order;
-it carries the binomial powers (W - 1)^j, 2 <= j <= a, of the unit
-W = s(next)/s beside it, and reads [W^e]_m off them.
+matching two coefficient vectors of the defining equation, order by order,
+and returns the unit W = s(next)/s as the dense list of its s^{-m}
+coefficients. It carries the binomial powers V_j = (W - 1)^j, j <= a,
+beside it and reads [W^e]_m = sum_j C(e, j) [V_j]_m off them.
 ``order_bound_audit`` checks the guaranteed valuation bounds of the output.
 
 Two checks verify a solution on their windows, modulo the declared
 truncations. ``pm_identity_check`` checks the matching identity (the
 regular-part difference of the twisted expansions equals the singular-part
-difference): it expands the unit once into its binomial powers
-V_j = (W - 1)^j, which vanish on the window after about K/3 of them, and
-takes every W^l it needs as sum_j C(l, j) V_j; the sigma polynomials share
-one monomial table per point. ``substitution_check`` back-substitutes the
-solved parameter into the defining equation with J. C. P. Miller's power
-recurrence for W^l; it shares none of the solver's recurrence and stays
-the solver's independent oracle.
+difference): it expands the returned unit into its binomial powers, which
+vanish on the window after about K/3 of them, and takes every W^l it needs
+from them; the sigma polynomials share one monomial table per point. Both
+tables of V_j are filled by one column step, ``_binomial_column``.
+``substitution_check`` back-substitutes the solved parameter into the
+defining equation with J. C. P. Miller's power recurrence for W^l; it
+shares none of the binomial-power code and stays the solver's independent
+oracle.
 """
 
 from __future__ import annotations
@@ -301,8 +303,9 @@ class ReparamResult:
     """Solution of the parameter-matching problem.
 
     delta_prime[i] (2 <= i <= a) and epsilon[i] (a+1 <= i <= smax) are the
-    coefficients of the corrected parameter; unit[i] = the s^{-i}
-    coefficient of s(next)/s, kept for downstream expansion reuse.
+    coefficients of the corrected parameter; unit[m] (0 <= m <= smax) is
+    the s^{-m} coefficient of the unit W = s(next)/s, so unit[0] == 1 and
+    unit[1] == 0.
     """
 
     model: LocalModel
@@ -310,7 +313,7 @@ class ReparamResult:
     modulus: int
     delta_prime: dict[int, TSeries]
     epsilon: dict[int, TSeries]
-    unit: dict[int, TSeries]
+    unit: list[TSeries]
 
 
 def _validate_coeff_vectors(model: LocalModel, c_now: Sequence[TSeries],
@@ -346,47 +349,33 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
     _validate_coeff_vectors(model, c_now, c_next, modulus)
     zero = TSeries.zero(modulus)
     one = TSeries.constant(1, modulus)
-    cnow = {k: c_now[k - 2] for k in range(2, a + 1)}
-    cnext = {k: c_next[k - 2] for k in range(2, a + 1)}
-    binom = [_binomials(e, a) for e in range(a + 1)]
+    # coeff[k] multiplies s(next)^{a-k}: s^a itself for k = 0, c_k(next) for k >= 2.
+    coeff = [one, zero, *c_next]
+    binom = [_binomials(e, e) for e in range(a + 1)]
 
-    # With W = s(next)/s: v[j][m] is the s^{-m} coefficient of (W - 1)^j, so
-    # v[1][m] = u_m, and w[e][m] that of W^e = sum_j C(e, j) (W - 1)^j, for
-    # e <= a - 2 (the exponents the c_k(next) terms read). Both fill in m order.
-    u: dict[int, TSeries] = {}
-    v: list[list[TSeries]] = [[zero] * (smax + 1) for _ in range(a + 1)]
-    w: list[list[TSeries]] = [[one] + [zero] * smax for _ in range(a - 1)]
+    # powers[j][m] = [V_j]_m for V_j = (W - 1)^j, 0 <= j <= a; [V_1]_m = u_m.
+    powers = [[one] + [zero] * smax] + [[zero] * (smax + 1) for _ in range(a)]
     for m in range(2, smax + 1):
-        # W - 1 starts at s^-2, so v[j][m] for j >= 2 reads only u_k with
-        # k <= m - 2, and [W^e]_m = e * u_m + sum_{j >= 2} C(e, j) v[j][m].
-        for j in range(2, min(a, m // 2) + 1):
-            prev = v[j - 1]
-            acc = zero
-            for k in range(2, m - 2 * j + 3):
-                if u[k] and prev[m - k]:
-                    acc = acc + u[k] * prev[m - k]
-            v[j][m] = acc
-        known = [zero] * (a + 1)
-        for e in range(2, a + 1):
-            acc = zero
-            for j in range(2, e + 1):
-                if v[j][m]:
-                    acc = acc + v[j][m] * binom[e][j]
-            known[e] = acc
-        lhs_known = known[a]
-        for k in range(2, a + 1):
-            if m - k >= 0:
-                lhs_known = lhs_known + cnext[k] * w[a - k][m - k]
-        rhs = cnow[m] if 2 <= m <= a else zero
-        um = (rhs - lhs_known) / a
-        u[m] = um
-        v[1][m] = um
-        for e in range(1, a - 1):
-            w[e][m] = known[e] + um * e
+        _binomial_column(powers, m)
+        # [V_1]_m is still zero, so this is the s^{a-m} coefficient of the
+        # left side without its a * u_m term.
+        lhs = zero
+        for k in range(min(a, m) + 1):
+            if coeff[k]:
+                col = m - k
+                w_e = zero
+                for j, c in enumerate(binom[a - k]):
+                    if powers[j][col]:
+                        w_e = w_e + powers[j][col] * c
+                # k = 0 comes first, and its factor is 1.
+                lhs = lhs + coeff[k] * w_e if k else w_e
+        rhs = c_now[m - 2] if m <= a else zero
+        powers[1][m] = (rhs - lhs) / a
 
-    delta_prime = {i: u[i] * (-a) for i in range(2, a + 1)}
-    epsilon = {i: u[i] for i in range(a + 1, smax + 1)}
-    return ReparamResult(model, smax, modulus, delta_prime, epsilon, u)
+    unit = [one] + powers[1][1:]
+    delta_prime = {i: unit[i] * (-a) for i in range(2, a + 1)}
+    epsilon = {i: unit[i] for i in range(a + 1, smax + 1)}
+    return ReparamResult(model, smax, modulus, delta_prime, epsilon, unit)
 
 
 @dataclass
@@ -435,14 +424,6 @@ def order_bound_audit(result: ReparamResult, c_now: Sequence[TSeries],
     return AuditReport(entries)
 
 
-def _unit_coeffs(result: ReparamResult) -> list[TSeries]:
-    """The unit W = s(next)/s densely: entry m is its s^{-m} coefficient,
-    for 0 <= m <= result.smax (W has no s^{-1} term)."""
-    K = result.modulus
-    return [TSeries.constant(1, K), TSeries.zero(K)] + [result.unit[m]
-                                                       for m in range(2, result.smax + 1)]
-
-
 def _unit_powers(unit: Sequence[TSeries], l: int, depth: int) -> list[TSeries]:
     """[W^l]_0 .. [W^l]_depth, the s^{-m} coefficients of W^l for any integer l.
 
@@ -475,6 +456,26 @@ def _binomials(l: int, n: int) -> list[int]:
     return out
 
 
+def _binomial_column(powers: list[list[TSeries]], m: int) -> None:
+    """Fill column m of a table of binomial powers of the unit W.
+
+    ``powers[j][m]`` is the s^{-m} coefficient of V_j = (W - 1)^j. For every
+    row j >= 2 this sets [V_j]_m = sum_k [V_1]_k [V_{j-1}]_{m-k}. W - 1 has
+    no s^0 term, so V_{j-1} none below s^{-(j-1)}, and the sum runs over
+    1 <= k <= m - j + 1: it reads only V_1 and the columns below m, which
+    must be filled, and never [V_1]_m.
+    """
+    step = powers[1]
+    zero = TSeries.zero(step[0].modulus)
+    for j in range(2, len(powers)):
+        prev = powers[j - 1]
+        acc = zero
+        for k in range(1, m - j + 2):
+            if prev[m - k] and step[k]:
+                acc = acc + step[k] * prev[m - k]
+        powers[j][m] = acc
+
+
 class _BinomialPowers:
     """The binomial powers V_j = (W - 1)^j, j = 0, 1, ..., of the unit W,
     and every integer power of W from them.
@@ -492,20 +493,16 @@ class _BinomialPowers:
         if depth >= len(unit):
             raise ValueError(f"unit known to s^-{len(unit) - 1}, power asked to s^-{depth}")
         zero = TSeries.zero(unit[0].modulus)
-        step = [zero] + list(unit[1:depth + 1])
-        powers = [[unit[0]] + [zero] * depth]
-        current = step
-        while any(current):
-            powers.append(current)
-            low = next(m for m, c in enumerate(current) if c)
-            product = [zero] * (depth + 1)
-            for m in range(low + 1, depth + 1):
-                acc = zero
-                for k in range(1, m - low + 1):
-                    if step[k] and current[m - k]:
-                        acc = acc + step[k] * current[m - k]
-                product[m] = acc
-            current = product
+        powers = [[unit[0]] + [zero] * depth, [zero] + list(unit[1:depth + 1])]
+        for m in range(2, depth + 1):
+            # This test runs at every column, so the top row V_j is zero
+            # below column m - 1, and V_{j+1} = V_1 V_j can be nonzero from
+            # column m on only if [V_j]_{m-1} is.
+            if powers[-1][m - 1]:
+                powers.append([zero] * (depth + 1))
+            _binomial_column(powers, m)
+        if not any(powers[-1]):
+            powers.pop()
         self.depth = depth
         self.powers = powers
         # _rows[m] = (den, rows): [V_0]_m, [V_1]_m, ... (j <= m) over one
@@ -536,14 +533,13 @@ def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
     compare both sides over the exponents a - smax .. a; exactness oracle
     for the solver (it shares none of the solver's recurrence)."""
     a, smax = result.model.a, result.smax
-    unit = _unit_coeffs(result)
     # diff[n]: the s^{a-n} coefficient of
     # s(next)^a + sum c_k(next) s(next)^{a-k} - s^a - sum c_k(now) s^{a-k}.
-    diff = _unit_powers(unit, a, smax)
+    diff = _unit_powers(result.unit, a, smax)
     diff[0] = diff[0] - 1
     for k in range(2, a + 1):
         diff[k] = diff[k] - c_now[k - 2]
-        for m, p in enumerate(_unit_powers(unit, a - k, smax - k)):
+        for m, p in enumerate(_unit_powers(result.unit, a - k, smax - k)):
             diff[k + m] = diff[k + m] + c_next[k - 2] * p
     return not any(diff)
 
@@ -571,7 +567,7 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     # s(next)^l for l <= l_max needs W^l only to depth l + smax <= depth, and
     # every s^l has l >= -l_sing > -smax.
     result = reparam_solve(model, c_now, c_next, max(depth, model.a), K)
-    powers = _BinomialPowers(_unit_coeffs(result), depth)
+    powers = _BinomialPowers(result.unit, depth)
 
     ls = range(-l_sing, l_max + 1)
     polys = [sigma_coeff(sigma_model, l, tmax=K) for l in ls]

@@ -127,6 +127,31 @@ def test_check_g_point_is_usage_error(capsys):
     assert err == "error: --point is read only by check T: use check T or drop --point\n"
 
 
+FLAG_OF_OTHER_KIND = {
+    "check-T-budget-secs": (["check", "T", "--point", "1", "--budget-secs", "5"],
+                            "--budget-secs is read only by check G: "
+                            "use check G or drop --budget-secs"),
+    "check-T-max-pairs": (["check", "T", "--point", "1", "--max-pairs", "5"],
+                          "--max-pairs is read only by check G: use check G or drop --max-pairs"),
+    "gen-theta-n": (["gen", "theta", "--m", "2", "--n", "2"],
+                    "--n is read only by gen F: use gen F or drop --n"),
+    "gen-f-n": (["gen", "f", "--m", "3", "--n", "2"],
+                "--n is read only by gen F: use gen F or drop --n"),
+    "gen-F-m": (["gen", "F", "--m", "5"],
+                "--m is read only by gen f and gen theta: use gen f or gen theta or drop --m"),
+    "gen-jacbar-m": (["gen", "jacbar", "--m", "5"],
+                     "--m is read only by gen f and gen theta: use gen f or gen theta or drop --m"),
+}
+
+
+@pytest.mark.parametrize("argv, message", FLAG_OF_OTHER_KIND.values(),
+                         ids=FLAG_OF_OTHER_KIND.keys())
+def test_flag_of_other_kind_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--a", "2", "--b", "3")
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_check_g_holds(capsys):
     code, out, _ = run(capsys, "check", "G", "--a", "3", "--b", "4")
     assert code == 0

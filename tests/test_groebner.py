@@ -517,6 +517,34 @@ def test_budget_clock_shared_across_indices(monkeypatch):
     assert verdict.per_index[1].elapsed < spent[1]
 
 
+def test_expired_budget_builds_no_presentation(monkeypatch):
+    clock = _FakeClock(monkeypatch)
+    builds = []
+    for name in ("_presentation_obstruction", "_presentation_simplified"):
+        def build(*args, real=getattr(groebner, name), name=name):
+            builds.append(name)
+            return real(*args)
+        monkeypatch.setattr(groebner, name, build)
+    model = LocalModel(3, 4)
+    assert check_g(model).status is GStatus.HOLDS
+    assert builds == ["_presentation_obstruction", "_presentation_simplified"] * 2
+    # A clock already run out calls neither builder.
+    builds.clear()
+    budget = Budget(seconds=0.5).start()
+    clock.now += 1
+    verdict = check_g(model, budget)
+    assert builds == []
+    assert verdict.status is GStatus.TIMEOUT
+    assert [(r.status, r.pairs_processed) for r in verdict.per_index] == [
+        (GStatus.TIMEOUT, 0)] * 2
+    # A clock that runs out in the first run (after two one-second pairs)
+    # skips the second presentation.
+    res = check_g_index(model, 1, Budget(seconds=1.5))
+    assert builds == ["_presentation_obstruction"]
+    assert res.status is GStatus.TIMEOUT
+    assert res.pairs_processed == 2
+
+
 def test_budget_bounds_final_inter_reduction(monkeypatch):
     clock = _FakeClock(monkeypatch)
     gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]

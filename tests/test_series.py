@@ -16,7 +16,6 @@ from equigen.series import (
     TSeries,
     _binomials,
     _BinomialPowers,
-    _unit_coeffs,
     _unit_powers,
     order_bound_audit,
     pm_identity_check,
@@ -347,7 +346,8 @@ def test_reparam_unit_matches_convolution_recurrence():
             smax = rng.randint(20, 24)
             c_now, c_next = _random_pair(rng, model, modulus)
             res = reparam_solve(model, c_now, c_next, smax, modulus)
-            assert res.unit == _unit_by_convolution(model, c_now, c_next, smax, modulus)
+            u = _unit_by_convolution(model, c_now, c_next, smax, modulus)
+            assert res.unit[2:] == [u[m] for m in range(2, smax + 1)]
 
 
 def test_reparam_validation():
@@ -421,7 +421,7 @@ def _units(depth):
     return {
         "one-minus-t": [ts(1), ts(0, -1)] + [ts()] * (depth - 1),
         "one-plus-t": [ts(1), ts(0, 1)] + [ts()] * (depth - 1),
-        "solved": _unit_coeffs(reparam_solve(model, c_now, c_next, depth, K)),
+        "solved": reparam_solve(model, c_now, c_next, depth, K).unit,
         "dense": [ts(1)] + [TSeries(K, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                         for _ in range(K)]) for _ in range(depth)],
     }
@@ -450,7 +450,7 @@ def test_unit_powers_match_repeated_convolution(unit):
 def test_unit_powers_refuse_depth_past_smax():
     model, c_now, c_next = _worked_example()
     res = reparam_solve(model, c_now, c_next, 8, K)
-    unit = _unit_coeffs(res)
+    unit = res.unit
     # u_1 = 0 by the shape of s(next); u_2 = -delta_2 / 2
     assert unit[:3] == [ts(1), ts(), ts(0, 0, 0, Fraction(-1, 2))]
     assert len(_unit_powers(unit, -2, res.smax)) == res.smax + 1
@@ -606,6 +606,23 @@ def test_pm_expands_binomial_powers_and_substitution_keeps_miller(monkeypatch):
         substitution_check(res, c_now, c_next)
 
 
+def test_binomial_column_step_is_shared_and_substitution_keeps_miller(monkeypatch):
+    # The solver and pm's table of binomial powers fill their columns with one
+    # step; substitution_check, the solver's independent oracle, never calls it.
+    model, c_now, c_next = _worked_example()
+    res = reparam_solve(model, c_now, c_next, 8, K)
+
+    def refuse(*args):
+        raise AssertionError("_binomial_column called")
+
+    monkeypatch.setattr(series, "_binomial_column", refuse)
+    assert substitution_check(res, c_now, c_next)
+    with pytest.raises(AssertionError):
+        pm_identity_check(SigmaModel(model), c_now, c_next, 8, K)
+    with pytest.raises(AssertionError):
+        _BinomialPowers(res.unit, 8)
+
+
 def _pm_difference_by_miller(sigma_model, c_now, c_next, smax, modulus):
     """The regrouped matching-identity difference as computed before the
     binomial powers: one Miller recurrence for W^l and one ``MPoly.evaluate``
@@ -614,7 +631,7 @@ def _pm_difference_by_miller(sigma_model, c_now, c_next, smax, modulus):
     l_max = model.b + len(sigma_model.g0)
     l_sing = max(modulus - model.b - 1, 0)
     result = series.reparam_solve(model, c_now, c_next, max(smax + l_max, model.a), modulus)
-    unit = _unit_coeffs(result)
+    unit = result.unit
 
     def sigma_at(poly, values):
         v = poly.evaluate(values)

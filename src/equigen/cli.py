@@ -41,8 +41,9 @@ from .lifting import (
     zero_provider,
 )
 from .polycore import MPoly, poly_json, poly_text
-from .series import (TriState, TSeries, order_bound_audit, pm_identity_check, pm_window_bound,
-                     reparam_solve, substitution_check)
+from .series import (TriState, TSeries, _check_solve_args, _pm_depth, _solved_pm_difference,
+                     order_bound_audit, pm_identity_check, pm_window_bound, reparam_solve,
+                     substitution_check)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -410,16 +411,28 @@ def cmd_reparam(args: argparse.Namespace) -> int:
     n = model.a - 1
     c_now = _parse_fraction_rows(args.c_now, K, n, "--c-now")
     c_next = _parse_fraction_rows(args.c_next, K, n, "--c-next")
-    result = reparam_solve(model, c_now, c_next, args.smax, K)
-    sub_ok = substitution_check(result, c_now, c_next)
-    audit = order_bound_audit(result, c_now, c_next)
-    pm = None
+    result = pm = None
     if args.pm:
+        # A bad --smax or coefficient row is reported before a bad --g0.
+        _check_solve_args(model, c_now, c_next, args.smax, K)
         g0 = (tuple(_fraction(x, "--g0 coefficient")
                     for x in _require(_json_arg(args.g0, "--g0"), list, "--g0"))
               if args.g0 else ())
-        pm = pm_identity_check(SigmaModel(model, g0), c_now, c_next, args.smax, K)
         smax_needed = pm_window_bound(model, K)
+        if args.smax < smax_needed:
+            pm = TriState.INCONCLUSIVE
+        else:
+            # One solve at the depth the matching identity needs; what is
+            # printed and audited is its cut at --smax.
+            sigma_model = SigmaModel(model, g0)
+            deep = reparam_solve(model, c_now, c_next, _pm_depth(sigma_model, args.smax), K)
+            diff = _solved_pm_difference(sigma_model, deep, c_now, c_next, args.smax)
+            pm = TriState.FALSE if any(diff) else TriState.TRUE
+            result = deep.cut(args.smax)
+    if result is None:
+        result = reparam_solve(model, c_now, c_next, args.smax, K)
+    sub_ok = substitution_check(result, c_now, c_next)
+    audit = order_bound_audit(result, c_now, c_next)
 
     if args.format == "json":
         doc = {

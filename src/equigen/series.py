@@ -6,13 +6,16 @@ the module's only series type. A Laurent expansion in s is handled as a
 dense list of TSeries over a window of s-exponents fixed before any
 arithmetic starts, so nothing outside the window is ever computed or read.
 
-A series is stored as integer numerators over one shared positive
-denominator, in lowest terms, so series arithmetic makes no ``Fraction``:
-sums bring both operands to the lcm of their denominators, a scalar
-multiplies the numerators and the denominator, and a product convolves
-the numerators (one C-level dot product per output coefficient) after
-stripping the leading zeros of both operands. ``Fraction``s are made only
-where a caller reads a coefficient.
+A series is stored as its t-adic valuation and the integer numerators
+from there to its last nonzero coefficient, over one shared positive
+denominator, in lowest terms, so series arithmetic makes no ``Fraction``
+and never builds, scans or copies the zeros below a valuation: sums bring
+both operands to the lcm of their denominators and pad only the gap
+between their valuations, a scalar multiplies the numerators and the
+denominator, a shift moves the valuation, and a product adds the
+valuations and convolves the numerators (one C-level dot product per
+output coefficient). ``Fraction``s are made only where a caller reads a
+coefficient.
 
 ``reparam_solve`` finds the unique change of parameter
 ``s(next) = s - (1/a) * sum_{i=2}^{a} dprime_i s^{-(i-1)}
@@ -41,8 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, not_, sub
 from typing import Sequence, Union
 
 from .expansion import LocalModel, SigmaModel, sigma_coeff
@@ -69,49 +73,58 @@ def _ratio(value: Scalar) -> tuple[int, int]:
 class TSeries:
     """Truncated power series in t: exact coefficients, fixed modulus K.
 
-    The t^i coefficient is ``_num[i] / _den``: ``_num`` is a tuple of ints
-    with trailing zeros trimmed, never longer than K, and ``_den`` is a
-    positive int. The form is canonical: ``gcd(_den, *_num) == 1`` and the
-    zero series has ``_den == 1``, so equal values have equal fields and
-    ``__eq__`` and ``__hash__`` compare them directly. The order of the
+    The t^i coefficient is ``_num[i - _val] / _den`` for
+    ``_val <= i < _val + len(_num)`` and zero elsewhere: ``_val`` is the
+    valuation, ``_num`` is a tuple of ints from the first nonzero
+    coefficient to the last one, with ``_val + len(_num) <= K``, and
+    ``_den`` is a positive int. The form is canonical:
+    ``gcd(_den, *_num) == 1`` and the zero series is
+    ``(_val, _num, _den) == (0, (), 1)``, so equal values have equal fields
+    and ``__eq__`` and ``__hash__`` compare them directly. The order of the
     zero series is K (a sentinel meaning "at least the modulus").
 
     The public constructor coerces every coefficient with ``Fraction`` and
     checks the modulus; ``coeffs`` and ``coeff`` hand coefficients back as
-    reduced ``Fraction``s. Results of series arithmetic are built by the
-    trusted ``_of``, which only trims and reduces.
+    reduced ``Fraction``s, read from t^0. Results of series arithmetic are
+    built by the trusted ``_of``, which only strips zeros and reduces.
     """
 
-    __slots__ = ("modulus", "_num", "_den")
+    __slots__ = ("modulus", "_val", "_num", "_den")
 
     def __init__(self, modulus: int, coeffs: Sequence[Scalar] = ()):
         if modulus < 1:
             raise ValueError("modulus must be at least 1")
         cs = [Fraction(c) for c in coeffs[:modulus]]
         den = lcm(*[c.denominator for c in cs])
-        num = [c.numerator * (den // c.denominator) for c in cs]
-        while num and not num[-1]:
-            num.pop()
+        canon = TSeries._of(modulus, 0, [c.numerator * (den // c.denominator) for c in cs], den)
         self.modulus = modulus
-        self._num = tuple(num)
-        self._den = den if num else 1
+        self._val, self._num, self._den = canon._val, canon._num, canon._den
 
     @classmethod
-    def _of(cls, modulus: int, num: list[int], den: int) -> "TSeries":
-        """Trusted constructor: ``num`` holds at most ``modulus`` ints and
-        ``den`` is positive; trailing zeros are trimmed (in place) and the
-        fraction is put in lowest terms."""
+    def _of(cls, modulus: int, val: int, num: list[int], den: int) -> "TSeries":
+        """Trusted constructor: ``num`` holds the coefficients of t^val,
+        t^(val + 1), ... over ``den`` > 0, with ``val + len(num) <= modulus``;
+        its trailing zeros are trimmed (in place) and its leading ones
+        stripped, and the fraction is put in lowest terms."""
         while num and not num[-1]:
             num.pop()
         if not num:
+            val = 0
             den = 1
-        elif den != 1:
-            g = gcd(den, *num)
-            if g != 1:
-                num = [a // g for a in num]
-                den //= g
+        else:
+            if not num[0]:
+                # Cancellation left leading zeros; count them at C speed.
+                k = len(list(takewhile(not_, num)))
+                num = num[k:]
+                val += k
+            if den != 1:
+                g = gcd(den, *num)
+                if g != 1:
+                    num = [a // g for a in num]
+                    den //= g
         out = object.__new__(cls)
         out.modulus = modulus
+        out._val = val
         out._num = tuple(num)
         out._den = den
         return out
@@ -120,7 +133,7 @@ class TSeries:
     def zero(modulus: int) -> "TSeries":
         if modulus < 1:
             raise ValueError("modulus must be at least 1")
-        return TSeries._of(modulus, [], 1)
+        return TSeries._of(modulus, 0, [], 1)
 
     @staticmethod
     def constant(value: Scalar, modulus: int) -> "TSeries":
@@ -134,15 +147,15 @@ class TSeries:
             raise ValueError("modulus must be at least 1")
         p, q = _ratio(coeff)
         if not p or n >= modulus:
-            return TSeries._of(modulus, [], 1)
-        return TSeries._of(modulus, [0] * n + [p], q)
+            return TSeries._of(modulus, 0, [], 1)
+        return TSeries._of(modulus, n, [p], q)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The stored coefficients as reduced ``Fraction``s; entry i is the
-        t^i coefficient."""
+        """The coefficients up to the last nonzero one as reduced
+        ``Fraction``s; entry i is the t^i coefficient."""
         d = self._den
-        return tuple(Fraction(a, d) for a in self._num)
+        return (Fraction(0),) * self._val + tuple(Fraction(a, d) for a in self._num)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -152,15 +165,13 @@ class TSeries:
 
     def ord(self) -> int:
         """t-adic valuation; the modulus itself for the zero series."""
-        for i, a in enumerate(self._num):
-            if a:
-                return i
-        return self.modulus
+        return self._val if self._num else self.modulus
 
     def coeff(self, i: int) -> Fraction:
         if not 0 <= i < self.modulus:
             raise ValueError(f"coefficient index {i} outside modulus {self.modulus}")
-        return Fraction(self._num[i], self._den) if i < len(self._num) else Fraction(0)
+        i -= self._val
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     def _coerce(self, other: "TSeries | Scalar") -> "TSeries":
         if isinstance(other, TSeries):
@@ -174,14 +185,14 @@ class TSeries:
             other = TSeries.constant(other, self.modulus)
         if not isinstance(other, TSeries):
             return NotImplemented
-        return (self.modulus == other.modulus and self._den == other._den
-                and self._num == other._num)
+        return (self.modulus == other.modulus and self._val == other._val
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self._num, self._den))
+        return hash((self.modulus, self._val, self._num, self._den))
 
     def __neg__(self) -> "TSeries":
-        return TSeries._of(self.modulus, [-a for a in self._num], self._den)
+        return TSeries._of(self.modulus, self._val, [-a for a in self._num], self._den)
 
     def _sum(self, other: "TSeries | Scalar", op) -> "TSeries":
         """self + other for ``op`` = ``add``, self - other for ``sub``."""
@@ -189,6 +200,8 @@ class TSeries:
         x, y = self._num, other._num
         if not y:
             return self
+        if not x:
+            return other if op is add else -other
         dx, dy = self._den, other._den
         d = dx
         if dx != dy:
@@ -197,14 +210,25 @@ class TSeries:
                 x = [a * (d // dx) for a in x]
             if d != dy:
                 y = [b * (d // dy) for b in y]
+        # Pad the later-starting operand by the gap between the valuations.
+        vx, vy = self._val, other._val
+        if vx < vy:
+            pad = [0] * (vy - vx)
+            pad += y
+            y = pad
+        elif vy < vx:
+            pad = [0] * (vx - vy)
+            pad += x
+            x = pad
+            vx = vy
         out = list(map(op, x, y))
         if len(x) > len(y):
-            out.extend(x[len(y):])
+            out += x[len(y):]
         elif op is add:
-            out.extend(y[len(x):])
+            out += y[len(x):]
         else:
-            out.extend([-b for b in y[len(x):]])
-        return TSeries._of(self.modulus, out, d)
+            out += [-b for b in y[len(x):]]
+        return TSeries._of(self.modulus, vx, out, d)
 
     def __add__(self, other: "TSeries | Scalar") -> "TSeries":
         return self._sum(other, add)
@@ -220,9 +244,9 @@ class TSeries:
     def _scaled(self, p: int, q: int) -> "TSeries":
         """self * p / q for ints p and q > 0."""
         if not p:
-            return TSeries._of(self.modulus, [], 1)
+            return TSeries._of(self.modulus, 0, [], 1)
         num = list(self._num) if p == 1 else [a * p for a in self._num]
-        return TSeries._of(self.modulus, num, self._den * q)
+        return TSeries._of(self.modulus, self._val, num, self._den * q)
 
     def __mul__(self, other: "TSeries | Scalar") -> "TSeries":
         if not isinstance(other, TSeries):
@@ -230,22 +254,12 @@ class TSeries:
         other = self._coerce(other)
         K = self.modulus
         x, y = self._num, other._num
-        if not x or not y:
-            return TSeries._of(K, [], 1)
-        # Strip the leading zeros of both operands; the product is shifted
-        # back by the sum of their valuations.
-        vx = vy = 0
-        while not x[vx]:
-            vx += 1
-        while not y[vy]:
-            vy += 1
-        shift = vx + vy
-        if shift >= K:
-            return TSeries._of(K, [], 1)
-        x, y = x[vx:], y[vy:]
+        val = self._val + other._val
+        if not x or not y or val >= K:
+            return TSeries._of(K, 0, [], 1)
         if len(x) < len(y):
             x, y = y, x
-        n = min(K - shift, len(x) + len(y) - 1)
+        n = min(K - val, len(x) + len(y) - 1)
         if len(y) == 1:
             k = y[0]
             out = [a * k for a in x[:n]]
@@ -257,7 +271,7 @@ class TSeries:
             m = min(n, len(y))
             out = [sum(map(mul, x, ry[top - k:])) for k in range(m)]
             out += [sum(map(mul, x[k - top:], ry)) for k in range(m, n)]
-        return TSeries._of(K, [0] * shift + out, self._den * other._den)
+        return TSeries._of(K, val, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -287,9 +301,10 @@ class TSeries:
         if n < 0:
             raise ValueError("negative shift")
         K = self.modulus
-        if n >= K:
-            return TSeries._of(K, [], 1)
-        return TSeries._of(K, [0] * n + list(self._num[:K - n]), self._den)
+        val = self._val + n
+        if not self._num or val >= K:
+            return TSeries._of(K, 0, [], 1)
+        return TSeries._of(K, val, list(self._num[:K - val]), self._den)
 
     def __repr__(self) -> str:
         if not self._num:
@@ -315,6 +330,13 @@ class ReparamResult:
     epsilon: dict[int, TSeries]
     unit: list[TSeries]
 
+    def cut(self, smax: int) -> "ReparamResult":
+        """This solution to depth smax (a <= smax <= self.smax): equal to
+        solving at smax, since order m of the solve reads only lower orders."""
+        return ReparamResult(self.model, smax, self.modulus, dict(self.delta_prime),
+                             {i: e for i, e in self.epsilon.items() if i <= smax},
+                             self.unit[:smax + 1])
+
 
 def _validate_coeff_vectors(model: LocalModel, c_now: Sequence[TSeries],
                             c_next: Sequence[TSeries], modulus: int) -> None:
@@ -333,6 +355,14 @@ def _validate_coeff_vectors(model: LocalModel, c_now: Sequence[TSeries],
             raise ValueError(f"ord(c{idx}(next) - c{idx}(now)) < {need}")
 
 
+def _check_solve_args(model: LocalModel, c_now: Sequence[TSeries],
+                      c_next: Sequence[TSeries], smax: int, modulus: int) -> None:
+    """Raise the ``ValueError`` that ``reparam_solve`` raises on these arguments."""
+    if smax < model.a:
+        raise ValueError(f"smax must be at least a = {model.a}")
+    _validate_coeff_vectors(model, c_now, c_next, modulus)
+
+
 def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[TSeries],
                   smax: int, modulus: int) -> ReparamResult:
     """Match s^a + sum c_k(next) s(next)^{a-k} to the same expression at the
@@ -344,9 +374,7 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
     delta_prime_3 = delta_3.
     """
     a = model.a
-    if smax < a:
-        raise ValueError(f"smax must be at least a = {a}")
-    _validate_coeff_vectors(model, c_now, c_next, modulus)
+    _check_solve_args(model, c_now, c_next, smax, modulus)
     zero = TSeries.zero(modulus)
     one = TSeries.constant(1, modulus)
     # coeff[k] multiplies s(next)^{a-k}: s^a itself for k = 0, c_k(next) for k >= 2.
@@ -505,17 +533,24 @@ class _BinomialPowers:
             powers.pop()
         self.depth = depth
         self.powers = powers
-        # _rows[m] = (den, rows): [V_0]_m, [V_1]_m, ... (j <= m) over one
-        # denominator, transposed so rows[i] holds their t^i numerators and
-        # each t^i coefficient of a power is one dot product with binomials.
+        # _rows[m] = (val, den, rows): [V_0]_m, [V_1]_m, ... (j <= m) over one
+        # denominator, aligned at their least valuation val and transposed
+        # so rows[i] holds their t^(val + i) numerators; each coefficient of
+        # a power is then one dot product with binomials.
         self._rows = []
         for m in range(depth + 1):
             column = [powers[j][m] for j in range(min(m, len(powers) - 1) + 1)]
-            den = lcm(*[c._den for c in column])
-            width = max(len(c._num) for c in column)
-            nums = [[a * (den // c._den) for a in c._num] + [0] * (width - len(c._num))
+            live = [c for c in column if c]
+            if not live:
+                self._rows.append((0, 1, []))
+                continue
+            val = min(c._val for c in live)
+            end = max(c._val + len(c._num) for c in live)
+            den = lcm(*[c._den for c in live])
+            nums = [[0] * (c._val - val) + [a * (den // c._den) for a in c._num]
+                    + [0] * (end - c._val - len(c._num)) if c else [0] * (end - val)
                     for c in column]
-            self._rows.append((den, list(zip(*nums))))
+            self._rows.append((val, den, list(zip(*nums))))
 
     def power(self, l: int, depth: int) -> list[TSeries]:
         """[W^l]_0 .. [W^l]_depth for any integer l."""
@@ -523,8 +558,8 @@ class _BinomialPowers:
             raise ValueError(f"powers known to s^-{self.depth}, asked to s^-{depth}")
         binom = _binomials(l, len(self.powers) - 1)
         K = self.powers[0][0].modulus
-        return [TSeries._of(K, [sum(map(mul, binom, row)) for row in rows], den)
-                for den, rows in self._rows[:depth + 1]]
+        return [TSeries._of(K, val, [sum(map(mul, binom, row)) for row in rows], den)
+                for val, den, rows in self._rows[:depth + 1]]
 
 
 def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
@@ -550,23 +585,38 @@ def pm_window_bound(model: LocalModel, modulus: int) -> int:
     return modulus - model.b
 
 
+def _pm_depth(sigma_model: SigmaModel, smax: int) -> int:
+    """The s-depth smax + l_max (at least a) to which the matching identity
+    on the window -smax .. l_max needs the unit solved."""
+    model = sigma_model.model
+    return max(smax + model.b + len(sigma_model.g0), model.a)
+
+
 def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
                    c_next: Sequence[TSeries], smax: int, modulus: int) -> list[TSeries]:
     """The regrouped difference of ``pm_identity_check``: entry i is its
-    s^{l_max - i} coefficient, for s-exponents l_max down to -smax.
+    s^{l_max - i} coefficient, for s-exponents l_max down to -smax."""
+    result = reparam_solve(sigma_model.model, c_now, c_next, _pm_depth(sigma_model, smax),
+                           modulus)
+    return _solved_pm_difference(sigma_model, result, c_now, c_next, smax)
 
-    The unit is solved to depth smax + l_max and expanded once into the
-    binomial powers V_j = (W - 1)^j; each s(next)^l = s^l W^l then needs
-    only [W^l]_m = sum_j C(l, j) [V_j]_m.
+
+def _solved_pm_difference(sigma_model: SigmaModel, result: ReparamResult,
+                          c_now: Sequence[TSeries], c_next: Sequence[TSeries],
+                          smax: int) -> list[TSeries]:
+    """``_pm_difference`` from ``result``, the unit solved to at least
+    ``_pm_depth(sigma_model, smax)``.
+
+    The unit is expanded once into the binomial powers V_j = (W - 1)^j;
+    each s(next)^l = s^l W^l then needs only [W^l]_m = sum_j C(l, j) [V_j]_m.
     """
     model = sigma_model.model
-    K = modulus
+    K = result.modulus
     l_max = model.b + len(sigma_model.g0)
     l_sing = max(K - model.b - 1, 0)
     depth = smax + l_max
     # s(next)^l for l <= l_max needs W^l only to depth l + smax <= depth, and
     # every s^l has l >= -l_sing > -smax.
-    result = reparam_solve(model, c_now, c_next, max(depth, model.a), K)
     powers = _BinomialPowers(result.unit, depth)
 
     ls = range(-l_sing, l_max + 1)

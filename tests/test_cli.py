@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from equigen import cache, cli, groebner, lifting
+from equigen import cache, cli, groebner, lifting, series
 from equigen.cli import main
 from equigen.expansion import LocalModel
 from equigen.groebner import InternalConsistencyError
@@ -506,6 +506,31 @@ def test_reparam_json_names_the_pm_window_bound(capsys):
     assert doc["pm_identity"] == "true" and doc["pm_smax_needed"] == 7
     code, out, _ = run(capsys, *args)
     assert code == 0 and "pm_smax_needed" not in json.loads(out)
+
+
+def test_reparam_pm_solves_once(capsys, monkeypatch):
+    # A deciding window solves once, at the depth smax + b + len(g0) the
+    # matching identity needs, and prints that solve cut at --smax; an
+    # inconclusive window solves once at --smax.
+    depths = []
+    solve = series.reparam_solve
+
+    def counting(model, c_now, c_next, smax, modulus):
+        depths.append(smax)
+        return solve(model, c_now, c_next, smax, modulus)
+
+    monkeypatch.setattr(series, "reparam_solve", counting)
+    monkeypatch.setattr(cli, "reparam_solve", counting)
+    args = ("reparam", "--a", "2", "--b", "3", "--c-now", "[[0,0,1]]",
+            "--c-next", "[[0,0,1,1]]", "--modulus", "10")
+    code, plain, _ = run(capsys, *args, "--smax", "8")
+    assert code == 0 and depths == [8]
+    code, out, _ = run(capsys, *args, "--smax", "8", "--pm", "--g0", "[1, 2]")
+    assert code == 0 and depths == [8, 13]
+    assert out == plain + "matching identity: true\n"
+    code, out, _ = run(capsys, *args, "--smax", "3", "--pm")
+    assert code == 2 and depths == [8, 13, 3]
+    assert "matching identity: inconclusive" in out
 
 
 def test_reparam_usage_error(capsys):

@@ -191,13 +191,13 @@ def test_tseries_pow_matches_fraction_oracle():
 
 
 def _rep(s):
-    return s.modulus, s._num, s._den, hash(s)
+    return s.modulus, s._val, s._num, s._den, hash(s)
 
 
 def test_tseries_representation_is_canonical():
     # equal values built along different paths store the same fields
     half = TSeries(6, [0, Fraction(1, 2), Fraction(3, 4)])
-    assert (half._num, half._den) == ((0, 2, 3), 4)
+    assert (half._val, half._num, half._den) == (1, (2, 3), 4)
     assert _rep(TSeries(6, [0, Fraction(2, 4), Fraction(6, 8), 0])) == _rep(half)
     # a sum that cancels the terms that set the denominator
     tail = TSeries(6, [0, 0, Fraction(3, 4)])
@@ -216,7 +216,7 @@ def test_tseries_representation_is_canonical():
     assert TSeries(2, TSeries(6, [1, 2, Fraction(1, 7)]).coeffs)._den == 1
     # the zero series, however it arises
     zero = _rep(TSeries(6))
-    assert zero[1:3] == ((), 1)
+    assert zero[1:4] == (0, (), 1)
     for z in (TSeries.zero(6), half - half, half * 0, half.shift(6),
               TSeries(6, [0, 0, 0, 0, 0, 0, Fraction(1, 3)]), TSeries.t_power(2, 6, 0),
               TSeries(6, [0, Fraction(1, 3)]) * TSeries(6, [0, 0, 0, 0, 0, 5]),
@@ -225,8 +225,114 @@ def test_tseries_representation_is_canonical():
         assert _rep(z) == zero
     # mixed denominators in a sum land on the reduced lcm
     s = TSeries(6, [Fraction(1, 6)]) + TSeries(6, [Fraction(1, 3), Fraction(1, 10)])
-    assert (s._num, s._den) == ((5, 1), 10)
+    assert (s._val, s._num, s._den) == (0, (5, 1), 10)
     assert s.coeffs == (Fraction(1, 2), Fraction(1, 10))
+
+
+def _at(val, coeffs, modulus=K):
+    """sum_i coeffs[i] t^(val + i), truncated at the modulus."""
+    return TSeries(modulus, [0] * val + [Fraction(c) for c in coeffs])
+
+
+def _assert_valuation_form(s, dense):
+    """s stores the dense Fraction list ``dense`` (from t^0) in canonical form."""
+    modulus = s.modulus
+    expected = _oracle(modulus, dense)
+    _assert_kernel_result(s, modulus, expected)
+    if not expected:
+        assert (s._val, s._num, s._den) == (0, (), 1)
+        assert s.ord() == modulus
+    else:
+        val = next(i for i, c in enumerate(expected) if c)
+        assert s._val == s.ord() == val
+        assert s._num[0] and s._num[-1]
+        assert s._val + len(s._num) == len(expected) <= modulus
+        assert math.gcd(s._den, *s._num) == 1 and s._den > 0
+    for i in range(modulus):
+        c = s.coeff(i)
+        assert type(c) is Fraction and c == (expected[i] if i < len(expected) else 0)
+
+
+def test_tseries_valuation_edge_cases_match_dense_oracle():
+    h = Fraction(1, 2)
+    x = _at(3, [h, 2, 5])
+    # equal valuations whose leading terms cancel, partly and to zero
+    y = _at(3, [h, 2, Fraction(1, 3)])
+    _assert_valuation_form(x - y, [0] * 5 + [Fraction(14, 3)])
+    _assert_valuation_form(x + (-y), [0] * 5 + [Fraction(14, 3)])
+    _assert_valuation_form(x - _at(3, [h, 1, 5]), [0, 0, 0, 0, 1])
+    _assert_valuation_form(x - x, [])
+    _assert_valuation_form(x + -x, [])
+    _assert_valuation_form(_at(2, [Fraction(1, 6), Fraction(1, 4)]) - _at(2, [Fraction(1, 6)]),
+                           [0, 0, 0, Fraction(1, 4)])
+    # a valuation gap, both operand orders, with and without overlap
+    lo = [0, Fraction(1, 3), 0, 1]
+    near = [0, 0, Fraction(3, 7), 4]
+    hi = [0] * 6 + [Fraction(2, 5), 1]
+    for u, v in ((lo, hi), (hi, lo), (lo, near), (near, lo), (hi, near), (near, hi)):
+        _assert_valuation_form(TSeries(K, u) + TSeries(K, v), _oracle_add(u, v))
+        _assert_valuation_form(TSeries(K, u) - TSeries(K, v), _oracle_add(u, v, -1))
+    _assert_valuation_form(TSeries(K, hi) + 1, [1] + hi[1:])
+    _assert_valuation_form(3 - TSeries(K, hi), _oracle_add([3], hi, -1))
+    # products whose valuation sum is K - 1, K and past K
+    _assert_valuation_form(_at(4, [2, 3]) * _at(5, [h, 7]), [0] * 9 + [1])
+    for vx, vy in ((4, 6), (5, 6), (9, 9)):
+        _assert_valuation_form(_at(vx, [2, 3]) * _at(vy, [h]), [])
+    _assert_valuation_form(_at(3, [1, 1]) ** 3, [0] * 9 + [1])
+    _assert_valuation_form(_at(4, [1, 1]) ** 3, [])
+    # shift to and past the modulus, and into a cut of the tail
+    _assert_valuation_form(x.shift(7), [])
+    _assert_valuation_form(x.shift(40), [])
+    _assert_valuation_form(x.shift(6), [0] * 9 + [h])
+    _assert_valuation_form(_at(0, [1, Fraction(1, 9)]).shift(9), [0] * 9 + [1])
+    _assert_valuation_form(TSeries.zero(K).shift(3), [])
+    # coefficients below the valuation read as zero; the zero series has order K
+    assert x.coeff(0) == x.coeff(2) == 0 and x.coeff(3) == h
+    assert TSeries.zero(K).ord() == (x - x).ord() == (x * x.shift(4)).ord() == K
+
+
+def test_tseries_valuation_kernel_matches_dense_oracle():
+    rng = random.Random(SEED + 9)
+    for _ in range(300):
+        modulus = rng.choice((1, 4, K, CUT, 30))
+        vx, vy = rng.randint(0, modulus), rng.randint(0, modulus)
+        x = [0] * vx + _random_coeffs(rng, rng.choice((0, 1, 2, 5, CUT)))
+        y = [0] * vy + _random_coeffs(rng, rng.choice((0, 1, 2, 5, CUT)))
+        if rng.random() < 0.3:
+            # same valuation and leading terms: the sum cancels at the front
+            y = x[:rng.randint(0, len(x))] + y[len(x):]
+        sx, sy = TSeries(modulus, x), TSeries(modulus, y)
+        ox, oy = _oracle(modulus, x), _oracle(modulus, y)
+        _assert_valuation_form(sx, ox)
+        _assert_valuation_form(sx + sy, _oracle_add(ox, oy))
+        _assert_valuation_form(sy - sx, _oracle_add(oy, ox, -1))
+        _assert_valuation_form(sx * sy, _oracle_mul(ox, oy, modulus))
+        _assert_valuation_form(sx * Fraction(-3, 4), [c * Fraction(-3, 4) for c in ox])
+        n = rng.randint(0, modulus + 1)
+        _assert_valuation_form(sx.shift(n), [0] * n + ox)
+
+
+def test_tseries_equal_values_have_equal_fields_across_paths():
+    # t^4 (1/2 + 3/4 t) built by the constructor, by arithmetic and by shift
+    value = _rep(TSeries(K, [0, 0, 0, 0, Fraction(1, 2), Fraction(3, 4)]))
+    low = _at(1, [Fraction(5, 3), 7])
+    paths = (
+        TSeries(K, [Fraction(1, 2), Fraction(3, 4)]).shift(4),
+        _at(1, [Fraction(2, 4), Fraction(3, 4), 0]).shift(3),
+        TSeries.t_power(4, K, Fraction(1, 2)) + TSeries.t_power(5, K, Fraction(3, 4)),
+        TSeries.t_power(5, K, Fraction(3, 4)) + TSeries.t_power(4, K, Fraction(1, 2)),
+        TSeries.t_power(2, K, 2) * _at(2, [Fraction(1, 4), Fraction(3, 8)]),
+        _at(4, [1, Fraction(3, 2)]) / 2,
+        (low + _at(4, [Fraction(1, 2), Fraction(3, 4)])) - low,
+        _at(4, [Fraction(1, 2), Fraction(3, 4), 5]) - _at(6, [5]),
+        -(-_at(4, [Fraction(1, 2), Fraction(3, 4)])),
+    )
+    for s in paths:
+        assert _rep(s) == value
+        assert s == TSeries(K, s.coeffs)
+    # the same stored numerators at another valuation are another value
+    assert paths[0] != paths[0].shift(1) != _at(3, [Fraction(1, 2), Fraction(3, 4)])
+    assert paths[0] != _at(3, [Fraction(1, 2), Fraction(3, 4)])
 
 
 def test_tseries_public_constructor_coerces_and_checks():
@@ -300,6 +406,20 @@ def test_reparam_substitution_oracle_randomized():
             res = reparam_solve(model, c_now, c_next, smax, modulus)
             assert substitution_check(res, c_now, c_next)
             assert order_bound_audit(res, c_now, c_next).ok
+
+
+def test_reparam_result_cut_equals_shallow_solve():
+    # order m of the solve reads only lower orders, so a deep solve cut at
+    # smax is the solve at smax
+    rng = random.Random(SEED + 10)
+    for a, b in ((2, 3), (3, 4), (4, 6)):
+        model = LocalModel(a, b)
+        for _ in range(8):
+            modulus = rng.randint(8, 12)
+            smax = rng.randint(a, 10)
+            c_now, c_next = _random_pair(rng, model, modulus)
+            deep = reparam_solve(model, c_now, c_next, smax + rng.randint(0, 8), modulus)
+            assert deep.cut(smax) == reparam_solve(model, c_now, c_next, smax, modulus)
 
 
 def test_reparam_identical_inputs_give_zero():

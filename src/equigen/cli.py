@@ -41,9 +41,8 @@ from .lifting import (
     zero_provider,
 )
 from .polycore import MPoly, poly_json, poly_text
-from .series import (TriState, TSeries, _check_solve_args, _pm_depth, _solved_pm_difference,
-                     order_bound_audit, pm_identity_check, pm_window_bound, reparam_solve,
-                     substitution_check)
+from .series import (TriState, TSeries, _check_solve_args, _pm_difference, order_bound_audit,
+                     pm_identity_check, pm_window_bound, reparam_solve, substitution_check)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -425,8 +424,7 @@ def cmd_reparam(args: argparse.Namespace) -> int:
             # One solve at the depth the matching identity needs; what is
             # printed and audited is its cut at --smax.
             sigma_model = SigmaModel(model, g0)
-            deep = reparam_solve(model, c_now, c_next, _pm_depth(sigma_model, args.smax), K)
-            diff = _solved_pm_difference(sigma_model, deep, c_now, c_next, args.smax)
+            deep, diff = _pm_difference(sigma_model, c_now, c_next, args.smax, K)
             pm = TriState.FALSE if any(diff) else TriState.TRUE
             result = deep.cut(args.smax)
     if result is None:

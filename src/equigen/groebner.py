@@ -22,17 +22,18 @@ is scale-invariant, so the basis, the S-pairs and the reduced monic basis
 are those of the monic computation. Only the reduced basis is returned,
 with Fraction coefficients.
 
-Inside the engine each monomial is one int (``_Packing``): the partial sums
-S_n, ..., S_1 of its exponents (S_k = e_1 + ... + e_k), most significant
-first, above the exponents themselves, each exponent in a field with a
-clear guard bit on top. Comparing two ints is then grevlex, a product is
-``+``, a quotient ``-``, and a divides b iff ``(b - a) & guard`` is 0
-(Monagan and Pearce, CASC 2007); an lcm is a per-field max of the
-exponents. The field width comes from the generators' largest degree, with
-room for the lcm of any two of their terms. Every term a run builds has at
-most the degree of a generator or of a processed S-pair's lcm, so a pair
-whose lcm does not fit starts the run again with wider fields; the run is
-deterministic, so its pairs and its basis do not depend on the width.
+Inside the engine each monomial is one int, the full key of the package's
+one packing, ``polycore._Packing``: the partial sums S_n, ..., S_1 of its
+exponents (S_k = e_1 + ... + e_k), most significant first, above the
+exponents themselves, each exponent in a field with a clear guard bit on
+top. Comparing two ints is then grevlex, a product is ``+``, a quotient
+``-``, and a divides b iff ``(b - a) & guard`` is 0 (Monagan and Pearce,
+CASC 2007); an lcm is a per-field max of the exponents. The field width
+comes from the generators' largest degree, with room for the lcm of any two
+of their terms. Every term a run builds has at most the degree of a
+generator or of a processed S-pair's lcm, so a pair whose lcm does not fit
+starts the run again with wider fields; the run is deterministic, so its
+pairs and its basis do not depend on the width.
 ``buchberger`` packs the generators and unpacks only the reduced basis.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
@@ -54,7 +55,7 @@ from time import monotonic
 from typing import Iterable, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
-from .polycore import Exponents, MPoly, VarSet, _echelonize, primitive_terms
+from .polycore import MPoly, VarSet, _echelonize, _Packing, primitive_terms
 
 
 class Membership(Enum):
@@ -128,69 +129,6 @@ class GBResult:
     elapsed: float
 
 
-class _Packing:
-    """Monomials over n variables, packed into one int each.
-
-    The int has 2n fields of ``width`` bits. The low n fields are the word:
-    exponent e_k in field k - 1, with the top bit of each field, its guard,
-    left clear. The high n fields are the order key: the partial sum
-    S_k = e_1 + ... + e_k in field k - 1, so the degree S_n is the most
-    significant field. Comparing ints is then grevlex, a product is ``+``,
-    a quotient ``-``, and m1 divides m2 iff ``(m2 - m1) & guard`` is 0. A
-    packing made for degree d holds every monomial of degree up to
-    ``max_deg`` >= 2d without a carry between fields.
-    """
-
-    __slots__ = ("max_deg", "guard", "_width", "_ones", "_low", "_key_shift", "_deg_shift",
-                 "_shifts")
-
-    def __init__(self, n: int, degree: int) -> None:
-        width = (2 * degree).bit_length() + 1
-        self.max_deg = (1 << (width - 1)) - 1
-        self._width = width
-        self._ones = sum(1 << (k * width) for k in range(n))
-        self.guard = self._ones << (width - 1)
-        self._key_shift = n * width
-        self._low = (1 << self._key_shift) - 1
-        self._deg_shift = (2 * n - 1) * width
-        self._shifts = [k * width for k in range(n)]
-
-    @staticmethod
-    def of(polys: Sequence[MPoly]) -> "_Packing":
-        """The packing made for the largest degree among the polynomials."""
-        return _Packing(len(polys[0].varset),
-                        max((sum(e) for p in polys for e in p.terms), default=0))
-
-    def _with_key(self, word: int) -> int:
-        # The low n fields of word * ones are the partial sums S_1..S_n.
-        return ((word * self._ones) & self._low) << self._key_shift | word
-
-    def pack(self, exps: Exponents) -> int:
-        return self._with_key(sum(e << s for e, s in zip(exps, self._shifts)))
-
-    def unpack(self, mon: int) -> Exponents:
-        mask = (1 << self._width) - 1
-        return tuple((mon >> s) & mask for s in self._shifts)
-
-    def degree(self, mon: int) -> int:
-        return mon >> self._deg_shift
-
-    def lcm(self, m1: int, m2: int) -> int:
-        """The lcm by a per-field max of the words. It is exact whenever
-        both monomials fit, although its degree may reach 2 * max_deg."""
-        low, guard = self._low, self.guard
-        w1, w2 = m1 & low, m2 & low
-        ge = ((w1 | guard) - w2) & guard  # guard bit set where e1 >= e2
-        take1 = ge - (ge >> (self._width - 1))
-        return self._with_key(w2 ^ ((w1 ^ w2) & take1))
-
-    def poly(self, p: MPoly) -> "_Poly":
-        return _Poly({self.pack(e): c for e, c in p.terms.items()})
-
-    def mpoly(self, varset: VarSet, p: "_Poly") -> MPoly:
-        return MPoly._of(varset, {self.unpack(m): c for m, c in p.terms.items()})
-
-
 class _Poly:
     """A polynomial inside the engine: ``terms`` maps packed monomials to
     int or Fraction coefficients; ``lm`` is the leading monomial, None for
@@ -201,6 +139,14 @@ class _Poly:
     def __init__(self, terms: dict[int, int | Fraction]) -> None:
         self.terms = terms
         self.lm = max(terms) if terms else None
+
+
+def _packed(packing: _Packing, p: MPoly) -> _Poly:
+    return _Poly({packing.pack(e): c for e, c in p.terms.items()})
+
+
+def _unpacked(packing: _Packing, varset: VarSet, p: _Poly) -> MPoly:
+    return MPoly._of(varset, {packing.unpack(m): c for m, c in p.terms.items()})
 
 
 class _Overflow(Exception):
@@ -332,7 +278,7 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
     limit, so it may order the heap and meet the criteria first.
     """
     pairs = 0
-    basis = [packing.poly(g) for g in gens]
+    basis = [_packed(packing, g) for g in gens]
     lms = [g.lm for g in basis]
 
     # Unit short-circuit: a constant generator makes everything trivial.
@@ -418,7 +364,7 @@ def _reduce_basis(varset: VarSet, basis: list[_Poly], packing: _Packing,
         if r.terms:
             reduced.append(r)
     reduced.sort(key=lambda g: g.lm)
-    return [packing.mpoly(varset, r) * Fraction(1, r.terms[r.lm]) for r in reduced]
+    return [_unpacked(packing, varset, r) * Fraction(1, r.terms[r.lm]) for r in reduced]
 
 
 def ideal_contains_one(result: GBResult) -> bool:

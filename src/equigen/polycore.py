@@ -4,12 +4,15 @@ Scalars are `fractions.Fraction` throughout; nothing in this package ever
 touches a float. Polynomials are sparse maps from exponent vectors to
 nonzero coefficients over a fixed, ordered variable set.
 
-``det_bareiss`` is a division-free determinant of polynomial matrices. It
-clears each row's denominators and runs its memoized minors expansion on
-integer coefficients over packed exponents (one int per monomial, mixed
-radix wide enough that adding two keys never carries), so no Fraction is
-built until the result is unpacked. Beside it sits ``_echelonize``, the
-package's one exact row reduction of rational matrices.
+``_Packing`` is the package's one packed-monomial format: a monomial is
+one int, its exponents in fields wide enough that a product never carries
+(Monagan and Pearce, CASC 2007). The Groebner engine uses its full keys,
+which compare as grevlex. ``MPoly.__mul__`` and ``det_bareiss`` use only
+its exponent word: each factor, or each row of a determinant, is scaled to
+integer coefficients by the lcm of its denominators, a product of monomials
+is ``+`` on words, and no Fraction is built until the result is unpacked.
+Beside them sits ``_echelonize``, the package's one exact row reduction of
+rational matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg
+from operator import lshift, neg
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -188,12 +191,19 @@ class MPoly:
             k = Fraction(other)
             return MPoly._of(self.varset, {e: c * k for e, c in self.terms.items()} if k else {})
         self._check_ring(other)
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return MPoly._of(self.varset, {e: c for e, c in acc.items() if c})
+        if not (self.terms and other.terms):
+            return MPoly._of(self.varset, {})
+        packing = _Packing.of((self, other))
+        lcm1, (terms1,) = _scaled(packing, (self,))
+        lcm2, (terms2,) = _scaled(packing, (other,))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for w1, c1 in terms1:
+            for w2, c2 in terms2:
+                w = w1 + w2
+                acc[w] = get(w, 0) + c1 * c2
+        scale, unpack = lcm1 * lcm2, packing.unpack
+        return MPoly._of(self.varset, {unpack(w): Fraction(c, scale) for w, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -267,6 +277,81 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({poly_text(self)})"
+
+
+class _Packing:
+    """Monomials over n variables, packed into one int each.
+
+    The int has 2n fields of ``width`` bits. The low n fields are the word:
+    exponent e_k in field k - 1, with the top bit of each field, its guard,
+    left clear. The high n fields are the order key: the partial sum
+    S_k = e_1 + ... + e_k in field k - 1, so the degree S_n is the most
+    significant field. Comparing ints is then grevlex, a product is ``+``,
+    a quotient ``-``, and m1 divides m2 iff ``(m2 - m1) & guard`` is 0. A
+    packing made for degree d holds every monomial of degree up to
+    ``max_deg`` >= 2d without a carry between fields.
+
+    ``word`` is the low n fields alone. Words also multiply by ``+`` and
+    ``unpack`` reads them; they are for products, which need no order.
+    """
+
+    __slots__ = ("max_deg", "guard", "_width", "_ones", "_low", "_key_shift", "_deg_shift",
+                 "_shifts")
+
+    def __init__(self, n: int, degree: int) -> None:
+        width = (2 * degree).bit_length() + 1
+        self.max_deg = (1 << (width - 1)) - 1
+        self._width = width
+        self._key_shift = n * width
+        self._low = (1 << self._key_shift) - 1
+        self._ones = self._low // ((1 << width) - 1)  # a 1 in each of the n fields
+        self.guard = self._ones << (width - 1)
+        self._deg_shift = (2 * n - 1) * width
+        self._shifts = range(0, self._key_shift, width)
+
+    @staticmethod
+    def of(polys: Sequence[MPoly]) -> "_Packing":
+        """The packing made for the largest degree among the polynomials."""
+        return _Packing(len(polys[0].varset),
+                        max(max(map(sum, p.terms), default=0) for p in polys))
+
+    def _with_key(self, word: int) -> int:
+        # The low n fields of word * ones are the partial sums S_1..S_n.
+        return ((word * self._ones) & self._low) << self._key_shift | word
+
+    def word(self, exps: Exponents) -> int:
+        return sum(map(lshift, exps, self._shifts))
+
+    def pack(self, exps: Exponents) -> int:
+        return self._with_key(self.word(exps))
+
+    def unpack(self, mon: int) -> Exponents:
+        # A plain loop: about twice as fast as tuple() over a generator.
+        mask, exps = (1 << self._width) - 1, []
+        for s in self._shifts:
+            exps.append((mon >> s) & mask)
+        return tuple(exps)
+
+    def degree(self, mon: int) -> int:
+        return mon >> self._deg_shift
+
+    def lcm(self, m1: int, m2: int) -> int:
+        """The lcm by a per-field max of the words. It is exact whenever
+        both monomials fit, although its degree may reach 2 * max_deg."""
+        low, guard = self._low, self.guard
+        w1, w2 = m1 & low, m2 & low
+        ge = ((w1 | guard) - w2) & guard  # guard bit set where e1 >= e2
+        take1 = ge - (ge >> (self._width - 1))
+        return self._with_key(w2 ^ ((w1 ^ w2) & take1))
+
+
+def _scaled(packing: _Packing, polys: Sequence[MPoly]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The polynomials times the lcm L of all their coefficient
+    denominators: L, and each product as (word, int coefficient) pairs."""
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    word = packing.word
+    return lcm, [[(word(e), c.numerator * (lcm // c.denominator)) for e, c in p.terms.items()]
+                 for p in polys]
 
 
 def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
@@ -388,13 +473,11 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
 
     The expansion runs on packed integer data. Each row is multiplied by
     the lcm of its coefficient denominators, so every entry is integral and
-    the determinant is scaled by the product D of those lcms. A minor's
-    exponent of variable i is at most bound_i, the sum over rows of the
-    row's largest exponent of i, so an exponent vector packs into one int
-    with mixed radix bound_i + 1 and adding two packed keys adds the vectors
-    without carries. Minors are dicts from packed key to integer
-    coefficient; the full minor is unpacked once, each coefficient as
-    Fraction(c, D).
+    the determinant is scaled by the product L of those lcms. A minor has
+    total degree at most D, the sum over rows of the row's largest total
+    degree, so ``_Packing`` words made for degree D add without carries.
+    Minors are dicts from word to integer coefficient; the full minor is
+    unpacked once, each coefficient as Fraction(c, L).
 
     The name is kept from the Bareiss elimination this replaced, because
     the benchmark's tracer wraps ``polycore.det_bareiss`` by name.
@@ -408,26 +491,17 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     varset = matrix[0][0].varset
     if any(entry.varset != varset for row in matrix for entry in row):
         raise ValueError("matrix entries live in different variable sets")
-    bounds = [sum(max((e[i] for entry in row for e in entry.terms), default=0) for row in matrix)
-              for i in range(len(varset))]
-    places = []
-    place = 1
-    for bound in bounds:
-        places.append(place)
-        place *= bound + 1
-    # rows[r][j] = (entry, -entry) as lists of (packed key, integer coefficient)
+    packing = _Packing(len(varset), sum(max((sum(e) for entry in row for e in entry.terms),
+                                            default=0) for row in matrix))
+    # rows[r][j] = (entry, -entry) as lists of (word, integer coefficient)
     # pairs, or None for a zero entry; the sign of a cofactor picks one.
     rows = []
     scale = 1
     for row in matrix:
-        lcm = math.lcm(*(c.denominator for entry in row for c in entry.terms.values()))
+        lcm, scaled_row = _scaled(packing, row)
         scale *= lcm
-        packed_row = []
-        for entry in row:
-            terms = [(sum(map(mul, e, places)), c.numerator * (lcm // c.denominator))
-                     for e, c in entry.terms.items()]
-            packed_row.append((terms, [(k, -c) for k, c in terms]) if terms else None)
-        rows.append(packed_row)
+        rows.append([(terms, [(w, -c) for w, c in terms]) if terms else None
+                     for terms in scaled_row])
     minors: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in reversed(rows):
         larger: dict[int, dict[int, int]] = {}
@@ -438,23 +512,18 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
                     continue
                 acc = larger.setdefault(cols | 1 << j, {})
                 get = acc.get
-                for k1, c1 in signed[(cols & ((1 << j) - 1)).bit_count() & 1]:
-                    for k2, c2 in minor_terms:
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + c1 * c2
+                for w1, c1 in signed[(cols & ((1 << j) - 1)).bit_count() & 1]:
+                    for w2, c2 in minor_terms:
+                        w = w1 + w2
+                        acc[w] = get(w, 0) + c1 * c2
         minors = {}
         for cols, acc in larger.items():
-            acc = {k: c for k, c in acc.items() if c}
+            acc = {w: c for w, c in acc.items() if c}
             if acc:
                 minors[cols] = acc
-    terms = {}
-    for k, c in minors.get((1 << n) - 1, {}).items():
-        exps = []
-        for bound in bounds:
-            k, e = divmod(k, bound + 1)
-            exps.append(e)
-        terms[tuple(exps)] = Fraction(c, scale)
-    return MPoly._of(varset, terms)
+    unpack = packing.unpack
+    return MPoly._of(varset, {unpack(w): Fraction(c, scale)
+                              for w, c in minors.get((1 << n) - 1, {}).items()})
 
 
 def _echelonize(coords: Sequence[Hashable], rows: list[dict[Hashable, Fraction]]

@@ -585,53 +585,39 @@ def pm_window_bound(model: LocalModel, modulus: int) -> int:
     return modulus - model.b
 
 
-def _pm_depth(sigma_model: SigmaModel, smax: int) -> int:
-    """The s-depth smax + l_max (at least a) to which the matching identity
-    on the window -smax .. l_max needs the unit solved."""
-    model = sigma_model.model
-    return max(smax + model.b + len(sigma_model.g0), model.a)
-
-
 def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
-                   c_next: Sequence[TSeries], smax: int, modulus: int) -> list[TSeries]:
-    """The regrouped difference of ``pm_identity_check``: entry i is its
-    s^{l_max - i} coefficient, for s-exponents l_max down to -smax."""
-    result = reparam_solve(sigma_model.model, c_now, c_next, _pm_depth(sigma_model, smax),
-                           modulus)
-    return _solved_pm_difference(sigma_model, result, c_now, c_next, smax)
-
-
-def _solved_pm_difference(sigma_model: SigmaModel, result: ReparamResult,
-                          c_now: Sequence[TSeries], c_next: Sequence[TSeries],
-                          smax: int) -> list[TSeries]:
-    """``_pm_difference`` from ``result``, the unit solved to at least
-    ``_pm_depth(sigma_model, smax)``.
+                   c_next: Sequence[TSeries], smax: int,
+                   modulus: int) -> tuple[ReparamResult, list[TSeries]]:
+    """The unit solved to the s-depth smax + l_max (at least a) that the
+    matching identity on the window -smax .. l_max needs, and the regrouped
+    difference of ``pm_identity_check``: entry i is its s^{l_max - i}
+    coefficient, for s-exponents l_max down to -smax.
 
     The unit is expanded once into the binomial powers V_j = (W - 1)^j;
     each s(next)^l = s^l W^l then needs only [W^l]_m = sum_j C(l, j) [V_j]_m.
     """
     model = sigma_model.model
-    K = result.modulus
     l_max = model.b + len(sigma_model.g0)
-    l_sing = max(K - model.b - 1, 0)
+    l_sing = max(modulus - model.b - 1, 0)
     depth = smax + l_max
+    result = reparam_solve(model, c_now, c_next, max(depth, model.a), modulus)
     # s(next)^l for l <= l_max needs W^l only to depth l + smax <= depth, and
     # every s^l has l >= -l_sing > -smax.
     powers = _BinomialPowers(result.unit, depth)
 
     ls = range(-l_sing, l_max + 1)
-    polys = [sigma_coeff(sigma_model, l, tmax=K) for l in ls]
+    polys = [sigma_coeff(sigma_model, l, tmax=modulus) for l in ls]
     sig_now = evaluate_many(polys, c_now)
     sig_next = evaluate_many(polys, c_next)
 
-    diff = [TSeries.zero(K)] * (depth + 1)
+    diff = [TSeries.zero(modulus)] * (depth + 1)
     for l, s_now, s_nxt in zip(ls, sig_now, sig_next):
         diff[l_max - l] = diff[l_max - l] - s_now
         if s_nxt:
             for m, p in enumerate(powers.power(l, l + smax)):
                 if p:
                     diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
-    return diff
+    return result, diff
 
 
 def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
@@ -652,5 +638,5 @@ def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     _validate_coeff_vectors(sigma_model.model, c_now, c_next, modulus)
     if smax < pm_window_bound(sigma_model.model, modulus):
         return TriState.INCONCLUSIVE
-    diff = _pm_difference(sigma_model, c_now, c_next, smax, modulus)
+    diff = _pm_difference(sigma_model, c_now, c_next, smax, modulus)[1]
     return TriState.FALSE if any(diff) else TriState.TRUE

@@ -3,14 +3,14 @@
 They restate, outside the library, facts the library relies on: the pair
 order of pole coordinates, the order of a section, the weights of the
 coefficient variables and weighted homogeneity of a polynomial, what makes
-a genericity witness, and divisibility of monomials by their exponent
-vectors.
+a genericity witness, divisibility of monomials by their exponent vectors,
+and the product of polynomials on exponent tuples.
 """
 
 import math
 import re
 from fractions import Fraction
-from operator import le
+from operator import add, le
 from typing import Sequence
 
 from equigen.expansion import LocalModel, big_f
@@ -30,6 +30,17 @@ from equigen.polycore import Exponents, MPoly, evaluate_many
 def divides(e1: Exponents, e2: Exponents) -> bool:
     """Does the monomial with exponents e1 divide the one with exponents e2?"""
     return all(map(le, e1, e2))
+
+
+def tuple_product(p: MPoly, q: MPoly) -> MPoly:
+    """p * q term by term: exponent tuples added, Fraction coefficients
+    multiplied and summed, terms in the order the pairs first meet."""
+    acc: dict[Exponents, Fraction] = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + Fraction(c1) * Fraction(c2)
+    return MPoly(p.varset, acc)
 
 
 def pair_compare(config: SingularConfig, p1: Pair, p2: Pair) -> int:

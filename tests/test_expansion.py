@@ -361,6 +361,21 @@ def test_jac_bar_golden_hashes(a, b):
     assert hashlib.sha256(text.encode()).hexdigest() == JAC_BAR_SHA256[a, b]
 
 
+# sha256 of the lines poly_text(big_f(model, i) * jac_bar(model)), i = 1..a-1,
+# recorded from the product on exponent tuples that the packed words replaced.
+CANDIDATE_SHA256 = {
+    (6, 7): "9ec77d297211f924266ae65dd53c5af731521a272ef3598394f0dd02ad3b54fa",
+    (7, 8): "22dbfc3379a4d683e19283476909fceb39bca17988b46b3d101320bf9248154d",
+}
+
+
+@pytest.mark.parametrize("a, b", CANDIDATE_SHA256)
+def test_genericity_candidate_golden_hashes(a, b):
+    model = LocalModel(a, b)
+    text = "\n".join(poly_text(big_f(model, i) * jac_bar(model)) for i in range(1, a))
+    assert hashlib.sha256(text.encode()).hexdigest() == CANDIDATE_SHA256[a, b]
+
+
 def test_jac_bar_frozen():
     assert poly_text(jac_bar(M23)) == "3/4*c2"
     assert poly_text(jac_bar(M46)) == (

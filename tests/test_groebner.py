@@ -25,7 +25,8 @@ from equigen.groebner import (
     normal_form,
     radical_member,
 )
-from equigen.polycore import Exponents, MPoly, VarSet, grevlex_key, poly_text, primitive_terms
+from equigen.polycore import (Exponents, MPoly, VarSet, _Packing, grevlex_key, poly_text,
+                              primitive_terms)
 
 from oracles import divides, witness_verify
 
@@ -87,8 +88,9 @@ def test_gb_invariant_under_generator_order():
 
 def _nf(p, divisors):
     """``normal_form`` of MPolys, packed and unpacked by the engine's packing."""
-    pk = groebner._Packing.of([p, *divisors])
-    return pk.mpoly(p.varset, normal_form(pk.poly(p), [pk.poly(g) for g in divisors], pk.guard))
+    pk = _Packing.of([p, *divisors])
+    return groebner._unpacked(pk, p.varset, normal_form(
+        groebner._packed(pk, p), [groebner._packed(pk, g) for g in divisors], pk.guard))
 
 
 def test_normal_form_of_members_vanishes():
@@ -198,9 +200,9 @@ def test_integer_s_poly_matches_monic_oracle():
         int_basis = [MPoly._of(VS3, primitive_terms(g.terms)) for g in basis]
         lms = [max(g.terms, key=grevlex_key) for g in basis]
         i, j = rng.sample(range(len(basis)), 2)
-        pk = groebner._Packing.of(basis)
-        g1, g2 = pk.poly(int_basis[i]), pk.poly(int_basis[j])
-        s_new = pk.mpoly(VS3, groebner._s_poly(g1, g2, pk.lcm(g1.lm, g2.lm)))
+        pk = _Packing.of(basis)
+        g1, g2 = groebner._packed(pk, int_basis[i]), groebner._packed(pk, int_basis[j])
+        s_new = groebner._unpacked(pk, VS3, groebner._s_poly(g1, g2, pk.lcm(g1.lm, g2.lm)))
         s_old = monic_s_poly(basis[i], basis[j], lms[i], lms[j])
         assert all(type(c) is int for c in s_new.terms.values())
         assert tuple(map(max, lms[i], lms[j])) not in s_new.terms
@@ -230,7 +232,7 @@ def _random_exps(rng, n, top):
 def test_packed_monomials_match_exponent_vectors(n):
     rng = random.Random(SEED + n)
     for degree in (1, 5, 23):
-        pk = groebner._Packing(n, degree)
+        pk = _Packing(n, degree)
         top = pk.max_deg
         assert top >= 2 * degree
         corners = [tuple(top if k == j else 0 for k in range(n)) for j in range(n)]
@@ -247,8 +249,14 @@ def test_packed_monomials_match_exponent_vectors(n):
             lcm = tuple(map(max, e1, e2))
             assert pk.lcm(m1, m2) == pk.pack(lcm)
             assert pk.unpack(pk.lcm(m1, m2)) == lcm and pk.degree(pk.lcm(m1, m2)) == sum(lcm)
+            # Words are the low fields of the packed ints; they multiply
+            # by + too, and unpack reads them back.
+            w1, w2 = pk.word(e1), pk.word(e2)
+            assert pk.unpack(w1) == e1 and pk.unpack(m1 - w1) == (0,) * n
             if sum(e1) + sum(e2) <= top:
                 assert m1 + m2 == pk.pack(tuple(map(add, e1, e2)))
+                assert w1 + w2 == pk.word(tuple(map(add, e1, e2)))
+                assert pk.unpack(w1 + w2) == tuple(map(add, e1, e2))
             if divides(e1, e2):
                 assert m2 - m1 == pk.pack(tuple(map(sub, e2, e1)))
 

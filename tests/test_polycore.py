@@ -19,6 +19,7 @@ from equigen.polycore import (
     MPoly,
     VarSet,
     _echelonize,
+    _Packing,
     det_bareiss,
     evaluate_many,
     grevlex_key,
@@ -29,7 +30,7 @@ from equigen.polycore import (
 )
 from equigen.series import TSeries
 
-from oracles import divides, weighted_degree
+from oracles import divides, tuple_product, weighted_degree
 
 VS2 = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
@@ -123,6 +124,55 @@ def test_power_is_repeated_product(p, n):
     for _ in range(n):
         expect = expect * p
     assert p ** n == expect
+
+
+def _random_factor(rng, varset):
+    """A factor for the product tests: zero, a constant, one term, a sum of
+    terms with negative and fractional coefficients, or a binomial in the
+    d-th powers of the variables, d = 2^k - 1, whose square has an exponent
+    2d = max_deg - 1 in the packing ``__mul__`` makes for it."""
+    n = len(varset)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return MPoly.zero(varset)
+    if kind == 1:
+        return MPoly.constant(varset, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    if kind == 4:
+        d = (1 << rng.randint(1, 6)) - 1
+        ends = [tuple(d if k == j else 0 for k in range(n)) for j in range(n)]
+        return _poly(varset, [(rng.choice(ends), Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                              for _ in range(2)])
+    return _poly(varset, [(tuple(rng.randint(0, 4) for _ in range(n)),
+                           Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 9))))
+                          for _ in range(1 if kind == 2 else rng.randint(2, 7))])
+
+
+def test_mul_matches_tuple_product_oracle():
+    rng = random.Random(20261019)
+    for _ in range(600):
+        varset = rng.choice((VarSet(("x",)), VS2, VS3))
+        p, q = _random_factor(rng, varset), _random_factor(rng, varset)
+        for got, want in ((p * q, tuple_product(p, q)), (q * p, tuple_product(q, p))):
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_mul_cancellation_zero_factors_and_widest_exponent():
+    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    # the cross terms cancel
+    half = Fraction(1, 2)
+    assert (x * half + y) * (x * half - y) == x * x * Fraction(1, 4) - y * y
+    third = (x - y) * Fraction(-1, 3)
+    assert third * ((x * x + x * y + y * y) * -3) == x**3 - y**3
+    p = x * Fraction(-3, 4) + y**3 * Fraction(5, 6) - z
+    for zero in (MPoly.zero(VS3), p - p):
+        assert (p * zero).terms == {} and (zero * p).terms == {}
+    # the largest exponent a product of degree-31 factors reaches
+    x31 = MPoly(VS3, {(31, 0, 0): Fraction(-7, 3)})
+    assert _Packing.of((x31, x31)).max_deg == 63
+    assert x31 * (x31 + z) == MPoly(VS3, {(62, 0, 0): Fraction(49, 9),
+                                          (31, 0, 1): Fraction(-7, 3)})
 
 
 @given(polys(VS2), polys(VS2))
@@ -499,10 +549,10 @@ def test_det_matches_echelon_pivots_on_random_sparse_matrices():
     assert degenerate >= 80
 
 
-# det_bareiss packs exponent vectors into ints with radix (sum of the row
-# maxima) + 1 and clears denominators row by row; these matrices fail when
-# the radix is too small to hold a determinant's exponents or when the row
-# scale is not divided back out.
+# det_bareiss packs exponent vectors into ``_Packing`` words made for the
+# sum D of the rows' largest total degrees and clears denominators row by
+# row; these matrices fail when the words are too narrow to hold a
+# determinant's exponents or when the row scale is not divided back out.
 
 
 def test_det_exponent_beyond_every_entry():
@@ -517,6 +567,12 @@ def test_det_exponent_beyond_every_entry():
     x = MPoly.variable(VS2, "x")
     m = [[x, y4, zero], [zero, x, y4], [y4, zero, x * Fraction(3, 4)]]
     assert det_bareiss(m) == _poly(VS2, [((3, 0), Fraction(3, 4)), ((0, 12), Fraction(-125, 343))])
+    # five rows of degree 7: the exponent 35 overflows a field made for the
+    # largest row's degree, which holds at most 31
+    x7 = MPoly(VS2, {(7, 0): 1})
+    diag = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 9), Fraction(-1, 5), Fraction(7)]
+    m = [[x7 * diag[r] if r == c else zero for c in range(5)] for r in range(5)]
+    assert det_bareiss(m) == MPoly(VS2, {(35, 0): Fraction(-7, 270)})
 
 
 def _high_degree_poly(rng, varset, den):

@@ -34,7 +34,8 @@ of their terms. Every term a run builds has at most the degree of a
 generator or of a processed S-pair's lcm, so a pair whose lcm does not fit
 starts the run again with wider fields; the run is deterministic, so its
 pairs and its basis do not depend on the width.
-``buchberger`` packs the generators and unpacks only the reduced basis.
+``buchberger`` packs the generators and unpacks only the reduced basis,
+making each element monic in the same pass.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
@@ -143,10 +144,6 @@ class _Poly:
 
 def _packed(packing: _Packing, p: MPoly) -> _Poly:
     return _Poly({packing.pack(e): c for e, c in p.terms.items()})
-
-
-def _unpacked(packing: _Packing, varset: VarSet, p: _Poly) -> MPoly:
-    return MPoly._of(varset, {packing.unpack(m): c for m, c in p.terms.items()})
 
 
 class _Overflow(Exception):
@@ -364,7 +361,9 @@ def _reduce_basis(varset: VarSet, basis: list[_Poly], packing: _Packing,
         if r.terms:
             reduced.append(r)
     reduced.sort(key=lambda g: g.lm)
-    return [_unpacked(packing, varset, r) * Fraction(1, r.terms[r.lm]) for r in reduced]
+    unpack = packing.unpack
+    return [MPoly._of(varset, {unpack(m): Fraction(c, r.terms[r.lm]) for m, c in r.terms.items()})
+            for r in reduced]
 
 
 def ideal_contains_one(result: GBResult) -> bool:
@@ -395,9 +394,9 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     while aux in ideal.varset.names:
         aux += "_"
     big = ideal.varset.extend(aux)
-    y = MPoly.variable(big, aux)
-    gens = [g.rename(big) for g in ideal.generators]
-    gens.append(MPoly.constant(big, 1) - y * p.rename(big))
+    # One pass per generator: y is the last variable of the extended set.
+    gens = [MPoly._of(big, {e + (0,): c for e, c in g.terms.items()}) for g in ideal.generators]
+    gens.append(MPoly._of(big, {(0,) * len(big): 1, **{e + (1,): -c for e, c in p.terms.items()}}))
     result = buchberger(Ideal.of(big, gens), budget=budget)
     if result.basis is None:
         return MembershipResult(Membership.TIMEOUT, result.pairs_processed, result.elapsed)

@@ -22,17 +22,19 @@ coefficient.
            + sum_{i=a+1}^{smax} eps_i s^{-(i-1)}``
 matching two coefficient vectors of the defining equation, order by order,
 and returns the unit W = s(next)/s as the dense list of its s^{-m}
-coefficients. It carries the binomial powers V_j = (W - 1)^j, j <= a,
-beside it and reads [W^e]_m = sum_j C(e, j) [V_j]_m off them.
+coefficients. It builds the module's one table of the binomial powers
+V_j = (W - 1)^j column by column (``_binomial_column``), adding a row only
+once the row above has a nonzero entry, so the table stops growing where
+the powers vanish on the window (after about K/3 of them), and returns the
+table with the unit. ``_w_coeff`` reads [W^l]_m = sum_j C(l, j) [V_j]_m off
+it, for the solver's own left side and for the matching identity.
 ``order_bound_audit`` checks the guaranteed valuation bounds of the output.
 
 Two checks verify a solution on their windows, modulo the declared
 truncations. ``pm_identity_check`` checks the matching identity (the
 regular-part difference of the twisted expansions equals the singular-part
-difference): it expands the returned unit into its binomial powers, which
-vanish on the window after about K/3 of them, and takes every W^l it needs
-from them; the sigma polynomials share one monomial table per point. Both
-tables of V_j are filled by one column step, ``_binomial_column``.
+difference): it takes every W^l it needs from the solve's table, and the
+sigma polynomials share one monomial table per point.
 ``substitution_check`` back-substitutes the solved parameter into the
 defining equation with J. C. P. Miller's power recurrence for W^l; it
 shares none of the binomial-power code and stays the solver's independent
@@ -41,7 +43,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import takewhile
@@ -320,7 +322,10 @@ class ReparamResult:
     delta_prime[i] (2 <= i <= a) and epsilon[i] (a+1 <= i <= smax) are the
     coefficients of the corrected parameter; unit[m] (0 <= m <= smax) is
     the s^{-m} coefficient of the unit W = s(next)/s, so unit[0] == 1 and
-    unit[1] == 0.
+    unit[1] == 0. powers[j][m] is the s^{-m} coefficient of
+    V_j = (W - 1)^j, over the columns of the solve that built it; a row is
+    there only once the row above has a nonzero entry, so only the last row
+    may be zero.
     """
 
     model: LocalModel
@@ -329,13 +334,15 @@ class ReparamResult:
     delta_prime: dict[int, TSeries]
     epsilon: dict[int, TSeries]
     unit: list[TSeries]
+    powers: list[list[TSeries]] = field(compare=False, repr=False)
 
     def cut(self, smax: int) -> "ReparamResult":
         """This solution to depth smax (a <= smax <= self.smax): equal to
-        solving at smax, since order m of the solve reads only lower orders."""
+        solving at smax, since order m of the solve reads only lower orders.
+        It keeps the deeper table of ``powers``."""
         return ReparamResult(self.model, smax, self.modulus, dict(self.delta_prime),
                              {i: e for i, e in self.epsilon.items() if i <= smax},
-                             self.unit[:smax + 1])
+                             self.unit[:smax + 1], self.powers)
 
 
 def _validate_coeff_vectors(model: LocalModel, c_now: Sequence[TSeries],
@@ -372,6 +379,10 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
     2 <= i <= a fixes delta_prime_i; the vanishing of s^{a-i} for i > a
     fixes epsilon_i. Always delta_prime_2 = delta_2 and
     delta_prime_3 = delta_3.
+
+    Each order reads [W^e]_m for e <= a off the table of V_j = (W - 1)^j,
+    which grows by one column per order, and by a row V_{j+1} at column m
+    iff [V_j]_{m-1} != 0; the result carries the table as ``powers``.
     """
     a = model.a
     _check_solve_args(model, c_now, c_next, smax, modulus)
@@ -381,20 +392,20 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
     coeff = [one, zero, *c_next]
     binom = [_binomials(e, e) for e in range(a + 1)]
 
-    # powers[j][m] = [V_j]_m for V_j = (W - 1)^j, 0 <= j <= a; [V_1]_m = u_m.
-    powers = [[one] + [zero] * smax] + [[zero] * (smax + 1) for _ in range(a)]
+    # powers[j][m] = [V_j]_m for V_j = (W - 1)^j; [V_1]_m = u_m.
+    powers = [[one] + [zero] * smax, [zero] * (smax + 1)]
     for m in range(2, smax + 1):
+        # The top row V_j is zero below column m - 1, so V_{j+1} = V_1 V_j
+        # can be nonzero from column m on only if [V_j]_{m-1} is.
+        if powers[-1][m - 1]:
+            powers.append([zero] * (smax + 1))
         _binomial_column(powers, m)
         # [V_1]_m is still zero, so this is the s^{a-m} coefficient of the
         # left side without its a * u_m term.
         lhs = zero
         for k in range(min(a, m) + 1):
             if coeff[k]:
-                col = m - k
-                w_e = zero
-                for j, c in enumerate(binom[a - k]):
-                    if powers[j][col]:
-                        w_e = w_e + powers[j][col] * c
+                w_e = _w_coeff(powers, binom[a - k], m - k)
                 # k = 0 comes first, and its factor is 1.
                 lhs = lhs + coeff[k] * w_e if k else w_e
         rhs = c_now[m - 2] if m <= a else zero
@@ -403,7 +414,7 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
     unit = [one] + powers[1][1:]
     delta_prime = {i: unit[i] * (-a) for i in range(2, a + 1)}
     epsilon = {i: unit[i] for i in range(a + 1, smax + 1)}
-    return ReparamResult(model, smax, modulus, delta_prime, epsilon, unit)
+    return ReparamResult(model, smax, modulus, delta_prime, epsilon, unit, powers)
 
 
 @dataclass
@@ -504,62 +515,17 @@ def _binomial_column(powers: list[list[TSeries]], m: int) -> None:
         powers[j][m] = acc
 
 
-class _BinomialPowers:
-    """The binomial powers V_j = (W - 1)^j, j = 0, 1, ..., of the unit W,
-    and every integer power of W from them.
-
-    ``unit`` is as for ``_unit_powers``. ``powers[j]`` holds the s^{-m}
-    coefficients of V_j for 0 <= m <= depth; the list stops before the
-    first V_j that vanishes on that window. W - 1 has s-valuation at least
-    1, so V_j has at least j and the list holds at most depth + 1 entries.
-    ``power(l, depth)`` is then [W^l]_m = sum_j C(l, j) [V_j]_m.
-    """
-
-    __slots__ = ("depth", "powers", "_rows")
-
-    def __init__(self, unit: Sequence[TSeries], depth: int):
-        if depth >= len(unit):
-            raise ValueError(f"unit known to s^-{len(unit) - 1}, power asked to s^-{depth}")
-        zero = TSeries.zero(unit[0].modulus)
-        powers = [[unit[0]] + [zero] * depth, [zero] + list(unit[1:depth + 1])]
-        for m in range(2, depth + 1):
-            # This test runs at every column, so the top row V_j is zero
-            # below column m - 1, and V_{j+1} = V_1 V_j can be nonzero from
-            # column m on only if [V_j]_{m-1} is.
-            if powers[-1][m - 1]:
-                powers.append([zero] * (depth + 1))
-            _binomial_column(powers, m)
-        if not any(powers[-1]):
-            powers.pop()
-        self.depth = depth
-        self.powers = powers
-        # _rows[m] = (val, den, rows): [V_0]_m, [V_1]_m, ... (j <= m) over one
-        # denominator, aligned at their least valuation val and transposed
-        # so rows[i] holds their t^(val + i) numerators; each coefficient of
-        # a power is then one dot product with binomials.
-        self._rows = []
-        for m in range(depth + 1):
-            column = [powers[j][m] for j in range(min(m, len(powers) - 1) + 1)]
-            live = [c for c in column if c]
-            if not live:
-                self._rows.append((0, 1, []))
-                continue
-            val = min(c._val for c in live)
-            end = max(c._val + len(c._num) for c in live)
-            den = lcm(*[c._den for c in live])
-            nums = [[0] * (c._val - val) + [a * (den // c._den) for a in c._num]
-                    + [0] * (end - c._val - len(c._num)) if c else [0] * (end - val)
-                    for c in column]
-            self._rows.append((val, den, list(zip(*nums))))
-
-    def power(self, l: int, depth: int) -> list[TSeries]:
-        """[W^l]_0 .. [W^l]_depth for any integer l."""
-        if depth > self.depth:
-            raise ValueError(f"powers known to s^-{self.depth}, asked to s^-{depth}")
-        binom = _binomials(l, len(self.powers) - 1)
-        K = self.powers[0][0].modulus
-        return [TSeries._of(K, val, [sum(map(mul, binom, row)) for row in rows], den)
-                for val, den, rows in self._rows[:depth + 1]]
+def _w_coeff(powers: list[list[TSeries]], binom: Sequence[int], m: int) -> TSeries:
+    """[W^l]_m = sum_j C(l, j) [V_j]_m, the s^{-m} coefficient of W^l, from
+    a table of binomial powers as for ``_binomial_column`` and
+    ``binom`` = C(l, 0), C(l, 1), ...; the sum stops at the shorter of the
+    two and skips zero terms. V_0 = 1 and C(l, 0) = 1 start it."""
+    acc = powers[0][m]
+    for j in range(1, min(len(binom), len(powers))):
+        v = powers[j][m]
+        if v and binom[j]:
+            acc = acc + v * binom[j]
+    return acc
 
 
 def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
@@ -593,8 +559,8 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     difference of ``pm_identity_check``: entry i is its s^{l_max - i}
     coefficient, for s-exponents l_max down to -smax.
 
-    The unit is expanded once into the binomial powers V_j = (W - 1)^j;
-    each s(next)^l = s^l W^l then needs only [W^l]_m = sum_j C(l, j) [V_j]_m.
+    Each s(next)^l = s^l W^l needs only [W^l]_m = sum_j C(l, j) [V_j]_m,
+    read off the table of V_j = (W - 1)^j that the solve returns.
     """
     model = sigma_model.model
     l_max = model.b + len(sigma_model.g0)
@@ -603,7 +569,7 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     result = reparam_solve(model, c_now, c_next, max(depth, model.a), modulus)
     # s(next)^l for l <= l_max needs W^l only to depth l + smax <= depth, and
     # every s^l has l >= -l_sing > -smax.
-    powers = _BinomialPowers(result.unit, depth)
+    powers = result.powers
 
     ls = range(-l_sing, l_max + 1)
     polys = [sigma_coeff(sigma_model, l, tmax=modulus) for l in ls]
@@ -614,7 +580,9 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     for l, s_now, s_nxt in zip(ls, sig_now, sig_next):
         diff[l_max - l] = diff[l_max - l] - s_now
         if s_nxt:
-            for m, p in enumerate(powers.power(l, l + smax)):
+            binom = _binomials(l, len(powers) - 1)
+            for m in range(l + smax + 1):
+                p = _w_coeff(powers, binom, m)
                 if p:
                     diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
     return result, diff

@@ -86,10 +86,15 @@ def test_gb_invariant_under_generator_order():
         assert texts == expect
 
 
+def _unpacked(packing, varset, p):
+    """The engine polynomial p as an MPoly, its coefficients kept as they are."""
+    return MPoly._of(varset, {packing.unpack(m): c for m, c in p.terms.items()})
+
+
 def _nf(p, divisors):
     """``normal_form`` of MPolys, packed and unpacked by the engine's packing."""
     pk = _Packing.of([p, *divisors])
-    return groebner._unpacked(pk, p.varset, normal_form(
+    return _unpacked(pk, p.varset, normal_form(
         groebner._packed(pk, p), [groebner._packed(pk, g) for g in divisors], pk.guard))
 
 
@@ -202,7 +207,7 @@ def test_integer_s_poly_matches_monic_oracle():
         i, j = rng.sample(range(len(basis)), 2)
         pk = _Packing.of(basis)
         g1, g2 = groebner._packed(pk, int_basis[i]), groebner._packed(pk, int_basis[j])
-        s_new = groebner._unpacked(pk, VS3, groebner._s_poly(g1, g2, pk.lcm(g1.lm, g2.lm)))
+        s_new = _unpacked(pk, VS3, groebner._s_poly(g1, g2, pk.lcm(g1.lm, g2.lm)))
         s_old = monic_s_poly(basis[i], basis[j], lms[i], lms[j])
         assert all(type(c) is int for c in s_new.terms.values())
         assert tuple(map(max, lms[i], lms[j])) not in s_new.terms
@@ -384,6 +389,28 @@ def test_radical_membership_zero_ideal():
     empty = Ideal.of(VS, [])
     assert radical_member(MPoly.zero(VS), empty).verdict is Membership.TRUE
     assert radical_member(X, empty).verdict is Membership.FALSE
+
+
+@pytest.mark.parametrize("ab", [(4, 6), (5, 7)], ids=["4-6", "5-7"])
+def test_radical_membership_builds_the_rabinowitsch_ideal(monkeypatch, ab):
+    # Each generator is written over the extended variable set in one pass;
+    # compare with the same ideal built by rename and ring operations.
+    model = LocalModel(*ab)
+    seen = []
+
+    def capture(ideal, budget=None):
+        seen.append(ideal)
+        return groebner.GBResult(None, 0, 0.0)
+
+    monkeypatch.setattr(groebner, "buchberger", capture)
+    for i in range(1, model.a):
+        for ideal, p in (_presentation_obstruction(model, i), _presentation_simplified(model, i)):
+            assert radical_member(p, ideal).verdict is Membership.TIMEOUT
+            big = seen[-1].varset
+            assert big == ideal.varset.extend("y")
+            gens = seen[-1].generators
+            assert list(gens[:-1]) == [g.rename(big) for g in ideal.generators]
+            assert gens[-1] == MPoly.constant(big, 1) - MPoly.variable(big, "y") * p.rename(big)
 
 
 def test_radical_membership_timeout_propagates():

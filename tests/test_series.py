@@ -15,8 +15,8 @@ from equigen.series import (
     TriState,
     TSeries,
     _binomials,
-    _BinomialPowers,
     _unit_powers,
+    _w_coeff,
     order_bound_audit,
     pm_identity_check,
     pm_window_bound,
@@ -493,8 +493,11 @@ def test_audit_entries_worked_example():
 
 
 def _corrupt(res):
-    # u_2 off by t^(K-1), the smallest change still visible mod t^K
-    res.unit[2] = res.unit[2] + TSeries.t_power(res.modulus - 1, res.modulus)
+    # u_2 off by t^(K-1), the smallest change still visible mod t^K, both in
+    # the unit and in the row V_1 = W - 1 of the solve's table
+    bump = TSeries.t_power(res.modulus - 1, res.modulus)
+    res.unit[2] = res.unit[2] + bump
+    res.powers[1][2] = res.powers[1][2] + bump
     return res
 
 
@@ -586,36 +589,43 @@ def test_binomials_for_any_integer():
         assert _binomials(l, 9) == [(-1) ** j * math.comb(j - l - 1, j) for j in range(10)]
 
 
-@pytest.mark.parametrize("unit", UNITS.values(), ids=UNITS.keys())
-def test_binomial_powers_match_miller_recurrence(unit):
-    depth = len(unit) - 1
-    bp = _BinomialPowers(unit, depth)
-    assert len(bp.powers) <= depth + 1
-    assert bp.powers[0] == [ts(1)] + [ts()] * depth
-    assert bp.powers[1] == [ts()] + unit[1:]
-    for l in range(-3, 6):
-        assert bp.power(l, depth) == _unit_powers(unit, l, depth)
-        assert bp.power(l, depth - 2) == _unit_powers(unit, l, depth - 2)
+def _random_solves(seed):
+    rng = random.Random(seed)
+    for a, b in ((2, 3), (3, 4), (4, 6)):
+        model = LocalModel(a, b)
+        for _ in range(4):
+            modulus = rng.randint(8, 12)
+            smax = rng.randint(a, 14)
+            c_now, c_next = _random_pair(rng, model, modulus)
+            yield reparam_solve(model, c_now, c_next, smax, modulus)
+
+
+def test_solver_table_matches_miller_recurrence():
+    for res in _random_solves(SEED + 9):
+        zero = TSeries.zero(res.modulus)
+        assert res.powers[0] == [TSeries.constant(1, res.modulus)] + [zero] * res.smax
+        assert res.powers[1] == [zero] + res.unit[1:]
+        for l in range(-3, 6):
+            # the whole table, and for l >= 0 only the rows up to C(l, l)
+            binoms = [_binomials(l, len(res.powers) - 1)] + ([_binomials(l, l)] if l >= 0 else [])
+            for binom in binoms:
+                assert ([_w_coeff(res.powers, binom, m) for m in range(res.smax + 1)]
+                        == _unit_powers(res.unit, l, res.smax))
 
 
 def test_binomial_powers_stop_at_first_vanishing_power():
-    # W - 1 = -t s^-1: V_j = (-t)^j s^-j is nonzero mod t^K exactly for j < K
-    depth = 14
-    bp = _BinomialPowers([ts(1), ts(0, -1)] + [ts()] * (depth - 1), depth)
-    assert len(bp.powers) == K
-    assert all(bp.powers[j][j] == TSeries.t_power(j, K, (-1) ** j) for j in range(K))
-    # W = 1: only V_0 survives and every power of W is 1
-    bp = _BinomialPowers([ts(1)] + [ts()] * depth, depth)
-    assert len(bp.powers) == 1
-    assert bp.power(-4, depth) == [ts(1)] + [ts()] * depth
-
-
-def test_binomial_powers_refuse_depth_past_the_unit():
-    unit = UNITS["solved"]
-    with pytest.raises(ValueError):
-        _BinomialPowers(unit, len(unit))
-    with pytest.raises(ValueError):
-        _BinomialPowers(unit, 4).power(2, 5)
+    # Identical inputs: W = 1, so V_1 = 0 and no row after it is added
+    model = LocalModel(3, 4)
+    c_now, _ = _random_pair(random.Random(SEED + 10), model, K)
+    res = reparam_solve(model, c_now, c_now, 14, K)
+    assert res.powers == [[ts(1)] + [ts()] * 14, [ts()] * 15]
+    # and every power of W is 1
+    assert [_w_coeff(res.powers, _binomials(-4, 1), m) for m in range(15)] == [ts(1)] + [ts()] * 14
+    # A row is added only once the row above has a nonzero entry; u_1 = 0,
+    # so V_j starts at s^-2j at the earliest
+    for res in _random_solves(SEED + 11):
+        assert all(any(row) for row in res.powers[:-1])
+        assert len(res.powers) <= (res.smax + 1) // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +737,9 @@ def test_pm_expands_binomial_powers_and_substitution_keeps_miller(monkeypatch):
 
 
 def test_binomial_column_step_is_shared_and_substitution_keeps_miller(monkeypatch):
-    # The solver and pm's table of binomial powers fill their columns with one
-    # step; substitution_check, the solver's independent oracle, never calls it.
+    # The solver fills the one table of binomial powers with this column step
+    # and pm reads that table; substitution_check, the solver's independent
+    # oracle, never calls it.
     model, c_now, c_next = _worked_example()
     res = reparam_solve(model, c_now, c_next, 8, K)
 
@@ -739,8 +750,6 @@ def test_binomial_column_step_is_shared_and_substitution_keeps_miller(monkeypatc
     assert substitution_check(res, c_now, c_next)
     with pytest.raises(AssertionError):
         pm_identity_check(SigmaModel(model), c_now, c_next, 8, K)
-    with pytest.raises(AssertionError):
-        _BinomialPowers(res.unit, 8)
 
 
 def _pm_difference_by_miller(sigma_model, c_now, c_next, smax, modulus):

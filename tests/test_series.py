@@ -589,6 +589,33 @@ def test_binomials_for_any_integer():
         assert _binomials(l, 9) == [(-1) ** j * math.comb(j - l - 1, j) for j in range(10)]
 
 
+def _table_of(unit, depth):
+    # The solver's table for a given unit: row V_1 = W - 1 is known up front,
+    # the rest is filled column by column with the solver's own column step
+    # and row rule, here also for units with u_1 != 0.
+    zero = TSeries.zero(unit[0].modulus)
+    powers = [[unit[0]] + [zero] * depth, [zero] + list(unit[1:depth + 1])]
+    for m in range(1, depth + 1):
+        if powers[-1][m - 1]:
+            powers.append([zero] * (depth + 1))
+        series._binomial_column(powers, m)
+    return powers
+
+
+@pytest.mark.parametrize("unit", UNITS.values(), ids=UNITS.keys())
+def test_binomial_powers_match_miller_recurrence(unit):
+    depth = len(unit) - 1
+    powers = _table_of(unit, depth)
+    assert len(powers) <= depth + 1
+    assert powers[0] == [ts(1)] + [ts()] * depth
+    assert powers[1] == [ts()] + unit[1:]
+    assert all(any(row) for row in powers[:-1])
+    for l in range(-3, 6):
+        binom = _binomials(l, len(powers) - 1)
+        for d in (depth, depth - 2):
+            assert [_w_coeff(powers, binom, m) for m in range(d + 1)] == _unit_powers(unit, l, d)
+
+
 def _random_solves(seed):
     rng = random.Random(seed)
     for a, b in ((2, 3), (3, 4), (4, 6)):

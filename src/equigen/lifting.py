@@ -310,10 +310,9 @@ def validate_perturb_term(term: PerturbTerm, model: LocalModel, d: int, eq: int,
 def _eval_perturb(terms: Sequence[PerturbTerm], model: LocalModel, d: int, eq: int,
                   c: Sequence[TSeries], c_seed: Sequence[TSeries], modulus: int) -> TSeries:
     total = TSeries.zero(modulus)
-    # Each c_i ** e and each difference factor c_k - c_k(seed) is built at
-    # most once per call, however many terms share it.
-    powers: dict[tuple[int, int], TSeries] = {}
-    diffs: dict[int, TSeries] = {}
+    # Coefficient first: each term starts as alpha * t^tpow and multiplies in
+    # c_i once per unit of its exponent, then each difference factor, so every
+    # product already carries the term's t-valuation and stops at the modulus.
     for term in terms:
         validate_perturb_term(term, model, d, eq, modulus)
         if not term.alpha:
@@ -322,16 +321,12 @@ def _eval_perturb(terms: Sequence[PerturbTerm], model: LocalModel, d: int, eq: i
             val = term.alpha.shift(term.tpow)
         else:
             val = TSeries.t_power(term.tpow, modulus, term.alpha)
-        for i, e in enumerate(term.exps):
-            if e:
-                if (i, e) not in powers:
-                    powers[(i, e)] = c[i] ** e
-                val = val * powers[(i, e)]
+        for ci, e in zip(c, term.exps):
+            for _ in range(e):
+                val = val * ci
         if isinstance(term, PerturbTerm2):
             for k in (term.k1, term.k2):
-                if k not in diffs:
-                    diffs[k] = c[k - 2] - c_seed[k - 2]
-                val = val * diffs[k]
+                val = val * (c[k - 2] - c_seed[k - 2])
         total = total + val
     return total
 
@@ -454,8 +449,6 @@ def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
     c = tuple(state.c[j - 1])
     # VarSet.doubled: c2..ca, then the comparison copy ct2..cta.
     fbar_val = f_bar(model, eq).evaluate(c + tuple(state.c_seed[j - 1]))
-    if not isinstance(fbar_val, TSeries):
-        fbar_val = TSeries.constant(fbar_val, K)
     terms = tuple(providers(state, j, eq))
     o_val = _eval_perturb(terms, model, d, eq, c, state.c_seed[j - 1], K)
     value = fbar_val - state.targets[(j, eq)] - o_val
@@ -555,13 +548,11 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     state = make_lift_state(config, witnesses, modulus)
     history: list[tuple[int, list[list[TSeries]]]] = [(0, [list(v) for v in state.c])]
     audit: list[LiftAuditEntry] = []
-
-    def first_open() -> int:
-        return min(state.weights.d[j - 1] * (config.model(j).b + 1)
-                   for j in range(1, config.e + 1)) + state.k
-
+    # Some equation is still open in round k while the lowest first
+    # obstruction order plus k is below the modulus.
+    first = min(d * (p.b + 1) for d, p in zip(state.weights.d, config.points))
     steps = 0
-    while first_open() < modulus:
+    while first + state.k < modulus:
         k = state.k
         for j in range(1, config.e + 1):
             lift_point_step(state, providers, j)

@@ -283,21 +283,6 @@ class TSeries:
             raise ZeroDivisionError("division of a series by zero")
         return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
 
-    def __pow__(self, n: int) -> "TSeries":
-        if n < 0:
-            raise ValueError("negative power of a truncated series")
-        if not n:
-            return TSeries.constant(1, self.modulus)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
-
     def shift(self, n: int) -> "TSeries":
         """Multiply by t^n (n >= 0); overflow past the modulus is dropped."""
         if n < 0:

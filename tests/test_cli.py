@@ -87,6 +87,12 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and not out and "5..3" in err
 
 
+def test_gen_theta_needs_m(capsys):
+    code, out, err = run(capsys, "gen", "theta", "--a", "3", "--b", "4")
+    assert code == 2 and not out
+    assert err == "error: gen theta needs --m (single index or lo..hi)\n"
+
+
 @pytest.mark.parametrize("argv, flag, text", [
     (["gen", "f", "--a", "2", "--b", "3", "--m", "x"], "--m", "x"),
     (["gen", "f", "--a", "2", "--b", "3", "--m", "3..4.5"], "--m", "3..4.5"),
@@ -119,6 +125,25 @@ def test_check_t_index_is_usage_error(capsys):
                          "--index", "2")
     assert code == 2 and not out
     assert err == "error: --index is read only by check G: use check G or drop --index\n"
+
+
+def test_check_t_needs_point(capsys):
+    code, out, err = run(capsys, "check", "T", "--a", "2", "--b", "3")
+    assert code == 2 and not out
+    assert err == "error: check T needs --point\n"
+
+
+def test_check_t_json(capsys):
+    code, out, _ = run(capsys, "check", "T", "--a", "2", "--b", "3", "--point", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"a": 2, "b": 3, "point": ["1"], "transversal": True}
+
+
+def test_check_g_needs_a_and_b(capsys):
+    code, out, err = run(capsys, "check", "G", "--b", "3")
+    assert code == 2 and not out
+    assert err == "error: --a and --b are required\n"
 
 
 def test_check_g_point_is_usage_error(capsys):
@@ -556,6 +581,23 @@ def test_reparam_g0_without_pm_is_usage_error(capsys):
     assert err == "error: --g0 is read only by --pm: add --pm or drop --g0\n"
 
 
+def test_reparam_c_now_needs_a_row_per_coefficient(capsys):
+    code, out, err = run(capsys, "reparam", "--a", "3", "--b", "4",
+                         "--c-now", "[[0,0,1]]", "--c-next", "[[0,0,1],[0,0,0,1]]",
+                         "--smax", "8", "--modulus", "10")
+    assert code == 2 and not out
+    assert err == "error: --c-now must be a JSON list of 2 coefficient rows\n"
+
+
+def test_reparam_failed_substitution_identity_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "substitution_check", lambda *args: False)
+    code, out, _ = run(capsys, "reparam", "--a", "2", "--b", "3",
+                       "--c-now", "[[0,0,1]]", "--c-next", "[[0,0,1,1]]",
+                       "--smax", "8", "--modulus", "10")
+    assert code == 1
+    assert "substitution identity: FAILED" in out
+
+
 # ---------------------------------------------------------------------------
 # star
 
@@ -580,6 +622,19 @@ def test_star_build(capsys, star_input):
     assert "-5/16*c2_2^3 + 9/8*c2_1^2 = 0" in out
 
 
+def test_star_build_json(capsys, star_input):
+    code, out, _ = run(capsys, "star", "build", "--input", star_input, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["points"] == [{"a": 2, "b": 3}, {"a": 2, "b": 5}]
+    [eq] = doc["equations"]
+    assert eq["section"] == "eta" and eq["ord"] == 12
+    assert eq["contributors"] == [{"j": 1, "m": 1, "r": "3/2"}, {"j": 2, "m": 1, "r": "-1/2"}]
+    assert eq["variables"] == ["c2_1", "c2_2"]
+    assert eq["terms"] == [{"exponents": [0, 3], "coefficient": "-5/16"},
+                           {"exponents": [2, 0], "coefficient": "9/8"}]
+
+
 def test_star_build_at_is_usage_error(capsys, star_input):
     code, out, err = run(capsys, "star", "build", "--input", star_input, "--at", "[[1], [1]]")
     assert code == 2 and not out
@@ -596,6 +651,12 @@ def test_star_check(capsys, star_input):
     code, _, err = run(capsys, "star", "check", "--input", star_input,
                        "--at", "[[1]]")
     assert code == 2
+
+
+def test_star_check_needs_at(capsys, star_input):
+    code, out, err = run(capsys, "star", "check", "--input", star_input)
+    assert code == 2 and not out
+    assert err == "error: star check needs --at with per-point coefficient vectors\n"
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +921,33 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, command, doc):
     path = write_input(tmp_path, doc)
     code, _, err = run(capsys, *INPUT_COMMANDS[command], "--input", path)
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_input_file_not_json_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "config.json"
+    path.write_text("{bad")
+    code, out, err = run(capsys, *INPUT_COMMANDS[command], "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: input file is not valid JSON: ")
+
+
+INPUT_FIELD_ERRORS = {
+    "no-points": ({"points": []}, 'input needs a nonempty "points" list'),
+    "point-without-b": ({"points": [{"a": 2}]}, 'each point needs integer "a" and "b": \'b\''),
+    "section-without-id": ({"points": [{"a": 2, "b": 3}], "sections": [{"residues": []}]},
+                           "bad section entry: 'id'"),
+    "dims-without-plain": ({"points": [{"a": 3, "b": 4}], "dims": [{"j": 1, "twisted": 9}]},
+                           "bad dims entry: 'plain'"),
+}
+
+
+@pytest.mark.parametrize("doc, message", INPUT_FIELD_ERRORS.values(),
+                         ids=INPUT_FIELD_ERRORS.keys())
+def test_input_field_error_names_the_field(capsys, tmp_path, doc, message):
+    code, out, err = run(capsys, "verdict", "--input", write_input(tmp_path, doc))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
 
 
 ZERO_DENOMINATORS = {

@@ -501,11 +501,18 @@ def test_check_g_56_pair_counts():
     assert [r.pairs_processed for r in verdict.per_index] == [252, 288, 344, 224]
 
 
-def test_check_g_57_pair_counts():
-    verdict = check_g(LocalModel(5, 7))
+A5_PAIR_COUNTS = {6: [252, 288, 344, 224], 7: [400, 530, 366, 246],
+                  8: [424, 714, 346, 454], 9: [1128, 516, 630, 436]}
+
+
+@pytest.mark.parametrize("b", sorted(A5_PAIR_COUNTS))
+def test_check_g_a5_pair_counts(b):
+    # a = 5, b <= 9 is the exact engine's differential range: every index
+    # holds, with these pairs per index.
+    verdict = check_g(LocalModel(5, b))
     assert verdict.status is GStatus.HOLDS
     assert [r.status for r in verdict.per_index] == [GStatus.HOLDS] * 4
-    assert [r.pairs_processed for r in verdict.per_index] == [400, 530, 366, 246]
+    assert [r.pairs_processed for r in verdict.per_index] == A5_PAIR_COUNTS[b]
 
 
 class _FakeClock:

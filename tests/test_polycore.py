@@ -195,13 +195,14 @@ def test_evaluate_requires_full_assignment():
 
 
 def _evaluate_term_by_term(poly, point):
-    """Reference evaluation: v ** p afresh for every term, in grevlex order."""
+    """Reference evaluation: every term multiplies its coefficient by each
+    variable once per unit of its exponent, afresh, in grevlex order."""
     total = None
     for e, c in sorted(poly.terms.items(), key=lambda kv: grevlex_key(kv[0])):
         term = c
         for v, p in zip(point, e):
-            if p:
-                term = term * (v ** p)
+            for _ in range(p):
+                term = term * v
         total = term if total is None else total + term
     return Fraction(0) if total is None else total
 

@@ -17,11 +17,12 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import __version__, cache
-from .expansion import LocalModel, SigmaModel, big_f, f_coeff, jac_bar, theta_series
+from .expansion import LocalModel, SigmaModel, big_f, f_coeff, jac_bar, theta_cap
 from .groebner import (
     Budget,
     GStatus,
     Ideal,
+    Membership,
     _check_g_index_on,
     _presentation_obstruction,
     aggregate_status,
@@ -240,8 +241,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise UsageError("gen theta needs --m (single index or lo..hi)")
         if min(ms) < 2:
             raise UsageError("--m must be at least 2 for theta")
-        table = theta_series(model, max(ms))
-        items.extend((f"theta_{m}", table[m]) for m in ms)
+        items.extend((f"theta_{m}", theta_cap(model, 1, m)) for m in ms)
     if args.format == "json":
         doc = {"model": {"a": model.a, "b": model.b},
                "polynomials": [{"name": name, **poly_json(p)} for name, p in items]}
@@ -312,6 +312,30 @@ def _poly_hashes(ideal: Ideal, candidate: MPoly) -> dict[str, str]:
     }
 
 
+# The stored verdicts and the membership each implies: (G) holds iff the
+# candidate is not in the radical.
+_STORABLE_OUTCOMES = ((GStatus.HOLDS.value, Membership.FALSE.value),
+                      (GStatus.FAILS.value, Membership.TRUE.value))
+
+
+def _cache_hit(entry: dict[str, Any] | None, a: int, b: int, i: int,
+               hashes: dict[str, str]) -> bool:
+    """Whether a stored entry is what the scan would write for index i of
+    (a, b): the same inputs, engine version and order, the polynomials the
+    current generator produces, a storable verdict with the membership it
+    implies, a pair count that is a non-negative int and a time that is a
+    finite non-negative number."""
+    if entry is None:
+        return False
+    pairs, seconds = entry.get("pairs"), entry.get("seconds")
+    return ((entry.get("a"), entry.get("b"), entry.get("i")) == (a, b, i)
+            and (entry.get("engine_version"), entry.get("order")) == (__version__, "grevlex")
+            and entry.get("poly_hashes") == hashes
+            and (entry.get("verdict"), entry.get("membership")) in _STORABLE_OUTCOMES
+            and type(pairs) is int and pairs >= 0
+            and type(seconds) in (int, float) and math.isfinite(seconds) and seconds >= 0)
+
+
 def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
     a, b, budget, cache_dir = job
     model = LocalModel(a, b)
@@ -325,13 +349,8 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
         index_budget = budget.start()
         obstruction = _presentation_obstruction(model, i)
         hashes = _poly_hashes(*obstruction)
-        # A hit must match the inputs and the polynomials the current
-        # generator produces and hold a storable verdict; anything else is
-        # recomputed and overwritten.
-        if (entry is not None
-                and (entry.get("a"), entry.get("b"), entry.get("i")) == (a, b, i)
-                and entry.get("poly_hashes") == hashes
-                and entry.get("verdict") in (GStatus.HOLDS.value, GStatus.FAILS.value)):
+        # Anything but a hit is recomputed and overwritten.
+        if _cache_hit(entry, a, b, i, hashes):
             indices.append(dict(entry, cached=True))
             statuses.append(GStatus(entry["verdict"]))
             continue

@@ -9,13 +9,12 @@ generates those coefficient polynomials and everything derived from them:
 * ``f_coeff``: coefficients ``f_coeff(beta, m)`` of ``s^{-m}`` in
   ``(1 + sum c_k s^{-k})^{beta/a}``, one multinomial-theorem pass over
   the exponent vectors of weighted degree ``m``,
-* ``theta_series``: the inverse of the unit ``u`` with ``S = s*u(s)``
+* ``theta_cap``: every power of the inverse unit ``s/S`` of ``S = s*u(s)``
   (``u`` has coefficients ``gamma_i = f_coeff(1, i)``),
-  ``theta_m = -f_coeff(m-1, m) / (m-1)``,
-* ``theta_cap``: powers of the inverse unit,
-  ``Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i)``,
+  ``Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i)``; the inverse unit's own
+  coefficients are ``theta_m = Theta_m^{(1)} = -f_coeff(m-1, m) / (m-1)``,
 * ``big_f``: the obstruction polynomials (singular-tail coefficients),
-  ``F_{-n} = sum_{m=1}^{n} (m/n) f_coeff(n, n-m) f_coeff(b, b+m)``,
+  ``F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} f_coeff(b, b+m)``,
 * ``f_bar`` / ``jac_bar``: the comparison-perturbed system and its Jacobian
   determinant; the Jacobian matrix is built once per model, its determinant
   by the division-free minors expansion of ``polycore.det_bareiss`` (run on
@@ -23,10 +22,10 @@ generates those coefficient polynomials and everything derived from them:
   ``f_bar_jacobian_at`` gives the Jacobian at a rational point,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 
-The inverse-unit formulas are Lagrange inversion of ``S = s*u(s)``:
-each is a single rescaled ``f_coeff`` value, so no series is inverted or
-composed. Everything is exact; coefficients are Fractions and results are
-MPoly.
+``theta_cap`` is Lagrange inversion of ``S = s*u(s)``, the one formula
+for the inverse unit and its powers: each coefficient is a single rescaled
+``f_coeff`` value, so no series is inverted or composed. Everything is
+exact; coefficients are Fractions and results are MPoly.
 """
 
 from __future__ import annotations
@@ -113,29 +112,19 @@ def f_coeff(model: LocalModel, beta_num: int, m: int) -> MPoly:
     return MPoly(model.varset, terms)
 
 
-def theta_series(model: LocalModel, nmax: int) -> dict[int, MPoly]:
-    """Coefficients theta_2..theta_nmax of the inverse unit: s = S(1 + sum theta_m S^{-m}).
-
-    By Lagrange inversion theta_m = -f_coeff(m-1, m) / (m-1); it is
-    weighted homogeneous of degree m and equals -gamma_m plus corrections
-    quadratic in the gammas.
-    """
-    if nmax < 2:
-        raise ValueError(f"need nmax >= 2, got {nmax}")
-    return {m: f_coeff(model, m - 1, m) * Fraction(-1, m - 1) for m in range(2, nmax + 1)}
-
-
 @functools.lru_cache(maxsize=None)
 def theta_cap(model: LocalModel, l: int, i: int) -> MPoly:
-    """Coefficient Theta_i^{(l)} of S^{-i} in (s/S)^l = (1 + sum theta_m S^{-m})^l, l < 0.
+    """Coefficient Theta_i^{(l)} of S^{-i} in (s/S)^l = (1 + sum theta_m S^{-m})^l.
 
-    By Lagrange inversion Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i).
-    Theta_0 = 1, Theta_1 = 0; weighted homogeneous of degree i.
+    By Lagrange inversion Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i), for
+    0 <= i and l < i. At l = 1 it gives the inverse unit's coefficients
+    theta_m = Theta_m^{(1)}. Theta_0 = 1 for l < 0, Theta_1 = 0;
+    weighted homogeneous of degree i.
     """
-    if l >= 0:
-        raise ValueError(f"need l < 0, got {l}")
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
+    if i <= l:
+        raise ValueError(f"need i > l, got l={l}, i={i}")
     return f_coeff(model, i - l, i) * Fraction(-l, i - l)
 
 
@@ -151,10 +140,7 @@ def big_f(model: LocalModel, n: int) -> MPoly:
         raise ValueError(f"need 1 <= n <= a-1 = {model.a - 1}, got {n}")
     total = MPoly.zero(model.varset)
     for m in range(1, n + 1):
-        tail = f_coeff(model, model.b, model.b + m)
-        if tail.is_zero():
-            continue
-        total = total + f_coeff(model, n, n - m) * Fraction(m, n) * tail
+        total = total + theta_cap(model, -m, n - m) * f_coeff(model, model.b, model.b + m)
     return total
 
 

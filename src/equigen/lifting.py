@@ -1,9 +1,10 @@
 """Order-by-order lifting of equisingular deformations across several
 singular points, with the section bookkeeping that feeds it.
 
-A configuration is a list of local models (a_j, b_j). Global weights give
-each point a scale d_j = M / (b_j + 1) with M = lcm(b_j + 1), so that all
-points reach their first obstruction order simultaneously. Sections are
+A configuration is a list of local models (a_j, b_j). It owns one global
+scale per point, ``SingularConfig.d``: d_j = M / (b_j + 1) with
+M = lcm(b_j + 1), so that all points reach their first obstruction order
+t^M simultaneously. Every order below is read from it. Sections are
 residue profiles on pole coordinates (j, m); a total order on those
 coordinates induces the section order, a filtration, and a canonical basis
 whose leading coordinates are pairwise distinct. Each basis element
@@ -21,6 +22,7 @@ as structured term lists validated against their admissible shapes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +50,12 @@ class SingularConfig:
     def e(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def d(self) -> tuple[int, ...]:
+        """The lift scales d_j = M / (b_j + 1), M = lcm(b_j + 1), in point order."""
+        M = math.lcm(*(p.b + 1 for p in self.points))
+        return tuple(M // (p.b + 1) for p in self.points)
+
     def model(self, j: int) -> LocalModel:
         if not 1 <= j <= self.e:
             raise ValueError(f"point index {j} outside 1..{self.e}")
@@ -60,33 +68,18 @@ class SingularConfig:
             raise ValueError(f"pole order m={m} outside 1..{model.a - 1} at point {j}")
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Common obstruction scale: M = lcm(b_j + 1), d_j = M / (b_j + 1)."""
-
-    M: int
-    d: tuple[int, ...]
-
-
-def compute_weights(config: SingularConfig) -> Weights:
-    M = 1
-    for p in config.points:
-        M = math.lcm(M, p.b + 1)
-    return Weights(M, tuple(M // (p.b + 1) for p in config.points))
-
-
-def pair_value(config: SingularConfig, weights: Weights, pair: Pair) -> int:
+def pair_value(config: SingularConfig, pair: Pair) -> int:
     """The obstruction order d_j * (b_j + a_j - m) attached to a pole coordinate."""
     config.validate_pair(pair)
     j, m = pair
     model = config.model(j)
-    return weights.d[j - 1] * (model.b + model.a - m)
+    return config.d[j - 1] * (model.b + model.a - m)
 
 
-def _pair_key(config: SingularConfig, weights: Weights, pair: Pair) -> tuple[int, int]:
+def _pair_key(config: SingularConfig, pair: Pair) -> tuple[int, int]:
     """Sort key of the pair order (ascending): smaller attached value means
     larger pair; ties are broken by the larger point index."""
-    return -pair_value(config, weights, pair), pair[0]
+    return -pair_value(config, pair), pair[0]
 
 
 @dataclass(frozen=True)
@@ -118,10 +111,9 @@ def validate_section(config: SingularConfig, section: SectionProfile) -> None:
 
 def _coordinate_order(config: SingularConfig) -> list[Pair]:
     """All pole coordinates sorted descending in the pair order (largest first)."""
-    w = compute_weights(config)
     coords = [(j, m) for j in range(1, config.e + 1)
               for m in range(1, config.model(j).a - 1 + 1)]
-    coords.sort(key=lambda pr: _pair_key(config, w, pr), reverse=True)
+    coords.sort(key=lambda pr: _pair_key(config, pr), reverse=True)
     return coords
 
 
@@ -157,7 +149,6 @@ def build_section_basis(config: SingularConfig, sections: Sequence[SectionProfil
     coords = _coordinate_order(config)
     rows = [{p: r for p, r in s.residues} for s in sections]
     work, pivots, combos = _echelonize(coords, rows)
-    w = compute_weights(config)
     entries = []
     for ri, row in enumerate(work):
         if not row:
@@ -166,7 +157,7 @@ def build_section_basis(config: SingularConfig, sections: Sequence[SectionProfil
                 f"section {ids[ri]} is linearly dependent on the others: {combo} = 0")
         lead = coords[pivots[ri]]
         entries.append(BasisEntry(SectionProfile.of(ids[ri], row), lead,
-                                  pair_value(config, w, lead)))
+                                  pair_value(config, lead)))
     entries.sort(key=lambda en: (-en.ord, en.leading[0]))
     return SectionBasis(entries)
 
@@ -194,12 +185,11 @@ class StarSystem:
 
 def build_star_system(config: SingularConfig, basis: SectionBasis) -> StarSystem:
     joint = VarSet.blocks([p.a for p in config.points])
-    w = compute_weights(config)
     equations = []
     for entry in basis.entries:
         section = entry.section
         contributors = [(pair, r) for pair, r in section.residues
-                        if pair_value(config, w, pair) == entry.ord]
+                        if pair_value(config, pair) == entry.ord]
         poly = MPoly.zero(joint)
         for (j, m), r in contributors:
             model = config.model(j)
@@ -344,11 +334,10 @@ def random_provider(config: SingularConfig, seed: int) -> Provider:
     """
     import random
 
-    weights = compute_weights(config)
     table: dict[tuple[int, int], tuple[PerturbTerm, ...]] = {}
     for j in range(1, config.e + 1):
         model = config.model(j)
-        d = weights.d[j - 1]
+        d = config.d[j - 1]
         for eq in range(1, model.a):
             rng = random.Random(f"{seed}:{j}:{eq}")
             terms: list[PerturbTerm] = []
@@ -391,7 +380,6 @@ class LiftState:
     """
 
     config: SingularConfig
-    weights: Weights
     c: list[list[TSeries]]
     c_seed: list[list[TSeries]]
     kernels: list[list[tuple[Fraction, ...]]]
@@ -404,7 +392,7 @@ class LiftState:
 
     def closed_modulus(self, j: int, eq: int, k: int | None = None) -> int:
         model = self.config.model(j)
-        return min(self.weights.d[j - 1] * (model.b + eq) + (self.k if k is None else k),
+        return min(self.config.d[j - 1] * (model.b + eq) + (self.k if k is None else k),
                    self.modulus)
 
 
@@ -414,7 +402,6 @@ def make_lift_state(config: SingularConfig, witnesses: Sequence[Sequence[Fractio
     satisfies every equation mod t^{d_j (b_j + eq) + 1} (k = 1)."""
     if len(witnesses) != config.e:
         raise ValueError(f"need {config.e} witness points")
-    weights = compute_weights(config)
     wit = [tuple(Fraction(x) for x in w) for w in witnesses]
     kernels = []
     c: list[list[TSeries]] = []
@@ -423,7 +410,7 @@ def make_lift_state(config: SingularConfig, witnesses: Sequence[Sequence[Fractio
         model = config.model(j)
         if len(wit[j - 1]) != model.a - 1:
             raise ValueError(f"witness {j} needs {model.a - 1} coordinates")
-        d = weights.d[j - 1]
+        d = config.d[j - 1]
         if modulus < d * (model.b + 1):
             raise ValueError(
                 f"modulus {modulus} below first obstruction order {d * (model.b + 1)} at point {j}")
@@ -433,7 +420,7 @@ def make_lift_state(config: SingularConfig, witnesses: Sequence[Sequence[Fractio
         for eq in range(1, model.a):
             value = f_coeff(model, model.b, model.b + eq).evaluate(wit[j - 1])
             targets[(j, eq)] = TSeries.t_power(d * (model.b + eq), modulus, value)
-    return LiftState(config, weights, c, [list(v) for v in c], kernels, 1, modulus, targets)
+    return LiftState(config, c, [list(v) for v in c], kernels, 1, modulus, targets)
 
 
 def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
@@ -444,7 +431,7 @@ def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
     The audit and the final closure check in ``lift_run`` call it directly.
     """
     model = state.config.model(j)
-    d = state.weights.d[j - 1]
+    d = state.config.d[j - 1]
     K = state.modulus
     c = tuple(state.c[j - 1])
     # VarSet.doubled: c2..ca, then the comparison copy ct2..cta.
@@ -481,11 +468,11 @@ def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
     not computed again.
     """
     model = state.config.model(j)
-    d = state.weights.d[j - 1]
+    d = state.config.d[j - 1]
     K = state.modulus
     k = state.k
     for eq in range(1, model.a):
-        bar_order = d * (model.b + eq) + k
+        bar_order = state.closed_modulus(j, eq)
         if bar_order >= K:
             continue
         res = _read_residual(state, providers, j, eq)
@@ -550,7 +537,7 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     audit: list[LiftAuditEntry] = []
     # Some equation is still open in round k while the lowest first
     # obstruction order plus k is below the modulus.
-    first = min(d * (p.b + 1) for d, p in zip(state.weights.d, config.points))
+    first = min(d * (p.b + 1) for d, p in zip(config.d, config.points))
     steps = 0
     while first + state.k < modulus:
         k = state.k

@@ -224,16 +224,10 @@ class MPoly:
     def diff(self, name: str) -> "MPoly":
         """Partial derivative with respect to one variable."""
         i = self.varset.index(name)
-        acc: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                s = acc.get(e2, Fraction(0)) + c * e[i]
-                if s:
-                    acc[e2] = s
-                else:
-                    acc.pop(e2, None)
-        return MPoly._of(self.varset, acc)
+        # e -> e - unit_i is injective on the terms with e_i >= 1, and
+        # c * e_i != 0, so each term of the derivative is written once.
+        return MPoly._of(self.varset, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                       for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, point: Sequence[object]):
         """Evaluate at ``point``, one value per variable in ``varset`` order.

@@ -20,7 +20,6 @@ from equigen.lifting import (
     SectionProfile,
     SingularConfig,
     _pair_key,
-    compute_weights,
     pair_value,
     validate_section,
 )
@@ -45,8 +44,7 @@ def tuple_product(p: MPoly, q: MPoly) -> MPoly:
 
 def pair_compare(config: SingularConfig, p1: Pair, p2: Pair) -> int:
     """Total order on pole coordinates (see ``lifting._pair_key``). Returns -1, 0, or 1."""
-    w = compute_weights(config)
-    k1, k2 = _pair_key(config, w, p1), _pair_key(config, w, p2)
+    k1, k2 = _pair_key(config, p1), _pair_key(config, p2)
     return (k1 > k2) - (k1 < k2)
 
 
@@ -57,9 +55,8 @@ def section_ord(config: SingularConfig, section: SectionProfile) -> tuple[Pair |
     validate_section(config, section)
     if not section.psupp:
         return None, math.inf
-    w = compute_weights(config)
-    best = max(section.psupp, key=lambda pr: _pair_key(config, w, pr))
-    return best, pair_value(config, w, best)
+    best = max(section.psupp, key=lambda pr: _pair_key(config, pr))
+    return best, pair_value(config, best)
 
 
 def variable_weight(name: str) -> int:

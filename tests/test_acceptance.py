@@ -17,7 +17,6 @@ from equigen.expansion import (
     f_coeff,
     jac_bar,
     theta_cap,
-    theta_series,
 )
 from equigen.groebner import (
     Budget,
@@ -243,7 +242,6 @@ def _euler_defect(p: MPoly):
 
 def test_criterion_4a_homogeneity_and_euler():
     rng = random.Random(SEED)
-    theta_tables = {}
     failures = 0
     first = ""
     for case in range(1000):
@@ -256,10 +254,8 @@ def test_criterion_4a_homogeneity_and_euler():
             m = rng.randint(2, 7)
             p, deg = f_coeff(model, 1, m), m
         elif kind == 2:
-            if model not in theta_tables:
-                theta_tables[model] = theta_series(model, 7)
             m = rng.randint(2, 7)
-            p, deg = theta_tables[model][m], m
+            p, deg = theta_cap(model, 1, m), m
         elif kind == 3:
             i = rng.randint(0, 7)
             p, deg = theta_cap(model, rng.randint(-6, -1), i), i
@@ -307,15 +303,12 @@ def test_criterion_4c_theta_gamma_round_trip():
         model = rng.choice(MODEL_POOL)
         nmax = rng.randint(4, 8)
         if model not in tables:
-            tables[model] = (
-                [f_coeff(model, 1, m) for m in range(2, 9)],
-                theta_series(model, 8),
-            )
-        gammas, thetas = tables[model]
+            tables[model] = [f_coeff(model, 1, m) for m in range(2, 9)]
+        gammas = tables[model]
         values = [_rand_fraction(rng) for _ in range(2, model.a + 1)]
         n = nmax + 1
         q = [F(1), F(0)] + [g.evaluate(values) for g in gammas[: n - 2]]
-        p = [F(1), F(0)] + [thetas[m].evaluate(values) for m in range(2, n)]
+        p = [F(1), F(0)] + [theta_cap(model, 1, m).evaluate(values) for m in range(2, n)]
         # y(x) = x / Q(x); back through x(y) = y / P(y) must give the identity
         y_of_x = [F(0)] + _ser_inv(q, n)[: n - 1]
         x_of_y = [F(0)] + _ser_inv(p, n)[: n - 1]
@@ -330,7 +323,6 @@ def test_criterion_4c_theta_gamma_round_trip():
 def test_criterion_4d_theta_cap_vs_power():
     rng = random.Random(SEED)
     caps = {}
-    tables = {}
     failures = 0
     first = ""
     for case in range(1000):
@@ -340,12 +332,9 @@ def test_criterion_4d_theta_cap_vs_power():
         key = (model, l, i)
         if key not in caps:
             caps[key] = theta_cap(model, l, i)
-        if model not in tables:
-            tables[model] = theta_series(model, 8)
-        thetas = tables[model]
         values = [_rand_fraction(rng) for _ in range(2, model.a + 1)]
         n = i + 1
-        p = [F(1), F(0)] + [thetas[m].evaluate(values) for m in range(2, n)]
+        p = [F(1), F(0)] + [theta_cap(model, 1, m).evaluate(values) for m in range(2, n)]
         p = p[:n]
         numeric = _ser_pow(_ser_inv(p, n), -l, n)[i]
         if caps[key].evaluate(values) != numeric:
@@ -416,14 +405,13 @@ def test_criterion_5_reparameterization():
 def _closure_profile(config, witnesses, modulus, prov, report):
     """Recompute residual orders at every recorded stage from scratch."""
     problems = []
-    weights = report.state.weights
     for k, snap in report.history[1:]:
         state = make_lift_state(config, witnesses, modulus)
         state.c = [list(v) for v in snap]
         state.k = k
         for j in range(1, config.e + 1):
             model = config.model(j)
-            d = weights.d[j - 1]
+            d = config.d[j - 1]
             for eq in range(1, model.a):
                 need = min(d * (model.b + eq) + k + 1, modulus)
                 got = residual(state, prov, j, eq).ord()
@@ -432,11 +420,11 @@ def _closure_profile(config, witnesses, modulus, prov, report):
     return problems
 
 
-def _prior_coefficients_frozen(config, weights, report):
+def _prior_coefficients_frozen(config, report):
     problems = []
     for (k_prev, snap_prev), (k, snap) in zip(report.history, report.history[1:]):
         for j in range(1, config.e + 1):
-            d = weights.d[j - 1]
+            d = config.d[j - 1]
             for idx, i in enumerate(range(2, config.model(j).a + 1)):
                 diff = snap[j - 1][idx] - snap_prev[j - 1][idx]
                 if not diff.is_zero() and diff.ord() < d * i + k:
@@ -458,7 +446,7 @@ def test_criterion_6_lifting():
         problems += [f"({a},{b}) {p}" for p in
                      _closure_profile(config, [witness], modulus, prov, rep)]
         problems += [f"({a},{b}) {p}" for p in
-                     _prior_coefficients_frozen(config, rep.state.weights, rep)]
+                     _prior_coefficients_frozen(config, rep)]
         if not rep.audit_ok:
             problems.append(f"({a},{b}): audit")
         if any(o < modulus for o in rep.residual_orders.values()):

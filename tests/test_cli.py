@@ -2,6 +2,7 @@
 cache, and JSON input handling."""
 
 import json
+import math
 import os
 
 import pytest
@@ -349,6 +350,49 @@ def test_scan_cache_unstorable_verdict_recomputed(capsys, tmp_path):
     row = json.loads(out)["rows"][0]
     assert row["verdict"] == "holds" and row["indices"][0]["cached"] is False
     assert json.loads(victim.read_text())["verdict"] == "holds"
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("change", [
+    {"seconds": _DROP}, {"seconds": math.nan}, {"seconds": math.inf}, {"seconds": -0.5},
+    {"seconds": "0.1"}, {"pairs": "lots"}, {"pairs": True}, {"pairs": -1}, {"pairs": 2.0},
+    {"membership": "true"}, {"membership": _DROP}, {"engine_version": "0.0.0"},
+    {"order": "lex"}, {"order": _DROP},
+], ids=["no-seconds", "seconds-nan", "seconds-inf", "seconds-negative", "seconds-text",
+        "pairs-text", "pairs-bool", "pairs-negative", "pairs-float",
+        "membership-contradicts-verdict", "no-membership", "other-engine-version",
+        "other-order", "no-order"])
+def test_scan_cache_malformed_entry_recomputed(capsys, tmp_path, change):
+    # An entry whose verdict and hashes match but whose other fields are not
+    # what the scan writes is a miss: recomputed and overwritten.
+    cache_dir = tmp_path / "cache"
+    argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
+            "--cache-dir", str(cache_dir), "--format", "json"]
+    run(capsys, *argv)
+    victim = cache_dir / f"{cache.cache_key(3, 4, 1, cli.__version__)}.json"
+    original = json.loads(victim.read_text())
+    tampered = dict(original, **change)
+    tampered = {k: v for k, v in tampered.items() if v is not _DROP}
+    victim.write_text(json.dumps(tampered))
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["verdict"] == "holds" and row["indices"][0]["cached"] is False
+    assert [e["cached"] for e in row["indices"]] == [False, True]
+
+    def without_seconds(entry):
+        return {k: v for k, v in entry.items() if k != "seconds"}
+
+    assert without_seconds(json.loads(victim.read_text())) == without_seconds(original)
+
+
+def test_cache_store_of_unserialisable_payload_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        cache.store(str(tmp_path), "k", {"verdict": object()})
+    assert os.listdir(tmp_path) == []
 
 
 def test_scan_cache_other_engine_recomputed(capsys, tmp_path, monkeypatch):

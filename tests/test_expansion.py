@@ -18,7 +18,6 @@ from equigen.expansion import (
     jac_bar,
     sigma_coeff,
     theta_cap,
-    theta_series,
 )
 from equigen.polycore import MPoly, poly_text
 
@@ -100,12 +99,11 @@ def test_f_coeff_rejects_negative_order():
 
 
 def test_theta_frozen_values():
-    ts = theta_series(M34, 5)
-    assert poly_text(ts[2]) == "-1/3*c2"
-    assert poly_text(ts[3]) == "-1/3*c3"
-    assert poly_text(ts[4]) == "0"
-    assert poly_text(ts[5]) == "-1/9*c2*c3"
-    assert poly_text(theta_series(M23, 2)[2]) == "-1/2*c2"
+    assert poly_text(theta_cap(M34, 1, 2)) == "-1/3*c2"
+    assert poly_text(theta_cap(M34, 1, 3)) == "-1/3*c3"
+    assert poly_text(theta_cap(M34, 1, 4)) == "0"
+    assert poly_text(theta_cap(M34, 1, 5)) == "-1/9*c2*c3"
+    assert poly_text(theta_cap(M23, 1, 2)) == "-1/2*c2"
 
 
 def _scalar_series_mul(a, b, n):
@@ -160,9 +158,8 @@ def test_theta_gamma_round_trip():
         point = _random_point(rng, model)
         q = [Fraction(1), Fraction(0)] + [
             f_coeff(model, 1, m).evaluate(point) for m in range(2, n)]
-        thetas = theta_series(model, n - 1)
         p = [Fraction(1), Fraction(0)] + [
-            thetas[m].evaluate(point) for m in range(2, n)]
+            theta_cap(model, 1, m).evaluate(point) for m in range(2, n)]
         f_series = _scalar_series_mul([Fraction(0), Fraction(1)], _scalar_series_inv(q, n), n)
         p_of_f = _scalar_compose(p, f_series, n)
         g_series = _scalar_series_mul(f_series, _scalar_series_inv(p_of_f, n), n)
@@ -185,8 +182,7 @@ def test_theta_cap_against_numeric_power():
         model = rng.choice((M23, M34, M46, M47, M56, M57, M67))
         l = rng.randint(-6, -1)
         point = _random_point(rng, model)
-        thetas = theta_series(model, imax)
-        p = [Fraction(1), Fraction(0)] + [thetas[m].evaluate(point)
+        p = [Fraction(1), Fraction(0)] + [theta_cap(model, 1, m).evaluate(point)
                                           for m in range(2, imax + 1)]
         inv = _scalar_series_inv(p, imax + 1)
         power = [Fraction(1)] + [Fraction(0)] * imax
@@ -194,6 +190,30 @@ def test_theta_cap_against_numeric_power():
             power = _scalar_series_mul(power, inv, imax + 1)
         for i in range(imax + 1):
             assert theta_cap(model, l, i).evaluate(point) == power[i], (model, l, i)
+
+
+@pytest.mark.parametrize("model", [M34, M47, M57],
+                         ids=lambda m: f"{m.a}-{m.b}")
+def test_theta_cap_positive_powers_match_products(model):
+    # [S^-i] (1 + sum_m theta_m S^-m)^l by repeated MPoly products, l = 1..4,
+    # l < i <= 9, with theta_m = Theta_m^(1); l = 1 restates theta_m, which
+    # the round-trip tests check on their own.
+    imax = 9
+    zero = MPoly.zero(model.varset)
+    unit = [MPoly.constant(model.varset, 1), zero] + [
+        theta_cap(model, 1, m) for m in range(2, imax + 1)]
+    power = [MPoly.constant(model.varset, 1)] + [zero] * imax
+    for l in range(1, 5):
+        power = [sum((power[j] * unit[i - j] for j in range(i + 1)), zero)
+                 for i in range(imax + 1)]
+        for i in range(l + 1, imax + 1):
+            assert theta_cap(model, l, i) == power[i], (l, i)
+
+
+def test_theta_cap_domain():
+    for l, i in ((1, 1), (2, 1), (3, 0), (0, 0), (-1, -1), (-2, -3)):
+        with pytest.raises(ValueError):
+            theta_cap(M34, l, i)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +247,7 @@ def test_big_f_against_unit_identity():
         cut = b + nmax + 1
         for _ in range(40):
             point = _random_point(rng, model)
-            thetas = theta_series(model, cut)
-            p = [Fraction(1), Fraction(0)] + [thetas[m].evaluate(point)
+            p = [Fraction(1), Fraction(0)] + [theta_cap(model, 1, m).evaluate(point)
                                               for m in range(2, cut)]
             inv = _scalar_series_inv(p, cut)
             total = [Fraction(0)] * cut

@@ -14,6 +14,7 @@ from equigen.groebner import (
     Budget,
     GStatus,
     Ideal,
+    InternalConsistencyError,
     Membership,
     _presentation_obstruction,
     _presentation_simplified,
@@ -654,6 +655,20 @@ def test_presentations_agree_on_small_grid():
             r1 = radical_member(cand1, ideal1)
             r2 = radical_member(cand2, ideal2)
             assert r1.verdict is r2.verdict, (a, b, i)
+
+
+def test_check_g_index_raises_when_presentations_disagree(monkeypatch):
+    # (3,4) index 1 holds, so the obstruction form is not a member; a
+    # simplified form that is the unit ideal says it is.
+    def unit_ideal(model, i):
+        one = MPoly.constant(model.varset, 1)
+        return Ideal.of(model.varset, [one]), one
+
+    monkeypatch.setattr(groebner, "_presentation_simplified", unit_ideal)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"presentations disagree at \(a=3, b=4, i=1\): "
+                             "obstruction form false, simplified form true"):
+        check_g_index(LocalModel(3, 4), 1)
 
 
 # ---------------------------------------------------------------------------

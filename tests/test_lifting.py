@@ -1,4 +1,4 @@
-"""Weights, section bookkeeping, star systems, and the t-adic lifting
+"""Lift scales, section bookkeeping, star systems, and the t-adic lifting
 engine with its non-interference audit."""
 
 import hashlib
@@ -24,7 +24,6 @@ from equigen.lifting import (
     build_star_system,
     check_d,
     choose_l,
-    compute_weights,
     deform_verdict,
     dual_kernel_basis,
     lift_point_step,
@@ -53,17 +52,22 @@ F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# weights and the pair order
+# lift scales and the pair order
+
+
+def _common_order(config):
+    """The set of d_j * (b_j + 1) over the points: {M} when the scales agree."""
+    return {d * (p.b + 1) for d, p in zip(config.d, config.points)}
 
 
 def test_weights_examples():
-    assert compute_weights(CFG_DOUBLES) == compute_weights(CFG_DOUBLES)
-    w = compute_weights(CFG_DOUBLES)
-    assert (w.M, w.d) == (12, (3, 2))
-    w = compute_weights(CFG_46)
-    assert (w.M, w.d) == (7, (1,))
-    w = compute_weights(SingularConfig((LocalModel(3, 4), M46)))
-    assert (w.M, w.d) == (35, (7, 5))
+    assert CFG_DOUBLES.d == SingularConfig((M23, M25)).d
+    assert (_common_order(CFG_DOUBLES), CFG_DOUBLES.d) == ({12}, (3, 2))
+    assert (_common_order(CFG_46), CFG_46.d) == ({7}, (1,))
+    cfg = SingularConfig((LocalModel(3, 4), M46))
+    assert (_common_order(cfg), cfg.d) == ({35}, (7, 5))
+    # Computed once per configuration.
+    assert cfg.d is cfg.d
 
 
 def test_pair_order_tie_breaks_to_larger_point_index():
@@ -213,6 +217,22 @@ def test_dual_kernel_needs_transversality():
         dual_kernel_basis(M23, (Fraction(0),))
     with pytest.raises(ValueError, match="transversality"):
         dual_kernel_basis(M46, (F1, Fraction(0), F1))
+
+
+def test_dual_kernel_verifies_its_inverse(monkeypatch):
+    # One scaled entry of the elimination's combinations makes V a wrong
+    # inverse; the J * V = I check must catch it.
+    real = lifting._echelonize
+
+    def scale_one_combo(coords, rows):
+        work, pivots, combos = real(coords, rows)
+        k = next(i for i, v in combos[0].items() if v)
+        combos[0][k] *= 2
+        return work, pivots, combos
+
+    monkeypatch.setattr(lifting, "_echelonize", scale_one_combo)
+    with pytest.raises(AssertionError, match="inverse verification failed"):
+        dual_kernel_basis(M46, (F1, F1, F1))
 
 
 def test_transversality_is_decided_without_the_determinant(monkeypatch):
@@ -583,7 +603,7 @@ def test_lift_step_rejects_state_violating_its_invariant():
     for _ in range(3):
         lift_point_step(state, prov, 1)
         state.k += 1
-    d = state.weights.d[0]
+    d = state.config.d[0]
     # A change at t^(2d+1) in c2 breaks equation 1 far below its closed order.
     state.c[0][0] = state.c[0][0] + TSeries.t_power(2 * d + 1, 30, Fraction(7))
     with pytest.raises(ValueError, match=r"violates its invariant .* residual order 6 < 9"):

@@ -63,9 +63,9 @@ def _model(args: argparse.Namespace) -> LocalModel:
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    """The unstarted budget of --budget-secs (120 when not given) and
-    --max-pairs, both checked: a deadline that never expires (nan, inf) or
-    has already (<= 0) bounds nothing."""
+    """The budget of --budget-secs (120 when not given) and --max-pairs,
+    its clock running from now, both checked: a deadline that never
+    expires (nan, inf) or has already (<= 0) bounds nothing."""
     seconds = 120.0 if args.budget_secs is None else args.budget_secs
     if not 0 < seconds < math.inf:
         raise UsageError(f"--budget-secs must be a finite number of seconds > 0, got {seconds}")
@@ -312,28 +312,41 @@ def _poly_hashes(ideal: Ideal, candidate: MPoly) -> dict[str, str]:
     }
 
 
-# The stored verdicts and the membership each implies: (G) holds iff the
-# candidate is not in the radical.
-_STORABLE_OUTCOMES = ((GStatus.HOLDS.value, Membership.FALSE.value),
-                      (GStatus.FAILS.value, Membership.TRUE.value))
+# The membership each verdict implies: (G) holds iff the candidate is not
+# in the radical.
+_MEMBERSHIP = {GStatus.HOLDS: Membership.FALSE, GStatus.FAILS: Membership.TRUE,
+               GStatus.TIMEOUT: Membership.TIMEOUT}
+
+
+def _scan_entry(a: int, b: int, i: int, status: GStatus, pairs: int, seconds: float,
+                hashes: dict[str, str]) -> dict[str, Any]:
+    """The scan's entry for index i of (a, b): what the cache stores, and
+    what the scan prints with ``cached`` added."""
+    return {
+        "a": a, "b": b, "i": i,
+        "engine_version": __version__, "order": "grevlex",
+        "verdict": status.value, "membership": _MEMBERSHIP[status].value,
+        "pairs": pairs, "seconds": seconds,
+        "poly_hashes": hashes,
+    }
 
 
 def _cache_hit(entry: dict[str, Any] | None, a: int, b: int, i: int,
                hashes: dict[str, str]) -> bool:
-    """Whether a stored entry is what the scan would write for index i of
-    (a, b): the same inputs, engine version and order, the polynomials the
-    current generator produces, a storable verdict with the membership it
-    implies, a pair count that is a non-negative int and a time that is a
-    finite non-negative number."""
+    """Whether a stored entry is exactly what the scan would write for index
+    i of (a, b) and the polynomials the current generator produces: a holds
+    or fails verdict, a pair count that is a non-negative int, a time that
+    is a finite non-negative number, and, as JSON text, the ``_scan_entry``
+    of those three and nothing else."""
     if entry is None:
         return False
-    pairs, seconds = entry.get("pairs"), entry.get("seconds")
-    return ((entry.get("a"), entry.get("b"), entry.get("i")) == (a, b, i)
-            and (entry.get("engine_version"), entry.get("order")) == (__version__, "grevlex")
-            and entry.get("poly_hashes") == hashes
-            and (entry.get("verdict"), entry.get("membership")) in _STORABLE_OUTCOMES
+    verdict, pairs, seconds = entry.get("verdict"), entry.get("pairs"), entry.get("seconds")
+    if not (verdict in (GStatus.HOLDS.value, GStatus.FAILS.value)
             and type(pairs) is int and pairs >= 0
-            and type(seconds) in (int, float) and math.isfinite(seconds) and seconds >= 0)
+            and type(seconds) in (int, float) and math.isfinite(seconds) and seconds >= 0):
+        return False
+    rebuilt = _scan_entry(a, b, i, GStatus(verdict), pairs, seconds, hashes)
+    return json.dumps(entry, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
 
 
 def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
@@ -346,7 +359,7 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
         entry = cache.load(cache_dir, key) if cache_dir else None
         # One build of the obstruction presentation serves the hashes and
         # the check; the index's clock runs from before it.
-        index_budget = budget.start()
+        index_budget = Budget(budget.seconds, budget.max_pairs)
         obstruction = _presentation_obstruction(model, i)
         hashes = _poly_hashes(*obstruction)
         # Anything but a hit is recomputed and overwritten.
@@ -355,17 +368,11 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
             statuses.append(GStatus(entry["verdict"]))
             continue
         res = _check_g_index_on(model, i, obstruction, index_budget)
-        entry = {
-            "a": a, "b": b, "i": i,
-            "engine_version": __version__, "order": "grevlex",
-            "verdict": res.status.value, "membership": res.membership.value,
-            "pairs": res.pairs_processed, "seconds": round(res.elapsed, 4),
-            "poly_hashes": hashes,
-            "cached": False,
-        }
+        entry = _scan_entry(a, b, i, res.status, res.pairs_processed, round(res.elapsed, 4),
+                            hashes)
         if cache_dir and res.status is not GStatus.TIMEOUT:
-            cache.store(cache_dir, key, {k: v for k, v in entry.items() if k != "cached"})
-        indices.append(entry)
+            cache.store(cache_dir, key, entry)
+        indices.append(dict(entry, cached=False))
         statuses.append(res.status)
     return {"a": a, "b": b, "verdict": aggregate_status(statuses).value, "indices": indices,
             "seconds": round(sum(e["seconds"] for e in indices), 4)}
@@ -395,7 +402,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rows = list(pool.map(_scan_cell, jobs))
     else:
         rows = [_scan_cell(j) for j in jobs]
-    rows.sort(key=lambda r: (r["a"], r["b"]))
 
     if args.format == "json":
         print(json.dumps({"engine_version": __version__, "rows": rows}, indent=2))
@@ -588,7 +594,7 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     nbar = flags.get("nbar_nonzero", False)
     if not isinstance(nbar, bool):
         raise UsageError('"flags.nbar_nonzero" must be a JSON boolean')
-    budget = _budget(args).start()
+    budget = _budget(args)
     g_table: dict[int, GStatus] = {}
     if not all(p.a == 2 for p in config.points):
         # (G) depends on (a, b) alone: points of one type share one check.
@@ -705,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-min", type=int, default=3)
     p.add_argument("--a-max", type=int, default=4)
     p.add_argument("--b-max", type=int, default=9)
-    p.add_argument("--budget-secs", type=float, default=120.0,
+    p.add_argument("--budget-secs", type=float,
                    help="wall-clock seconds per (a, b, i) index, not for the whole scan "
                         "(default 120)")
     p.add_argument("--max-pairs", type=int, help="S-pairs allowed per Groebner run")
@@ -748,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verdict", help="deformability of a configuration")
     p.add_argument("--input", required=True, help="configuration JSON file")
-    p.add_argument("--budget-secs", type=float, default=120.0,
+    p.add_argument("--budget-secs", type=float,
                    help="wall-clock seconds for all genericity checks together (default 120)")
     p.add_argument("--max-pairs", type=int, help="S-pairs allowed per Groebner run")
     add_format(p)

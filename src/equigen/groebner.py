@@ -48,7 +48,7 @@ elimination, with no symbolic determinant.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -98,27 +98,19 @@ class Ideal:
 class Budget:
     """Wall-clock and S-pair budget; None means unlimited.
 
-    ``seconds`` runs on one clock, started by ``start()``: every engine run
-    given a started budget shares its clock, so the seconds bound them all
-    together. ``max_pairs`` bounds each Buchberger run on its own.
+    ``seconds`` is a deadline: its clock runs from when the budget is made,
+    and every engine run given the budget shares it, so the seconds bound
+    them all together. ``max_pairs`` bounds each Buchberger run on its own.
     """
 
     seconds: float | None = None
     max_pairs: int | None = None
-    started_at: float | None = field(default=None, init=False, repr=False, compare=False)
-
-    def start(self) -> "Budget":
-        """This budget with its clock running from now; a budget already
-        started is returned as it is."""
-        if self.started_at is not None:
-            return self
-        running = replace(self)
-        running.started_at = monotonic()
-        return running
+    # A lambda, so each budget reads the module's clock when it is made.
+    started_at: float = field(default_factory=lambda: monotonic(), init=False, repr=False,
+                              compare=False)
 
     def expired(self) -> bool:
-        return (self.seconds is not None and self.started_at is not None
-                and monotonic() - self.started_at > self.seconds)
+        return self.seconds is not None and monotonic() - self.started_at > self.seconds
 
 
 @dataclass
@@ -248,7 +240,7 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
     """
     if not ideal.generators:
         raise ValueError("Groebner engine needs at least one generator")
-    budget = (budget or Budget()).start()
+    budget = budget or Budget()
     t0 = monotonic()
     varset = ideal.varset
     gens = [MPoly._of(varset, primitive_terms(g.terms)) for g in ideal.generators]
@@ -440,7 +432,6 @@ def _presentation_simplified(model: LocalModel, i: int) -> tuple[Ideal, MPoly]:
 class GIndexResult:
     index: int
     status: GStatus
-    membership: Membership
     pairs_processed: int = 0
     elapsed: float = 0.0
 
@@ -462,35 +453,34 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None) -> GI
     """
     if not 1 <= i <= model.a - 1:
         raise ValueError(f"index must be in [1, {model.a - 1}], got {i}")
-    budget = (budget or Budget()).start()
+    budget = budget or Budget()
     if budget.expired():
-        return GIndexResult(i, GStatus.TIMEOUT, Membership.TIMEOUT)
+        return GIndexResult(i, GStatus.TIMEOUT)
     return _check_g_index_on(model, i, _presentation_obstruction(model, i), budget)
 
 
 def _check_g_index_on(model: LocalModel, i: int, obstruction: tuple[Ideal, MPoly],
                       budget: Budget) -> GIndexResult:
     """``check_g_index`` with the obstruction presentation already built,
-    as ``_presentation_obstruction(model, i)`` returns it, and the budget
-    already started. The simplified presentation is built only while the
-    clock has time after the first run."""
+    as ``_presentation_obstruction(model, i)`` returns it. The simplified
+    presentation is built only while the clock has time after the first
+    run."""
     ideal_f_form, cand_f_form = obstruction
     r1 = radical_member(cand_f_form, ideal_f_form, budget)
     if budget.expired():
-        return GIndexResult(i, GStatus.TIMEOUT, Membership.TIMEOUT, r1.pairs_processed,
-                            r1.elapsed)
+        return GIndexResult(i, GStatus.TIMEOUT, r1.pairs_processed, r1.elapsed)
     ideal_simple, cand_simple = _presentation_simplified(model, i)
     r2 = radical_member(cand_simple, ideal_simple, budget)
     pairs = r1.pairs_processed + r2.pairs_processed
     elapsed = r1.elapsed + r2.elapsed
     if Membership.TIMEOUT in (r1.verdict, r2.verdict):
-        return GIndexResult(i, GStatus.TIMEOUT, Membership.TIMEOUT, pairs, elapsed)
+        return GIndexResult(i, GStatus.TIMEOUT, pairs, elapsed)
     if r1.verdict is not r2.verdict:
         raise InternalConsistencyError(
             f"presentations disagree at (a={model.a}, b={model.b}, i={i}): "
             f"obstruction form {r1.verdict.value}, simplified form {r2.verdict.value}")
     status = GStatus.HOLDS if r1.verdict is Membership.FALSE else GStatus.FAILS
-    return GIndexResult(i, status, r1.verdict, pairs, elapsed)
+    return GIndexResult(i, status, pairs, elapsed)
 
 
 def aggregate_status(statuses: Iterable[GStatus]) -> GStatus:
@@ -506,7 +496,6 @@ def aggregate_status(statuses: Iterable[GStatus]) -> GStatus:
 def check_g(model: LocalModel, budget: Budget | None = None) -> GVerdict:
     """Genericity at every index 1..a-1, aggregated by ``aggregate_status``.
     The budget's seconds bound all indices together."""
-    budget = (budget or Budget()).start()
     per_index = [check_g_index(model, i, budget) for i in range(1, model.a)]
     return GVerdict(aggregate_status(r.status for r in per_index), per_index)
 

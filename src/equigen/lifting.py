@@ -124,23 +124,17 @@ class BasisEntry:
     ord: int
 
 
-@dataclass
-class SectionBasis:
-    """Echelonized representatives with pairwise distinct leading coordinates,
-    sorted by decreasing section order (ties by increasing point index)."""
-
-    entries: list[BasisEntry]
-
-
-def build_section_basis(config: SingularConfig, sections: Sequence[SectionProfile]) -> SectionBasis:
-    """Reduce the given sections to filtration representatives.
+def build_section_basis(config: SingularConfig,
+                        sections: Sequence[SectionProfile]) -> list[BasisEntry]:
+    """Reduce the given sections to filtration representatives, echelonized
+    and sorted by decreasing section order (ties by increasing point index).
 
     Linearly dependent inputs are a usage error; the error names the
     dependency. Each output entry descends from one input section and keeps
     its id; leading coordinates are pairwise distinct by construction.
     """
     if not sections:
-        return SectionBasis([])
+        return []
     for s in sections:
         validate_section(config, s)
     ids = [s.id for s in sections]
@@ -159,7 +153,7 @@ def build_section_basis(config: SingularConfig, sections: Sequence[SectionProfil
         entries.append(BasisEntry(SectionProfile.of(ids[ri], row), lead,
                                   pair_value(config, lead)))
     entries.sort(key=lambda en: (-en.ord, en.leading[0]))
-    return SectionBasis(entries)
+    return entries
 
 
 @dataclass
@@ -183,10 +177,10 @@ class StarSystem:
     equations: list[StarEquation]
 
 
-def build_star_system(config: SingularConfig, basis: SectionBasis) -> StarSystem:
+def build_star_system(config: SingularConfig, basis: list[BasisEntry]) -> StarSystem:
     joint = VarSet.blocks([p.a for p in config.points])
     equations = []
-    for entry in basis.entries:
+    for entry in basis:
         section = entry.section
         contributors = [(pair, r) for pair, r in section.residues
                         if pair_value(config, pair) == entry.ord]

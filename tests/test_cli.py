@@ -359,11 +359,11 @@ _DROP = object()
     {"seconds": _DROP}, {"seconds": math.nan}, {"seconds": math.inf}, {"seconds": -0.5},
     {"seconds": "0.1"}, {"pairs": "lots"}, {"pairs": True}, {"pairs": -1}, {"pairs": 2.0},
     {"membership": "true"}, {"membership": _DROP}, {"engine_version": "0.0.0"},
-    {"order": "lex"}, {"order": _DROP},
+    {"order": "lex"}, {"order": _DROP}, {"injected": "x"}, {"a": 3.0}, {"i": True},
 ], ids=["no-seconds", "seconds-nan", "seconds-inf", "seconds-negative", "seconds-text",
         "pairs-text", "pairs-bool", "pairs-negative", "pairs-float",
         "membership-contradicts-verdict", "no-membership", "other-engine-version",
-        "other-order", "no-order"])
+        "other-order", "no-order", "extra-field", "a-float", "i-bool"])
 def test_scan_cache_malformed_entry_recomputed(capsys, tmp_path, change):
     # An entry whose verdict and hashes match but whose other fields are not
     # what the scan writes is a miss: recomputed and overwritten.
@@ -382,6 +382,8 @@ def test_scan_cache_malformed_entry_recomputed(capsys, tmp_path, change):
     row = json.loads(out)["rows"][0]
     assert row["verdict"] == "holds" and row["indices"][0]["cached"] is False
     assert [e["cached"] for e in row["indices"]] == [False, True]
+    # A fresh entry and a served one carry the same fields.
+    assert set(row["indices"][0]) == set(row["indices"][1])
 
     def without_seconds(entry):
         return {k: v for k, v in entry.items() if k != "seconds"}
@@ -1047,3 +1049,17 @@ def test_selftest_all_pass(capsys):
     assert len(lines) == 10
     assert all(ln.startswith("PASS") for ln in lines)
     assert "all passed" in out
+
+
+# ---------------------------------------------------------------------------
+# packaging
+
+
+def test_project_version_is_package_version():
+    # The scan writes __version__ into every cache key and entry, while
+    # installed metadata reports pyproject's version: they must be one.
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == cli.__version__

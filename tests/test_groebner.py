@@ -490,7 +490,6 @@ def test_check_g_double_point_always_holds():
         verdict = check_g(LocalModel(2, b))
         assert verdict.status is GStatus.HOLDS
         [result] = verdict.per_index
-        assert result.membership is Membership.FALSE
         assert result.pairs_processed == 0
 
 
@@ -529,6 +528,15 @@ class _FakeClock:
             return real_normal_form(*args)
 
         monkeypatch.setattr(groebner, "normal_form", slow_normal_form)
+
+
+def test_budget_clock_runs_from_when_it_is_made(monkeypatch):
+    clock = _FakeClock(monkeypatch)
+    budget = Budget(seconds=0.5)
+    assert not budget.expired()
+    clock.now += 1
+    assert budget.expired()
+    assert not Budget().expired()
 
 
 def test_budget_clock_shared_by_both_presentations(monkeypatch):
@@ -573,7 +581,7 @@ def test_expired_budget_builds_no_presentation(monkeypatch):
     assert builds == ["_presentation_obstruction", "_presentation_simplified"] * 2
     # A clock already run out calls neither builder.
     builds.clear()
-    budget = Budget(seconds=0.5).start()
+    budget = Budget(seconds=0.5)
     clock.now += 1
     verdict = check_g(model, budget)
     assert builds == []
@@ -617,7 +625,6 @@ def test_budget_max_pairs_per_run():
 def test_check_g_index_timeout():
     res = check_g_index(LocalModel(4, 6), 1, Budget(max_pairs=1))
     assert res.status is GStatus.TIMEOUT
-    assert res.membership is Membership.TIMEOUT
 
 
 def test_pair_budget_timeout_counts_only_processed_pairs():

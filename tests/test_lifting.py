@@ -107,7 +107,7 @@ def test_basis_echelon_distinct_leading():
     s1 = SectionProfile.of("e1", {(1, 1): 1, (2, 1): 2})
     s2 = SectionProfile.of("e2", {(2, 1): 1})
     basis = build_section_basis(CFG_DOUBLES, [s1, s2])
-    leads = [en.leading for en in basis.entries]
+    leads = [en.leading for en in basis]
     assert sorted(leads) == [(1, 1), (2, 1)]
     assert len(set(leads)) == 2
 
@@ -134,7 +134,7 @@ def test_basis_sorted_by_ord_then_point():
             SectionProfile.of("b", {(2, 2): 1}),
             SectionProfile.of("c", {(1, 2): 1})]
     basis = build_section_basis(cfg, rows)
-    assert [(en.ord, en.leading[0]) for en in basis.entries] == [(42, 1), (40, 2), (35, 1)]
+    assert [(en.ord, en.leading[0]) for en in basis] == [(42, 1), (40, 2), (35, 1)]
 
 
 # ---------------------------------------------------------------------------

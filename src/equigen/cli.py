@@ -332,21 +332,26 @@ def _scan_entry(a: int, b: int, i: int, status: GStatus, pairs: int, seconds: fl
 
 
 def _cache_hit(entry: dict[str, Any] | None, a: int, b: int, i: int,
-               hashes: dict[str, str]) -> bool:
-    """Whether a stored entry is exactly what the scan would write for index
-    i of (a, b) and the polynomials the current generator produces: a holds
-    or fails verdict, a pair count that is a non-negative int, a time that
-    is a finite non-negative number, and, as JSON text, the ``_scan_entry``
-    of those three and nothing else."""
+               hashes: dict[str, str]) -> dict[str, Any] | None:
+    """The scan entry a stored entry serves, or None for a miss.
+
+    A hit is exactly what the scan would write for index i of (a, b) and
+    the polynomials the current generator produces: a holds or fails
+    verdict, a pair count that is a non-negative int, a time that is a
+    finite non-negative number, and, as JSON text, the ``_scan_entry`` of
+    those three and nothing else. That rebuilt entry is returned, so a
+    served row has the key order of a computed one."""
     if entry is None:
-        return False
+        return None
     verdict, pairs, seconds = entry.get("verdict"), entry.get("pairs"), entry.get("seconds")
     if not (verdict in (GStatus.HOLDS.value, GStatus.FAILS.value)
             and type(pairs) is int and pairs >= 0
             and type(seconds) in (int, float) and math.isfinite(seconds) and seconds >= 0):
-        return False
+        return None
     rebuilt = _scan_entry(a, b, i, GStatus(verdict), pairs, seconds, hashes)
-    return json.dumps(entry, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
+    if json.dumps(entry, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
+        return None
+    return rebuilt
 
 
 def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
@@ -363,9 +368,10 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
         obstruction = _presentation_obstruction(model, i)
         hashes = _poly_hashes(*obstruction)
         # Anything but a hit is recomputed and overwritten.
-        if _cache_hit(entry, a, b, i, hashes):
-            indices.append(dict(entry, cached=True))
-            statuses.append(GStatus(entry["verdict"]))
+        hit = _cache_hit(entry, a, b, i, hashes)
+        if hit is not None:
+            indices.append(dict(hit, cached=True))
+            statuses.append(GStatus(hit["verdict"]))
             continue
         res = _check_g_index_on(model, i, obstruction, index_budget)
         entry = _scan_entry(a, b, i, res.status, res.pairs_processed, round(res.elapsed, 4),

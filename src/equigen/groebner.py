@@ -7,7 +7,9 @@ at the end, all in grevlex: radical membership, the one question the engine
 answers, has the same answer in every monomial order. Pending S-pairs sit in
 a heap keyed by the selection rule, and the normal form takes the largest
 remaining term from a max-heap, so neither rescans its whole set at each
-step. Budgets cover wall-clock seconds, on one clock shared by every run of
+step. Each basis element keeps the set of partners it has been popped
+with, so the chain criterion for a pair (i, j) tests only the elements in
+both sets (Becker and Weispfenning, *Gröbner Bases*, 5.5). Budgets cover wall-clock seconds, on one clock shared by every run of
 a check, and processed S-pairs per run; exhaustion, in the pair loop or in
 the final inter-reduction, yields a first-class timeout verdict instead of
 an exception.
@@ -15,9 +17,10 @@ an exception.
 The working basis is primitive integer polynomials (``primitive_terms``:
 coprime int coefficients, grevlex-leading coefficient positive). Each
 S-polynomial is built in ints as (lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2
-with g = gcd(lc1, lc2), a scalar multiple of the monic one; the normal form
-makes a Fraction only for a quotient coeff/lc that is not exact. The normal
-form is linear and picks reducers by support alone, and the primitive part
+with g = gcd(lc1, lc2), a scalar multiple of the monic one. The normal form
+holds each working coefficient as a reduced (numerator, denominator) pair
+of ints and makes a Fraction only for a result coefficient that is not an
+integer. The normal form is linear and picks reducers by support alone, and the primitive part
 is scale-invariant, so the basis, the S-pairs and the reduced monic basis
 are those of the monic computation. Only the reduced basis is returned,
 with Fraction coefficients.
@@ -156,14 +159,27 @@ def normal_form(p: _Poly, basis: Sequence[_Poly], guard: int) -> _Poly:
     skipped when it surfaces. Each term is reduced by the first basis
     element, in basis order, whose leading monomial divides it.
 
-    Coefficients may be ints or Fractions, as in the engine's integer
-    basis; a result coefficient is an int only where every step on its
-    term stayed integral.
+    Coefficients of p may be ints or Fractions. A reducer whose leading
+    coefficient is an int is used as it is, and all its coefficients must
+    then be ints, as in the engine's primitive basis, whose leading ones
+    are positive; any other reducer is replaced by its primitive multiple,
+    which leaves the same remainder. Each working coefficient is a reduced
+    (numerator, denominator > 0) pair of ints, stepped by Fraction's own
+    gcd rules (Henrici's; Knuth, TAOCP vol. 2, 4.5.1), so it is the exact
+    rational a Fraction would hold, and a Fraction is made only for a
+    result coefficient that is not an integer.
     """
     # Terms are not copied into tails: one call reduces by few of the basis
     # elements (about one in fifteen in check G at (5,7)).
-    reducers = [(g.lm, g.terms[g.lm], g.terms) for g in basis if g.terms]
-    work = dict(p.terms)
+    reducers = []
+    for g in basis:
+        if g.terms:
+            lc = g.terms[g.lm]
+            if type(lc) is not int:
+                g = _Poly(primitive_terms(g.terms, g.lm))
+                lc = g.terms[g.lm]
+            reducers.append((g.lm, lc, g.terms))
+    work = {m: c.as_integer_ratio() for m, c in p.terms.items()}
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -177,32 +193,46 @@ def normal_form(p: _Poly, basis: Sequence[_Poly], guard: int) -> _Poly:
             shift = mon - lm
             if shift & guard:
                 continue
-            # An int quotient stays an int when it is exact; otherwise
-            # it is a Fraction, never int / int (a float).
-            if type(coeff) is int:
-                factor, r = divmod(coeff, lc)
-                if r:
-                    factor = Fraction(coeff, lc)
-            else:
-                factor = coeff / lc
+            # The factor coeff / lc = fn / fd in lowest terms.
+            n, d = coeff
+            g = gcd(n, lc)
+            fn, fd = n // g, d * (lc // g)
             # Every new term lies below mon: a reduced term never returns.
             for eg, cg in terms.items():
                 if eg == lm:
                     continue
                 tgt = eg + shift
+                # factor * cg = pn / pd in lowest terms, as gcd(fn, fd) = 1.
+                if fd == 1:
+                    pn, pd = fn * cg, 1
+                else:
+                    g = gcd(cg, fd)
+                    pn, pd = fn * (cg // g), fd // g
                 old = work.get(tgt)
                 if old is None:
-                    work[tgt] = -factor * cg
+                    work[tgt] = (-pn, pd)
                     heappush(heap, -tgt)
+                    continue
+                # old - pn / pd in lowest terms.
+                on, od = old
+                g = gcd(od, pd)
+                if g == 1:
+                    num, den = on * pd - pn * od, od * pd
                 else:
-                    s = old - factor * cg
-                    if s:
-                        work[tgt] = s
-                    else:
-                        del work[tgt]
+                    s = od // g
+                    num = on * (pd // g) - pn * s
+                    g2 = gcd(num, g)
+                    den = s * pd
+                    if g2 != 1:
+                        num, den = num // g2, den // g2
+                if num:
+                    work[tgt] = (num, den)
+                else:
+                    del work[tgt]
             break
         else:
-            out[mon] = coeff
+            n, d = coeff
+            out[mon] = n if d == 1 else Fraction(n, d)
     return _Poly(out)
 
 
@@ -280,7 +310,8 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
     # smallest first, so the heap yields them in the order a full scan for
     # the minimum would.
     pending: list[tuple[int, int, int]] = []
-    done: set[tuple[int, int]] = set()
+    # done[k]: the partners of basis element k in the pairs popped so far.
+    done: list[set[int]] = [set() for _ in basis]
 
     def push_pair(i: int, j: int) -> None:
         heapq.heappush(pending, (lcm_of(lms[i], lms[j]), i, j))
@@ -290,19 +321,18 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
             push_pair(i, j)
 
     def chain_skip(i: int, j: int, lcm: int) -> bool:
-        for k, lm in enumerate(lms):
-            if k == i or k == j:
-                continue
-            if not (lcm - lm) & guard:
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    return True
+        # Chain criterion: some k whose pairs with i and j are both popped
+        # has a leading monomial dividing the lcm. No pair (k, k) is ever
+        # made, so k is neither i nor j.
+        for k in done[i] & done[j]:
+            if not (lcm - lms[k]) & guard:
+                return True
         return False
 
     while pending:
         lcm, i, j = heapq.heappop(pending)
-        done.add((i, j))
+        done[i].add(j)
+        done[j].add(i)
         # Product criterion: coprime leading monomials reduce to zero.
         if lcm == lms[i] + lms[j]:
             continue
@@ -324,6 +354,7 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
         new_idx = len(basis)
         basis.append(rem)
         lms.append(rem.lm)
+        done.append(set())
         for t in range(new_idx):
             push_pair(t, new_idx)
 

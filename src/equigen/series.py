@@ -33,8 +33,10 @@ it, for the solver's own left side and for the matching identity.
 Two checks verify a solution on their windows, modulo the declared
 truncations. ``pm_identity_check`` checks the matching identity (the
 regular-part difference of the twisted expansions equals the singular-part
-difference): it takes every W^l it needs from the solve's table, and the
-sigma polynomials share one monomial table per point.
+difference): it takes every W^l it needs from the solve's table, reading
+no [W^l]_m whose product with sigma_l(next) the t-orders already put at or
+past the modulus, and the sigma polynomials share one monomial table per
+point.
 ``substitution_check`` back-substitutes the solved parameter into the
 defining equation with J. C. P. Miller's power recurrence for W^l; it
 shares none of the binomial-power code and stays the solver's independent
@@ -545,7 +547,11 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     coefficient, for s-exponents l_max down to -smax.
 
     Each s(next)^l = s^l W^l needs only [W^l]_m = sum_j C(l, j) [V_j]_m,
-    read off the table of V_j = (W - 1)^j that the solve returns.
+    read off the table of V_j = (W - 1)^j that the solve returns. Over Q
+    the t-order of a product is the sum of the orders, and that of a sum at
+    least their least, so ord [W^l]_m is at least the least order in column
+    m of the table; where that and ord sigma_l(next) reach the modulus, the
+    product vanishes and [W^l]_m is not built.
     """
     model = sigma_model.model
     l_max = model.b + len(sigma_model.g0)
@@ -555,6 +561,7 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     # s(next)^l for l <= l_max needs W^l only to depth l + smax <= depth, and
     # every s^l has l >= -l_sing > -smax.
     powers = result.powers
+    column_ord = [min(row[m].ord() for row in powers) for m in range(depth + 1)]
 
     ls = range(-l_sing, l_max + 1)
     polys = [sigma_coeff(sigma_model, l, tmax=modulus) for l in ls]
@@ -565,8 +572,12 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     for l, s_now, s_nxt in zip(ls, sig_now, sig_next):
         diff[l_max - l] = diff[l_max - l] - s_now
         if s_nxt:
+            # sigma_l(next) is a bare Fraction, of order 0, where it is constant.
+            room = modulus - (s_nxt.ord() if isinstance(s_nxt, TSeries) else 0)
             binom = _binomials(l, len(powers) - 1)
             for m in range(l + smax + 1):
+                if column_ord[m] >= room:
+                    continue
                 p = _w_coeff(powers, binom, m)
                 if p:
                     diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt

@@ -4,6 +4,7 @@ cache, and JSON input handling."""
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -313,6 +314,23 @@ def test_scan_cache_round_trip(capsys, tmp_path):
         for e1, e2 in zip(r1["indices"], r2["indices"]):
             assert e1["poly_hashes"] == e2["poly_hashes"]
             assert e1["verdict"] == e2["verdict"]
+
+
+def test_scan_warm_output_is_cold_output(capsys, tmp_path):
+    # A served row is printed as the scan writes a computed one: the same
+    # text, key order included, once `cached` and `seconds` are masked.
+    argv = ["scan", "--a-min", "3", "--a-max", "3", "--b-max", "4",
+            "--cache-dir", str(tmp_path / "cache"), "--format", "json"]
+
+    def masked(out):
+        out = re.sub(r'"cached": (true|false)', '"cached": C', out)
+        return re.sub(r'"seconds": [0-9.e+-]+', '"seconds": S', out)
+
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0 and '"cached": false' in cold
+    code, warm, _ = run(capsys, *argv)
+    assert code == 0 and '"cached": true' in warm and '"cached": false' not in warm
+    assert masked(warm) == masked(cold)
 
 
 def test_scan_cache_stale_poly_hashes_recomputed(capsys, tmp_path):
@@ -860,9 +878,33 @@ def test_verdict_integer_strings_accepted(capsys, tmp_path):
     assert json.loads(out)["status"] == "deforms"
 
 
+def _budget_clock_readings(monkeypatch):
+    """Put a fake clock on ``groebner.monotonic``, a millisecond on per
+    reading, and return a list that gets, for each budget ``cli._budget``
+    makes, the clock readings taken while making it."""
+    readings, made = [], []
+
+    def clock():
+        readings.append(1000 + len(readings) / 1000)
+        return readings[-1]
+
+    real_budget = cli._budget
+
+    def budget(args):
+        start = len(readings)
+        out = real_budget(args)
+        made.append(readings[start:])
+        return out
+
+    monkeypatch.setattr(groebner, "monotonic", clock)
+    monkeypatch.setattr(cli, "_budget", budget)
+    return made
+
+
 def test_verdict_budget_is_one_clock(capsys, tmp_path, monkeypatch):
     # --budget-secs bounds the whole command: every model's check runs on
-    # the same started budget.
+    # the same budget, whose clock runs from when the command made it.
+    made = _budget_clock_readings(monkeypatch)
     seen = []
     real_check_g = cli.check_g
 
@@ -877,12 +919,13 @@ def test_verdict_budget_is_one_clock(capsys, tmp_path, monkeypatch):
     })
     run(capsys, "verdict", "--input", path, "--budget-secs", "60")
     assert len(seen) == 2 and seen[0] is seen[1]
-    assert seen[0].seconds == 60 and seen[0].started_at is not None
+    assert seen[0].seconds == 60
+    assert made == [[seen[0].started_at]]
 
 
 def test_verdict_checks_each_point_type_once(capsys, tmp_path, monkeypatch):
     # (G) depends on (a, b) alone: two (3,4) points make one check, on the
-    # one started budget, and print what two checks did.
+    # budget the command made, and print what two checks did.
     path = write_input(tmp_path, {
         "points": [{"a": 3, "b": 4}, {"a": 3, "b": 4}],
         "dims": [{"j": 1, "twisted": 3, "plain": 2}, {"j": 2, "twisted": 3, "plain": 2}],
@@ -891,6 +934,7 @@ def test_verdict_checks_each_point_type_once(capsys, tmp_path, monkeypatch):
     g_table = {j: groebner.check_g(M34).status for j in (1, 2)}
     expected = lifting.deform_verdict(lifting.SingularConfig((M34, M34)), [],
                                       {1: (3, 2), 2: (3, 2)}, g_table)
+    made = _budget_clock_readings(monkeypatch)
     seen = []
     real_check_g = cli.check_g
 
@@ -901,7 +945,7 @@ def test_verdict_checks_each_point_type_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "check_g", spy)
     code, out, _ = run(capsys, "verdict", "--input", path, "--format", "json")
     assert [model for model, _ in seen] == [M34]
-    assert seen[0][1].started_at is not None
+    assert made == [[seen[0][1].started_at]]
     assert code == 0
     assert json.loads(out) == {"status": expected.status, "reason": expected.reason,
                                "certificate": expected.certificate}

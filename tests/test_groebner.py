@@ -165,6 +165,70 @@ def test_normal_form_matches_reference_scan():
         assert list(got.terms) == list(want.terms)
 
 
+def _big_int_poly(rng, varset, n_terms, max_deg):
+    """An int polynomial with 100-300-bit coefficients, about half of them
+    sharing one 64-bit factor, and a positive leading coefficient."""
+    shared = rng.getrandbits(64) | 1
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(rng.randint(0, max_deg) for _ in varset.names)
+        c = rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(100, 300)) | 1)
+        terms[exps] = c * shared if rng.random() < 0.5 else c
+    lead = max(terms, key=grevlex_key)
+    terms[lead] = abs(terms[lead])
+    return MPoly._of(varset, terms)
+
+
+def test_normal_form_with_big_integer_reducers_matches_reference():
+    # The engine's case: int reducers whose leading coefficient is above 1,
+    # so reduction steps leave the integers. p = (n / lc) * x^m * g + h, with
+    # g the first divisor and h below p's leading term, loses that term to
+    # g. The step cancels the Fraction part of each term p shares with h,
+    # leaving h's coefficient, often an integer, and takes every other term
+    # to 0, so p's remainder is h's, in value and term order.
+    rng = random.Random(SEED + 1)
+    shared_terms = 0
+    for case in range(200):
+        divisors = [_big_int_poly(rng, VS3, rng.randint(2, 5), 3)
+                    for _ in range(rng.randint(1, 4))]
+        lcs = [d.terms[max(d.terms, key=grevlex_key)] for d in divisors]
+        g = divisors[0]
+        lm = max(g.terms, key=grevlex_key)
+        shift = tuple(rng.randint(0, 2) for _ in VS3.names)
+        lead = tuple(map(add, lm, shift))
+        r = Fraction(rng.getrandbits(80) + 1, g.terms[lm])
+        multiple = {tuple(map(add, e, shift)): r * c for e, c in g.terms.items()}
+        h: dict = {}
+        if case % 4:
+            below = [e for e in multiple if e != lead]
+            for _ in range(rng.randint(1, 8)):
+                if below and rng.random() < 0.5:
+                    e = rng.choice(below)
+                else:
+                    e = tuple(rng.randint(0, 4) for _ in VS3.names)
+                if grevlex_key(e) >= grevlex_key(lead):
+                    continue
+                h[e] = rng.choice((Fraction(rng.getrandbits(200) - (1 << 199)),
+                                   Fraction(rng.randint(-9, 9) * rng.choice(lcs)),
+                                   Fraction(rng.getrandbits(90) + 1, rng.getrandbits(40) + 1)))
+        shared_terms += len(set(h) & set(multiple))
+        p = MPoly(VS3, h) + MPoly(VS3, multiple)
+        # The engine's input holds an int wherever a coefficient is integral.
+        engine_p = MPoly._of(VS3, {e: c.numerator if c.denominator == 1 else c
+                                   for e, c in p.terms.items()})
+        got = _nf(engine_p, divisors)
+        want = reference_normal_form(p, divisors)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        assert all((type(c) is int) == (Fraction(c).denominator == 1)
+                   for c in got.terms.values())
+        rest = reference_normal_form(MPoly(VS3, h), divisors)
+        assert got == rest and list(got.terms) == list(rest.terms)
+        if not h:
+            assert not got.terms
+    assert shared_terms >= 100
+
+
 def test_normal_form_is_linear():
     res = buchberger(Ideal.of(VS, [X**2 - Y]))
     p = X**3 + Y
@@ -513,6 +577,15 @@ def test_check_g_a5_pair_counts(b):
     assert verdict.status is GStatus.HOLDS
     assert [r.status for r in verdict.per_index] == [GStatus.HOLDS] * 4
     assert [r.pairs_processed for r in verdict.per_index] == A5_PAIR_COUNTS[b]
+
+
+@pytest.mark.parametrize("i, pairs", [(4, 860), (5, 776)])
+def test_check_g_67_pair_counts(i, pairs):
+    # The first a = 6 indices under test; (6,7) at i = 4 and 5 are the
+    # cheapest of its five.
+    result = check_g_index(LocalModel(6, 7), i)
+    assert result.status is GStatus.HOLDS
+    assert result.pairs_processed == pairs
 
 
 class _FakeClock:

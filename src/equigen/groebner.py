@@ -2,17 +2,21 @@
 
 The engine is a budgeted Buchberger implementation over exact rationals:
 normal pair-selection strategy (lowest lcm first, ties broken by pair index),
-product and chain criteria, and a reduced (monic, sorted, hence unique) basis
-at the end, all in grevlex: radical membership, the one question the engine
-answers, has the same answer in every monomial order. Pending S-pairs sit in
+product and chain criteria, and by default a reduced (monic, sorted, hence
+unique) basis at the end, all in grevlex: radical membership, the one
+question the engine answers, has the same answer in every monomial order.
+A membership run skips the reduction: its pair loop already ends in {1}
+as soon as a constant remainder appears, so a loop that finishes without
+one has decided that 1 is not in the ideal. Pending S-pairs sit in
 a heap keyed by the selection rule, and the normal form takes the largest
 remaining term from a max-heap, so neither rescans its whole set at each
 step. Each basis element keeps the set of partners it has been popped
 with, so the chain criterion for a pair (i, j) tests only the elements in
-both sets (Becker and Weispfenning, *Gröbner Bases*, 5.5). Budgets cover wall-clock seconds, on one clock shared by every run of
-a check, and processed S-pairs per run; exhaustion, in the pair loop or in
-the final inter-reduction, yields a first-class timeout verdict instead of
-an exception.
+both sets (Becker and Weispfenning, *Gröbner Bases*, 5.5). Budgets
+cover wall-clock seconds, on one clock shared by every run of a check, and
+processed S-pairs per run; exhaustion, in the pair loop or in the final
+inter-reduction of a run that makes one, yields a first-class timeout
+verdict instead of an exception.
 
 The working basis is primitive integer polynomials (``primitive_terms``:
 coprime int coefficients, grevlex-leading coefficient positive). Each
@@ -22,8 +26,9 @@ holds each working coefficient as a reduced (numerator, denominator) pair
 of ints and makes a Fraction only for a result coefficient that is not an
 integer. The normal form is linear and picks reducers by support alone, and the primitive part
 is scale-invariant, so the basis, the S-pairs and the reduced monic basis
-are those of the monic computation. Only the reduced basis is returned,
-with Fraction coefficients.
+are those of the monic computation. A run returns the reduced basis, with
+Fraction coefficients, or, unreduced, the primitive integer basis the pair
+loop ended with.
 
 Inside the engine each monomial is one int, the full key of the package's
 one packing, ``polycore._Packing``: the partial sums S_n, ..., S_1 of its
@@ -37,8 +42,8 @@ of their terms. Every term a run builds has at most the degree of a
 generator or of a processed S-pair's lcm, so a pair whose lcm does not fit
 starts the run again with wider fields; the run is deterministic, so its
 pairs and its basis do not depend on the width.
-``buchberger`` packs the generators and unpacks only the reduced basis,
-making each element monic in the same pass.
+``buchberger`` packs the generators and unpacks only the basis it returns,
+making each element of a reduced basis monic in the same pass.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
@@ -118,7 +123,8 @@ class Budget:
 
 @dataclass
 class GBResult:
-    """The reduced basis, or None when the budget ran out."""
+    """The basis ``buchberger`` returns, reduced unless the caller asked
+    for the pair loop's own basis, or None when the budget ran out."""
 
     basis: list[MPoly] | None
     pairs_processed: int
@@ -261,12 +267,17 @@ def _s_poly(g1: _Poly, g2: _Poly, lcm: int) -> _Poly:
     return _Poly(out)
 
 
-def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
-    """Compute a reduced grevlex Groebner basis, or report budget exhaustion.
+def buchberger(ideal: Ideal, budget: Budget | None = None, *,
+               reduce: bool = True) -> GBResult:
+    """Compute a grevlex Groebner basis, or report budget exhaustion.
 
-    The reduced basis is monic, pairwise top-irreducible, and sorted by
-    leading monomial, hence unique for the ideal: permuting the input
-    generators cannot change it.
+    By default the basis is reduced: monic, pairwise top-irreducible, and
+    sorted by leading monomial, hence unique for the ideal, so permuting
+    the input generators cannot change it. With ``reduce=False`` the run
+    ends with its pair loop and returns the basis the loop built, with
+    primitive integer coefficients in the order the loop added them, or
+    [1] when the ideal contains 1. That basis depends on the generators'
+    order; only the question whether it is [1] has one answer.
     """
     if not ideal.generators:
         raise ValueError("Groebner engine needs at least one generator")
@@ -277,7 +288,7 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
     packing = _Packing.of(gens)
     while True:
         try:
-            basis, pairs = _buchberger_packed(varset, gens, packing, budget)
+            basis, pairs = _buchberger_packed(varset, gens, packing, budget, reduce=reduce)
         except _Overflow as wide:
             packing = _Packing(len(varset), wide.degree)
             continue
@@ -285,9 +296,9 @@ def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
 
 
 def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
-                       budget: Budget) -> tuple[list[MPoly] | None, int]:
-    """``buchberger``'s run on one packing: the reduced basis (None on a
-    timeout) and the pairs processed.
+                       budget: Budget, *, reduce: bool) -> tuple[list[MPoly] | None, int]:
+    """``buchberger``'s run on one packing: the basis, reduced or as the
+    pair loop left it (None on a timeout), and the pairs processed.
 
     Raises ``_Overflow`` when a pair that passes the criteria has an lcm of
     degree above ``packing.max_deg``. The S-polynomial and its normal form
@@ -358,6 +369,10 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
         for t in range(new_idx):
             push_pair(t, new_idx)
 
+    if not reduce:
+        unpack = packing.unpack
+        return [MPoly._of(varset, {unpack(m): c for m, c in g.terms.items()})
+                for g in basis], pairs
     return _reduce_basis(varset, basis, packing, budget), pairs
 
 
@@ -406,8 +421,10 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     """Does p lie in the radical of the ideal?
 
     Adds a fresh variable y and tests whether the extended ideal
-    I + (1 - y*p) contains 1. Sound and complete whenever the engine
-    finishes within budget. The zero ideal short-circuits to p == 0.
+    I + (1 - y*p) contains 1. Sound and complete whenever the engine's
+    pair loop finishes within budget: the run is not reduced, since its
+    basis is [1] exactly when a remainder or a generator was a constant.
+    The zero ideal short-circuits to p == 0.
     """
     if p.varset != ideal.varset:
         raise ValueError("candidate lives in a different variable set")
@@ -420,7 +437,7 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     # One pass per generator: y is the last variable of the extended set.
     gens = [MPoly._of(big, {e + (0,): c for e, c in g.terms.items()}) for g in ideal.generators]
     gens.append(MPoly._of(big, {(0,) * len(big): 1, **{e + (1,): -c for e, c in p.terms.items()}}))
-    result = buchberger(Ideal.of(big, gens), budget=budget)
+    result = buchberger(Ideal.of(big, gens), budget=budget, reduce=False)
     if result.basis is None:
         return MembershipResult(Membership.TIMEOUT, result.pairs_processed, result.elapsed)
     verdict = Membership.TRUE if ideal_contains_one(result) else Membership.FALSE

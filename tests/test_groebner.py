@@ -336,9 +336,9 @@ def _watch_packings(monkeypatch):
     limits = []
     real_run = groebner._buchberger_packed
 
-    def watched_run(varset, gens, packing, budget):
+    def watched_run(varset, gens, packing, budget, *, reduce):
         limits.append(packing.max_deg)
-        return real_run(varset, gens, packing, budget)
+        return real_run(varset, gens, packing, budget, reduce=reduce)
 
     monkeypatch.setattr(groebner, "_buchberger_packed", watched_run)
     return limits
@@ -374,7 +374,7 @@ def test_high_degree_input_fits_the_first_packing(monkeypatch):
 
 def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
     seen: set[type] = set()
-    results = []
+    ideals = []
     real_normal_form, real_buchberger = groebner.normal_form, groebner.buchberger
 
     def watched_normal_form(p, basis, *rest):
@@ -383,15 +383,15 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
             seen.update(map(type, poly.terms.values()))
         return out
 
-    def watched_buchberger(*args, **kwargs):
-        res = real_buchberger(*args, **kwargs)
-        results.append(res)
-        return res
+    def watched_buchberger(ideal, *args, **kwargs):
+        ideals.append(ideal)
+        return real_buchberger(ideal, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "normal_form", watched_normal_form)
     monkeypatch.setattr(groebner, "buchberger", watched_buchberger)
     # Both presentations' ideals I + (1 - y*p) at every index; (4,6), i = 2
-    # contains 1.
+    # contains 1. Membership runs are not reduced, so each captured ideal's
+    # reduced basis is computed here.
     for a, b in ((4, 6), (4, 7)):
         check_g(LocalModel(a, b))
     x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
@@ -401,8 +401,9 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
                   Ideal.of(VS, [X - MPoly.constant(VS, 1), Y**5]),
                   Ideal.of(VS3, [x**2 + y + z - one, x + y**2 + z - one, x + y + z**2 - one])):
         groebner.buchberger(ideal)
-    assert len(results) == 12 + 4
-    for res in results:
+    assert len(ideals) == 12 + 4
+    for ideal in ideals:
+        res = real_buchberger(ideal)
         assert res.basis is not None
         for g in res.basis:
             assert all(type(c) is Fraction for c in g.terms.values())
@@ -463,8 +464,11 @@ def test_radical_membership_builds_the_rabinowitsch_ideal(monkeypatch, ab):
     model = LocalModel(*ab)
     seen = []
 
-    def capture(ideal, budget=None):
+    reduce_flags = []
+
+    def capture(ideal, budget=None, *, reduce=True):
         seen.append(ideal)
+        reduce_flags.append(reduce)
         return groebner.GBResult(None, 0, 0.0)
 
     monkeypatch.setattr(groebner, "buchberger", capture)
@@ -476,6 +480,74 @@ def test_radical_membership_builds_the_rabinowitsch_ideal(monkeypatch, ab):
             gens = seen[-1].generators
             assert list(gens[:-1]) == [g.rename(big) for g in ideal.generators]
             assert gens[-1] == MPoly.constant(big, 1) - MPoly.variable(big, "y") * p.rename(big)
+    # Membership reads only whether the basis is {1}: no run is reduced.
+    assert reduce_flags == [False] * len(seen)
+
+
+# The default scan grid (a in 3..4, b <= 9, b not a multiple of a) at every
+# index, plus (5,6) at i = 4.
+SCAN_GRID_INDICES = [(a, b, i) for a in (3, 4) for b in range(a + 1, 10) if b % a
+                     for i in range(1, a)] + [(5, 6, 4)]
+
+
+@pytest.mark.parametrize("a, b, i", SCAN_GRID_INDICES,
+                         ids=[f"{a}-{b}-{i}" for a, b, i in SCAN_GRID_INDICES])
+def test_unreduced_membership_run_matches_reduced_basis(monkeypatch, a, b, i):
+    # Both presentations' J = I + (1 - y*p): a membership run ends with its
+    # pair loop. Its verdict and pair count are those of the reduced run,
+    # and its basis generates J as a Groebner basis: each basis reduces
+    # the other to zero.
+    runs = []
+
+    def capture(ideal, *args, **kwargs):
+        res = buchberger(ideal, *args, **kwargs)
+        runs.append((ideal, kwargs, res))
+        return res
+
+    monkeypatch.setattr(groebner, "buchberger", capture)
+    model = LocalModel(a, b)
+    for ideal, cand in (_presentation_obstruction(model, i), _presentation_simplified(model, i)):
+        member = radical_member(cand, ideal)
+        (big_ideal, kwargs, unreduced), = runs
+        runs.clear()
+        assert kwargs.get("reduce") is False
+        reduced = buchberger(big_ideal)
+        assert member.pairs_processed == unreduced.pairs_processed == reduced.pairs_processed
+        contains_one = ideal_contains_one(reduced)
+        assert ideal_contains_one(unreduced) is contains_one
+        assert member.verdict is (Membership.TRUE if contains_one else Membership.FALSE)
+        if contains_one:
+            assert unreduced.basis == reduced.basis
+            continue
+        for g in unreduced.basis:
+            assert all(type(c) is int for c in g.terms.values())
+            assert _nf(g, reduced.basis).is_zero()
+        for g in reduced.basis:
+            assert _nf(g, unreduced.basis).is_zero()
+
+
+def test_membership_never_inter_reduces(monkeypatch):
+    # The check takes its verdict from the pair loop; only a caller that
+    # asks for the reduced basis (the default) reaches _reduce_basis.
+    model = LocalModel(4, 7)
+    expected = [check_g_index(model, i).status for i in range(1, model.a)]
+    assert expected == [GStatus.HOLDS] * 3
+    ideals = []
+
+    def capture(ideal, *args, **kwargs):
+        ideals.append(ideal)
+        return buchberger(ideal, *args, **kwargs)
+
+    def no_reduction(*args):
+        raise AssertionError("inter-reduction reached")
+
+    monkeypatch.setattr(groebner, "_reduce_basis", no_reduction)
+    monkeypatch.setattr(groebner, "buchberger", capture)
+    assert [check_g_index(model, i).status for i in range(1, model.a)] == expected
+    assert len(ideals) == 6
+    for ideal in ideals:
+        with pytest.raises(AssertionError, match="inter-reduction reached"):
+            buchberger(ideal)
 
 
 def test_radical_membership_timeout_propagates():
@@ -682,6 +754,11 @@ def test_budget_bounds_final_inter_reduction(monkeypatch):
     assert res.basis is None
     assert res.pairs_processed == free.pairs_processed
     assert res.elapsed < free.elapsed
+    # A run that is not reduced ends with its pair loop, inside the budget.
+    res = buchberger(Ideal.of(VS, gens), budget=Budget(seconds=free.pairs_processed + 0.5),
+                     reduce=False)
+    assert res.basis is not None
+    assert res.pairs_processed == free.pairs_processed
 
 
 def test_budget_max_pairs_per_run():

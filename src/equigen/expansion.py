@@ -218,13 +218,18 @@ def sigma_coeff(sigma_model: SigmaModel, l: int, tmax: int) -> MPoly:
     sigma_{-l} = f_coeff(b, b-l) + sum_r g_{0,r} * f_coeff(b+r, b+r-l),
     keeping only summands of weighted degree at most tmax. Negative
     fractional-series indices contribute nothing.
+
+    The summand of g_{0,r} is weighted homogeneous of degree b + r - l, so
+    no two summands share a monomial: the result is the disjoint union of
+    their terms, one product per term of a twisted summand and no sum.
     """
     model = sigma_model.model
     b = model.b
-    total = MPoly.zero(model.varset)
+    terms: dict = {}
     if 0 <= b - l <= tmax:
-        total = total + f_coeff(model, b, b - l)
+        terms.update(f_coeff(model, b, b - l).terms)
     for r, g in enumerate(sigma_model.g0, start=1):
         if g and 0 <= b + r - l <= tmax:
-            total = total + g * f_coeff(model, b + r, b + r - l)
-    return total
+            for e, c in f_coeff(model, b + r, b + r - l).terms.items():
+                terms[e] = g * c
+    return MPoly._of(model.varset, terms)

@@ -33,10 +33,13 @@ it, for the solver's own left side and for the matching identity.
 Two checks verify a solution on their windows, modulo the declared
 truncations. ``pm_identity_check`` checks the matching identity (the
 regular-part difference of the twisted expansions equals the singular-part
-difference): it takes every W^l it needs from the solve's table, reading
-no [W^l]_m whose product with sigma_l(next) the t-orders already put at or
-past the modulus, and the sigma polynomials share one monomial table per
-point.
+difference): it evaluates the sigma polynomials first, sharing one
+monomial table per point, and takes every W^l it needs from the table of
+a solve that stops at the deepest column the identity reads. Columns
+m >= 1 of the table have t-order at least m + 1 (the valuation bound that
+``order_bound_audit`` checks), so [W^l]_m sigma_l(next) vanishes mod t^K
+from m = K - 1 - ord sigma_l(next) on, and no such column is built; a
+built column below the bound raises ``AssertionError``.
 ``substitution_check`` back-substitutes the solved parameter into the
 defining equation with J. C. P. Miller's power recurrence for W^l; it
 shares none of the binomial-power code and stays the solver's independent
@@ -84,7 +87,8 @@ class TSeries:
     ``_den`` is a positive int. The form is canonical:
     ``gcd(_den, *_num) == 1`` and the zero series is
     ``(_val, _num, _den) == (0, (), 1)``, so equal values have equal fields
-    and ``__eq__`` and ``__hash__`` compare them directly. The order of the
+    and ``__eq__`` compares them directly. A constant series also equals
+    its scalar, so ``__hash__`` hashes it as that scalar. The order of the
     zero series is K (a sentinel meaning "at least the modulus").
 
     The public constructor coerces every coefficient with ``Fraction`` and
@@ -193,7 +197,13 @@ class TSeries:
                 and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self._val, self._num, self._den))
+        # A constant series equals its scalar, so it hashes as that scalar.
+        num = self._num
+        if not num:
+            return hash(0)
+        if not self._val and len(num) == 1:
+            return hash(Fraction(num[0], self._den))
+        return hash((self.modulus, self._val, num, self._den))
 
     def __neg__(self) -> "TSeries":
         return TSeries._of(self.modulus, self._val, [-a for a in self._num], self._den)
@@ -247,16 +257,31 @@ class TSeries:
 
     def _scaled(self, p: int, q: int) -> "TSeries":
         """self * p / q for ints p and q > 0."""
-        if not p:
+        if not p or not self._num:
             return TSeries._of(self.modulus, 0, [], 1)
-        num = list(self._num) if p == 1 else [a * p for a in self._num]
-        return TSeries._of(self.modulus, self._val, num, self._den * q)
+        if q != 1:
+            num = list(self._num) if p == 1 else [a * p for a in self._num]
+            return TSeries._of(self.modulus, self._val, num, self._den * q)
+        # gcd(_den, *_num) == 1, so gcd(p, _den) is the only common factor
+        # the product gains, and cancelling it leaves the form canonical.
+        den = self._den
+        g = gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        out = object.__new__(TSeries)
+        out.modulus = self.modulus
+        out._val = self._val
+        out._num = self._num if p == 1 else tuple([a * p for a in self._num])
+        out._den = den
+        return out
 
     def __mul__(self, other: "TSeries | Scalar") -> "TSeries":
         if not isinstance(other, TSeries):
             return self._scaled(*_ratio(other))
-        other = self._coerce(other)
         K = self.modulus
+        if other.modulus != K:
+            raise ValueError("mixed moduli")
         x, y = self._num, other._num
         val = self._val + other._val
         if not x or not y or val >= K:
@@ -541,41 +566,58 @@ def pm_window_bound(model: LocalModel, modulus: int) -> int:
 def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
                    c_next: Sequence[TSeries], smax: int,
                    modulus: int) -> tuple[ReparamResult, list[TSeries]]:
-    """The unit solved to the s-depth smax + l_max (at least a) that the
-    matching identity on the window -smax .. l_max needs, and the regrouped
-    difference of ``pm_identity_check``: entry i is its s^{l_max - i}
-    coefficient, for s-exponents l_max down to -smax.
+    """The unit solved to the depth D the matching identity on the window
+    -smax .. l_max reads, and the regrouped difference of
+    ``pm_identity_check``: entry i is its s^{l_max - i} coefficient, for
+    s-exponents l_max down to -smax.
 
     Each s(next)^l = s^l W^l needs only [W^l]_m = sum_j C(l, j) [V_j]_m,
     read off the table of V_j = (W - 1)^j that the solve returns. Over Q
     the t-order of a product is the sum of the orders, and that of a sum at
-    least their least, so ord [W^l]_m is at least the least order in column
-    m of the table; where that and ord sigma_l(next) reach the modulus, the
-    product vanishes and [W^l]_m is not built.
+    least their least. For m >= 1, ord [V_j]_m >= m + 1 (capped at the
+    modulus), the valuation bound ``order_bound_audit`` checks: so
+    [W^l]_m * sigma_l(next) vanishes mod t^K once m >= K - 1 - ord
+    sigma_l(next), and the identity reads W^l only to
+    min(l + smax, K - 2 - ord sigma_l(next)). The sigma_l are evaluated
+    first and the solve stops at D, the deepest such column (at least a
+    and smax, so the result can be cut at smax): no column past D is
+    built. A built column that breaks the bound would make that cut
+    unsound, so it raises ``AssertionError``, never a verdict. Inside D,
+    a [W^l]_m is not built where the least order in column m of the table
+    and ord sigma_l(next) already reach the modulus.
     """
     model = sigma_model.model
     l_max = model.b + len(sigma_model.g0)
     l_sing = max(modulus - model.b - 1, 0)
-    depth = smax + l_max
-    result = reparam_solve(model, c_now, c_next, max(depth, model.a), modulus)
-    # s(next)^l for l <= l_max needs W^l only to depth l + smax <= depth, and
-    # every s^l has l >= -l_sing > -smax.
-    powers = result.powers
-    column_ord = [min(row[m].ord() for row in powers) for m in range(depth + 1)]
-
     ls = range(-l_sing, l_max + 1)
     polys = [sigma_coeff(sigma_model, l, tmax=modulus) for l in ls]
     sig_now = evaluate_many(polys, c_now)
     sig_next = evaluate_many(polys, c_next)
 
-    diff = [TSeries.zero(modulus)] * (depth + 1)
-    for l, s_now, s_nxt in zip(ls, sig_now, sig_next):
+    # ord sigma_l(next): a bare Fraction, where it is constant, has order 0.
+    orders = [(s.ord() if isinstance(s, TSeries) else 0) if s else modulus
+              for s in sig_next]
+    # The deepest column of W^l read for each l, -1 where sigma_l(next) is
+    # zero: column 0 ([W^l]_0 = 1) always, none past K - 2 - ord, and none
+    # past l + smax; every s^l has l >= -l_sing > -smax.
+    tops = [min(l + smax, max(modulus - 2 - o, 0)) if o < modulus else -1
+            for l, o in zip(ls, orders)]
+    depth = max(model.a, smax, *tops)
+    result = reparam_solve(model, c_now, c_next, depth, modulus)
+    powers = result.powers
+    column_ord = [min(row[m].ord() for row in powers) for m in range(depth + 1)]
+    for m in range(1, depth + 1):
+        if column_ord[m] < min(m + 1, modulus):
+            raise AssertionError(f"column s^-{m} of the solve has t-order {column_ord[m]}, "
+                                 f"below the valuation bound {m + 1}")
+
+    diff = [TSeries.zero(modulus)] * (smax + l_max + 1)
+    for l, s_now, s_nxt, order, top in zip(ls, sig_now, sig_next, orders, tops):
         diff[l_max - l] = diff[l_max - l] - s_now
-        if s_nxt:
-            # sigma_l(next) is a bare Fraction, of order 0, where it is constant.
-            room = modulus - (s_nxt.ord() if isinstance(s_nxt, TSeries) else 0)
+        if top >= 0:
+            room = modulus - order
             binom = _binomials(l, len(powers) - 1)
-            for m in range(l + smax + 1):
+            for m in range(top + 1):
                 if column_ord[m] >= room:
                     continue
                 p = _w_coeff(powers, binom, m)

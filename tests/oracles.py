@@ -4,7 +4,8 @@ They restate, outside the library, facts the library relies on: the pair
 order of pole coordinates, the order of a section, the weights of the
 coefficient variables and weighted homogeneity of a polynomial, what makes
 a genericity witness, divisibility of monomials by their exponent vectors,
-and the product of polynomials on exponent tuples.
+the product of polynomials on exponent tuples, and the twisted section
+coefficients sigma_l as sums of polynomials.
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 from operator import add, le
 from typing import Sequence
 
-from equigen.expansion import LocalModel, big_f
+from equigen.expansion import LocalModel, SigmaModel, big_f, f_coeff
 from equigen.groebner import check_t
 from equigen.lifting import (
     Pair,
@@ -93,3 +94,18 @@ def witness_verify(model: LocalModel, i: int, point: Sequence[Fraction]) -> bool
     if any((val != 0) != (n == i) for n, val in enumerate(values, start=1)):
         return False
     return check_t(model, point)
+
+
+def sigma_by_sums(sigma_model: SigmaModel, l: int, tmax: int) -> MPoly:
+    """sigma_{-l} = f_coeff(b, b-l) + sum_r g_{0,r} * f_coeff(b+r, b+r-l) as
+    a sum of ``MPoly`` values, keeping the summands of weighted degree at
+    most tmax; the reference for ``expansion.sigma_coeff``."""
+    model = sigma_model.model
+    b = model.b
+    total = MPoly.zero(model.varset)
+    if 0 <= b - l <= tmax:
+        total = total + f_coeff(model, b, b - l)
+    for r, g in enumerate(sigma_model.g0, start=1):
+        if g and 0 <= b + r - l <= tmax:
+            total = total + g * f_coeff(model, b + r, b + r - l)
+    return total

@@ -598,9 +598,13 @@ def test_reparam_json_names_the_pm_window_bound(capsys):
 
 
 def test_reparam_pm_solves_once(capsys, monkeypatch):
-    # A deciding window solves once, at the depth smax + b + len(g0) the
-    # matching identity needs, and prints that solve cut at --smax; an
-    # inconclusive window solves once at --smax.
+    # A deciding window solves once, to the deepest column D the matching
+    # identity reads (at least --smax), and prints that solve cut at
+    # --smax; an inconclusive window solves once at --smax. Past
+    # K - 2 - ord sigma_l(next) every product vanishes mod t^K, so at
+    # (2, 3), K = 10 the identity reads no column past --smax = 8, where
+    # --smax + b + len(g0) = 13; at (2, 5) and --smax 5 it reads s^-8 of
+    # W^5 against sigma_5 = 1.
     depths = []
     solve = series.reparam_solve
 
@@ -615,11 +619,34 @@ def test_reparam_pm_solves_once(capsys, monkeypatch):
     code, plain, _ = run(capsys, *args, "--smax", "8")
     assert code == 0 and depths == [8]
     code, out, _ = run(capsys, *args, "--smax", "8", "--pm", "--g0", "[1, 2]")
-    assert code == 0 and depths == [8, 13]
+    assert code == 0 and depths == [8, 8]
     assert out == plain + "matching identity: true\n"
     code, out, _ = run(capsys, *args, "--smax", "3", "--pm")
-    assert code == 2 and depths == [8, 13, 3]
+    assert code == 2 and depths == [8, 8, 3]
     assert "matching identity: inconclusive" in out
+    args = ("reparam", "--a", "2", "--b", "5", "--c-now", "[[0,0,1]]",
+            "--c-next", "[[0,0,1,1]]", "--modulus", "10", "--smax", "5")
+    code, plain, _ = run(capsys, *args)
+    code, out, _ = run(capsys, *args, "--pm")
+    assert code == 0 and depths == [8, 8, 3, 5, 8]
+    assert out == plain + "matching identity: true\n"
+
+
+def test_reparam_pm_below_the_valuation_bound_is_internal_error(capsys, monkeypatch):
+    # A solve whose column breaks the bound pm's depth rests on is an
+    # engine fault: exit 2 and "internal error", never "fails".
+    solve = series.reparam_solve
+
+    def corrupt(*args):
+        res = solve(*args)
+        res.powers[1][3] = res.powers[1][3] + series.TSeries.t_power(3, res.modulus)
+        return res
+
+    monkeypatch.setattr(series, "reparam_solve", corrupt)
+    code, out, err = run(capsys, "reparam", "--a", "2", "--b", "3", "--c-now", "[[0,0,1]]",
+                         "--c-next", "[[0,0,1,1]]", "--modulus", "10", "--smax", "8", "--pm")
+    assert code == 2 and out == ""
+    assert err.startswith("internal error:") and "valuation bound" in err
 
 
 def test_reparam_usage_error(capsys):

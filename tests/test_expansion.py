@@ -21,7 +21,7 @@ from equigen.expansion import (
 )
 from equigen.polycore import MPoly, poly_text
 
-from oracles import weighted_degree
+from oracles import sigma_by_sums, weighted_degree
 
 M23 = LocalModel(2, 3)
 M34 = LocalModel(3, 4)
@@ -421,3 +421,23 @@ def test_sigma_untwisted_is_plain_f():
     sm = SigmaModel(M34)
     for l in range(1, 3):
         assert sigma_coeff(sm, l, 10) == f_coeff(M34, M34.b, M34.b - l)
+
+
+def test_sigma_disjoint_union_matches_sum_oracle():
+    # Every model of the reparam benchmark pool plus (5, 7), g0 of length 0
+    # to 3 (with zero entries), every l of the matching identity's window.
+    models = [LocalModel(a, b) for a, b in
+              ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (3, 8),
+               (4, 5), (4, 6), (4, 7), (5, 7))]
+    g0s = [(), (Fraction(3, 2),), (Fraction(-2), Fraction(0)),
+           (Fraction(1, 3), Fraction(0), Fraction(-5, 4))]
+    for model in models:
+        for g0 in g0s:
+            sm = SigmaModel(model, g0)
+            for modulus in range(8, 13):
+                l_sing = max(modulus - model.b - 1, 0)
+                for l in range(-l_sing, model.b + len(g0) + 1):
+                    got = sigma_coeff(sm, l, tmax=modulus)
+                    want = sigma_by_sums(sm, l, tmax=modulus)
+                    assert got == want
+                    assert all(type(c) is Fraction for c in got.terms.values())

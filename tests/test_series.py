@@ -66,6 +66,22 @@ def test_tseries_coeff_bounds():
 def test_tseries_mixed_moduli_rejected():
     with pytest.raises(ValueError):
         ts(1) + ts(1, modulus=K + 1)
+    with pytest.raises(ValueError):
+        ts(1) * ts(1, modulus=K + 1)
+
+
+def test_tseries_hash_agrees_with_eq_on_scalars():
+    # A constant series equals its scalar, so the two share one set slot.
+    for modulus in (1, 5):
+        zero = TSeries.zero(modulus)
+        assert zero == 0 and len({0, zero}) == 1 and len({Fraction(0), zero}) == 1
+        half3 = TSeries.constant(Fraction(3, 2), modulus)
+        assert half3 == Fraction(3, 2) and len({Fraction(3, 2), half3}) == 1
+        four = TSeries.constant(-4, modulus)
+        assert four == -4 and len({-4, four}) == 1 and len({Fraction(-4), four}) == 1
+    # the same value built another way hashes the same; t is no scalar
+    assert hash(ts(Fraction(6, 4)) * 1) == hash(ts(3) / 2) == hash(Fraction(3, 2))
+    assert len({ts(0, 1), ts(0, 1) * 1, ts(0, 2) / 2}) == 1
 
 
 @given(series_strat, series_strat, series_strat)
@@ -194,6 +210,9 @@ def test_tseries_representation_is_canonical():
     assert _rep(TSeries(6, [0, 2, 3]) * Fraction(1, 4)) == _rep(half)
     assert _rep(TSeries(6, [0, 2, 3]) / 4) == _rep(half)
     assert _rep(half * 4) == _rep(TSeries(6, [0, 2, 3]))
+    assert _rep(TSeries(6, [Fraction(1, 6), Fraction(1, 4)]) * 6) == _rep(
+        TSeries(6, [1, Fraction(3, 2)]))
+    assert _rep(half * -2) == _rep(TSeries(6, [0, -1, Fraction(-3, 2)]))
     assert _rep(TSeries(6, [0, Fraction(1, 3)]) * TSeries(6, [3, Fraction(9, 2)])) == _rep(
         TSeries(6, [0, 1, Fraction(3, 2)]))
     # cutting to a smaller modulus drops the term that set the denominator
@@ -296,6 +315,10 @@ def test_tseries_valuation_kernel_matches_dense_oracle():
         _assert_valuation_form(sy - sx, _oracle_add(oy, ox, -1))
         _assert_valuation_form(sx * sy, _oracle_mul(ox, oy, modulus))
         _assert_valuation_form(sx * Fraction(-3, 4), [c * Fraction(-3, 4) for c in ox])
+        # an int scalar, often sharing a factor with the denominator
+        k = rng.choice((-12, -6, -1, 0, 1, 2, 4, 9, 30))
+        _assert_valuation_form(sx * k, [c * k for c in ox])
+        _assert_valuation_form(k * sx, [c * k for c in ox])
         n = rng.randint(0, modulus + 1)
         _assert_valuation_form(sx.shift(n), [0] * n + ox)
 
@@ -792,8 +815,20 @@ def _pm_difference_by_miller(sigma_model, c_now, c_next, smax, modulus):
     return diff
 
 
-def test_pm_difference_matches_miller_reference(monkeypatch):
+def _assert_pm_difference_matches_miller(monkeypatch, args):
+    # Miller's reference solves to smax + l_max; pm stops at its read depth.
     solve = series.reparam_solve
+    diff = series._pm_difference(*args)[1]
+    assert diff == _pm_difference_by_miller(*args)
+    assert not any(diff)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "reparam_solve", lambda *args: _corrupt(solve(*args)))
+        diff = series._pm_difference(*args)[1]
+        assert diff == _pm_difference_by_miller(*args)
+        assert any(diff)
+
+
+def test_pm_difference_matches_miller_reference(monkeypatch):
     rng = random.Random(SEED + 8)
     for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6)):
         model = LocalModel(a, b)
@@ -803,13 +838,34 @@ def test_pm_difference_matches_miller_reference(monkeypatch):
             c_now, c_next = _random_pair(rng, model, modulus)
             g0 = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                        for _ in range(rng.randint(1, 2)))
-            sm = SigmaModel(model, g0)
-            args = (sm, c_now, c_next, smax, modulus)
-            diff = series._pm_difference(*args)[1]
-            assert diff == _pm_difference_by_miller(*args)
-            assert not any(diff)
-            with monkeypatch.context() as patch:
-                patch.setattr(series, "reparam_solve", lambda *args: _corrupt(solve(*args)))
-                diff = series._pm_difference(*args)[1]
-                assert diff == _pm_difference_by_miller(*args)
-                assert any(diff)
+            _assert_pm_difference_matches_miller(
+                monkeypatch, (SigmaModel(model, g0), c_now, c_next, smax, modulus))
+    # an untwisted section (g0 = ()), modulus 12, and the model (4, 7)
+    for (a, b), modulus, g0 in (((2, 5), 10, ()), ((3, 4), 8, ()), ((3, 5), 12, (Fraction(1, 2),)),
+                                ((2, 3), 12, ()), ((4, 7), 11, (Fraction(-1), Fraction(3, 2))),
+                                ((4, 7), 12, ())):
+        model = LocalModel(a, b)
+        c_now, c_next = _random_pair(rng, model, modulus)
+        bound = max(a, pm_window_bound(model, modulus))
+        for smax in (bound, bound + 3):
+            _assert_pm_difference_matches_miller(
+                monkeypatch, (SigmaModel(model, g0), c_now, c_next, smax, modulus))
+
+
+def test_pm_unit_below_the_valuation_bound_raises(monkeypatch):
+    # u_3 += t^3 puts column s^-3 of the solve below ord >= 4, the bound
+    # the depth of pm's solve rests on: pm raises and gives no verdict.
+    solve = series.reparam_solve
+
+    def corrupt(*args):
+        res = solve(*args)
+        bump = TSeries.t_power(3, res.modulus)
+        res.unit[3] = res.unit[3] + bump
+        res.powers[1][3] = res.powers[1][3] + bump
+        return res
+
+    model, c_now, c_next = _worked_example()
+    monkeypatch.setattr(series, "reparam_solve", corrupt)
+    for g0 in ((), (Fraction(1), Fraction(-2, 3))):
+        with pytest.raises(AssertionError, match="valuation bound"):
+            pm_identity_check(SigmaModel(model, g0), c_now, c_next, 8, K)

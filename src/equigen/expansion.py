@@ -14,12 +14,18 @@ generates those coefficient polynomials and everything derived from them:
   ``Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i)``; the inverse unit's own
   coefficients are ``theta_m = Theta_m^{(1)} = -f_coeff(m-1, m) / (m-1)``,
 * ``big_f``: the obstruction polynomials (singular-tail coefficients),
-  ``F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} f_coeff(b, b+m)``,
-* ``f_bar`` / ``jac_bar``: the comparison-perturbed system and its Jacobian
-  determinant; the Jacobian matrix is built once per model, its determinant
-  by the division-free minors expansion of ``polycore.det_bareiss`` (run on
-  integer coefficients over packed exponent keys), and
-  ``f_bar_jacobian_at`` gives the Jacobian at a rational point,
+  ``F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} f_coeff(b, b+m)``, one
+  packed sum of products (``polycore.product_sum``),
+* ``f_bar`` / ``jac_bar``: the comparison-perturbed system, written term
+  by term, and its Jacobian determinant. The Jacobian matrix is Toeplitz:
+  by the derivative identity
+  ``d f_coeff(beta, m) / d c_k = (beta/a) f_coeff(beta-a, m-k)`` its entry
+  (j, k) is ``T_{j-k}``, a closed form in cached ``f_coeff`` values built
+  once per model in the single ring (see ``f_bar_jacobian_matrix``). Its
+  determinant is the division-free minors expansion of
+  ``polycore.det_bareiss`` (run on integer coefficients over packed
+  exponent keys), and ``f_bar_jacobian_at`` gives the Jacobian at a
+  rational point,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 
 ``theta_cap`` is Lagrange inversion of ``S = s*u(s)``, the one formula
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import MPoly, VarSet, evaluate_many
+from .polycore import Exponents, MPoly, VarSet, evaluate_many, product_sum
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ def f_coeff(model: LocalModel, beta_num: int, m: int) -> MPoly:
             place(k - 1, rest - k * e, (e,) + tail, total + e, den * math.factorial(e))
 
     place(model.a, m, (), 0, 1)
-    return MPoly(model.varset, terms)
+    return MPoly._of(model.varset, terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,15 +139,20 @@ def big_f(model: LocalModel, n: int) -> MPoly:
     """Obstruction polynomial F_{-n}: the S^{-n} coefficient of the singular tail.
 
     F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} * f_{b+m}
-           = sum_{m=1}^{n} (m/n) * f_coeff(n, n-m) * f_coeff(b, b+m);
+           = sum_{m=1}^{n} (m/n) * f_coeff(n, n-m) * f_coeff(b, b+m),
+    one packed sum of products (``polycore.product_sum``);
     weighted homogeneous of degree b + n. Defined for 1 <= n <= a-1.
     """
     if not 1 <= n <= model.a - 1:
         raise ValueError(f"need 1 <= n <= a-1 = {model.a - 1}, got {n}")
-    total = MPoly.zero(model.varset)
-    for m in range(1, n + 1):
-        total = total + theta_cap(model, -m, n - m) * f_coeff(model, model.b, model.b + m)
-    return total
+    b = model.b
+    return product_sum(model.varset, [(theta_cap(model, -m, n - m), f_coeff(model, b, b + m))
+                                      for m in range(1, n + 1)])
+
+
+def _bump(exps: Exponents, i: int) -> Exponents:
+    """exps with one more power of variable i."""
+    return exps[:i] + (exps[i] + 1,) + exps[i + 1:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,39 +166,81 @@ def f_bar(model: LocalModel, j: int) -> MPoly:
 
     Setting ct := c recovers f_{b+j}; the added terms are linear in the
     differences c_k - ct_k. For j = 1 there are no added terms.
+
+    Written term by term into one dict: a term ct^e of f_{b+j-k}(ct) gives
+    the two monomials c_k ct^e and ct_k ct^e of its difference factor, and
+    two more, c_{k-l} ct_l ct^e and ct_{k-l} ct_l ct^e, for each l.
     """
     if not 1 <= j <= model.a - 1:
         raise ValueError(f"need 1 <= j <= a-1 = {model.a - 1}, got {j}")
-    a = model.a
-    varset = model.doubled_varset
-    tilde = [f"ct{k}" for k in range(2, a + 1)]
-    total = f_coeff(model, model.b, model.b + j).rename(varset)
+    a, b = model.a, model.b
+    # c_k is variable k - 2 of the doubled ring, ct_k is variable a + k - 3
+    # (index k - 2 of the second half).
+    zero = (0,) * (a - 1)
+    unit = {k: _bump(zero, k - 2) for k in range(2, a + 1)}
+    terms: dict[Exponents, Fraction] = {e + zero: c
+                                        for e, c in f_coeff(model, b, b + j).terms.items()}
+    get = terms.get
     for k in range(2, j):
         weight = Fraction(j - k, a)
-        f_tail = f_coeff(model, model.b, model.b + j - k).rename(varset, tilde)
-        diff_k = (MPoly.variable(varset, f"c{k}")
-                  - MPoly.variable(varset, f"ct{k}"))
-        total = total + weight * diff_k * f_tail
-        for l in range(2, k - 1):
-            diff_kl = (MPoly.variable(varset, f"c{k - l}")
-                       - MPoly.variable(varset, f"ct{k - l}"))
-            ct_l = MPoly.variable(varset, f"ct{l}")
-            total = total - weight * Fraction(a - l, a) * diff_kl * ct_l * f_tail
-    return total
+        nested = [(k - l, l, weight * Fraction(a - l, a)) for l in range(2, k - 1)]
+        for e, c in f_coeff(model, b, b + j - k).terms.items():
+            v = weight * c
+            for key, value in ((unit[k] + e, v), (zero + _bump(e, k - 2), -v)):
+                terms[key] = get(key, 0) + value
+            for i, l, w in nested:
+                el = _bump(e, l - 2)
+                v = w * c
+                for key, value in ((unit[i] + el, -v), (zero + _bump(el, i - 2), v)):
+                    terms[key] = get(key, 0) + value
+    return MPoly._of(model.doubled_varset, {e: c for e, c in terms.items() if c})
+
+
+def _jacobian_entry(model: LocalModel, n: int) -> MPoly:
+    """T_n = d fbar_{b+j} / d c_k at ct := c, for n = j - k (see
+    ``f_bar_jacobian_matrix``)."""
+    a, b = model.a, model.b
+    # (b/a) f_coeff(b-a, b+n), read off a cached f_coeff(b, .) by the
+    # derivative identity.
+    if n >= -1:
+        lead = f_coeff(model, b, b + n + 2).diff("c2")
+    else:
+        lead = f_coeff(model, b, b + 1).diff(f"c{1 - n}")
+    terms = dict(lead.terms)
+    get = terms.get
+    if n >= 1:
+        weight = Fraction(n, a)
+        for e, c in f_coeff(model, b, b + n).terms.items():
+            terms[e] = get(e, 0) + weight * c
+    for l in range(2, n):
+        weight = Fraction((n - l) * (a - l), a * a)
+        for e, c in f_coeff(model, b, b + n - l).terms.items():
+            key = _bump(e, l - 2)
+            terms[key] = get(key, 0) - weight * c
+    return MPoly._of(model.varset, {e: c for e, c in terms.items() if c})
 
 
 @functools.lru_cache(maxsize=None)
 def f_bar_jacobian_matrix(model: LocalModel) -> tuple[tuple[MPoly, ...], ...]:
-    """Matrix d fbar_{b+j} / d c_k (j = 1..a-1 rows, k = 2..a columns).
+    """Matrix d fbar_{b+j} / d c_k (j = 1..a-1 rows, k = 2..a columns),
+    taken in the plain variables with the comparison copy then identified
+    with them (ct := c), so entries live in the single ring c2..ca.
 
-    Derivatives are taken in the plain variables only; afterwards the
-    comparison copy is identified with them (ct := c), so entries live in
-    the single ring c2..ca. Cached per model, hence a tuple of tuples.
+    The matrix is Toeplitz: by the derivative identity
+    d f_coeff(beta, m) / d c_k = (beta/a) f_coeff(beta-a, m-k), entry
+    (j, k) depends only on n = j - k, and is
+
+        T_n = (b/a) f_coeff(b-a, b+n) + [n >= 1] (n/a) f_coeff(b, b+n)
+              - sum_{l=2}^{n-1} ((n-l)(a-l)/a^2) c_l f_coeff(b, b+n-l),
+
+    n = 1-a .. a-3. The first summand is f_coeff(b, b+n+2) differentiated
+    in c2 for n >= -1, and f_coeff(b, b+1) differentiated in c_{1-n} for
+    n <= -1. Each T_n is built once and placed at every (j, k) with
+    j - k = n. Cached per model, hence a tuple of tuples.
     """
-    rows = (f_bar(model, j) for j in range(1, model.a))
-    single = model.varset.names * 2
-    return tuple(tuple(fb.diff(f"c{k}").rename(model.varset, single) for k in range(2, model.a + 1))
-                 for fb in rows)
+    a = model.a
+    toeplitz = {n: _jacobian_entry(model, n) for n in range(1 - a, a - 2)}
+    return tuple(tuple(toeplitz[j - k] for k in range(2, a + 1)) for j in range(1, a))
 
 
 def f_bar_jacobian_at(model: LocalModel, point: Sequence[Fraction]) -> list[dict[int, Fraction]]:

@@ -7,8 +7,9 @@ nonzero coefficients over a fixed, ordered variable set.
 ``_Packing`` is the package's one packed-monomial format: a monomial is
 one int, its exponents in fields wide enough that a product never carries
 (Monagan and Pearce, CASC 2007). The Groebner engine uses its full keys,
-which compare as grevlex. ``MPoly.__mul__`` and ``det_bareiss`` use only
-its exponent word: each factor, or each row of a determinant, is scaled to
+which compare as grevlex. ``product_sum`` (a sum of products, whose
+one-pair case is ``MPoly.__mul__``) and ``det_bareiss`` use only its
+exponent word: each factor, or each row of a determinant, is scaled to
 integer coefficients by the lcm of its denominators, a product of monomials
 is ``+`` on words, and no Fraction is built until the result is unpacked.
 Beside them sits ``_echelonize``, the package's one exact row reduction of
@@ -190,20 +191,7 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             k = Fraction(other)
             return MPoly._of(self.varset, {e: c * k for e, c in self.terms.items()} if k else {})
-        self._check_ring(other)
-        if not (self.terms and other.terms):
-            return MPoly._of(self.varset, {})
-        packing = _Packing.of((self, other))
-        lcm1, (terms1,) = _scaled(packing, (self,))
-        lcm2, (terms2,) = _scaled(packing, (other,))
-        acc: dict[int, int] = {}
-        get = acc.get
-        for w1, c1 in terms1:
-            for w2, c2 in terms2:
-                w = w1 + w2
-                acc[w] = get(w, 0) + c1 * c2
-        scale, unpack = lcm1 * lcm2, packing.unpack
-        return MPoly._of(self.varset, {unpack(w): Fraction(c, scale) for w, c in acc.items() if c})
+        return product_sum(self.varset, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -346,6 +334,37 @@ def _scaled(packing: _Packing, polys: Sequence[MPoly]) -> tuple[int, list[list[t
     word = packing.word
     return lcm, [[(word(e), c.numerator * (lcm // c.denominator)) for e, c in p.terms.items()]
                  for p in polys]
+
+
+def product_sum(varset: VarSet, pairs: Sequence[tuple[MPoly, MPoly]]) -> MPoly:
+    """The sum of x * y over the pairs (x, y), all over ``varset``.
+
+    One ``_Packing`` made for the largest degree among all the factors, so
+    every product of words adds without a carry. Each factor is scaled to
+    integers by the lcm of its denominators; a pair's products carry the
+    scale s = lcm(x) * lcm(y), and are multiplied by L / s, L the lcm of
+    every pair's s, so all of them add in one dict of integer coefficients
+    (Johnson 1974; Monagan and Pearce, CASC 2007). Each result coefficient
+    is then one ``Fraction(c, L)``. ``MPoly.__mul__`` is the one-pair case.
+    """
+    if any(p.varset != varset for pair in pairs for p in pair):
+        raise ValueError("polynomials live in different variable sets")
+    if not pairs:
+        return MPoly._of(varset, {})
+    packing = _Packing.of([p for pair in pairs for p in pair])
+    scaled = [(_scaled(packing, (x,)), _scaled(packing, (y,))) for x, y in pairs]
+    scale = math.lcm(*(lcm1 * lcm2 for (lcm1, _), (lcm2, _) in scaled))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for (lcm1, (terms1,)), (lcm2, (terms2,)) in scaled:
+        lift = scale // (lcm1 * lcm2)
+        for w1, c1 in terms1:
+            c1 *= lift
+            for w2, c2 in terms2:
+                w = w1 + w2
+                acc[w] = get(w, 0) + c1 * c2
+    unpack = packing.unpack
+    return MPoly._of(varset, {unpack(w): Fraction(c, scale) for w, c in acc.items() if c})
 
 
 def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:

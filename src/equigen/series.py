@@ -590,7 +590,9 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     l_max = model.b + len(sigma_model.g0)
     l_sing = max(modulus - model.b - 1, 0)
     ls = range(-l_sing, l_max + 1)
-    polys = [sigma_coeff(sigma_model, l, tmax=modulus) for l in ls]
+    # Inputs are validated (ord c_k >= k), so a summand of weighted degree
+    # K or more vanishes mod t^K.
+    polys = [sigma_coeff(sigma_model, l, tmax=modulus - 1) for l in ls]
     sig_now = evaluate_many(polys, c_now)
     sig_next = evaluate_many(polys, c_next)
 

@@ -4,8 +4,11 @@ They restate, outside the library, facts the library relies on: the pair
 order of pole coordinates, the order of a section, the weights of the
 coefficient variables and weighted homogeneity of a polynomial, what makes
 a genericity witness, divisibility of monomials by their exponent vectors,
-the product of polynomials on exponent tuples, and the twisted section
-coefficients sigma_l as sums of polynomials.
+the product of polynomials on exponent tuples, the twisted section
+coefficients sigma_l as sums of polynomials, and the generators' earlier
+routes: the perturbed family as ``MPoly`` products over renamed factors,
+its Jacobian by differentiating in the doubled ring and identifying
+ct := c, and F_{-n} as a sum of ``MPoly`` products.
 """
 
 import math
@@ -14,7 +17,7 @@ from fractions import Fraction
 from operator import add, le
 from typing import Sequence
 
-from equigen.expansion import LocalModel, SigmaModel, big_f, f_coeff
+from equigen.expansion import LocalModel, SigmaModel, big_f, f_coeff, theta_cap
 from equigen.groebner import check_t
 from equigen.lifting import (
     Pair,
@@ -108,4 +111,44 @@ def sigma_by_sums(sigma_model: SigmaModel, l: int, tmax: int) -> MPoly:
     for r, g in enumerate(sigma_model.g0, start=1):
         if g and 0 <= b + r - l <= tmax:
             total = total + g * f_coeff(model, b + r, b + r - l)
+    return total
+
+
+def f_bar_by_products(model: LocalModel, j: int) -> MPoly:
+    """fbar_{b+j} over the doubled ring (c, ct) from ``MPoly`` products of
+    renamed f_coeff values and single variables, term for term the formula
+    of the ``expansion.f_bar`` docstring; its reference."""
+    a, b = model.a, model.b
+    varset = model.doubled_varset
+    tilde = [f"ct{k}" for k in range(2, a + 1)]
+    total = f_coeff(model, b, b + j).rename(varset)
+    for k in range(2, j):
+        weight = Fraction(j - k, a)
+        f_tail = f_coeff(model, b, b + j - k).rename(varset, tilde)
+        diff_k = MPoly.variable(varset, f"c{k}") - MPoly.variable(varset, f"ct{k}")
+        total = total + weight * diff_k * f_tail
+        for l in range(2, k - 1):
+            diff_kl = (MPoly.variable(varset, f"c{k - l}")
+                       - MPoly.variable(varset, f"ct{k - l}"))
+            ct_l = MPoly.variable(varset, f"ct{l}")
+            total = total - weight * Fraction(a - l, a) * diff_kl * ct_l * f_tail
+    return total
+
+
+def jacobian_by_identification(model: LocalModel) -> tuple[tuple[MPoly, ...], ...]:
+    """d fbar_{b+j} / d c_k taken in the doubled ring, then renamed into the
+    single ring with ct := c; the reference for
+    ``expansion.f_bar_jacobian_matrix``."""
+    single = model.varset.names * 2
+    return tuple(tuple(f_bar_by_products(model, j).diff(f"c{k}").rename(model.varset, single)
+                       for k in range(2, model.a + 1))
+                 for j in range(1, model.a))
+
+
+def big_f_by_sums(model: LocalModel, n: int) -> MPoly:
+    """F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} * f_{b+m} as a sum of
+    ``MPoly`` products; the reference for ``expansion.big_f``."""
+    total = MPoly.zero(model.varset)
+    for m in range(1, n + 1):
+        total = total + theta_cap(model, -m, n - m) * f_coeff(model, model.b, model.b + m)
     return total

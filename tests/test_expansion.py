@@ -21,7 +21,13 @@ from equigen.expansion import (
 )
 from equigen.polycore import MPoly, poly_text
 
-from oracles import sigma_by_sums, weighted_degree
+from oracles import (
+    big_f_by_sums,
+    f_bar_by_products,
+    jacobian_by_identification,
+    sigma_by_sums,
+    weighted_degree,
+)
 
 M23 = LocalModel(2, 3)
 M34 = LocalModel(3, 4)
@@ -363,6 +369,43 @@ def test_jacobian_matrix_matches_evaluated_identification(a):
         if b % a:
             model = LocalModel(a, b)
             assert f_bar_jacobian_matrix(model) == _identified_by_evaluation(model)
+
+
+@pytest.mark.parametrize("a", range(2, 8))
+def test_generators_match_their_earlier_routes(a):
+    # f_bar written term by term, the Toeplitz Jacobian and the packed sum of
+    # products against MPoly products, doubled-ring identification and an
+    # MPoly sum, for b = a+1 .. a+12
+    for b in range(a + 1, a + 13):
+        if b % a == 0:
+            continue
+        model = LocalModel(a, b)
+        for j in range(1, a):
+            assert f_bar(model, j) == f_bar_by_products(model, j)
+            assert big_f(model, j) == big_f_by_sums(model, j)
+        assert f_bar_jacobian_matrix(model) == jacobian_by_identification(model)
+
+
+@pytest.mark.parametrize("model", [M23, M34, M47, M57, M67, LocalModel(7, 9)])
+def test_jacobian_matrix_is_toeplitz(model):
+    # entry (j, k) depends only on j - k, in the matrix and in the reference
+    # that differentiates f_bar in the doubled ring
+    for mat in (f_bar_jacobian_matrix(model), jacobian_by_identification(model)):
+        n = model.a - 1
+        for j in range(n - 1):
+            for k in range(n - 1):
+                assert mat[j][k] == mat[j + 1][k + 1]
+
+
+@pytest.mark.parametrize("model", [M23, M35, M47, M57, M67])
+def test_f_coeff_derivative_identity(model):
+    # d f_coeff(beta, m) / d c_k = (beta/a) f_coeff(beta - a, m - k)
+    for beta in (model.b, 1, -3):
+        for m in range(0, model.b + model.a):
+            for k in range(2, model.a + 1):
+                want = (f_coeff(model, beta - model.a, m - k) * Fraction(beta, model.a)
+                        if m >= k else MPoly.zero(model.varset))
+                assert f_coeff(model, beta, m).diff(f"c{k}") == want
 
 
 # sha256 of poly_text(jac_bar(model)), recorded from the Bareiss elimination

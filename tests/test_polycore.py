@@ -27,6 +27,7 @@ from equigen.polycore import (
     poly_json,
     poly_text,
     primitive_terms,
+    product_sum,
 )
 from equigen.series import TSeries
 
@@ -173,6 +174,38 @@ def test_mul_cancellation_zero_factors_and_widest_exponent():
     assert _Packing.of((x31, x31)).max_deg == 63
     assert x31 * (x31 + z) == MPoly(VS3, {(62, 0, 0): Fraction(49, 9),
                                           (31, 0, 1): Fraction(-7, 3)})
+
+
+def test_product_sum_matches_summed_tuple_products():
+    # zero factors, constants and the widest exponents, 0 to 5 pairs
+    rng = random.Random(20261020)
+    for _ in range(400):
+        varset = rng.choice((VarSet(("x",)), VS2, VS3))
+        pairs = [(_random_factor(rng, varset), _random_factor(rng, varset))
+                 for _ in range(rng.randint(0, 5))]
+        want = MPoly.zero(varset)
+        for p, q in pairs:
+            want = want + tuple_product(p, q)
+        got = product_sum(varset, pairs)
+        assert got == want
+        assert all(type(c) is Fraction for c in got.terms.values())
+        if len(pairs) == 1:
+            assert list(got.terms) == list((pairs[0][0] * pairs[0][1]).terms)
+
+
+def test_product_sum_empty_cancelling_and_ring_checks():
+    x, y = (MPoly.variable(VS2, n) for n in "xy")
+    assert product_sum(VS2, []) == MPoly.zero(VS2)
+    assert product_sum(VS2, [(x, MPoly.zero(VS2))]) == MPoly.zero(VS2)
+    # (x/2 + y)(x/3 - y) + (x/3)(-x/2) + y*(y + x/6) = 0, over mixed scales
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    pairs = [(x * half + y, x * third - y), (x * third, x * -half), (y, y + x * sixth)]
+    assert product_sum(VS2, pairs).terms == {}
+    assert product_sum(VS2, pairs[:2]) == -(y * y) - x * y * sixth
+    with pytest.raises(ValueError):
+        product_sum(VS3, [(x, y)])
+    with pytest.raises(ValueError):
+        product_sum(VS2, [(x, MPoly.variable(VS3, "z"))])
 
 
 @given(polys(VS2), polys(VS2))

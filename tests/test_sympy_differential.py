@@ -1,8 +1,10 @@
 """Differential tests against sympy: truncated-series arithmetic and
 polynomial evaluation at series values, each compared with sympy ``Poly``
 arithmetic over QQ reduced mod t^K, ``big_f`` compared with sympy series
-of the branch rewritten in S, ``jac_bar`` compared with sympy's Berkowitz
-determinant of the same Jacobian matrix, and the engine's reduced grevlex
+of the branch rewritten in S, ``f_bar`` and its Jacobian matrix compared
+with the perturbed family built and differentiated in sympy from sympy
+series, ``jac_bar`` compared with sympy's Berkowitz determinant of the same
+Jacobian matrix, and the engine's reduced grevlex
 bases compared with sympy's ``groebner``. Skipped when sympy is not
 installed."""
 
@@ -152,6 +154,39 @@ def test_big_f_matches_sympy_series_in_S(a, b):
     for n in range(1, a):
         expected = sympy.Poly(in_S.coeff_monomial(X ** n), *gens, domain=sympy.QQ)
         assert _sympy_poly(big_f(model, n), gens) == expected
+
+
+@pytest.mark.parametrize("a, b", [(3, 4), (4, 7), (5, 6), (5, 8)])
+def test_f_bar_and_its_jacobian_match_sympy(a, b):
+    # f_{b+m} is the x^(b+m) coefficient of sympy's series of
+    # (1 + sum c_k x^k)^(b/a); fbar is the formula of the f_bar docstring over
+    # (c, ct), differentiated in c_k by sympy with ct := c substituted after.
+    model = LocalModel(a, b)
+    ks = range(2, a + 1)
+    c = dict(zip(ks, sympy.symbols([f"c{k}" for k in ks])))
+    ct = dict(zip(ks, sympy.symbols([f"ct{k}" for k in ks])))
+    x = sympy.Symbol("x")
+    unit = 1 + sum(c[k] * x ** k for k in ks)
+    power = sympy.Poly(sympy.series(unit ** sympy.Rational(b, a), x, 0, b + a).removeO(), x)
+    f = {m: sympy.expand(power.coeff_monomial(x ** (b + m))) for m in range(1, a)}
+    tilde = {m: f[m].xreplace({c[k]: ct[k] for k in ks}) for m in f}
+    single = sympy.symbols(model.varset.names)
+    doubled = sympy.symbols(model.doubled_varset.names)
+    identify = {ct[k]: c[k] for k in ks}
+    matrix = f_bar_jacobian_matrix(model)
+    for j in range(1, a):
+        bar = f[j]
+        for k in range(2, j):
+            weight = sympy.Rational(j - k, a)
+            bar += weight * (c[k] - ct[k]) * tilde[j - k]
+            for l in range(2, k - 1):
+                bar -= (weight * sympy.Rational(a - l, a)
+                        * (c[k - l] - ct[k - l]) * ct[l] * tilde[j - k])
+        assert _sympy_poly(f_bar(model, j), doubled) == sympy.Poly(bar, *doubled, domain=sympy.QQ)
+        for k in ks:
+            entry = sympy.diff(bar, c[k]).xreplace(identify)
+            assert (_sympy_poly(matrix[j - 1][k - 2], single)
+                    == sympy.Poly(entry, *single, domain=sympy.QQ))
 
 
 @pytest.mark.parametrize("a, b", [(3, 4), (4, 5), (4, 7), (5, 6), (5, 8)])

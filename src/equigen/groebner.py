@@ -19,16 +19,18 @@ inter-reduction of a run that makes one, yields a first-class timeout
 verdict instead of an exception.
 
 The working basis is primitive integer polynomials (``primitive_terms``:
-coprime int coefficients, grevlex-leading coefficient positive). Each
+coprime int coefficients, grevlex-leading coefficient positive), each
+held as the reducer triple (lm, lc, terms) that the pair loop builds once
+and the S-polynomials, normal forms and inter-reduction read. Each
 S-polynomial is built in ints as (lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2
 with g = gcd(lc1, lc2), a scalar multiple of the monic one. The normal form
 holds each working coefficient as a reduced (numerator, denominator) pair
 of ints and makes a Fraction only for a result coefficient that is not an
-integer. The normal form is linear and picks reducers by support alone, and the primitive part
-is scale-invariant, so the basis, the S-pairs and the reduced monic basis
-are those of the monic computation. A run returns the reduced basis, with
-Fraction coefficients, or, unreduced, the primitive integer basis the pair
-loop ended with.
+integer. The normal form is linear and picks reducers by support alone,
+and the primitive part is scale-invariant, so the basis, the S-pairs and
+the reduced monic basis are those of the monic computation. A run returns
+the reduced basis, with Fraction coefficients, or, unreduced, the primitive
+integer basis the pair loop ended with.
 
 Inside the engine each monomial is one int, the full key of the package's
 one packing, ``polycore._Packing``: the partial sums S_n, ..., S_1 of its
@@ -42,8 +44,8 @@ of their terms. Every term a run builds has at most the degree of a
 generator or of a processed S-pair's lcm, so a pair whose lcm does not fit
 starts the run again with wider fields; the run is deterministic, so its
 pairs and its basis do not depend on the width.
-``buchberger`` packs the generators and unpacks only the basis it returns,
-making each element of a reduced basis monic in the same pass.
+``buchberger`` packs the generators as they come and unpacks only the
+basis it returns, making a reduced basis monic in the same pass.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
@@ -134,7 +136,8 @@ class GBResult:
 class _Poly:
     """A polynomial inside the engine: ``terms`` maps packed monomials to
     int or Fraction coefficients; ``lm`` is the leading monomial, None for
-    the zero polynomial."""
+    the zero polynomial. S-polynomials and remainders are ``_Poly``; a
+    run's basis holds reducer triples (``_entry``) instead."""
 
     __slots__ = ("terms", "lm")
 
@@ -147,6 +150,17 @@ def _packed(packing: _Packing, p: MPoly) -> _Poly:
     return _Poly({packing.pack(e): c for e, c in p.terms.items()})
 
 
+# A basis entry (lm, lc, terms): primitive int terms, lc = terms[lm] > 0.
+_Entry = tuple[int, int, dict[int, int]]
+
+
+def _entry(p: _Poly) -> _Entry:
+    """The reducer triple of a nonzero p: its primitive integer multiple,
+    with the leading coefficient positive."""
+    terms = primitive_terms(p.terms, p.lm)
+    return p.lm, terms[p.lm], terms
+
+
 class _Overflow(Exception):
     """An S-pair's lcm is of a degree that the run's packing cannot hold."""
 
@@ -155,36 +169,27 @@ class _Overflow(Exception):
         self.degree = degree
 
 
-def normal_form(p: _Poly, basis: Sequence[_Poly], guard: int) -> _Poly:
+def normal_form(p: _Poly, basis: Sequence[_Entry], guard: int) -> _Poly:
     """Fully reduce p modulo the basis: no result monomial is divisible
     by any basis leading monomial.
 
     Monomials are packed ints of one ``_Packing``, and ``guard`` is its
-    guard mask. Terms are reduced largest first, taken from a max-heap over
-    the working polynomial; an entry whose term has since cancelled is
-    skipped when it surfaces. Each term is reduced by the first basis
-    element, in basis order, whose leading monomial divides it.
+    guard mask. Each basis entry is a reducer triple ``(lm, lc, terms)``,
+    as ``_entry`` builds it: primitive integer terms whose leading
+    coefficient ``lc``, at ``lm``, is positive. Terms are reduced largest
+    first, taken from a max-heap over the working polynomial; an entry
+    whose term has since cancelled is skipped when it surfaces. Each term
+    is reduced by the first basis entry, in basis order, whose leading
+    monomial divides it.
 
-    Coefficients of p may be ints or Fractions. A reducer whose leading
-    coefficient is an int is used as it is, and all its coefficients must
-    then be ints, as in the engine's primitive basis, whose leading ones
-    are positive; any other reducer is replaced by its primitive multiple,
-    which leaves the same remainder. Each working coefficient is a reduced
-    (numerator, denominator > 0) pair of ints, stepped by Fraction's own
-    gcd rules (Henrici's; Knuth, TAOCP vol. 2, 4.5.1), so it is the exact
-    rational a Fraction would hold, and a Fraction is made only for a
-    result coefficient that is not an integer.
+    Coefficients of p may be ints or Fractions. Each working coefficient
+    is a reduced (numerator, denominator > 0) pair of ints, stepped by
+    Fraction's own gcd rules (Henrici's; Knuth, TAOCP vol. 2, 4.5.1), so it
+    is the exact rational a Fraction would hold, and a Fraction is made
+    only for a result coefficient that is not an integer.
     """
     # Terms are not copied into tails: one call reduces by few of the basis
     # elements (about one in fifteen in check G at (5,7)).
-    reducers = []
-    for g in basis:
-        if g.terms:
-            lc = g.terms[g.lm]
-            if type(lc) is not int:
-                g = _Poly(primitive_terms(g.terms, g.lm))
-                lc = g.terms[g.lm]
-            reducers.append((g.lm, lc, g.terms))
     work = {m: c.as_integer_ratio() for m, c in p.terms.items()}
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -195,7 +200,7 @@ def normal_form(p: _Poly, basis: Sequence[_Poly], guard: int) -> _Poly:
         coeff = work.pop(mon, None)
         if coeff is None:
             continue
-        for lm, lc, terms in reducers:
+        for lm, lc, terms in basis:
             shift = mon - lm
             if shift & guard:
                 continue
@@ -242,20 +247,20 @@ def normal_form(p: _Poly, basis: Sequence[_Poly], guard: int) -> _Poly:
     return _Poly(out)
 
 
-def _s_poly(g1: _Poly, g2: _Poly, lcm: int) -> _Poly:
-    """S-polynomial of two integer basis elements, in integers.
+def _s_poly(g1: _Entry, g2: _Entry, lcm: int) -> _Poly:
+    """S-polynomial of two basis entries, in integers.
 
     With g = gcd(lc1, lc2) and L the lcm of the leading monomials it is
     (lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2, which is lc1·lc2/g times
     the monic S-polynomial. The cancelling term at L is never built.
     """
-    lm1, lm2 = g1.lm, g2.lm
-    lc1, lc2 = g1.terms[lm1], g2.terms[lm2]
+    lm1, lc1, terms1 = g1
+    lm2, lc2, terms2 = g2
     g = gcd(lc1, lc2)
     k1, k2 = lc2 // g, lc1 // g
     shift1, shift2 = lcm - lm1, lcm - lm2
-    out = {e + shift1: k1 * c for e, c in g1.terms.items() if e != lm1}
-    for e, c in g2.terms.items():
+    out = {e + shift1: k1 * c for e, c in terms1.items() if e != lm1}
+    for e, c in terms2.items():
         if e == lm2:
             continue
         tgt = e + shift2
@@ -283,8 +288,7 @@ def buchberger(ideal: Ideal, budget: Budget | None = None, *,
         raise ValueError("Groebner engine needs at least one generator")
     budget = budget or Budget()
     t0 = monotonic()
-    varset = ideal.varset
-    gens = [MPoly._of(varset, primitive_terms(g.terms)) for g in ideal.generators]
+    varset, gens = ideal.varset, ideal.generators
     packing = _Packing.of(gens)
     while True:
         try:
@@ -295,7 +299,7 @@ def buchberger(ideal: Ideal, budget: Budget | None = None, *,
         return GBResult(basis, pairs, monotonic() - t0)
 
 
-def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
+def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
                        budget: Budget, *, reduce: bool) -> tuple[list[MPoly] | None, int]:
     """``buchberger``'s run on one packing: the basis, reduced or as the
     pair loop left it (None on a timeout), and the pairs processed.
@@ -308,8 +312,8 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
     limit, so it may order the heap and meet the criteria first.
     """
     pairs = 0
-    basis = [_packed(packing, g) for g in gens]
-    lms = [g.lm for g in basis]
+    basis = [_entry(_packed(packing, g)) for g in gens]
+    lms = [lm for lm, _, _ in basis]
 
     # Unit short-circuit: a constant generator makes everything trivial.
     if 0 in lms:
@@ -359,11 +363,11 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
         rem = normal_form(_s_poly(basis[i], basis[j], lcm), basis, guard)
         if not rem.terms:
             continue
-        rem = _Poly(primitive_terms(rem.terms, rem.lm))
+        entry = _entry(rem)
         if rem.lm == 0:
             return [MPoly.constant(varset, 1)], pairs
         new_idx = len(basis)
-        basis.append(rem)
+        basis.append(entry)
         lms.append(rem.lm)
         done.append(set())
         for t in range(new_idx):
@@ -371,18 +375,18 @@ def _buchberger_packed(varset: VarSet, gens: list[MPoly], packing: _Packing,
 
     if not reduce:
         unpack = packing.unpack
-        return [MPoly._of(varset, {unpack(m): c for m, c in g.terms.items()})
-                for g in basis], pairs
+        return [MPoly._of(varset, {unpack(m): c for m, c in terms.items()})
+                for _, _, terms in basis], pairs
     return _reduce_basis(varset, basis, packing, budget), pairs
 
 
-def _reduce_basis(varset: VarSet, basis: list[_Poly], packing: _Packing,
+def _reduce_basis(varset: VarSet, basis: list[_Entry], packing: _Packing,
                   budget: Budget) -> list[MPoly] | None:
     """The reduced basis: minimal, each element fully reduced by the others,
     monic with Fraction coefficients, sorted by leading monomial. None when
     the budget's clock runs out between two normal forms."""
     guard = packing.guard
-    lms = [g.lm for g in basis]
+    lms = [lm for lm, _, _ in basis]
     keep = []
     for i, lm in enumerate(lms):
         if any(j != i and not (lm - lms[j]) & guard
@@ -391,13 +395,13 @@ def _reduce_basis(varset: VarSet, basis: list[_Poly], packing: _Packing,
         keep.append(i)
     minimal = [basis[i] for i in keep]
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (_, _, terms) in enumerate(minimal):
         if budget.expired():
             return None
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, guard) if others else g
-        if r.terms:
-            reduced.append(r)
+        # No other leading monomial divides g's, so its remainder is not 0.
+        g = _Poly(terms)
+        reduced.append(normal_form(g, others, guard) if others else g)
     reduced.sort(key=lambda g: g.lm)
     unpack = packing.unpack
     return [MPoly._of(varset, {unpack(m): Fraction(c, r.terms[r.lm]) for m, c in r.terms.items()})
@@ -424,12 +428,11 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     I + (1 - y*p) contains 1. Sound and complete whenever the engine's
     pair loop finishes within budget: the run is not reduced, since its
     basis is [1] exactly when a remainder or a generator was a constant.
-    The zero ideal short-circuits to p == 0.
+    The zero ideal needs no case of its own: for p = 0 the one generator
+    is the constant 1, and otherwise a single generator makes no pair.
     """
     if p.varset != ideal.varset:
         raise ValueError("candidate lives in a different variable set")
-    if not ideal.generators:
-        return MembershipResult(Membership.TRUE if p.is_zero() else Membership.FALSE)
     aux = "y"
     while aux in ideal.varset.names:
         aux += "_"

@@ -130,12 +130,6 @@ class MPoly:
     def constant(varset: VarSet, value: Scalar) -> "MPoly":
         return MPoly(varset, {(0,) * len(varset): Fraction(value)})
 
-    @staticmethod
-    def variable(varset: VarSet, name: str) -> "MPoly":
-        exps = [0] * len(varset)
-        exps[varset.index(name)] = 1
-        return MPoly(varset, {tuple(exps): Fraction(1)})
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -409,20 +403,17 @@ def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
     return out
 
 
-def primitive_terms(terms: Mapping[Hashable, Scalar], lead: Hashable | None = None) -> dict:
+def primitive_terms(terms: Mapping[Hashable, Scalar], lead: Hashable) -> dict:
     """The primitive integer multiple of a nonzero polynomial's terms.
 
     Coefficients may be ints or Fractions. For c = n/d in lowest terms the
     content is gcd(n) / lcm(d), so each coefficient maps to the exact int
-    n // gcd(n) * (lcm(d) // d); the sign makes the leading coefficient
-    positive: the one at ``lead``, by default at the grevlex-largest
-    exponent vector. The terms keep their order.
+    n // gcd(n) * (lcm(d) // d); the sign makes the coefficient at the
+    leading key ``lead`` positive. The terms keep their order.
     """
     coeffs = terms.values()
     num_gcd = math.gcd(*[c.numerator for c in coeffs])
     den_lcm = math.lcm(*[c.denominator for c in coeffs])
-    if lead is None:
-        lead = max(terms, key=grevlex_key)
     if terms[lead] < 0:
         num_gcd = -num_gcd
     return {e: c.numerator // num_gcd * (den_lcm // c.denominator) for e, c in terms.items()}

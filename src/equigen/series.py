@@ -181,13 +181,6 @@ class TSeries:
         i -= self._val
         return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
-    def _coerce(self, other: "TSeries | Scalar") -> "TSeries":
-        if isinstance(other, TSeries):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return TSeries.constant(other, self.modulus)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = TSeries.constant(other, self.modulus)
@@ -210,7 +203,10 @@ class TSeries:
 
     def _sum(self, other: "TSeries | Scalar", op) -> "TSeries":
         """self + other for ``op`` = ``add``, self - other for ``sub``."""
-        other = self._coerce(other)
+        if not isinstance(other, TSeries):
+            other = TSeries.constant(other, self.modulus)
+        elif other.modulus != self.modulus:
+            raise ValueError("mixed moduli")
         x, y = self._num, other._num
         if not y:
             return self

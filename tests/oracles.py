@@ -1,14 +1,15 @@
 """Test oracles: small reference functions that only the tests call.
 
-They restate, outside the library, facts the library relies on: the pair
-order of pole coordinates, the order of a section, the weights of the
-coefficient variables and weighted homogeneity of a polynomial, what makes
-a genericity witness, divisibility of monomials by their exponent vectors,
-the product of polynomials on exponent tuples, the twisted section
-coefficients sigma_l as sums of polynomials, and the generators' earlier
-routes: the perturbed family as ``MPoly`` products over renamed factors,
-its Jacobian by differentiating in the doubled ring and identifying
-ct := c, and F_{-n} as a sum of ``MPoly`` products.
+They restate, outside the library, facts the library relies on: a single
+variable as a polynomial, the pair order of pole coordinates, the order of
+a section, the weights of the coefficient variables and weighted
+homogeneity of a polynomial, what makes a genericity witness, divisibility
+of monomials by their exponent vectors, the product of polynomials on
+exponent tuples, the twisted section coefficients sigma_l as sums of
+polynomials, and the generators' earlier routes: the perturbed family as
+``MPoly`` products over renamed factors, its Jacobian by differentiating
+in the doubled ring and identifying ct := c, and F_{-n} as a sum of
+``MPoly`` products.
 """
 
 import math
@@ -27,7 +28,14 @@ from equigen.lifting import (
     pair_value,
     validate_section,
 )
-from equigen.polycore import Exponents, MPoly, evaluate_many
+from equigen.polycore import Exponents, MPoly, VarSet, evaluate_many
+
+
+def variable(varset: VarSet, name: str) -> MPoly:
+    """The variable ``name`` of ``varset`` as a polynomial."""
+    exps = [0] * len(varset)
+    exps[varset.index(name)] = 1
+    return MPoly(varset, {tuple(exps): Fraction(1)})
 
 
 def divides(e1: Exponents, e2: Exponents) -> bool:
@@ -125,12 +133,12 @@ def f_bar_by_products(model: LocalModel, j: int) -> MPoly:
     for k in range(2, j):
         weight = Fraction(j - k, a)
         f_tail = f_coeff(model, b, b + j - k).rename(varset, tilde)
-        diff_k = MPoly.variable(varset, f"c{k}") - MPoly.variable(varset, f"ct{k}")
+        diff_k = variable(varset, f"c{k}") - variable(varset, f"ct{k}")
         total = total + weight * diff_k * f_tail
         for l in range(2, k - 1):
-            diff_kl = (MPoly.variable(varset, f"c{k - l}")
-                       - MPoly.variable(varset, f"ct{k - l}"))
-            ct_l = MPoly.variable(varset, f"ct{l}")
+            diff_kl = (variable(varset, f"c{k - l}")
+                       - variable(varset, f"ct{k - l}"))
+            ct_l = variable(varset, f"ct{l}")
             total = total - weight * Fraction(a - l, a) * diff_kl * ct_l * f_tail
     return total
 

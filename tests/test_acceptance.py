@@ -47,7 +47,7 @@ from equigen.series import (
     substitution_check,
 )
 
-from oracles import variable_weight, weighted_degree
+from oracles import variable, variable_weight, weighted_degree
 
 SEED = 20260816
 
@@ -236,7 +236,7 @@ def _euler_defect(p: MPoly):
         return MPoly.zero(p.varset)
     total = MPoly.zero(p.varset)
     for name in p.varset.names:
-        total = total + MPoly.variable(p.varset, name) * p.diff(name) * variable_weight(name)
+        total = total + variable(p.varset, name) * p.diff(name) * variable_weight(name)
     return total - p * deg
 
 

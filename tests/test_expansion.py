@@ -26,6 +26,7 @@ from oracles import (
     f_bar_by_products,
     jacobian_by_identification,
     sigma_by_sums,
+    variable,
     weighted_degree,
 )
 
@@ -48,7 +49,7 @@ SEED = 20260816
 def binomial_f_oracle(model, beta_num, mmax):
     vs = model.varset
     alpha = Fraction(beta_num, model.a)
-    u = {k: MPoly.variable(vs, f"c{k}") for k in range(2, model.a + 1)}
+    u = {k: variable(vs, f"c{k}") for k in range(2, model.a + 1)}
     out = {m: MPoly.zero(vs) for m in range(mmax + 1)}
     out[0] = MPoly.constant(vs, 1)
     upow = {0: MPoly.constant(vs, 1)}
@@ -294,7 +295,7 @@ def test_f_bar_diagonal_restores_f():
     for model in (M23, M34, M46):
         for j in range(1, model.a):
             bar = f_bar(model, j)
-            plain = [MPoly.variable(model.varset, f"c{k}") for k in range(2, model.a + 1)]
+            plain = [variable(model.varset, f"c{k}") for k in range(2, model.a + 1)]
             assert bar.evaluate(plain + plain) == f_coeff(model, model.b, model.b + j)
 
 
@@ -311,10 +312,10 @@ def test_f_bar_cross_term_shape():
         b = model.b
         bar = f_bar(model, 3)
         vs = bar.varset
-        c2 = MPoly.variable(vs, "c2")
-        ct2 = MPoly.variable(vs, "ct2")
-        plain = [MPoly.variable(vs, f"c{k}") for k in range(2, model.a + 1)]
-        tilde = [MPoly.variable(vs, f"ct{k}") for k in range(2, model.a + 1)]
+        c2 = variable(vs, "c2")
+        ct2 = variable(vs, "ct2")
+        plain = [variable(vs, f"c{k}") for k in range(2, model.a + 1)]
+        tilde = [variable(vs, f"ct{k}") for k in range(2, model.a + 1)]
         f_j = f_coeff(model, b, b + 3).evaluate(plain)
         f_prev_tilde = f_coeff(model, b, b + 1).evaluate(tilde)
         assert bar == f_j + (c2 - ct2) * f_prev_tilde * Fraction(1, model.a)
@@ -327,7 +328,7 @@ def test_f_bar_low_index_has_no_correction():
             if j >= model.a:
                 continue
             bar = f_bar(model, j)
-            plain = [MPoly.variable(bar.varset, f"c{k}") for k in range(2, model.a + 1)]
+            plain = [variable(bar.varset, f"c{k}") for k in range(2, model.a + 1)]
             assert bar == f_coeff(model, model.b, model.b + j).evaluate(plain)
 
 
@@ -357,7 +358,7 @@ def test_jacobian_matrix_is_immutable():
 def _identified_by_evaluation(model):
     """The Jacobian matrix with ct := c substituted by MPoly.evaluate."""
     single = model.varset
-    identify = [MPoly.variable(single, f"c{k}") for k in range(2, model.a + 1)] * 2
+    identify = [variable(single, f"c{k}") for k in range(2, model.a + 1)] * 2
     return tuple(tuple(f_bar(model, j).diff(f"c{k}").evaluate(identify)
                        for k in range(2, model.a + 1))
                  for j in range(1, model.a))

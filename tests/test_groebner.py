@@ -4,6 +4,7 @@ procedures for transversality and genericity."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add, sub
 
 import pytest
@@ -29,12 +30,12 @@ from equigen.groebner import (
 from equigen.polycore import (Exponents, MPoly, VarSet, _Packing, grevlex_key, poly_text,
                               primitive_terms)
 
-from oracles import divides, witness_verify
+from oracles import divides, variable, witness_verify
 
 VS = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
-X = MPoly.variable(VS, "x")
-Y = MPoly.variable(VS, "y")
+X = variable(VS, "x")
+Y = variable(VS, "y")
 
 SEED = 20260816
 
@@ -93,10 +94,15 @@ def _unpacked(packing, varset, p):
 
 
 def _nf(p, divisors):
-    """``normal_form`` of MPolys, packed and unpacked by the engine's packing."""
+    """``normal_form`` of MPolys, packed and unpacked by the engine's packing;
+    each nonzero divisor enters as its primitive reducer triple."""
     pk = _Packing.of([p, *divisors])
-    return _unpacked(pk, p.varset, normal_form(
-        groebner._packed(pk, p), [groebner._packed(pk, g) for g in divisors], pk.guard))
+    basis = [groebner._entry(groebner._packed(pk, g)) for g in divisors if g.terms]
+    return _unpacked(pk, p.varset, normal_form(groebner._packed(pk, p), basis, pk.guard))
+
+
+def _primitive(terms):
+    return primitive_terms(terms, max(terms, key=grevlex_key))
 
 
 def test_normal_form_of_members_vanishes():
@@ -264,15 +270,15 @@ def test_integer_s_poly_matches_monic_oracle():
     checked = 0
     for _ in range(300):
         polys = [_random_int_poly(rng, VS3, rng.randint(1, 5), 3) for _ in range(rng.randint(2, 5))]
-        basis = [MPoly(VS3, primitive_terms(p.terms)) for p in polys if p.terms]
+        basis = [MPoly(VS3, _primitive(p.terms)) for p in polys if p.terms]
         if len(basis) < 2:
             continue
-        int_basis = [MPoly._of(VS3, primitive_terms(g.terms)) for g in basis]
+        int_basis = [MPoly._of(VS3, _primitive(g.terms)) for g in basis]
         lms = [max(g.terms, key=grevlex_key) for g in basis]
         i, j = rng.sample(range(len(basis)), 2)
         pk = _Packing.of(basis)
-        g1, g2 = groebner._packed(pk, int_basis[i]), groebner._packed(pk, int_basis[j])
-        s_new = _unpacked(pk, VS3, groebner._s_poly(g1, g2, pk.lcm(g1.lm, g2.lm)))
+        g1, g2 = (groebner._entry(groebner._packed(pk, int_basis[k])) for k in (i, j))
+        s_new = _unpacked(pk, VS3, groebner._s_poly(g1, g2, pk.lcm(g1[0], g2[0])))
         s_old = monic_s_poly(basis[i], basis[j], lms[i], lms[j])
         assert all(type(c) is int for c in s_new.terms.values())
         assert tuple(map(max, lms[i], lms[j])) not in s_new.terms
@@ -281,7 +287,7 @@ def test_integer_s_poly_matches_monic_oracle():
         nf_old = _nf(s_old, basis)
         assert set(nf_new.terms) == set(nf_old.terms)
         if nf_new.terms:
-            assert primitive_terms(nf_new.terms) == primitive_terms(nf_old.terms)
+            assert _primitive(nf_new.terms) == _primitive(nf_old.terms)
             checked += 1
     assert checked > 100
 
@@ -348,7 +354,7 @@ def test_overflowing_s_pair_reruns_with_wider_fields(monkeypatch):
     # Degree-3 input: the first packing holds degree 7, and an S-pair of
     # degree 8 makes the run start again with wider fields. Basis and pair
     # count are pinned from the engine on exponent tuples.
-    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    x, y, z = (variable(VS3, n) for n in "xyz")
     ideal = Ideal.of(VS3, [x * y**2 - y * z**2, x * z - y**3])
     limits = _watch_packings(monkeypatch)
     res = buchberger(ideal)
@@ -364,7 +370,7 @@ def test_overflowing_s_pair_reruns_with_wider_fields(monkeypatch):
 
 
 def test_high_degree_input_fits_the_first_packing(monkeypatch):
-    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    x, y, z = (variable(VS3, n) for n in "xyz")
     limits = _watch_packings(monkeypatch)
     res = buchberger(Ideal.of(VS3, [x**300 * y - z**2, y**2 * z - x**150]))
     assert limits == [1023]
@@ -379,8 +385,9 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
 
     def watched_normal_form(p, basis, *rest):
         out = real_normal_form(p, basis, *rest)
-        for poly in (p, out, *basis):
-            seen.update(map(type, poly.terms.values()))
+        for terms in (p.terms, out.terms, *(terms for _, _, terms in basis)):
+            seen.update(map(type, terms.values()))
+        seen.update(type(lc) for _, lc, _ in basis)
         return out
 
     def watched_buchberger(ideal, *args, **kwargs):
@@ -394,7 +401,7 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
     # reduced basis is computed here.
     for a, b in ((4, 6), (4, 7)):
         check_g(LocalModel(a, b))
-    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    x, y, z = (variable(VS3, n) for n in "xyz")
     one = MPoly.constant(VS3, 1)
     for ideal in (Ideal.of(VS, [X**2 - Y, X**3]),
                   Ideal.of(VS, [3 * (X**2 - Y)]),
@@ -441,7 +448,7 @@ def test_contains_one_needs_basis():
 
 def test_radical_membership_basic():
     assert radical_member(X, Ideal.of(VS, [X**2])).verdict is Membership.TRUE
-    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    x, y, z = (variable(VS3, n) for n in "xyz")
     assert radical_member(x + y, Ideal.of(VS3, [x**2, y**2])).verdict is Membership.TRUE
     assert radical_member(z, Ideal.of(VS3, [x])).verdict is Membership.FALSE
 
@@ -451,10 +458,27 @@ def test_radical_membership_aux_name_collision():
     assert radical_member(Y, Ideal.of(VS, [Y**3])).verdict is Membership.TRUE
 
 
-def test_radical_membership_zero_ideal():
+def test_radical_membership_zero_ideal(monkeypatch):
+    # The zero ideal is an ordinary run: J = (1 - y*p) is the constant 1
+    # for p = 0 and otherwise one generator, so neither run makes a pair.
+    runs = []
+    real_buchberger = groebner.buchberger
+
+    def capture(ideal, *args, **kwargs):
+        res = real_buchberger(ideal, *args, **kwargs)
+        runs.append((ideal, res))
+        return res
+
+    monkeypatch.setattr(groebner, "buchberger", capture)
     empty = Ideal.of(VS, [])
-    assert radical_member(MPoly.zero(VS), empty).verdict is Membership.TRUE
-    assert radical_member(X, empty).verdict is Membership.FALSE
+    zero = radical_member(MPoly.zero(VS), empty)
+    assert zero.verdict is Membership.TRUE and zero.pairs_processed == 0
+    nonzero = radical_member(X, empty)
+    assert nonzero.verdict is Membership.FALSE and nonzero.pairs_processed == 0
+    assert [len(ideal.generators) for ideal, _ in runs] == [1, 1]
+    assert [res.pairs_processed for _, res in runs] == [0, 0]
+    assert [len(res.basis) for _, res in runs] == [1, 1]
+    assert runs[0][1].basis[0].is_constant() and not runs[1][1].basis[0].is_constant()
 
 
 @pytest.mark.parametrize("ab", [(4, 6), (5, 7)], ids=["4-6", "5-7"])
@@ -479,7 +503,7 @@ def test_radical_membership_builds_the_rabinowitsch_ideal(monkeypatch, ab):
             assert big == ideal.varset.extend("y")
             gens = seen[-1].generators
             assert list(gens[:-1]) == [g.rename(big) for g in ideal.generators]
-            assert gens[-1] == MPoly.constant(big, 1) - MPoly.variable(big, "y") * p.rename(big)
+            assert gens[-1] == MPoly.constant(big, 1) - variable(big, "y") * p.rename(big)
     # Membership reads only whether the basis is {1}: no run is reduced.
     assert reduce_flags == [False] * len(seen)
 
@@ -548,6 +572,76 @@ def test_membership_never_inter_reduces(monkeypatch):
     for ideal in ideals:
         with pytest.raises(AssertionError, match="inter-reduction reached"):
             buchberger(ideal)
+
+
+def _watch_membership_runs(monkeypatch):
+    """Per membership run of ``check_g``: its ideal and the (basis, copy
+    of basis) that each of its normal forms got."""
+    runs = []
+    real_normal_form, real_buchberger = groebner.normal_form, groebner.buchberger
+
+    def watched_buchberger(ideal, *args, **kwargs):
+        runs.append((ideal, []))
+        return real_buchberger(ideal, *args, **kwargs)
+
+    def watched_normal_form(p, basis, guard):
+        runs[-1][1].append((basis, list(basis)))
+        return real_normal_form(p, basis, guard)
+
+    monkeypatch.setattr(groebner, "buchberger", watched_buchberger)
+    monkeypatch.setattr(groebner, "normal_form", watched_normal_form)
+    return runs
+
+
+def test_pair_loop_reads_one_growing_basis_of_reducer_triples(monkeypatch):
+    # Every normal form of a run gets the run's own basis list: the same
+    # object each time, only growing, its entries primitive reducer
+    # triples (lm, lc, terms) that stay the same objects once built.
+    runs = _watch_membership_runs(monkeypatch)
+    check_g(LocalModel(4, 7))
+    assert len(runs) == 6
+    assert sum(len(calls) for _, calls in runs) > 100
+    for _, calls in runs:
+        prev = []
+        for basis, snapshot in calls:
+            assert basis is calls[0][0]
+            assert len(snapshot) >= len(prev)
+            assert all(a is b for a, b in zip(prev, snapshot))
+            prev = snapshot
+        for lm, lc, terms in prev:
+            assert lm == max(terms) and lc == terms[lm] > 0
+            assert all(type(c) is int for c in terms.values())
+            assert gcd(*terms.values()) == 1
+
+
+def test_each_basis_entry_is_made_primitive_once(monkeypatch):
+    # primitive_terms runs once per generator and once per nonzero
+    # remainder of the pair loop, each time with the packed leading
+    # monomial as its lead. (4,6), i = 2 contains 1.
+    runs = _watch_membership_runs(monkeypatch)
+    leads = []
+    real_primitive_terms = groebner.primitive_terms
+
+    def watched_primitive_terms(terms, lead):
+        assert lead == max(terms)
+        leads.append(lead)
+        return real_primitive_terms(terms, lead)
+
+    monkeypatch.setattr(groebner, "primitive_terms", watched_primitive_terms)
+    real_normal_form = groebner.normal_form
+    remainders = []
+
+    def counted_normal_form(*args):
+        out = real_normal_form(*args)
+        remainders.append(bool(out.terms))
+        return out
+
+    monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
+    for a, b in ((4, 6), (4, 7)):
+        check_g(LocalModel(a, b))
+    assert len(runs) == 12
+    assert len(leads) == sum(len(ideal.generators) for ideal, _ in runs) + sum(remainders)
+    assert 0 in leads
 
 
 def test_radical_membership_timeout_propagates():
@@ -620,8 +714,8 @@ def test_check_g_34_holds():
 
 
 def test_check_g_double_point_always_holds():
-    # The ideal of the other obstructions is empty, so membership is
-    # decided without a Groebner run.
+    # The ideal of the other obstructions is empty, so each membership run
+    # has the one generator 1 - y*p and makes no pair.
     for b in (3, 5, 9, 15):
         verdict = check_g(LocalModel(2, b))
         assert verdict.status is GStatus.HOLDS

@@ -31,7 +31,7 @@ from equigen.polycore import (
 )
 from equigen.series import TSeries
 
-from oracles import divides, tuple_product, weighted_degree
+from oracles import divides, tuple_product, variable, weighted_degree
 
 VS2 = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
@@ -160,7 +160,7 @@ def test_mul_matches_tuple_product_oracle():
 
 
 def test_mul_cancellation_zero_factors_and_widest_exponent():
-    x, y, z = (MPoly.variable(VS3, n) for n in "xyz")
+    x, y, z = (variable(VS3, n) for n in "xyz")
     # the cross terms cancel
     half = Fraction(1, 2)
     assert (x * half + y) * (x * half - y) == x * x * Fraction(1, 4) - y * y
@@ -194,7 +194,7 @@ def test_product_sum_matches_summed_tuple_products():
 
 
 def test_product_sum_empty_cancelling_and_ring_checks():
-    x, y = (MPoly.variable(VS2, n) for n in "xy")
+    x, y = (variable(VS2, n) for n in "xy")
     assert product_sum(VS2, []) == MPoly.zero(VS2)
     assert product_sum(VS2, [(x, MPoly.zero(VS2))]) == MPoly.zero(VS2)
     # (x/2 + y)(x/3 - y) + (x/3)(-x/2) + y*(y + x/6) = 0, over mixed scales
@@ -205,7 +205,7 @@ def test_product_sum_empty_cancelling_and_ring_checks():
     with pytest.raises(ValueError):
         product_sum(VS3, [(x, y)])
     with pytest.raises(ValueError):
-        product_sum(VS2, [(x, MPoly.variable(VS3, "z"))])
+        product_sum(VS2, [(x, variable(VS3, "z"))])
 
 
 @given(polys(VS2), polys(VS2))
@@ -352,23 +352,24 @@ def test_text_descending_grevlex(p):
 
 def test_content_free_primitive():
     p = _poly(VS2, [((2, 0), Fraction(4, 6)), ((0, 1), Fraction(-2, 3))])
-    q = MPoly(VS2, primitive_terms(p.terms))
+    q = MPoly(VS2, primitive_terms(p.terms, max(p.terms, key=grevlex_key)))
     # integer coefficients with gcd 1 and positive leading coefficient
     assert poly_text(q) == "x^2 - y"
 
 
 def test_content_free_flips_negative_leading():
     p = _poly(VS2, [((2, 0), -2), ((0, 1), 2)])
-    assert poly_text(MPoly(VS2, primitive_terms(p.terms))) == "x^2 - y"
+    assert poly_text(MPoly(VS2, primitive_terms(p.terms, max(p.terms, key=grevlex_key)))) == "x^2 - y"
 
 
 def test_primitive_terms_sign_from_grevlex_leading():
-    # x*y^3 leads in grevlex, x^2 in lex: the sign follows grevlex either way.
+    # x*y^3 leads in grevlex, x^2 in lex: the sign follows the lead passed.
     p = _poly(VS2, [((2, 0), Fraction(3, 2)), ((1, 3), Fraction(-9, 4))])
-    terms = primitive_terms(p.terms)
+    terms = primitive_terms(p.terms, max(p.terms, key=grevlex_key))
     assert terms == {(2, 0): -2, (1, 3): 3}
     assert all(type(c) is int for c in terms.values())
-    assert primitive_terms({(1, 0): 6, (0, 1): Fraction(-4, 3)}) == {(1, 0): 9, (0, 1): -2}
+    assert primitive_terms(p.terms, (2, 0)) == {(2, 0): 2, (1, 3): -3}
+    assert primitive_terms({(1, 0): 6, (0, 1): Fraction(-4, 3)}, (1, 0)) == {(1, 0): 9, (0, 1): -2}
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +599,7 @@ def test_det_exponent_beyond_every_entry():
     assert det_bareiss(m) == MPoly(VS2, {(15, 0): Fraction(1, 54)})
     # the exponent of y reaches 12 in the permutation term, 4 in any entry
     y4 = MPoly(VS2, {(0, 4): Fraction(-5, 7)})
-    x = MPoly.variable(VS2, "x")
+    x = variable(VS2, "x")
     m = [[x, y4, zero], [zero, x, y4], [y4, zero, x * Fraction(3, 4)]]
     assert det_bareiss(m) == _poly(VS2, [((3, 0), Fraction(3, 4)), ((0, 12), Fraction(-125, 343))])
     # five rows of degree 7: the exponent 35 overflows a field made for the
@@ -632,7 +633,7 @@ def test_det_high_degree_sparse_with_row_denominators():
 
 
 def test_det_cancelling_to_zero_is_the_zero_polynomial():
-    x, y = MPoly.variable(VS2, "x"), MPoly.variable(VS2, "y")
+    x, y = variable(VS2, "x"), variable(VS2, "y")
     first = [x * Fraction(1, 2), y * Fraction(1, 3)]
     factor = (x + y) * Fraction(1, 5)
     assert det_bareiss([first, [e * factor for e in first]]) == MPoly.zero(VS2)

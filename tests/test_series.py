@@ -64,8 +64,10 @@ def test_tseries_coeff_bounds():
 
 
 def test_tseries_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixed moduli"):
         ts(1) + ts(1, modulus=K + 1)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        ts(1) - ts(1, modulus=K + 1)
     with pytest.raises(ValueError):
         ts(1) * ts(1, modulus=K + 1)
 

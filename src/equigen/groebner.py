@@ -18,19 +18,20 @@ processed S-pairs per run; exhaustion, in the pair loop or in the final
 inter-reduction of a run that makes one, yields a first-class timeout
 verdict instead of an exception.
 
-The working basis is primitive integer polynomials (``primitive_terms``:
-coprime int coefficients, grevlex-leading coefficient positive), each
-held as the reducer triple (lm, lc, terms) that the pair loop builds once
-and the S-polynomials, normal forms and inter-reduction read. Each
-S-polynomial is built in ints as (lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2
-with g = gcd(lc1, lc2), a scalar multiple of the monic one. The normal form
-holds each working coefficient as a reduced (numerator, denominator) pair
-of ints and makes a Fraction only for a result coefficient that is not an
-integer. The normal form is linear and picks reducers by support alone,
-and the primitive part is scale-invariant, so the basis, the S-pairs and
-the reduced monic basis are those of the monic computation. A run returns
-the reduced basis, with Fraction coefficients, or, unreduced, the primitive
-integer basis the pair loop ended with.
+The engine holds a polynomial in one form, the entry (lm, lc, terms):
+primitive int terms (coprime coefficients) whose grevlex-leading
+coefficient lc, at lm, is positive. Generators, remainders and reduced
+elements are entries, each made once by the one normalization ``_entry``
+from (numerator, denominator) pairs. Each S-polynomial is built in ints as
+(lc2/g)·x^(L−lm1)·g1 − (lc1/g)·x^(L−lm2)·g2 with g = gcd(lc1, lc2), a
+scalar multiple of the monic one. The normal form holds each working
+coefficient as a reduced (numerator, denominator) pair of ints and returns
+the remainder's entry. The normal form is linear and picks reducers by
+support alone, and the primitive part is scale-invariant, so the basis,
+the S-pairs and the reduced monic basis are those of the monic
+computation. No Fraction is made until a run returns: the reduced basis,
+made monic with Fraction coefficients as it is unpacked, or, unreduced,
+the primitive integer basis the pair loop ended with.
 
 Inside the engine each monomial is one int, the full key of the package's
 one packing, ``polycore._Packing``: the partial sums S_n, ..., S_1 of its
@@ -61,12 +62,12 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from time import monotonic
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .expansion import LocalModel, big_f, f_bar_jacobian_at, f_coeff, jac_bar, theta_cap
-from .polycore import MPoly, VarSet, _echelonize, _Packing, primitive_terms
+from .polycore import MPoly, VarSet, _echelonize, _Packing
 
 
 class Membership(Enum):
@@ -133,32 +134,33 @@ class GBResult:
     elapsed: float
 
 
-class _Poly:
-    """A polynomial inside the engine: ``terms`` maps packed monomials to
-    int or Fraction coefficients; ``lm`` is the leading monomial, None for
-    the zero polynomial. S-polynomials and remainders are ``_Poly``; a
-    run's basis holds reducer triples (``_entry``) instead."""
+class _Entry(NamedTuple):
+    """A polynomial inside the engine, in the one form the engine holds:
+    primitive int terms keyed by packed monomial, in any order, with the
+    coefficient ``lc`` at the leading monomial ``lm`` positive. Zero is
+    ``(None, 0, {})``. Generators, remainders and reduced elements are
+    entries; an S-polynomial is a plain int term dict."""
 
-    __slots__ = ("terms", "lm")
-
-    def __init__(self, terms: dict[int, int | Fraction]) -> None:
-        self.terms = terms
-        self.lm = max(terms) if terms else None
-
-
-def _packed(packing: _Packing, p: MPoly) -> _Poly:
-    return _Poly({packing.pack(e): c for e, c in p.terms.items()})
+    lm: int | None
+    lc: int
+    terms: dict[int, int]
 
 
-# A basis entry (lm, lc, terms): primitive int terms, lc = terms[lm] > 0.
-_Entry = tuple[int, int, dict[int, int]]
+def _entry(pairs: dict[int, tuple[int, int]], lm: int) -> _Entry:
+    """The entry of the nonzero polynomial with terms ``pairs``, each
+    coefficient a (numerator, denominator > 0) pair in lowest terms, and
+    leading monomial ``lm``.
 
-
-def _entry(p: _Poly) -> _Entry:
-    """The reducer triple of a nonzero p: its primitive integer multiple,
-    with the leading coefficient positive."""
-    terms = primitive_terms(p.terms, p.lm)
-    return p.lm, terms[p.lm], terms
+    The content is gcd(numerators) / lcm(denominators), signed by the
+    leading coefficient, so each n/d maps to the exact int
+    n // gcd * (lcm // d). The terms keep their order.
+    """
+    num_gcd = gcd(*[n for n, _ in pairs.values()])
+    den_lcm = lcm(*[d for _, d in pairs.values()])
+    if pairs[lm][0] < 0:
+        num_gcd = -num_gcd
+    terms = {m: n // num_gcd * (den_lcm // d) for m, (n, d) in pairs.items()}
+    return _Entry(lm, terms[lm], terms)
 
 
 class _Overflow(Exception):
@@ -169,32 +171,32 @@ class _Overflow(Exception):
         self.degree = degree
 
 
-def normal_form(p: _Poly, basis: Sequence[_Entry], guard: int) -> _Poly:
-    """Fully reduce p modulo the basis: no result monomial is divisible
-    by any basis leading monomial.
+def normal_form(p: dict[int, int], basis: Sequence[_Entry], guard: int) -> _Entry:
+    """Fully reduce p modulo the basis: no monomial of the result is
+    divisible by any basis leading monomial. The result is the entry of
+    the remainder, its primitive integer multiple.
 
-    Monomials are packed ints of one ``_Packing``, and ``guard`` is its
-    guard mask. Each basis entry is a reducer triple ``(lm, lc, terms)``,
-    as ``_entry`` builds it: primitive integer terms whose leading
-    coefficient ``lc``, at ``lm``, is positive. Terms are reduced largest
+    p maps monomials, packed ints of one ``_Packing``, to ints, and
+    ``guard`` is the packing's guard mask. Terms are reduced largest
     first, taken from a max-heap over the working polynomial; an entry
     whose term has since cancelled is skipped when it surfaces. Each term
     is reduced by the first basis entry, in basis order, whose leading
     monomial divides it.
 
-    Coefficients of p may be ints or Fractions. Each working coefficient
-    is a reduced (numerator, denominator > 0) pair of ints, stepped by
-    Fraction's own gcd rules (Henrici's; Knuth, TAOCP vol. 2, 4.5.1), so it
-    is the exact rational a Fraction would hold, and a Fraction is made
-    only for a result coefficient that is not an integer.
+    Each working coefficient is a reduced (numerator, denominator > 0)
+    pair of ints, stepped by Fraction's own gcd rules (Henrici's; Knuth,
+    TAOCP vol. 2, 4.5.1), so it is the exact rational a Fraction would
+    hold. The terms left over come out largest first, so the first is the
+    leading monomial, and ``_entry`` makes them primitive; a zero
+    remainder is ``(None, 0, {})``.
     """
     # Terms are not copied into tails: one call reduces by few of the basis
     # elements (about one in fifteen in check G at (5,7)).
-    work = {m: c.as_integer_ratio() for m, c in p.terms.items()}
+    work = {m: (c, 1) for m, c in p.items()}
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    out: dict[int, int | Fraction] = {}
+    out: dict[int, tuple[int, int]] = {}
     while heap:
         mon = -heappop(heap)
         coeff = work.pop(mon, None)
@@ -242,12 +244,13 @@ def normal_form(p: _Poly, basis: Sequence[_Entry], guard: int) -> _Poly:
                     del work[tgt]
             break
         else:
-            n, d = coeff
-            out[mon] = n if d == 1 else Fraction(n, d)
-    return _Poly(out)
+            out[mon] = coeff
+    if not out:
+        return _Entry(None, 0, {})
+    return _entry(out, next(iter(out)))
 
 
-def _s_poly(g1: _Entry, g2: _Entry, lcm: int) -> _Poly:
+def _s_poly(g1: _Entry, g2: _Entry, lcm: int) -> dict[int, int]:
     """S-polynomial of two basis entries, in integers.
 
     With g = gcd(lc1, lc2) and L the lcm of the leading monomials it is
@@ -269,7 +272,7 @@ def _s_poly(g1: _Entry, g2: _Entry, lcm: int) -> _Poly:
             out[tgt] = s
         else:
             del out[tgt]
-    return _Poly(out)
+    return out
 
 
 def buchberger(ideal: Ideal, budget: Budget | None = None, *,
@@ -312,7 +315,10 @@ def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
     limit, so it may order the heap and meet the criteria first.
     """
     pairs = 0
-    basis = [_entry(_packed(packing, g)) for g in gens]
+    basis = []
+    for g in gens:
+        packed = {packing.pack(e): (c.numerator, c.denominator) for e, c in g.terms.items()}
+        basis.append(_entry(packed, max(packed)))
     lms = [lm for lm, _, _ in basis]
 
     # Unit short-circuit: a constant generator makes everything trivial.
@@ -361,13 +367,12 @@ def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
             raise _Overflow(degree(lcm))
         pairs += 1
         rem = normal_form(_s_poly(basis[i], basis[j], lcm), basis, guard)
-        if not rem.terms:
+        if rem.lm is None:
             continue
-        entry = _entry(rem)
         if rem.lm == 0:
             return [MPoly.constant(varset, 1)], pairs
         new_idx = len(basis)
-        basis.append(entry)
+        basis.append(rem)
         lms.append(rem.lm)
         done.append(set())
         for t in range(new_idx):
@@ -395,17 +400,17 @@ def _reduce_basis(varset: VarSet, basis: list[_Entry], packing: _Packing,
         keep.append(i)
     minimal = [basis[i] for i in keep]
     reduced = []
-    for i, (_, _, terms) in enumerate(minimal):
+    for i, g in enumerate(minimal):
         if budget.expired():
             return None
         others = minimal[:i] + minimal[i + 1:]
-        # No other leading monomial divides g's, so its remainder is not 0.
-        g = _Poly(terms)
-        reduced.append(normal_form(g, others, guard) if others else g)
+        # No other leading monomial divides g's, so its remainder is not 0
+        # and keeps g's leading monomial.
+        reduced.append(normal_form(g.terms, others, guard) if others else g)
     reduced.sort(key=lambda g: g.lm)
     unpack = packing.unpack
-    return [MPoly._of(varset, {unpack(m): Fraction(c, r.terms[r.lm]) for m, c in r.terms.items()})
-            for r in reduced]
+    return [MPoly._of(varset, {unpack(m): Fraction(c, lc) for m, c in terms.items()})
+            for _, lc, terms in reduced]
 
 
 def ideal_contains_one(result: GBResult) -> bool:

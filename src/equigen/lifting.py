@@ -630,9 +630,10 @@ def deform_verdict(config: SingularConfig, sections: Sequence[SectionProfile],
     for s in sections:
         validate_section(config, s)
     if all(p.a == 2 for p in config.points):
-        table = polar_cover_table(config, sections)
-        uncovered = [j for j in range(1, config.e + 1) if 1 not in table[j]]
-        cert = [None if 1 in table[j] else 1 for j in range(1, config.e + 1)]
+        # With every a_j = 2, choose_l gives l_j = 1 at an uncovered point
+        # and None at a covered one.
+        cert = choose_l(config, sections)
+        uncovered = [j for j, l in enumerate(cert, 1) if l is not None]
         if uncovered:
             return DeformVerdict(
                 "deforms",

@@ -403,22 +403,6 @@ def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
     return out
 
 
-def primitive_terms(terms: Mapping[Hashable, Scalar], lead: Hashable) -> dict:
-    """The primitive integer multiple of a nonzero polynomial's terms.
-
-    Coefficients may be ints or Fractions. For c = n/d in lowest terms the
-    content is gcd(n) / lcm(d), so each coefficient maps to the exact int
-    n // gcd(n) * (lcm(d) // d); the sign makes the coefficient at the
-    leading key ``lead`` positive. The terms keep their order.
-    """
-    coeffs = terms.values()
-    num_gcd = math.gcd(*[c.numerator for c in coeffs])
-    den_lcm = math.lcm(*[c.denominator for c in coeffs])
-    if terms[lead] < 0:
-        num_gcd = -num_gcd
-    return {e: c.numerator // num_gcd * (den_lcm // c.denominator) for e, c in terms.items()}
-
-
 def monomial_text(varset: VarSet, exps: Exponents) -> str:
     parts = []
     for name, e in zip(varset.names, exps):

@@ -4,7 +4,7 @@ procedures for transversality and genericity."""
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
 import pytest
@@ -27,8 +27,7 @@ from equigen.groebner import (
     normal_form,
     radical_member,
 )
-from equigen.polycore import (Exponents, MPoly, VarSet, _Packing, grevlex_key, poly_text,
-                              primitive_terms)
+from equigen.polycore import Exponents, MPoly, VarSet, _Packing, grevlex_key, poly_text
 
 from oracles import divides, variable, witness_verify
 
@@ -88,21 +87,80 @@ def test_gb_invariant_under_generator_order():
         assert texts == expect
 
 
-def _unpacked(packing, varset, p):
-    """The engine polynomial p as an MPoly, its coefficients kept as they are."""
-    return MPoly._of(varset, {packing.unpack(m): c for m, c in p.terms.items()})
+def _unpacked(packing, varset, terms):
+    """Packed engine terms as an MPoly, their coefficients kept as they are."""
+    return MPoly._of(varset, {packing.unpack(m): c for m, c in terms.items()})
+
+
+def _pairs(terms):
+    """Coefficients as the (numerator, denominator) pairs ``_entry`` reads."""
+    return {e: (Fraction(c).numerator, Fraction(c).denominator) for e, c in terms.items()}
+
+
+def _packed_entry(packing, p):
+    """The engine entry of a nonzero MPoly p, as ``buchberger`` makes a
+    generator's."""
+    pairs = _pairs({packing.pack(e): c for e, c in p.terms.items()})
+    return groebner._entry(pairs, max(pairs))
 
 
 def _nf(p, divisors):
-    """``normal_form`` of MPolys, packed and unpacked by the engine's packing;
-    each nonzero divisor enters as its primitive reducer triple."""
+    """``normal_form`` of MPolys, packed and unpacked by the engine's packing,
+    as an MPoly with the remainder's primitive integer coefficients. p enters
+    as its primitive multiple, each nonzero divisor as its entry."""
     pk = _Packing.of([p, *divisors])
-    basis = [groebner._entry(groebner._packed(pk, g)) for g in divisors if g.terms]
-    return _unpacked(pk, p.varset, normal_form(groebner._packed(pk, p), basis, pk.guard))
+    basis = [_packed_entry(pk, g) for g in divisors if g.terms]
+    terms = _packed_entry(pk, p).terms if p.terms else {}
+    return _unpacked(pk, p.varset, normal_form(terms, basis, pk.guard).terms)
 
 
 def _primitive(terms):
-    return primitive_terms(terms, max(terms, key=grevlex_key))
+    """The primitive integer multiple of terms, exponent-keyed, whose
+    grevlex-leading coefficient is positive; the terms keep their order."""
+    if not terms:
+        return {}
+    content = Fraction(gcd(*(Fraction(c).numerator for c in terms.values())),
+                       lcm(*(Fraction(c).denominator for c in terms.values())))
+    if terms[max(terms, key=grevlex_key)] < 0:
+        content = -content
+    return {e: int(c / content) for e, c in terms.items()}
+
+
+def _primitive_poly(p):
+    return MPoly._of(p.varset, _primitive(p.terms))
+
+
+# ---------------------------------------------------------------------------
+# the one normalization, _entry
+
+
+def test_entry_makes_fraction_content_primitive():
+    # 2/3 x^2 - 2/3 y: integer coefficients with gcd 1, leading one positive.
+    terms = {(2, 0): Fraction(4, 6), (0, 1): Fraction(-2, 3)}
+    lm, lc, out = groebner._entry(_pairs(terms), (2, 0))
+    assert (lm, lc) == ((2, 0), 1)
+    assert poly_text(MPoly(VS, out)) == "x^2 - y"
+
+
+def test_entry_flips_negative_leading():
+    lm, lc, out = groebner._entry(_pairs({(2, 0): -2, (0, 1): 2}), (2, 0))
+    assert lc == 1 and poly_text(MPoly(VS, out)) == "x^2 - y"
+
+
+def test_entry_sign_taken_from_the_lead():
+    # x*y^3 leads in grevlex, x^2 in lex: the sign follows the lead passed.
+    pairs = _pairs({(2, 0): Fraction(3, 2), (1, 3): Fraction(-9, 4)})
+    entry = groebner._entry(pairs, (1, 3))
+    assert entry == ((1, 3), 3, {(2, 0): -2, (1, 3): 3})
+    assert all(type(c) is int for c in entry.terms.values())
+    assert list(entry.terms) == list(pairs)
+    assert groebner._entry(pairs, (2, 0)).terms == {(2, 0): 2, (1, 3): -3}
+    # Mixed int and Fraction content: 6x - 4/3 y is 2/3 (9x - 2y).
+    assert groebner._entry(_pairs({(1, 0): 6, (0, 1): Fraction(-4, 3)}), (1, 0)) == (
+        (1, 0), 9, {(1, 0): 9, (0, 1): -2})
+    # Integer content: 12x - 18y is 6 (2x - 3y).
+    assert groebner._entry(_pairs({(1, 0): 12, (0, 1): -18}), (1, 0)).terms == {
+        (1, 0): 2, (0, 1): -3}
 
 
 def test_normal_form_of_members_vanishes():
@@ -166,7 +224,7 @@ def test_normal_form_matches_reference_scan():
         divisors.insert(rng.randint(0, len(divisors)), MPoly.zero(VS3))
         p = _random_poly(rng, VS3, rng.randint(0, 12), 5)
         got = _nf(p, divisors)
-        want = reference_normal_form(p, divisors)
+        want = _primitive_poly(reference_normal_form(p, divisors))
         assert got == want
         assert list(got.terms) == list(want.terms)
 
@@ -219,16 +277,12 @@ def test_normal_form_with_big_integer_reducers_matches_reference():
                                    Fraction(rng.getrandbits(90) + 1, rng.getrandbits(40) + 1)))
         shared_terms += len(set(h) & set(multiple))
         p = MPoly(VS3, h) + MPoly(VS3, multiple)
-        # The engine's input holds an int wherever a coefficient is integral.
-        engine_p = MPoly._of(VS3, {e: c.numerator if c.denominator == 1 else c
-                                   for e, c in p.terms.items()})
-        got = _nf(engine_p, divisors)
-        want = reference_normal_form(p, divisors)
+        got = _nf(p, divisors)
+        want = _primitive_poly(reference_normal_form(p, divisors))
         assert got == want
         assert list(got.terms) == list(want.terms)
-        assert all((type(c) is int) == (Fraction(c).denominator == 1)
-                   for c in got.terms.values())
-        rest = reference_normal_form(MPoly(VS3, h), divisors)
+        assert all(type(c) is int for c in got.terms.values())
+        rest = _primitive_poly(reference_normal_form(MPoly(VS3, h), divisors))
         assert got == rest and list(got.terms) == list(rest.terms)
         if not h:
             assert not got.terms
@@ -236,11 +290,15 @@ def test_normal_form_with_big_integer_reducers_matches_reference():
 
 
 def test_normal_form_is_linear():
+    # The remainder of r*p + s*q is, up to its content, r and s times the
+    # exact remainders of p and q; a nonzero multiple has p's own.
     res = buchberger(Ideal.of(VS, [X**2 - Y]))
     p = X**3 + Y
     q = X * Y - MPoly.constant(VS, 2)
-    lhs = _nf(p + q, res.basis)
-    assert lhs == _nf(p, res.basis) + _nf(q, res.basis)
+    nf_p, nf_q = (reference_normal_form(g, res.basis) for g in (p, q))
+    for r, s in ((1, 1), (Fraction(-3, 2), 5), (7, Fraction(2, 9)), (0, -4)):
+        assert _nf(r * p + s * q, res.basis) == _primitive_poly(r * nf_p + s * nf_q)
+    assert _nf(Fraction(-5, 3) * p, res.basis) == _nf(p, res.basis) == _primitive_poly(nf_p)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +335,16 @@ def test_integer_s_poly_matches_monic_oracle():
         lms = [max(g.terms, key=grevlex_key) for g in basis]
         i, j = rng.sample(range(len(basis)), 2)
         pk = _Packing.of(basis)
-        g1, g2 = (groebner._entry(groebner._packed(pk, int_basis[k])) for k in (i, j))
-        s_new = _unpacked(pk, VS3, groebner._s_poly(g1, g2, pk.lcm(g1[0], g2[0])))
+        g1, g2 = (_packed_entry(pk, int_basis[k]) for k in (i, j))
+        s_new = _unpacked(pk, VS3, groebner._s_poly(g1, g2, pk.lcm(g1.lm, g2.lm)))
         s_old = monic_s_poly(basis[i], basis[j], lms[i], lms[j])
         assert all(type(c) is int for c in s_new.terms.values())
         assert tuple(map(max, lms[i], lms[j])) not in s_new.terms
         assert set(s_new.terms) == set(s_old.terms)
         nf_new = _nf(s_new, int_basis)
-        nf_old = _nf(s_old, basis)
-        assert set(nf_new.terms) == set(nf_old.terms)
+        nf_old = _primitive_poly(reference_normal_form(s_old, basis))
+        assert nf_new == nf_old
         if nf_new.terms:
-            assert _primitive(nf_new.terms) == _primitive(nf_old.terms)
             checked += 1
     assert checked > 100
 
@@ -385,9 +442,9 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
 
     def watched_normal_form(p, basis, *rest):
         out = real_normal_form(p, basis, *rest)
-        for terms in (p.terms, out.terms, *(terms for _, _, terms in basis)):
+        for terms in (p, out.terms, *(terms for _, _, terms in basis)):
             seen.update(map(type, terms.values()))
-        seen.update(type(lc) for _, lc, _ in basis)
+        seen.update(type(lc) for _, lc, _ in (out, *basis))
         return out
 
     def watched_buchberger(ideal, *args, **kwargs):
@@ -414,8 +471,8 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
         assert res.basis is not None
         for g in res.basis:
             assert all(type(c) is Fraction for c in g.terms.values())
-    assert seen <= {int, Fraction}
-    assert int in seen
+    # Inside the engine every coefficient is an int.
+    assert seen == {int}
 
 
 # ---------------------------------------------------------------------------
@@ -615,19 +672,19 @@ def test_pair_loop_reads_one_growing_basis_of_reducer_triples(monkeypatch):
 
 
 def test_each_basis_entry_is_made_primitive_once(monkeypatch):
-    # primitive_terms runs once per generator and once per nonzero
-    # remainder of the pair loop, each time with the packed leading
-    # monomial as its lead. (4,6), i = 2 contains 1.
+    # The one normalization, _entry, runs once per generator and once per
+    # nonzero remainder of the pair loop, each time with the packed
+    # leading monomial as its lead. (4,6), i = 2 contains 1.
     runs = _watch_membership_runs(monkeypatch)
     leads = []
-    real_primitive_terms = groebner.primitive_terms
+    real_entry = groebner._entry
 
-    def watched_primitive_terms(terms, lead):
-        assert lead == max(terms)
+    def watched_entry(pairs, lead):
+        assert lead == max(pairs)
         leads.append(lead)
-        return real_primitive_terms(terms, lead)
+        return real_entry(pairs, lead)
 
-    monkeypatch.setattr(groebner, "primitive_terms", watched_primitive_terms)
+    monkeypatch.setattr(groebner, "_entry", watched_entry)
     real_normal_form = groebner.normal_form
     remainders = []
 
@@ -640,8 +697,59 @@ def test_each_basis_entry_is_made_primitive_once(monkeypatch):
     for a, b in ((4, 6), (4, 7)):
         check_g(LocalModel(a, b))
     assert len(runs) == 12
+    assert 0 < sum(remainders) < len(remainders)
     assert len(leads) == sum(len(ideal.generators) for ideal, _ in runs) + sum(remainders)
     assert 0 in leads
+
+
+def test_normal_form_result_is_a_primitive_entry(monkeypatch):
+    # The contract the benchmark's tracer reads: every result carries the
+    # remainder's terms as coprime ints (ints have .numerator and
+    # .denominator), the leading one positive, and zero is (None, 0, {}).
+    # Membership runs and reduced runs both checked.
+    results = []
+    real_normal_form = groebner.normal_form
+
+    def watched_normal_form(*args):
+        out = real_normal_form(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(groebner, "normal_form", watched_normal_form)
+    for a, b in ((4, 6), (4, 7)):
+        check_g(LocalModel(a, b))
+    groebner.buchberger(Ideal.of(VS, [X**2 - Y, X**3, X * Y - Y]))
+    assert any(r.terms for r in results) and not all(r.terms for r in results)
+    for r in results:
+        lm, lc, terms = r
+        assert r.terms is terms and r.lm == lm and r.lc == lc
+        if lm is None:
+            assert (lc, terms) == (0, {})
+            continue
+        assert lm == next(iter(terms)) == max(terms) and lc == terms[lm] > 0
+        assert all(type(c) is int for c in terms.values())
+        assert gcd(*terms.values()) == 1
+
+
+def test_membership_builds_no_fraction(monkeypatch):
+    # The pair loop holds ints and (numerator, denominator) pairs only: with
+    # groebner's Fraction made to raise, the membership checks of (4,6)
+    # and (4,7) give the same verdicts and pair counts. A reduced run still
+    # reaches it, when it makes its basis monic.
+    def results():
+        return [(r.index, r.status, r.pairs_processed)
+                for a, b in ((4, 6), (4, 7)) for r in check_g(LocalModel(a, b)).per_index]
+
+    expected = results()
+    assert [status for _, status, _ in expected].count(GStatus.FAILS) == 1
+
+    def no_fraction(*args):
+        raise AssertionError("groebner built a Fraction")
+
+    monkeypatch.setattr(groebner, "Fraction", no_fraction)
+    assert results() == expected
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        buchberger(Ideal.of(VS, [X**2 - Y, X**3]))
 
 
 def test_radical_membership_timeout_propagates():

@@ -26,7 +26,6 @@ from equigen.polycore import (
     monomial_text,
     poly_json,
     poly_text,
-    primitive_terms,
     product_sum,
 )
 from equigen.series import TSeries
@@ -344,32 +343,6 @@ def test_text_descending_grevlex(p):
     seen = [t["exponents"] for t in poly_json(p)["terms"]]
     keys = [grevlex_key(tuple(e)) for e in seen]
     assert keys == sorted(keys, reverse=True)
-
-
-# ---------------------------------------------------------------------------
-# content and division
-
-
-def test_content_free_primitive():
-    p = _poly(VS2, [((2, 0), Fraction(4, 6)), ((0, 1), Fraction(-2, 3))])
-    q = MPoly(VS2, primitive_terms(p.terms, max(p.terms, key=grevlex_key)))
-    # integer coefficients with gcd 1 and positive leading coefficient
-    assert poly_text(q) == "x^2 - y"
-
-
-def test_content_free_flips_negative_leading():
-    p = _poly(VS2, [((2, 0), -2), ((0, 1), 2)])
-    assert poly_text(MPoly(VS2, primitive_terms(p.terms, max(p.terms, key=grevlex_key)))) == "x^2 - y"
-
-
-def test_primitive_terms_sign_from_grevlex_leading():
-    # x*y^3 leads in grevlex, x^2 in lex: the sign follows the lead passed.
-    p = _poly(VS2, [((2, 0), Fraction(3, 2)), ((1, 3), Fraction(-9, 4))])
-    terms = primitive_terms(p.terms, max(p.terms, key=grevlex_key))
-    assert terms == {(2, 0): -2, (1, 3): 3}
-    assert all(type(c) is int for c in terms.values())
-    assert primitive_terms(p.terms, (2, 0)) == {(2, 0): 2, (1, 3): -3}
-    assert primitive_terms({(1, 0): 6, (0, 1): Fraction(-4, 3)}, (1, 0)) == {(1, 0): 9, (0, 1): -2}
 
 
 # ---------------------------------------------------------------------------

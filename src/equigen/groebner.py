@@ -29,9 +29,9 @@ coefficient as a reduced (numerator, denominator) pair of ints and returns
 the remainder's entry. The normal form is linear and picks reducers by
 support alone, and the primitive part is scale-invariant, so the basis,
 the S-pairs and the reduced monic basis are those of the monic
-computation. No Fraction is made until a run returns: the reduced basis,
-made monic with Fraction coefficients as it is unpacked, or, unreduced,
-the primitive integer basis the pair loop ended with.
+computation. No Fraction is made until a run returns the reduced basis,
+made monic with Fraction coefficients as it is unpacked; unreduced, the
+basis is the primitive integer one the pair loop ended with.
 
 Inside the engine each monomial is one int, the full key of the package's
 one packing, ``polycore._Packing``: the partial sums S_n, ..., S_1 of its
@@ -46,7 +46,9 @@ generator or of a processed S-pair's lcm, so a pair whose lcm does not fit
 starts the run again with wider fields; the run is deterministic, so its
 pairs and its basis do not depend on the width.
 ``buchberger`` packs the generators as they come and unpacks only the
-basis it returns, making a reduced basis monic in the same pass.
+basis it returns, making a reduced basis monic in the same pass. The pair
+loop's own basis is unpacked only when a caller reads it: a membership
+verdict is read off the packed loop, so it builds no ``MPoly``.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
@@ -124,14 +126,35 @@ class Budget:
         return self.seconds is not None and monotonic() - self.started_at > self.seconds
 
 
-@dataclass
 class GBResult:
-    """The basis ``buchberger`` returns, reduced unless the caller asked
-    for the pair loop's own basis, or None when the budget ran out."""
+    """What a ``buchberger`` run returns: its basis, reduced unless the
+    caller asked for the pair loop's own basis, or None when the budget
+    ran out; the S-pairs it processed; and its seconds.
 
-    basis: list[MPoly] | None
-    pairs_processed: int
-    elapsed: float
+    The pair loop's own basis, unless it is [1], stays in the loop's
+    packed entries until ``basis`` is first read, and is unpacked then,
+    once. A membership run asks only ``ideal_contains_one``, which needs
+    no unpacked basis, so it builds no ``MPoly``.
+    """
+
+    __slots__ = ("_basis", "pairs_processed", "elapsed")
+
+    def __init__(self, basis: list[MPoly] | _LoopBasis | None, pairs_processed: int,
+                 elapsed: float) -> None:
+        self._basis = basis
+        self.pairs_processed = pairs_processed
+        self.elapsed = elapsed
+
+    @property
+    def basis(self) -> list[MPoly] | None:
+        if isinstance(self._basis, _LoopBasis):
+            self._basis = self._basis.unpack()
+        return self._basis
+
+    @property
+    def timed_out(self) -> bool:
+        """Whether the budget ran out, so that there is no basis."""
+        return self._basis is None
 
 
 class _Entry(NamedTuple):
@@ -161,6 +184,21 @@ def _entry(pairs: dict[int, tuple[int, int]], lm: int) -> _Entry:
         num_gcd = -num_gcd
     terms = {m: n // num_gcd * (den_lcm // d) for m, (n, d) in pairs.items()}
     return _Entry(lm, terms[lm], terms)
+
+
+class _LoopBasis(NamedTuple):
+    """A pair loop's basis as the loop ended, not [1]: the entries in the
+    order the loop added them, and the ring and packing they unpack to."""
+
+    varset: VarSet
+    packing: _Packing
+    entries: list[_Entry]
+
+    def unpack(self) -> list[MPoly]:
+        """The entries as ``MPoly``s with their primitive int coefficients."""
+        unpack = self.packing.unpack
+        return [MPoly._of(self.varset, {unpack(m): c for m, c in terms.items()})
+                for _, _, terms in self.entries]
 
 
 class _Overflow(Exception):
@@ -285,7 +323,9 @@ def buchberger(ideal: Ideal, budget: Budget | None = None, *,
     ends with its pair loop and returns the basis the loop built, with
     primitive integer coefficients in the order the loop added them, or
     [1] when the ideal contains 1. That basis depends on the generators'
-    order; only the question whether it is [1] has one answer.
+    order; only the question whether it is [1] has one answer, and
+    ``ideal_contains_one`` reads it without unpacking the basis: the
+    result unpacks it only when its ``basis`` is read.
     """
     if not ideal.generators:
         raise ValueError("Groebner engine needs at least one generator")
@@ -303,9 +343,12 @@ def buchberger(ideal: Ideal, budget: Budget | None = None, *,
 
 
 def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
-                       budget: Budget, *, reduce: bool) -> tuple[list[MPoly] | None, int]:
-    """``buchberger``'s run on one packing: the basis, reduced or as the
-    pair loop left it (None on a timeout), and the pairs processed.
+                       budget: Budget, *,
+                       reduce: bool) -> tuple[list[MPoly] | _LoopBasis | None, int]:
+    """``buchberger``'s run on one packing: the basis (None on a timeout),
+    and the pairs processed. The basis is [1] as soon as the loop meets a
+    constant; otherwise it is the reduced basis, or with ``reduce=False``
+    the loop's entries, still packed.
 
     Raises ``_Overflow`` when a pair that passes the criteria has an lcm of
     degree above ``packing.max_deg``. The S-polynomial and its normal form
@@ -379,9 +422,7 @@ def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
             push_pair(t, new_idx)
 
     if not reduce:
-        unpack = packing.unpack
-        return [MPoly._of(varset, {unpack(m): c for m, c in terms.items()})
-                for _, _, terms in basis], pairs
+        return _LoopBasis(varset, packing, basis), pairs
     return _reduce_basis(varset, basis, packing, budget), pairs
 
 
@@ -414,9 +455,16 @@ def _reduce_basis(varset: VarSet, basis: list[_Entry], packing: _Packing,
 
 
 def ideal_contains_one(result: GBResult) -> bool:
-    if result.basis is None:
+    """Whether the run's basis is [1], i.e. the ideal contains 1.
+
+    A basis still in the pair loop's packed entries is never [1], since the
+    loop returns [1] itself as soon as it meets a constant: it is answered
+    without being unpacked. Raises ``ValueError`` after a timeout.
+    """
+    if result.timed_out:
         raise ValueError("no basis available (engine timed out)")
-    return len(result.basis) == 1 and result.basis[0].is_constant()
+    basis = result._basis
+    return not isinstance(basis, _LoopBasis) and len(basis) == 1 and basis[0].is_constant()
 
 
 @dataclass
@@ -432,7 +480,8 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     Adds a fresh variable y and tests whether the extended ideal
     I + (1 - y*p) contains 1. Sound and complete whenever the engine's
     pair loop finishes within budget: the run is not reduced, since its
-    basis is [1] exactly when a remainder or a generator was a constant.
+    basis is [1] exactly when a remainder or a generator was a constant,
+    and the verdict is read without unpacking the basis into ``MPoly``s.
     The zero ideal needs no case of its own: for p = 0 the one generator
     is the constant 1, and otherwise a single generator makes no pair.
     """
@@ -446,7 +495,7 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     gens = [MPoly._of(big, {e + (0,): c for e, c in g.terms.items()}) for g in ideal.generators]
     gens.append(MPoly._of(big, {(0,) * len(big): 1, **{e + (1,): -c for e, c in p.terms.items()}}))
     result = buchberger(Ideal.of(big, gens), budget=budget, reduce=False)
-    if result.basis is None:
+    if result.timed_out:
         return MembershipResult(Membership.TIMEOUT, result.pairs_processed, result.elapsed)
     verdict = Membership.TRUE if ideal_contains_one(result) else Membership.FALSE
     return MembershipResult(verdict, result.pairs_processed, result.elapsed)

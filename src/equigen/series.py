@@ -274,6 +274,8 @@ class TSeries:
 
     def __mul__(self, other: "TSeries | Scalar") -> "TSeries":
         if not isinstance(other, TSeries):
+            if type(other) is int:
+                return self._scaled(other, 1)
             return self._scaled(*_ratio(other))
         K = self.modulus
         if other.modulus != K:
@@ -532,7 +534,7 @@ def _w_coeff(powers: list[list[TSeries]], binom: Sequence[int], m: int) -> TSeri
     for j in range(1, min(len(binom), len(powers))):
         v = powers[j][m]
         if v and binom[j]:
-            acc = acc + v * binom[j]
+            acc = acc + v._scaled(binom[j], 1)
     return acc
 
 
@@ -609,18 +611,22 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
             raise AssertionError(f"column s^-{m} of the solve has t-order {column_ord[m]}, "
                                  f"below the valuation bound {m + 1}")
 
+    # Column 0 of W^l is [W^l]_0 = 1, so sigma_l(next) - sigma_l(now)
+    # goes to s^l as it is, and the loop over the columns starts at m = 1.
     diff = [TSeries.zero(modulus)] * (smax + l_max + 1)
     for l, s_now, s_nxt, order, top in zip(ls, sig_now, sig_next, orders, tops):
-        diff[l_max - l] = diff[l_max - l] - s_now
-        if top >= 0:
-            room = modulus - order
-            binom = _binomials(l, len(powers) - 1)
-            for m in range(top + 1):
-                if column_ord[m] >= room:
-                    continue
-                p = _w_coeff(powers, binom, m)
-                if p:
-                    diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
+        if top < 0:
+            diff[l_max - l] = diff[l_max - l] - s_now
+            continue
+        diff[l_max - l] = diff[l_max - l] + (s_nxt - s_now)
+        room = modulus - order
+        binom = _binomials(l, len(powers) - 1)
+        for m in range(1, top + 1):
+            if column_ord[m] >= room:
+                continue
+            p = _w_coeff(powers, binom, m)
+            if p:
+                diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
     return result, diff
 
 

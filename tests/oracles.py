@@ -9,7 +9,8 @@ exponent tuples, the twisted section coefficients sigma_l as sums of
 polynomials, and the generators' earlier routes: the perturbed family as
 ``MPoly`` products over renamed factors, its Jacobian by differentiating
 in the doubled ring and identifying ct := c, and F_{-n} as a sum of
-``MPoly`` products.
+``MPoly`` products; and the matching identity's difference with column 0
+of each W^l read off the table like every other column.
 """
 
 import math
@@ -18,7 +19,8 @@ from fractions import Fraction
 from operator import add, le
 from typing import Sequence
 
-from equigen.expansion import LocalModel, SigmaModel, big_f, f_coeff, theta_cap
+from equigen import series
+from equigen.expansion import LocalModel, SigmaModel, big_f, f_coeff, sigma_coeff, theta_cap
 from equigen.groebner import check_t
 from equigen.lifting import (
     Pair,
@@ -160,3 +162,41 @@ def big_f_by_sums(model: LocalModel, n: int) -> MPoly:
     for m in range(1, n + 1):
         total = total + theta_cap(model, -m, n - m) * f_coeff(model, model.b, model.b + m)
     return total
+
+
+def pm_difference_by_column_0(sigma_model: SigmaModel, c_now: Sequence[series.TSeries],
+                              c_next: Sequence[series.TSeries], smax: int,
+                              modulus: int) -> list[series.TSeries]:
+    """The regrouped difference of ``series._pm_difference``, each W^l read
+    from column 0 on: [W^l]_0 = 1 comes off the table like any other
+    column and is added to sigma_l(now)'s share of s^l as a product with
+    sigma_l(next). The reference for ``_pm_difference``, which adds
+    sigma_l(next) - sigma_l(now) at s^l directly."""
+    model = sigma_model.model
+    l_max = model.b + len(sigma_model.g0)
+    l_sing = max(modulus - model.b - 1, 0)
+    ls = range(-l_sing, l_max + 1)
+    polys = [sigma_coeff(sigma_model, l, tmax=modulus - 1) for l in ls]
+    sig_now = evaluate_many(polys, c_now)
+    sig_next = evaluate_many(polys, c_next)
+    orders = [(s.ord() if isinstance(s, series.TSeries) else 0) if s else modulus
+              for s in sig_next]
+    tops = [min(l + smax, max(modulus - 2 - o, 0)) if o < modulus else -1
+            for l, o in zip(ls, orders)]
+    depth = max(model.a, smax, *tops)
+    powers = series.reparam_solve(model, c_now, c_next, depth, modulus).powers
+    column_ord = [min(row[m].ord() for row in powers) for m in range(depth + 1)]
+
+    diff = [series.TSeries.zero(modulus)] * (smax + l_max + 1)
+    for l, s_now, s_nxt, order, top in zip(ls, sig_now, sig_next, orders, tops):
+        diff[l_max - l] = diff[l_max - l] - s_now
+        if top >= 0:
+            room = modulus - order
+            binom = series._binomials(l, len(powers) - 1)
+            for m in range(top + 1):
+                if column_ord[m] >= room:
+                    continue
+                p = series._w_coeff(powers, binom, m)
+                if p:
+                    diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
+    return diff

@@ -631,6 +631,52 @@ def test_membership_never_inter_reduces(monkeypatch):
             buchberger(ideal)
 
 
+def test_membership_run_that_holds_unpacks_nothing(monkeypatch):
+    # A membership run takes its verdict from the packed pair loop: a run
+    # that ends without [1] calls no _Packing.unpack and makes no MPoly.
+    # Its basis is unpacked when a caller reads it, and only then.
+    model = LocalModel(4, 7)
+    made = {"unpack": 0, "mpoly": 0}
+    real_unpack, real_init, real_of = _Packing.unpack, MPoly.__init__, MPoly._of.__func__
+
+    def unpack(self, mon):
+        made["unpack"] += 1
+        return real_unpack(self, mon)
+
+    def init(self, *args, **kwargs):
+        made["mpoly"] += 1
+        real_init(self, *args, **kwargs)
+
+    def of(cls, varset, terms):
+        made["mpoly"] += 1
+        return real_of(cls, varset, terms)
+
+    runs = []
+
+    def counted(ideal, *args, **kwargs):
+        made.update(unpack=0, mpoly=0)
+        res = buchberger(ideal, *args, **kwargs)
+        runs.append((res, dict(made)))
+        return res
+
+    monkeypatch.setattr(_Packing, "unpack", unpack)
+    monkeypatch.setattr(MPoly, "__init__", init)
+    monkeypatch.setattr(MPoly, "_of", classmethod(of))
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    statuses = [check_g_index(model, i).status for i in range(1, model.a)]
+    assert statuses == [GStatus.HOLDS] * 3
+    assert len(runs) == 6
+    assert [counts for _, counts in runs] == [{"unpack": 0, "mpoly": 0}] * 6
+    for res, _ in runs:
+        assert not ideal_contains_one(res)
+        assert made["unpack"] == 0
+        basis = res.basis
+        assert made["unpack"] > 0 and len(basis) > 1
+        assert all(type(c) is int for g in basis for c in g.terms.values())
+        made["unpack"] = 0
+        assert res.basis is basis and made["unpack"] == 0
+
+
 def _watch_membership_runs(monkeypatch):
     """Per membership run of ``check_g``: its ideal and the (basis, copy
     of basis) that each of its normal forms got."""

@@ -23,6 +23,7 @@ from equigen.series import (
     reparam_solve,
     substitution_check,
 )
+from oracles import pm_difference_by_column_0
 
 SEED = 20260816
 
@@ -852,6 +853,40 @@ def test_pm_difference_matches_miller_reference(monkeypatch):
         for smax in (bound, bound + 3):
             _assert_pm_difference_matches_miller(
                 monkeypatch, (SigmaModel(model, g0), c_now, c_next, smax, modulus))
+
+
+# Models by a, as the reparam benchmark draws them.
+_REPARAM_MODELS = {2: [(2, 3), (2, 5), (2, 7)], 3: [(3, 4), (3, 5), (3, 7), (3, 8)],
+                   4: [(4, 5), (4, 6), (4, 7)]}
+
+
+def test_pm_difference_matches_column_0_loop(monkeypatch):
+    # Reparam cases (a in 2..4, modulus 8..12, g0 of length 0..2, smax at
+    # the window bound or up to 2 above it), each as solved and with a
+    # corrupted unit, so that the difference is nonzero too: _pm_difference
+    # adds sigma_l(next) - sigma_l(now) at s^l, the oracle reads [W^l]_0 = 1
+    # off the table.
+    rng = random.Random(SEED + 9)
+    solve = series.reparam_solve
+    nonzero = 0
+    for n in range(36):
+        a = 2 + n % 3
+        model = LocalModel(*rng.choice(_REPARAM_MODELS[a]))
+        modulus = rng.randint(8, 12)
+        smax = max(a, pm_window_bound(model, modulus)) + rng.randint(0, 2)
+        c_now, c_next = _random_pair(rng, model, modulus)
+        g0 = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                   for _ in range(rng.randint(0, 2)))
+        args = (SigmaModel(model, g0), c_now, c_next, smax, modulus)
+        diff = series._pm_difference(*args)[1]
+        assert diff == pm_difference_by_column_0(*args)
+        assert not any(diff)
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "reparam_solve", lambda *args: _corrupt(solve(*args)))
+            diff = series._pm_difference(*args)[1]
+            assert diff == pm_difference_by_column_0(*args)
+            nonzero += any(diff)
+    assert nonzero > 30
 
 
 def test_pm_unit_below_the_valuation_bound_raises(monkeypatch):

@@ -35,6 +35,7 @@ from .lifting import (
     SingularConfig,
     build_section_basis,
     build_star_system,
+    check_verdict_input,
     deform_verdict,
     lift_run,
     random_provider,
@@ -601,6 +602,8 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     if not isinstance(nbar, bool):
         raise UsageError('"flags.nbar_nonzero" must be a JSON boolean')
     budget = _budget(args)
+    # Bad input fails before any (G) check spends the budget on it.
+    check_verdict_input(config, sections, dims, range(1, config.e + 1))
     g_table: dict[int, GStatus] = {}
     if not all(p.a == 2 for p in config.points):
         # (G) depends on (a, b) alone: points of one type share one check.

@@ -1,21 +1,22 @@
 """Groebner-basis engine and the transversality / genericity decision procedures.
 
-The engine is a budgeted Buchberger implementation over exact rationals:
-normal pair-selection strategy (lowest lcm first, ties broken by pair index),
-product and chain criteria, and by default a reduced (monic, sorted, hence
-unique) basis at the end, all in grevlex: radical membership, the one
-question the engine answers, has the same answer in every monomial order.
-A membership run skips the reduction: its pair loop already ends in {1}
-as soon as a constant remainder appears, so a loop that finishes without
-one has decided that 1 is not in the ideal. Pending S-pairs sit in
-a heap keyed by the selection rule, and the normal form takes the largest
-remaining term from a max-heap, so neither rescans its whole set at each
-step. Each basis element keeps the set of partners it has been popped
-with, so the chain criterion for a pair (i, j) tests only the elements in
-both sets (Becker and Weispfenning, *Gröbner Bases*, 5.5). Budgets
-cover wall-clock seconds, on one clock shared by every run of a check, and
-processed S-pairs per run; exhaustion, in the pair loop or in the final
-inter-reduction of a run that makes one, yields a first-class timeout
+The engine is a budgeted Buchberger pair loop over exact rationals, in
+grevlex: radical membership, the one question the program asks of it, has
+the same answer in every monomial order. ``buchberger`` runs the loop, with
+the normal pair-selection strategy (lowest lcm first, ties broken by pair
+index) and the product and chain criteria, and returns its basis as it
+ended. The loop stops as soon as a remainder or a generator is a constant,
+so a loop that finishes without one has decided that 1 is not in the ideal.
+``reduced_basis`` follows the loop with its inter-reduction to the reduced
+(monic, sorted, hence unique) basis, the one step that builds ``MPoly``s.
+Pending S-pairs sit in a heap keyed by the selection rule, and the normal
+form takes the largest remaining term from a max-heap, so neither rescans
+its whole set at each step. Each basis element keeps the set of partners
+it has been popped with, so the chain criterion for a pair (i, j) tests
+only the elements in both sets (Becker and Weispfenning, *Gröbner Bases*,
+5.5). Budgets cover wall-clock seconds, on one clock shared by every run
+of a check, and processed S-pairs per run; exhaustion, in the pair loop or
+in ``reduced_basis``'s inter-reduction, yields a first-class timeout
 verdict instead of an exception.
 
 The engine holds a polynomial in one form, the entry (lm, lc, terms):
@@ -29,9 +30,8 @@ coefficient as a reduced (numerator, denominator) pair of ints and returns
 the remainder's entry. The normal form is linear and picks reducers by
 support alone, and the primitive part is scale-invariant, so the basis,
 the S-pairs and the reduced monic basis are those of the monic
-computation. No Fraction is made until a run returns the reduced basis,
-made monic with Fraction coefficients as it is unpacked; unreduced, the
-basis is the primitive integer one the pair loop ended with.
+computation. No Fraction is made until ``reduced_basis`` makes its
+elements monic, with Fraction coefficients, as it unpacks them.
 
 Inside the engine each monomial is one int, the full key of the package's
 one packing, ``polycore._Packing``: the partial sums S_n, ..., S_1 of its
@@ -44,11 +44,8 @@ comes from the generators' largest degree, with room for the lcm of any two
 of their terms. Every term a run builds has at most the degree of a
 generator or of a processed S-pair's lcm, so a pair whose lcm does not fit
 starts the run again with wider fields; the run is deterministic, so its
-pairs and its basis do not depend on the width.
-``buchberger`` packs the generators as they come and unpacks only the
-basis it returns, making a reduced basis monic in the same pass. The pair
-loop's own basis is unpacked only when a caller reads it: a membership
-verdict is read off the packed loop, so it builds no ``MPoly``.
+pairs and its basis do not depend on the width. ``buchberger`` packs the
+generators as they come and returns its entries packed, with the packing.
 
 On top of it: radical ideal membership by the auxiliary-variable trick
 (p lies in the radical of I iff 1 lies in I + (1 - y*p)), the transversality
@@ -126,37 +123,6 @@ class Budget:
         return self.seconds is not None and monotonic() - self.started_at > self.seconds
 
 
-class GBResult:
-    """What a ``buchberger`` run returns: its basis, reduced unless the
-    caller asked for the pair loop's own basis, or None when the budget
-    ran out; the S-pairs it processed; and its seconds.
-
-    The pair loop's own basis, unless it is [1], stays in the loop's
-    packed entries until ``basis`` is first read, and is unpacked then,
-    once. A membership run asks only ``ideal_contains_one``, which needs
-    no unpacked basis, so it builds no ``MPoly``.
-    """
-
-    __slots__ = ("_basis", "pairs_processed", "elapsed")
-
-    def __init__(self, basis: list[MPoly] | _LoopBasis | None, pairs_processed: int,
-                 elapsed: float) -> None:
-        self._basis = basis
-        self.pairs_processed = pairs_processed
-        self.elapsed = elapsed
-
-    @property
-    def basis(self) -> list[MPoly] | None:
-        if isinstance(self._basis, _LoopBasis):
-            self._basis = self._basis.unpack()
-        return self._basis
-
-    @property
-    def timed_out(self) -> bool:
-        """Whether the budget ran out, so that there is no basis."""
-        return self._basis is None
-
-
 class _Entry(NamedTuple):
     """A polynomial inside the engine, in the one form the engine holds:
     primitive int terms keyed by packed monomial, in any order, with the
@@ -186,19 +152,16 @@ def _entry(pairs: dict[int, tuple[int, int]], lm: int) -> _Entry:
     return _Entry(lm, terms[lm], terms)
 
 
-class _LoopBasis(NamedTuple):
-    """A pair loop's basis as the loop ended, not [1]: the entries in the
-    order the loop added them, and the ring and packing they unpack to."""
+class GBResult(NamedTuple):
+    """A ``buchberger`` run: the pair loop's entries in the order the loop
+    added them, only the unit entry once the loop met a constant, or None
+    when the budget ran out; the S-pairs it processed; its seconds; and the
+    packing its entries' monomials are keyed by."""
 
-    varset: VarSet
-    packing: _Packing
-    entries: list[_Entry]
-
-    def unpack(self) -> list[MPoly]:
-        """The entries as ``MPoly``s with their primitive int coefficients."""
-        unpack = self.packing.unpack
-        return [MPoly._of(self.varset, {unpack(m): c for m, c in terms.items()})
-                for _, _, terms in self.entries]
+    entries: list[_Entry] | None
+    pairs_processed: int
+    elapsed: float
+    packing: _Packing | None = None
 
 
 class _Overflow(Exception):
@@ -313,42 +276,35 @@ def _s_poly(g1: _Entry, g2: _Entry, lcm: int) -> dict[int, int]:
     return out
 
 
-def buchberger(ideal: Ideal, budget: Budget | None = None, *,
-               reduce: bool = True) -> GBResult:
-    """Compute a grevlex Groebner basis, or report budget exhaustion.
+def buchberger(ideal: Ideal, budget: Budget | None = None) -> GBResult:
+    """Run the grevlex pair loop on the ideal's generators, or report budget
+    exhaustion.
 
-    By default the basis is reduced: monic, pairwise top-irreducible, and
-    sorted by leading monomial, hence unique for the ideal, so permuting
-    the input generators cannot change it. With ``reduce=False`` the run
-    ends with its pair loop and returns the basis the loop built, with
-    primitive integer coefficients in the order the loop added them, or
-    [1] when the ideal contains 1. That basis depends on the generators'
-    order; only the question whether it is [1] has one answer, and
-    ``ideal_contains_one`` reads it without unpacking the basis: the
-    result unpacks it only when its ``basis`` is read.
+    The run's entries are the primitive integer basis the loop built, in
+    the order it added them: a Groebner basis of the ideal, which depends
+    on the generators' order. Once the loop meets a constant, they are the
+    unit entry alone; ``ideal_contains_one`` reads that. ``reduced_basis``
+    makes the unique basis from them.
     """
     if not ideal.generators:
         raise ValueError("Groebner engine needs at least one generator")
     budget = budget or Budget()
     t0 = monotonic()
-    varset, gens = ideal.varset, ideal.generators
+    gens = ideal.generators
     packing = _Packing.of(gens)
     while True:
         try:
-            basis, pairs = _buchberger_packed(varset, gens, packing, budget, reduce=reduce)
+            entries, pairs = _buchberger_packed(gens, packing, budget)
         except _Overflow as wide:
-            packing = _Packing(len(varset), wide.degree)
+            packing = _Packing(len(ideal.varset), wide.degree)
             continue
-        return GBResult(basis, pairs, monotonic() - t0)
+        return GBResult(entries, pairs, monotonic() - t0, packing)
 
 
-def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
-                       budget: Budget, *,
-                       reduce: bool) -> tuple[list[MPoly] | _LoopBasis | None, int]:
-    """``buchberger``'s run on one packing: the basis (None on a timeout),
-    and the pairs processed. The basis is [1] as soon as the loop meets a
-    constant; otherwise it is the reduced basis, or with ``reduce=False``
-    the loop's entries, still packed.
+def _buchberger_packed(gens: Sequence[MPoly], packing: _Packing,
+                       budget: Budget) -> tuple[list[_Entry] | None, int]:
+    """``buchberger``'s run on one packing: its entries (None on a timeout)
+    and the pairs processed.
 
     Raises ``_Overflow`` when a pair that passes the criteria has an lcm of
     degree above ``packing.max_deg``. The S-polynomial and its normal form
@@ -366,7 +322,7 @@ def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
 
     # Unit short-circuit: a constant generator makes everything trivial.
     if 0 in lms:
-        return [MPoly.constant(varset, 1)], 0
+        return [basis[lms.index(0)]], 0
 
     guard, lcm_of, degree = packing.guard, packing.lcm, packing.degree
     # Normal strategy: lowest lcm first (packed ints compare as grevlex,
@@ -413,7 +369,7 @@ def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
         if rem.lm is None:
             continue
         if rem.lm == 0:
-            return [MPoly.constant(varset, 1)], pairs
+            return [rem], pairs
         new_idx = len(basis)
         basis.append(rem)
         lms.append(rem.lm)
@@ -421,9 +377,19 @@ def _buchberger_packed(varset: VarSet, gens: Sequence[MPoly], packing: _Packing,
         for t in range(new_idx):
             push_pair(t, new_idx)
 
-    if not reduce:
-        return _LoopBasis(varset, packing, basis), pairs
-    return _reduce_basis(varset, basis, packing, budget), pairs
+    return basis, pairs
+
+
+def reduced_basis(ideal: Ideal, budget: Budget | None = None) -> list[MPoly] | None:
+    """The ideal's reduced grevlex Groebner basis: monic, pairwise
+    top-irreducible and sorted by leading monomial, hence unique for the
+    ideal, so permuting the generators cannot change it. None when the
+    budget runs out in the pair loop or in the inter-reduction after it."""
+    budget = budget or Budget()
+    run = buchberger(ideal, budget)
+    if run.entries is None:
+        return None
+    return _reduce_basis(ideal.varset, run.entries, run.packing, budget)
 
 
 def _reduce_basis(varset: VarSet, basis: list[_Entry], packing: _Packing,
@@ -455,16 +421,12 @@ def _reduce_basis(varset: VarSet, basis: list[_Entry], packing: _Packing,
 
 
 def ideal_contains_one(result: GBResult) -> bool:
-    """Whether the run's basis is [1], i.e. the ideal contains 1.
-
-    A basis still in the pair loop's packed entries is never [1], since the
-    loop returns [1] itself as soon as it meets a constant: it is answered
-    without being unpacked. Raises ``ValueError`` after a timeout.
-    """
-    if result.timed_out:
+    """Whether the run met a constant, i.e. the ideal contains 1: its
+    entries are then the unit entry alone, and otherwise none of them is
+    constant. Raises ``ValueError`` after a timeout."""
+    if result.entries is None:
         raise ValueError("no basis available (engine timed out)")
-    basis = result._basis
-    return not isinstance(basis, _LoopBasis) and len(basis) == 1 and basis[0].is_constant()
+    return result.entries[0].lm == 0
 
 
 @dataclass
@@ -479,9 +441,8 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
 
     Adds a fresh variable y and tests whether the extended ideal
     I + (1 - y*p) contains 1. Sound and complete whenever the engine's
-    pair loop finishes within budget: the run is not reduced, since its
-    basis is [1] exactly when a remainder or a generator was a constant,
-    and the verdict is read without unpacking the basis into ``MPoly``s.
+    pair loop finishes within budget: the verdict is read off the loop's
+    packed entries, with no reduced basis and no ``MPoly`` built.
     The zero ideal needs no case of its own: for p = 0 the one generator
     is the constant 1, and otherwise a single generator makes no pair.
     """
@@ -494,8 +455,8 @@ def radical_member(p: MPoly, ideal: Ideal, budget: Budget | None = None) -> Memb
     # One pass per generator: y is the last variable of the extended set.
     gens = [MPoly._of(big, {e + (0,): c for e, c in g.terms.items()}) for g in ideal.generators]
     gens.append(MPoly._of(big, {(0,) * len(big): 1, **{e + (1,): -c for e, c in p.terms.items()}}))
-    result = buchberger(Ideal.of(big, gens), budget=budget, reduce=False)
-    if result.timed_out:
+    result = buchberger(Ideal.of(big, gens), budget)
+    if result.entries is None:
         return MembershipResult(Membership.TIMEOUT, result.pairs_processed, result.elapsed)
     verdict = Membership.TRUE if ideal_contains_one(result) else Membership.FALSE
     return MembershipResult(verdict, result.pairs_processed, result.elapsed)

@@ -26,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Container, Mapping, Sequence, Union
 
 from .expansion import LocalModel, big_f, f_bar, f_bar_jacobian_at, f_coeff
 from .groebner import GStatus
@@ -613,6 +613,29 @@ class DeformVerdict:
     certificate: list[int | None] | None = None
 
 
+def check_verdict_input(config: SingularConfig, sections: Sequence[SectionProfile],
+                        dims: Mapping[int, tuple[int, int]] | None,
+                        g_points: Container[int]) -> None:
+    """Raise ``ValueError`` on input that ``deform_verdict`` cannot decide:
+    a section outside the configuration or, unless every a_j = 2, a point
+    with a_j >= 3 that lacks dims[j] or is not among ``g_points``, the
+    points that have a genericity status."""
+    for s in sections:
+        validate_section(config, s)
+    if all(p.a == 2 for p in config.points):
+        return
+    missing = []
+    for j in range(1, config.e + 1):
+        if config.model(j).a == 2:
+            continue
+        if dims is None or j not in dims:
+            missing.append(f"dims[{j}]")
+        if j not in g_points:
+            missing.append(f"g_table[{j}]")
+    if missing:
+        raise ValueError(f"general criterion needs {', '.join(missing)}")
+
+
 def deform_verdict(config: SingularConfig, sections: Sequence[SectionProfile],
                    dims: Mapping[int, tuple[int, int]] | None,
                    g_table: Mapping[int, GStatus] | None,
@@ -627,8 +650,7 @@ def deform_verdict(config: SingularConfig, sections: Sequence[SectionProfile],
     plain)) and have genericity status "holds" (g_table[j]); any miss is
     reported as unknown, never as a refusal.
     """
-    for s in sections:
-        validate_section(config, s)
+    check_verdict_input(config, sections, dims, g_table or {})
     if all(p.a == 2 for p in config.points):
         # With every a_j = 2, choose_l gives l_j = 1 at an uncovered point
         # and None at a covered one.
@@ -648,18 +670,6 @@ def deform_verdict(config: SingularConfig, sections: Sequence[SectionProfile],
             "does_not_deform",
             "every point carries a dedicated polar section and the residual pairing class vanishes",
             cert)
-
-    missing = []
-    for j in range(1, config.e + 1):
-        model = config.model(j)
-        if model.a == 2:
-            continue
-        if dims is None or j not in dims:
-            missing.append(f"dims[{j}]")
-        if g_table is None or j not in g_table:
-            missing.append(f"g_table[{j}]")
-    if missing:
-        raise ValueError(f"general criterion needs {', '.join(missing)}")
 
     failures = []
     for j in range(1, config.e + 1):

@@ -135,9 +135,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -9,8 +9,9 @@ exponent tuples, the twisted section coefficients sigma_l as sums of
 polynomials, and the generators' earlier routes: the perturbed family as
 ``MPoly`` products over renamed factors, its Jacobian by differentiating
 in the doubled ring and identifying ct := c, and F_{-n} as a sum of
-``MPoly`` products; and the matching identity's difference with column 0
-of each W^l read off the table like every other column.
+``MPoly`` products; the matching identity's difference with column 0
+of each W^l read off the table like every other column; and a Groebner
+pair loop's packed entries as ``MPoly``s.
 """
 
 import math
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from equigen import series
 from equigen.expansion import LocalModel, SigmaModel, big_f, f_coeff, sigma_coeff, theta_cap
-from equigen.groebner import check_t
+from equigen.groebner import GBResult, check_t
 from equigen.lifting import (
     Pair,
     SectionProfile,
@@ -200,3 +201,11 @@ def pm_difference_by_column_0(sigma_model: SigmaModel, c_now: Sequence[series.TS
                 if p:
                     diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
     return diff
+
+
+def loop_basis(varset: VarSet, run: GBResult) -> list[MPoly]:
+    """A ``buchberger`` run's entries as ``MPoly``s over ``varset``, with
+    the primitive int coefficients the pair loop left them."""
+    unpack = run.packing.unpack
+    return [MPoly._of(varset, {unpack(m): c for m, c in entry.terms.items()})
+            for entry in run.entries]

@@ -950,6 +950,22 @@ def test_verdict_budget_is_one_clock(capsys, tmp_path, monkeypatch):
     assert made == [[seen[0].started_at]]
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"points": [{"a": 6, "b": 7}], "dims": [{"j": 1, "twisted": 3, "plain": 2}],
+      "sections": [{"id": "s", "residues": [{"j": 1, "m": 9, "r": 1}]}]},
+     "error: pole order m=9 outside 1..5 at point 1\n"),
+    ({"points": [{"a": 5, "b": 7}]}, "error: general criterion needs dims[1]\n"),
+], ids=["pole-order", "no-dims"])
+def test_verdict_rejects_bad_input_before_any_g_check(capsys, tmp_path, monkeypatch, doc,
+                                                      message):
+    def no_check(*args):
+        raise AssertionError("check_g reached")
+
+    monkeypatch.setattr(cli, "check_g", no_check)
+    code, out, err = run(capsys, "verdict", "--input", write_input(tmp_path, doc))
+    assert (code, out, err) == (2, "", message)
+
+
 def test_verdict_checks_each_point_type_once(capsys, tmp_path, monkeypatch):
     # (G) depends on (a, b) alone: two (3,4) points make one check, on the
     # budget the command made, and print what two checks did.

@@ -26,10 +26,11 @@ from equigen.groebner import (
     ideal_contains_one,
     normal_form,
     radical_member,
+    reduced_basis,
 )
 from equigen.polycore import Exponents, MPoly, VarSet, _Packing, grevlex_key, poly_text
 
-from oracles import divides, variable, witness_verify
+from oracles import divides, loop_basis, variable, witness_verify
 
 VS = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
@@ -40,9 +41,9 @@ SEED = 20260816
 
 
 def _gb_texts(ideal, budget=None):
-    res = buchberger(ideal, budget)
-    assert res.basis is not None
-    return [poly_text(g) for g in res.basis]
+    basis = reduced_basis(ideal, budget)
+    assert basis is not None
+    return [poly_text(g) for g in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +63,11 @@ def test_gb_already_complete():
 
 
 def test_gb_unit_short_circuit():
-    res = buchberger(Ideal.of(VS, [X, X - MPoly.constant(VS, 1), Y**5]))
-    assert res.basis is not None
+    ideal = Ideal.of(VS, [X, X - MPoly.constant(VS, 1), Y**5])
+    res = buchberger(ideal)
+    assert res.entries is not None
     assert ideal_contains_one(res)
+    assert reduced_basis(ideal) == [MPoly.constant(VS, 1)]
 
 
 def test_gb_rejects_empty():
@@ -85,6 +88,24 @@ def test_gb_invariant_under_generator_order():
         if expect is None:
             expect = texts
         assert texts == expect
+
+
+def test_reduced_basis_runs_the_module_pair_loop_once(monkeypatch):
+    # reduced_basis looks buchberger up on the module, so a wrapper there
+    # (the benchmark's tracer) sees its one run, with the ideal and budget
+    # it was given.
+    calls = []
+    real_buchberger = groebner.buchberger
+
+    def watched(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real_buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", watched)
+    ideal, budget = Ideal.of(VS, [X**2 - Y, X**3]), Budget(seconds=30)
+    assert [poly_text(g) for g in reduced_basis(ideal, budget)] == ["y^2", "x*y", "x^2 - y"]
+    ((args, kwargs),) = calls
+    assert len(args) == 2 and args[0] is ideal and args[1] is budget and not kwargs
 
 
 def _unpacked(packing, varset, terms):
@@ -164,7 +185,7 @@ def test_entry_sign_taken_from_the_lead():
 
 
 def test_normal_form_of_members_vanishes():
-    res = buchberger(Ideal.of(VS, [X**2 - Y, X**3]))
+    basis = reduced_basis(Ideal.of(VS, [X**2 - Y, X**3]))
     rng = random.Random(SEED)
     for _ in range(100):
         combo = MPoly.zero(VS)
@@ -172,7 +193,7 @@ def test_normal_form_of_members_vanishes():
             mult = MPoly(VS, {(rng.randint(0, 2), rng.randint(0, 2)):
                               Fraction(rng.randint(-3, 3))})
             combo = combo + mult * g
-        assert _nf(combo, res.basis).is_zero()
+        assert _nf(combo, basis).is_zero()
 
 
 def reference_normal_form(p, basis):
@@ -292,13 +313,13 @@ def test_normal_form_with_big_integer_reducers_matches_reference():
 def test_normal_form_is_linear():
     # The remainder of r*p + s*q is, up to its content, r and s times the
     # exact remainders of p and q; a nonzero multiple has p's own.
-    res = buchberger(Ideal.of(VS, [X**2 - Y]))
+    basis = reduced_basis(Ideal.of(VS, [X**2 - Y]))
     p = X**3 + Y
     q = X * Y - MPoly.constant(VS, 2)
-    nf_p, nf_q = (reference_normal_form(g, res.basis) for g in (p, q))
+    nf_p, nf_q = (reference_normal_form(g, basis) for g in (p, q))
     for r, s in ((1, 1), (Fraction(-3, 2), 5), (7, Fraction(2, 9)), (0, -4)):
-        assert _nf(r * p + s * q, res.basis) == _primitive_poly(r * nf_p + s * nf_q)
-    assert _nf(Fraction(-5, 3) * p, res.basis) == _nf(p, res.basis) == _primitive_poly(nf_p)
+        assert _nf(r * p + s * q, basis) == _primitive_poly(r * nf_p + s * nf_q)
+    assert _nf(Fraction(-5, 3) * p, basis) == _nf(p, basis) == _primitive_poly(nf_p)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +420,9 @@ def _watch_packings(monkeypatch):
     limits = []
     real_run = groebner._buchberger_packed
 
-    def watched_run(varset, gens, packing, budget, *, reduce):
+    def watched_run(gens, packing, budget):
         limits.append(packing.max_deg)
-        return real_run(varset, gens, packing, budget, reduce=reduce)
+        return real_run(gens, packing, budget)
 
     monkeypatch.setattr(groebner, "_buchberger_packed", watched_run)
     return limits
@@ -417,22 +438,23 @@ def test_overflowing_s_pair_reruns_with_wider_fields(monkeypatch):
     res = buchberger(ideal)
     assert limits == [7, 31]
     assert res.pairs_processed == 7
-    assert [poly_text(g) for g in res.basis] == [
+    assert [poly_text(g) for g in reduced_basis(ideal)] == [
         "y^3 - x*z", "x*y^2 - y*z^2", "y^2*z^2 - x^2*z", "x^2*y*z - x*z^3",
         "y*z^4 - x^3*z", "x*z^6 - x^5*z"]
     # A pair budget counts the pairs of the run that finishes.
     for n in range(7):
         res = buchberger(ideal, Budget(max_pairs=n))
-        assert res.basis is None and res.pairs_processed == n
+        assert res.entries is None and res.pairs_processed == n
 
 
 def test_high_degree_input_fits_the_first_packing(monkeypatch):
     x, y, z = (variable(VS3, n) for n in "xyz")
     limits = _watch_packings(monkeypatch)
-    res = buchberger(Ideal.of(VS3, [x**300 * y - z**2, y**2 * z - x**150]))
+    ideal = Ideal.of(VS3, [x**300 * y - z**2, y**2 * z - x**150])
+    res = buchberger(ideal)
     assert limits == [1023]
     assert res.pairs_processed == 1
-    assert [poly_text(g) for g in res.basis] == ["y^5*z^2 - z^2", "x^150 - y^2*z"]
+    assert [poly_text(g) for g in reduced_basis(ideal)] == ["y^5*z^2 - z^2", "x^150 - y^2*z"]
 
 
 def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
@@ -464,12 +486,12 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
                   Ideal.of(VS, [3 * (X**2 - Y)]),
                   Ideal.of(VS, [X - MPoly.constant(VS, 1), Y**5]),
                   Ideal.of(VS3, [x**2 + y + z - one, x + y**2 + z - one, x + y + z**2 - one])):
-        groebner.buchberger(ideal)
+        reduced_basis(ideal)
     assert len(ideals) == 12 + 4
-    for ideal in ideals:
-        res = real_buchberger(ideal)
-        assert res.basis is not None
-        for g in res.basis:
+    for ideal in list(ideals):
+        basis = reduced_basis(ideal)
+        assert basis is not None
+        for g in basis:
             assert all(type(c) is Fraction for c in g.terms.values())
     # Inside the engine every coefficient is an int.
     assert seen == {int}
@@ -482,19 +504,19 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
 def test_budget_max_pairs_timeout():
     gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
     res = buchberger(Ideal.of(VS, gens), budget=Budget(max_pairs=1))
-    assert res.basis is None
+    assert res.entries is None
+    assert reduced_basis(Ideal.of(VS, gens), budget=Budget(max_pairs=1)) is None
 
 
 def test_budget_generous_completes():
     gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
-    res = buchberger(Ideal.of(VS, gens), budget=Budget(seconds=30))
-    assert res.basis is not None
+    assert reduced_basis(Ideal.of(VS, gens), budget=Budget(seconds=30)) is not None
 
 
 def test_contains_one_needs_basis():
     gens = [X**3 - Y**2, X**2 * Y - X]
     res = buchberger(Ideal.of(VS, gens), budget=Budget(max_pairs=0))
-    assert res.basis is None
+    assert res.entries is None
     with pytest.raises(ValueError):
         ideal_contains_one(res)
 
@@ -534,8 +556,9 @@ def test_radical_membership_zero_ideal(monkeypatch):
     assert nonzero.verdict is Membership.FALSE and nonzero.pairs_processed == 0
     assert [len(ideal.generators) for ideal, _ in runs] == [1, 1]
     assert [res.pairs_processed for _, res in runs] == [0, 0]
-    assert [len(res.basis) for _, res in runs] == [1, 1]
-    assert runs[0][1].basis[0].is_constant() and not runs[1][1].basis[0].is_constant()
+    assert [loop_basis(ideal.varset, res) == [MPoly.constant(ideal.varset, 1)]
+            for ideal, res in runs] == [True, False]
+    assert [len(res.entries) for _, res in runs] == [1, 1]
 
 
 @pytest.mark.parametrize("ab", [(4, 6), (5, 7)], ids=["4-6", "5-7"])
@@ -545,11 +568,8 @@ def test_radical_membership_builds_the_rabinowitsch_ideal(monkeypatch, ab):
     model = LocalModel(*ab)
     seen = []
 
-    reduce_flags = []
-
-    def capture(ideal, budget=None, *, reduce=True):
+    def capture(ideal, budget):
         seen.append(ideal)
-        reduce_flags.append(reduce)
         return groebner.GBResult(None, 0, 0.0)
 
     monkeypatch.setattr(groebner, "buchberger", capture)
@@ -561,8 +581,6 @@ def test_radical_membership_builds_the_rabinowitsch_ideal(monkeypatch, ab):
             gens = seen[-1].generators
             assert list(gens[:-1]) == [g.rename(big) for g in ideal.generators]
             assert gens[-1] == MPoly.constant(big, 1) - variable(big, "y") * p.rename(big)
-    # Membership reads only whether the basis is {1}: no run is reduced.
-    assert reduce_flags == [False] * len(seen)
 
 
 # The default scan grid (a in 3..4, b <= 9, b not a multiple of a) at every
@@ -575,41 +593,42 @@ SCAN_GRID_INDICES = [(a, b, i) for a in (3, 4) for b in range(a + 1, 10) if b % 
                          ids=[f"{a}-{b}-{i}" for a, b, i in SCAN_GRID_INDICES])
 def test_unreduced_membership_run_matches_reduced_basis(monkeypatch, a, b, i):
     # Both presentations' J = I + (1 - y*p): a membership run ends with its
-    # pair loop. Its verdict and pair count are those of the reduced run,
-    # and its basis generates J as a Groebner basis: each basis reduces
-    # the other to zero.
+    # pair loop. Its verdict and pair count are those of the reduced basis's
+    # run, and its entries generate J as a Groebner basis: each basis
+    # reduces the other to zero.
     runs = []
 
     def capture(ideal, *args, **kwargs):
         res = buchberger(ideal, *args, **kwargs)
-        runs.append((ideal, kwargs, res))
+        runs.append((ideal, res))
         return res
 
     monkeypatch.setattr(groebner, "buchberger", capture)
     model = LocalModel(a, b)
     for ideal, cand in (_presentation_obstruction(model, i), _presentation_simplified(model, i)):
         member = radical_member(cand, ideal)
-        (big_ideal, kwargs, unreduced), = runs
+        (big_ideal, run), = runs
+        reduced = reduced_basis(big_ideal)
+        (_, reduced_run), = runs[1:]
         runs.clear()
-        assert kwargs.get("reduce") is False
-        reduced = buchberger(big_ideal)
-        assert member.pairs_processed == unreduced.pairs_processed == reduced.pairs_processed
-        contains_one = ideal_contains_one(reduced)
-        assert ideal_contains_one(unreduced) is contains_one
+        assert member.pairs_processed == run.pairs_processed == reduced_run.pairs_processed
+        contains_one = reduced == [MPoly.constant(big_ideal.varset, 1)]
+        assert ideal_contains_one(run) is contains_one
         assert member.verdict is (Membership.TRUE if contains_one else Membership.FALSE)
+        unreduced = loop_basis(big_ideal.varset, run)
         if contains_one:
-            assert unreduced.basis == reduced.basis
+            assert unreduced == reduced
             continue
-        for g in unreduced.basis:
+        for g in unreduced:
             assert all(type(c) is int for c in g.terms.values())
-            assert _nf(g, reduced.basis).is_zero()
-        for g in reduced.basis:
-            assert _nf(g, unreduced.basis).is_zero()
+            assert _nf(g, reduced).is_zero()
+        for g in reduced:
+            assert _nf(g, unreduced).is_zero()
 
 
 def test_membership_never_inter_reduces(monkeypatch):
-    # The check takes its verdict from the pair loop; only a caller that
-    # asks for the reduced basis (the default) reaches _reduce_basis.
+    # The check takes its verdict from the pair loop; only reduced_basis
+    # reaches _reduce_basis.
     model = LocalModel(4, 7)
     expected = [check_g_index(model, i).status for i in range(1, model.a)]
     assert expected == [GStatus.HOLDS] * 3
@@ -626,15 +645,14 @@ def test_membership_never_inter_reduces(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", capture)
     assert [check_g_index(model, i).status for i in range(1, model.a)] == expected
     assert len(ideals) == 6
-    for ideal in ideals:
+    for ideal in list(ideals):
         with pytest.raises(AssertionError, match="inter-reduction reached"):
-            buchberger(ideal)
+            reduced_basis(ideal)
 
 
 def test_membership_run_that_holds_unpacks_nothing(monkeypatch):
     # A membership run takes its verdict from the packed pair loop: a run
     # that ends without [1] calls no _Packing.unpack and makes no MPoly.
-    # Its basis is unpacked when a caller reads it, and only then.
     model = LocalModel(4, 7)
     made = {"unpack": 0, "mpoly": 0}
     real_unpack, real_init, real_of = _Packing.unpack, MPoly.__init__, MPoly._of.__func__
@@ -667,14 +685,7 @@ def test_membership_run_that_holds_unpacks_nothing(monkeypatch):
     assert statuses == [GStatus.HOLDS] * 3
     assert len(runs) == 6
     assert [counts for _, counts in runs] == [{"unpack": 0, "mpoly": 0}] * 6
-    for res, _ in runs:
-        assert not ideal_contains_one(res)
-        assert made["unpack"] == 0
-        basis = res.basis
-        assert made["unpack"] > 0 and len(basis) > 1
-        assert all(type(c) is int for g in basis for c in g.terms.values())
-        made["unpack"] = 0
-        assert res.basis is basis and made["unpack"] == 0
+    assert not any(ideal_contains_one(res) for res, _ in runs)
 
 
 def _watch_membership_runs(monkeypatch):
@@ -764,7 +775,7 @@ def test_normal_form_result_is_a_primitive_entry(monkeypatch):
     monkeypatch.setattr(groebner, "normal_form", watched_normal_form)
     for a, b in ((4, 6), (4, 7)):
         check_g(LocalModel(a, b))
-    groebner.buchberger(Ideal.of(VS, [X**2 - Y, X**3, X * Y - Y]))
+    reduced_basis(Ideal.of(VS, [X**2 - Y, X**3, X * Y - Y]))
     assert any(r.terms for r in results) and not all(r.terms for r in results)
     for r in results:
         lm, lc, terms = r
@@ -780,7 +791,7 @@ def test_normal_form_result_is_a_primitive_entry(monkeypatch):
 def test_membership_builds_no_fraction(monkeypatch):
     # The pair loop holds ints and (numerator, denominator) pairs only: with
     # groebner's Fraction made to raise, the membership checks of (4,6)
-    # and (4,7) give the same verdicts and pair counts. A reduced run still
+    # and (4,7) give the same verdicts and pair counts. reduced_basis still
     # reaches it, when it makes its basis monic.
     def results():
         return [(r.index, r.status, r.pairs_processed)
@@ -795,7 +806,7 @@ def test_membership_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(groebner, "Fraction", no_fraction)
     assert results() == expected
     with pytest.raises(AssertionError, match="built a Fraction"):
-        buchberger(Ideal.of(VS, [X**2 - Y, X**3]))
+        reduced_basis(Ideal.of(VS, [X**2 - Y, X**3]))
 
 
 def test_radical_membership_timeout_propagates():
@@ -991,21 +1002,31 @@ def test_expired_budget_builds_no_presentation(monkeypatch):
 
 def test_budget_bounds_final_inter_reduction(monkeypatch):
     clock = _FakeClock(monkeypatch)
-    gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
-    free = buchberger(Ideal.of(VS, gens))
-    assert free.basis is not None
-    # One normal form per processed pair, then at least two more in the
-    # inter-reduction.
+    ideal = Ideal.of(VS, [X**3 - Y**2, X**2 * Y - X, Y**3 - X])
+    free = buchberger(ideal)
+    # One normal form per processed pair.
+    assert free.entries is not None and clock.now == free.pairs_processed
+    # At least two more in the inter-reduction.
+    clock.now = 0.0
+    assert reduced_basis(ideal) is not None
     assert clock.now >= free.pairs_processed + 2
-    # The pair loop fits the budget; the inter-reduction runs past it.
-    res = buchberger(Ideal.of(VS, gens), budget=Budget(seconds=free.pairs_processed + 0.5))
-    assert res.basis is None
-    assert res.pairs_processed == free.pairs_processed
-    assert res.elapsed < free.elapsed
-    # A run that is not reduced ends with its pair loop, inside the budget.
-    res = buchberger(Ideal.of(VS, gens), budget=Budget(seconds=free.pairs_processed + 0.5),
-                     reduce=False)
-    assert res.basis is not None
+    # With one budget that the pair loop fits, the pair loop finishes and
+    # the inter-reduction runs past it.
+    runs = []
+    real_buchberger = groebner.buchberger
+
+    def capture(*args):
+        runs.append(real_buchberger(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner, "buchberger", capture)
+    assert reduced_basis(ideal, Budget(seconds=free.pairs_processed + 0.5)) is None
+    (run,) = runs
+    assert run.entries is not None
+    assert run.pairs_processed == free.pairs_processed
+    # The pair loop alone, given the same budget, ends inside it.
+    res = buchberger(ideal, Budget(seconds=free.pairs_processed + 0.5))
+    assert res.entries is not None
     assert res.pairs_processed == free.pairs_processed
 
 
@@ -1030,7 +1051,7 @@ def test_pair_budget_timeout_counts_only_processed_pairs():
     gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
     for n in (0, 1, 2):
         res = buchberger(Ideal.of(VS, gens), budget=Budget(max_pairs=n))
-        assert res.basis is None
+        assert res.entries is None
         assert res.pairs_processed == n
     # One pair for each presentation's run.
     assert check_g_index(LocalModel(4, 6), 1, Budget(max_pairs=1)).pairs_processed == 2
@@ -1042,7 +1063,7 @@ def test_clock_timeout_counts_only_processed_pairs(monkeypatch):
     clock = _FakeClock(monkeypatch)
     gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
     res = buchberger(Ideal.of(VS, gens), budget=Budget(seconds=2.5))
-    assert res.basis is None
+    assert res.entries is None
     assert res.pairs_processed == clock.now == 3
 
 

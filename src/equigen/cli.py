@@ -320,7 +320,7 @@ _MEMBERSHIP = {GStatus.HOLDS: Membership.FALSE, GStatus.FAILS: Membership.TRUE,
 
 
 def _scan_entry(a: int, b: int, i: int, status: GStatus, pairs: int, seconds: float,
-                hashes: dict[str, str]) -> dict[str, Any]:
+                hashes: dict[str, str] | None) -> dict[str, Any]:
     """The scan's entry for index i of (a, b): what the cache stores, and
     what the scan prints with ``cached`` added."""
     return {
@@ -364,8 +364,15 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
         key = cache.cache_key(a, b, i, __version__)
         entry = cache.load(cache_dir, key) if cache_dir else None
         # One build of the obstruction presentation serves the hashes and
-        # the check; the index's clock runs from before it.
+        # the check; the index's clock runs from before it, and Jbar is
+        # generated on it.
         index_budget = Budget(budget.seconds, budget.max_pairs)
+        if jac_bar(model, index_budget.expired) is None:
+            # No polynomials to hash, so nothing to look up or store.
+            indices.append(dict(_scan_entry(a, b, i, GStatus.TIMEOUT, 0, 0.0, None),
+                                cached=False))
+            statuses.append(GStatus.TIMEOUT)
+            continue
         obstruction = _presentation_obstruction(model, i)
         hashes = _poly_hashes(*obstruction)
         # Anything but a hit is recomputed and overwritten.

@@ -40,7 +40,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polycore import Exponents, MPoly, VarSet, evaluate_many, product_sum
 
@@ -253,16 +253,29 @@ def f_bar_jacobian_at(model: LocalModel, point: Sequence[Fraction]) -> list[dict
             for row in f_bar_jacobian_matrix(model)]
 
 
-@functools.lru_cache(maxsize=None)
-def jac_bar(model: LocalModel) -> MPoly:
-    """Determinant of the perturbed-system Jacobian, in the single ring.
+_JAC_BARS: dict[LocalModel, MPoly] = {}
 
-    For a = 2 this is the single derivative d f_{b+1} / d c_2.
+
+def jac_bar(model: LocalModel, expired: Callable[[], bool] | None = None) -> MPoly | None:
+    """Determinant of the perturbed-system Jacobian, in the single ring,
+    memoised per model (``jac_bar.cache_clear`` empties the memo).
+
+    For a = 2 this is the single derivative d f_{b+1} / d c_2. ``expired``
+    goes to ``det_bareiss``: once it reports the caller's clock run out,
+    the expansion stops, nothing is stored, and the result is None.
     """
-    # Looked up on the module at each call, so a wrapper installed there is used.
-    from .polycore import det_bareiss
+    det = _JAC_BARS.get(model)
+    if det is None:
+        # Looked up on the module at each call, so a wrapper installed there is used.
+        from .polycore import det_bareiss
 
-    return det_bareiss(f_bar_jacobian_matrix(model))
+        det = det_bareiss(f_bar_jacobian_matrix(model), expired)
+        if det is not None:
+            _JAC_BARS[model] = det
+    return det
+
+
+jac_bar.cache_clear = _JAC_BARS.clear
 
 
 def sigma_coeff(sigma_model: SigmaModel, l: int, tmax: int) -> MPoly:

@@ -515,12 +515,17 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None) -> GI
     Holds iff F_{-i} * Jbar does NOT lie in the radical of the ideal of the
     other obstructions. Both generator presentations are run and must agree;
     disagreement is an engine bug, not a verdict. The budget's seconds bound
-    both runs together.
+    both runs together, and the generation of Jbar before them: a clock
+    that runs out there gives a timeout with no pairs.
     """
     if not 1 <= i <= model.a - 1:
         raise ValueError(f"index must be in [1, {model.a - 1}], got {i}")
     budget = budget or Budget()
     if budget.expired():
+        return GIndexResult(i, GStatus.TIMEOUT)
+    # Jbar is generated on the clock; both presentations then read it from
+    # its memo.
+    if jac_bar(model, budget.expired) is None:
         return GIndexResult(i, GStatus.TIMEOUT)
     return _check_g_index_on(model, i, _presentation_obstruction(model, i), budget)
 

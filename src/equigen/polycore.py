@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift, neg
-from typing import Hashable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -367,6 +367,12 @@ def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
     to a known monomial or a single variable, then built on the way back up
     with one product per new monomial. Each term is then one scalar
     multiple of a table entry.
+
+    At a series point (its first value is a ``TSeries``, the type with a
+    ``_dot``) a scalar value is taken as its constant series, and each
+    polynomial is the one accumulator ``_dot`` of its terms c * m, so its
+    value is a series, zero and constants included. Other points add the
+    terms one by one.
     """
     if not polys:
         return []
@@ -376,10 +382,14 @@ def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
     if len(point) != len(varset):
         raise ValueError(f"need {len(varset)} values, one per variable {varset.names}, "
                          f"got {len(point)}")
+    first = point[0]
+    # polycore does not import series: a series point brings its own sum.
+    dot = getattr(type(first), "_dot", None)
     table: dict[Exponents, object] = {}
     out = []
     for p in polys:
         total = None
+        terms = []
         for e, c in p.terms.items():
             m = table.get(e)
             if m is None and any(e):
@@ -392,11 +402,23 @@ def evaluate_many(polys: Sequence[MPoly], point: Sequence[object]) -> list:
                     e = e[:i] + (e[i] - 1,) + e[i + 1:]
                     m = table.get(e)
                 for e, i in reversed(chain):
-                    m = point[i] if m is None else m * point[i]
+                    if m is not None:
+                        m = m * point[i]
+                    elif dot is None:
+                        m = point[i]
+                    else:
+                        # A scalar is its constant series; another modulus raises.
+                        m = first._like(point[i])
                     table[e] = m
+            if dot is not None:
+                terms.append((c, first._like(1) if m is None else m, None))
+                continue
             term = c if m is None else m * c
             total = term if total is None else total + term
-        out.append(Fraction(0) if total is None else total)
+        if dot is not None:
+            out.append(dot(first.modulus, terms))
+        else:
+            out.append(Fraction(0) if total is None else total)
     return out
 
 
@@ -445,7 +467,8 @@ def poly_json(p: MPoly) -> dict:
     }
 
 
-def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
+def det_bareiss(matrix: Sequence[Sequence[MPoly]],
+                expired: Callable[[], bool] | None = None) -> MPoly | None:
     """Determinant of a square polynomial matrix, without division.
 
     Laplace expansion along the rows, memoized over column subsets: for the
@@ -463,6 +486,11 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     degree, so ``_Packing`` words made for degree D add without carries.
     Minors are dicts from word to integer coefficient; the full minor is
     unpacked once, each coefficient as Fraction(c, L).
+
+    ``expired``, when given, is called before each product of an entry
+    with a minor (a row level of a large matrix takes seconds, one product
+    a small part of that); once it returns true the expansion stops and
+    returns None.
 
     The name is kept from the Bareiss elimination this replaced, because
     the benchmark's tracer wraps ``polycore.det_bareiss`` by name.
@@ -495,6 +523,8 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
             for j, signed in enumerate(row):
                 if signed is None or cols >> j & 1:
                     continue
+                if expired is not None and expired():
+                    return None
                 acc = larger.setdefault(cols | 1 << j, {})
                 get = acc.get
                 for w1, c1 in signed[(cols & ((1 << j) - 1)).bit_count() & 1]:

@@ -9,13 +9,19 @@ arithmetic starts, so nothing outside the window is ever computed or read.
 A series is stored as its t-adic valuation and the integer numerators
 from there to its last nonzero coefficient, over one shared positive
 denominator, in lowest terms, so series arithmetic makes no ``Fraction``
-and never builds, scans or copies the zeros below a valuation: sums bring
-both operands to the lcm of their denominators and pad only the gap
-between their valuations, a scalar multiplies the numerators and the
-denominator, a shift moves the valuation, and a product adds the
-valuations and convolves the numerators (one C-level dot product per
-output coefficient). ``Fraction``s are made only where a caller reads a
-coefficient.
+and never builds, scans or copies the zeros below a valuation: a scalar
+multiplies the numerators and the denominator, a shift moves the
+valuation, and a product adds the valuations and convolves the
+numerators (one C-level dot product per output coefficient).
+``Fraction``s are made only where a caller reads a coefficient.
+
+Sums of products go through one accumulator, ``TSeries._dot``: the sum
+of k * x * y over its terms (y may be absent) is added into one list of
+ints over the lcm of the terms' denominators, as long as the terms reach,
+and made canonical once, so no series is built per term. Every sum of
+products below uses it, and so does ``polycore.evaluate_many`` at series
+points, for each polynomial's terms; the binary ``+`` and ``-`` of two
+series remain for single sums.
 
 ``reparam_solve`` finds the unique change of parameter
 ``s(next) = s - (1/a) * sum_{i=2}^{a} dprime_i s^{-(i-1)}
@@ -26,8 +32,9 @@ coefficients. It builds the module's one table of the binomial powers
 V_j = (W - 1)^j column by column (``_binomial_column``), adding a row only
 once the row above has a nonzero entry, so the table stops growing where
 the powers vanish on the window (after about K/3 of them), and returns the
-table with the unit. ``_w_coeff`` reads [W^l]_m = sum_j C(l, j) [V_j]_m off
-it, for the solver's own left side and for the matching identity.
+table with the unit. The solver's own left side and the matching
+identity read [W^l]_m = sum_j C(l, j) [V_j]_m off it, each folding those
+terms into the accumulator of the sum they belong to.
 ``order_bound_audit`` checks the guaranteed valuation bounds of the output.
 
 Two checks verify a solution on their windows, modulo the declared
@@ -43,7 +50,7 @@ built column below the bound raises ``AssertionError``.
 ``substitution_check`` back-substitutes the solved parameter into the
 defining equation with J. C. P. Miller's power recurrence for W^l; it
 shares none of the binomial-power code and stays the solver's independent
-oracle.
+oracle (both sum through the one accumulator).
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from fractions import Fraction
 from itertools import takewhile
 from math import gcd, lcm
 from operator import add, mul, not_, sub
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .expansion import LocalModel, SigmaModel, sigma_coeff
 from .polycore import evaluate_many
@@ -75,6 +82,25 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     if not isinstance(value, Fraction):
         value = Fraction(value)
     return value.numerator, value.denominator
+
+
+def _convolve(x: Sequence[int], y: Sequence[int], n: int) -> list[int]:
+    """The first min(n, len(x) + len(y) - 1) coefficients of the product of
+    the nonempty numerator lists x and y, one C-level dot product each."""
+    if len(x) < len(y):
+        x, y = y, x
+    n = min(n, len(x) + len(y) - 1)
+    if len(y) == 1:
+        k = y[0]
+        return [a * k for a in x[:n]]
+    # out[k] = sum of x[i] * y[k - i]; with ry = y reversed, y[k - i]
+    # is ry[top - k + i], and map stops at the shorter slice.
+    top = len(y) - 1
+    ry = y[::-1]
+    m = min(n, len(y))
+    out = [sum(map(mul, x, ry[top - k:])) for k in range(m)]
+    out += [sum(map(mul, x[k - top:], ry)) for k in range(m, n)]
+    return out
 
 
 class TSeries:
@@ -138,6 +164,75 @@ class TSeries:
         return out
 
     @staticmethod
+    def _dot(modulus: int, terms: Iterable[tuple[Scalar, "TSeries", "TSeries | None"]]
+             ) -> "TSeries":
+        """The sum of k * x * y mod t^modulus over ``terms`` (k, x, y): k a
+        nonzero int or ``Fraction``, x a series and y a series or None, read
+        as 1, all of this modulus.
+
+        Every product is added into one list of ints over the lcm of the
+        terms' denominators, running from the least valuation among the
+        terms to the furthest coefficient one of them reaches (never past
+        the modulus), and the sum is made canonical once by ``_of``: no
+        series is built per term. A single term is the plain scaled product.
+        """
+        rows = []
+        for k, x, y in terms:
+            xn = x._num
+            if y is None:
+                if not xn:
+                    continue
+                yn, v, s = None, x._val, x._den
+                end = v + len(xn)
+            else:
+                yn = y._num
+                v = x._val + y._val
+                if not xn or not yn or v >= modulus:
+                    continue
+                s = x._den * y._den
+                end = min(v + len(xn) + len(yn) - 1, modulus)
+            if type(k) is int:
+                p = k
+            else:
+                p = k.numerator
+                s *= k.denominator
+            rows.append((p, s, v, end, xn, yn))
+        if len(rows) < 2:
+            if not rows:
+                return TSeries._of(modulus, 0, [], 1)
+            p, s, v, end, xn, yn = rows[0]
+            out = list(xn) if yn is None else _convolve(xn, yn, end - v)
+            if p != 1:
+                out = [a * p for a in out]
+            return TSeries._of(modulus, v, out, s)
+        lo = min([row[2] for row in rows])
+        den = lcm(*[row[1] for row in rows])
+        acc = [0] * (max([row[3] for row in rows]) - lo)
+        # Plain loops: the lists are short, and map or slice assignment into
+        # the accumulator costs more than it saves.
+        for p, s, v, end, xn, yn in rows:
+            if s != den:
+                p *= den // s
+            o = v - lo
+            if yn is None:
+                for c in xn:
+                    acc[o] += p * c
+                    o += 1
+                continue
+            # Coefficient i of x meets the first n = end - v - i of y.
+            n = end - v
+            for c in xn[:n]:
+                if c:
+                    c *= p
+                    i = o
+                    for b in yn[:n]:
+                        acc[i] += c * b
+                        i += 1
+                o += 1
+                n -= 1
+        return TSeries._of(modulus, lo, acc, den)
+
+    @staticmethod
     def zero(modulus: int) -> "TSeries":
         if modulus < 1:
             raise ValueError("modulus must be at least 1")
@@ -198,15 +293,21 @@ class TSeries:
             return hash(Fraction(num[0], self._den))
         return hash((self.modulus, self._val, num, self._den))
 
+    def _like(self, other: "TSeries | Scalar") -> "TSeries":
+        """``other`` as a series of this modulus: a scalar becomes its
+        constant series, and a series of another modulus raises."""
+        if not isinstance(other, TSeries):
+            return TSeries.constant(other, self.modulus)
+        if other.modulus != self.modulus:
+            raise ValueError("mixed moduli")
+        return other
+
     def __neg__(self) -> "TSeries":
         return TSeries._of(self.modulus, self._val, [-a for a in self._num], self._den)
 
     def _sum(self, other: "TSeries | Scalar", op) -> "TSeries":
         """self + other for ``op`` = ``add``, self - other for ``sub``."""
-        if not isinstance(other, TSeries):
-            other = TSeries.constant(other, self.modulus)
-        elif other.modulus != self.modulus:
-            raise ValueError("mixed moduli")
+        other = self._like(other)
         x, y = self._num, other._num
         if not y:
             return self
@@ -284,21 +385,7 @@ class TSeries:
         val = self._val + other._val
         if not x or not y or val >= K:
             return TSeries._of(K, 0, [], 1)
-        if len(x) < len(y):
-            x, y = y, x
-        n = min(K - val, len(x) + len(y) - 1)
-        if len(y) == 1:
-            k = y[0]
-            out = [a * k for a in x[:n]]
-        else:
-            # out[k] = sum of x[i] * y[k - i]; with ry = y reversed, y[k - i]
-            # is ry[top - k + i], and map stops at the shorter slice.
-            top = len(y) - 1
-            ry = y[::-1]
-            m = min(n, len(y))
-            out = [sum(map(mul, x, ry[top - k:])) for k in range(m)]
-            out += [sum(map(mul, x[k - top:], ry)) for k in range(m, n)]
-        return TSeries._of(K, val, out, self._den * other._den)
+        return TSeries._of(K, val, _convolve(x, y, K - val), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -410,16 +497,19 @@ def reparam_solve(model: LocalModel, c_now: Sequence[TSeries], c_next: Sequence[
         if powers[-1][m - 1]:
             powers.append([zero] * (smax + 1))
         _binomial_column(powers, m)
-        # [V_1]_m is still zero, so this is the s^{a-m} coefficient of the
-        # left side without its a * u_m term.
-        lhs = zero
+        # [V_1]_m is still zero, so these terms sum to the s^{a-m}
+        # coefficient of the left side without its a * u_m term, minus the
+        # right side: coeff[k] [W^(a-k)]_(m-k) over k, with
+        # [W^e]_n = sum_j C(e, j) [V_j]_n, and -c_m(now).
+        terms = [(-1, c_now[m - 2], None)] if m <= a else []
         for k in range(min(a, m) + 1):
             if coeff[k]:
-                w_e = _w_coeff(powers, binom[a - k], m - k)
-                # k = 0 comes first, and its factor is 1.
-                lhs = lhs + coeff[k] * w_e if k else w_e
-        rhs = c_now[m - 2] if m <= a else zero
-        powers[1][m] = (rhs - lhs) / a
+                # coeff[0] = 1 needs no product.
+                y = coeff[k] if k else None
+                b = binom[a - k]
+                for j in range(min(len(b), len(powers))):
+                    terms.append((b[j], powers[j][m - k], y))
+        powers[1][m] = TSeries._dot(modulus, terms) / -a
 
     unit = [one] + powers[1][1:]
     delta_prime = {i: unit[i] * (-a) for i in range(2, a + 1)}
@@ -485,14 +575,15 @@ def _unit_powers(unit: Sequence[TSeries], l: int, depth: int) -> list[TSeries]:
     """
     if depth >= len(unit):
         raise ValueError(f"unit known to s^-{len(unit) - 1}, power asked to s^-{depth}")
+    K = unit[0].modulus
     p = [unit[0]]
     for m in range(1, depth + 1):
-        acc = TSeries.zero(unit[0].modulus)
+        terms = []
         for k in range(1, m + 1):
             weight = (l + 1) * k - m
-            if weight and unit[k] and p[m - k]:
-                acc = acc + unit[k] * p[m - k] * weight
-        p.append(acc / m)
+            if weight:
+                terms.append((weight, unit[k], p[m - k]))
+        p.append(TSeries._dot(K, terms) / m)
     return p
 
 
@@ -515,27 +606,10 @@ def _binomial_column(powers: list[list[TSeries]], m: int) -> None:
     must be filled, and never [V_1]_m.
     """
     step = powers[1]
-    zero = TSeries.zero(step[0].modulus)
+    K = step[0].modulus
     for j in range(2, len(powers)):
         prev = powers[j - 1]
-        acc = zero
-        for k in range(1, m - j + 2):
-            if prev[m - k] and step[k]:
-                acc = acc + step[k] * prev[m - k]
-        powers[j][m] = acc
-
-
-def _w_coeff(powers: list[list[TSeries]], binom: Sequence[int], m: int) -> TSeries:
-    """[W^l]_m = sum_j C(l, j) [V_j]_m, the s^{-m} coefficient of W^l, from
-    a table of binomial powers as for ``_binomial_column`` and
-    ``binom`` = C(l, 0), C(l, 1), ...; the sum stops at the shorter of the
-    two and skips zero terms. V_0 = 1 and C(l, 0) = 1 start it."""
-    acc = powers[0][m]
-    for j in range(1, min(len(binom), len(powers))):
-        v = powers[j][m]
-        if v and binom[j]:
-            acc = acc + v._scaled(binom[j], 1)
-    return acc
+        powers[j][m] = TSeries._dot(K, [(1, step[k], prev[m - k]) for k in range(1, m - j + 2)])
 
 
 def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
@@ -543,16 +617,16 @@ def substitution_check(result: ReparamResult, c_now: Sequence[TSeries],
     """Back-substitute the solved parameter into the defining expression and
     compare both sides over the exponents a - smax .. a; exactness oracle
     for the solver (it shares none of the solver's recurrence)."""
-    a, smax = result.model.a, result.smax
-    # diff[n]: the s^{a-n} coefficient of
+    a, smax, K = result.model.a, result.smax, result.modulus
+    # cols[n]: the terms of the s^{a-n} coefficient of
     # s(next)^a + sum c_k(next) s(next)^{a-k} - s^a - sum c_k(now) s^{a-k}.
-    diff = _unit_powers(result.unit, a, smax)
-    diff[0] = diff[0] - 1
+    cols = [[(1, p, None)] for p in _unit_powers(result.unit, a, smax)]
+    cols[0].append((-1, TSeries.constant(1, K), None))
     for k in range(2, a + 1):
-        diff[k] = diff[k] - c_now[k - 2]
+        cols[k].append((-1, c_now[k - 2], None))
         for m, p in enumerate(_unit_powers(result.unit, a - k, smax - k)):
-            diff[k + m] = diff[k + m] + c_next[k - 2] * p
-    return not any(diff)
+            cols[k + m].append((1, p, c_next[k - 2]))
+    return not any(TSeries._dot(K, terms) for terms in cols)
 
 
 def pm_window_bound(model: LocalModel, modulus: int) -> int:
@@ -594,9 +668,7 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
     sig_now = evaluate_many(polys, c_now)
     sig_next = evaluate_many(polys, c_next)
 
-    # ord sigma_l(next): a bare Fraction, where it is constant, has order 0.
-    orders = [(s.ord() if isinstance(s, TSeries) else 0) if s else modulus
-              for s in sig_next]
+    orders = [s.ord() for s in sig_next]
     # The deepest column of W^l read for each l, -1 where sigma_l(next) is
     # zero: column 0 ([W^l]_0 = 1) always, none past K - 2 - ord, and none
     # past l + smax; every s^l has l >= -l_sing > -smax.
@@ -611,23 +683,25 @@ def _pm_difference(sigma_model: SigmaModel, c_now: Sequence[TSeries],
             raise AssertionError(f"column s^-{m} of the solve has t-order {column_ord[m]}, "
                                  f"below the valuation bound {m + 1}")
 
-    # Column 0 of W^l is [W^l]_0 = 1, so sigma_l(next) - sigma_l(now)
-    # goes to s^l as it is, and the loop over the columns starts at m = 1.
-    diff = [TSeries.zero(modulus)] * (smax + l_max + 1)
+    # cols[i] holds the terms of the s^{l_max - i} coefficient. Column 0
+    # of W^l is [W^l]_0 = 1, so sigma_l(next) - sigma_l(now) goes to s^l
+    # as it is; for m >= 1, [W^l]_m = sum_{j >= 1} C(l, j) [V_j]_m.
+    cols: list[list] = [[] for _ in range(smax + l_max + 1)]
     for l, s_now, s_nxt, order, top in zip(ls, sig_now, sig_next, orders, tops):
+        cols[l_max - l].append((-1, s_now, None))
         if top < 0:
-            diff[l_max - l] = diff[l_max - l] - s_now
             continue
-        diff[l_max - l] = diff[l_max - l] + (s_nxt - s_now)
+        cols[l_max - l].append((1, s_nxt, None))
         room = modulus - order
         binom = _binomials(l, len(powers) - 1)
         for m in range(1, top + 1):
             if column_ord[m] >= room:
                 continue
-            p = _w_coeff(powers, binom, m)
-            if p:
-                diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
-    return result, diff
+            terms = cols[l_max - l + m]
+            for j in range(1, len(powers)):
+                if binom[j]:
+                    terms.append((binom[j], powers[j][m], s_nxt))
+    return result, [TSeries._dot(modulus, terms) for terms in cols]
 
 
 def pm_identity_check(sigma_model: SigmaModel, c_now: Sequence[TSeries],

@@ -9,9 +9,13 @@ exponent tuples, the twisted section coefficients sigma_l as sums of
 polynomials, and the generators' earlier routes: the perturbed family as
 ``MPoly`` products over renamed factors, its Jacobian by differentiating
 in the doubled ring and identifying ct := c, and F_{-n} as a sum of
-``MPoly`` products; the matching identity's difference with column 0
-of each W^l read off the table like every other column; and a Groebner
-pair loop's packed entries as ``MPoly``s.
+``MPoly`` products; the series sums written with ``TSeries`` ``+`` and
+``*`` alone: polynomials evaluated at series points term by term, the
+table of binomial powers of the unit and the solve that fills it, the
+coefficients of W^l read off that table, Miller's power recurrence, and
+the matching identity's difference with column 0 of each W^l read off
+the table like every other column; and a Groebner pair loop's packed
+entries as ``MPoly``s.
 """
 
 import math
@@ -165,6 +169,88 @@ def big_f_by_sums(model: LocalModel, n: int) -> MPoly:
     return total
 
 
+def evaluate_by_sums(polys: Sequence[MPoly], point: Sequence[series.TSeries]
+                     ) -> list[series.TSeries]:
+    """The polynomials at a point of series, each monomial built from 1 by
+    one product per unit of its exponents and kept for the next polynomial,
+    each term one product of it with its coefficient, added term by term: a
+    series for every polynomial, zero and constants included. The
+    reference for ``polycore.evaluate_many`` at series points."""
+    modulus = point[0].modulus
+    table: dict[Exponents, series.TSeries] = {}
+    out = []
+    for p in polys:
+        total = series.TSeries.zero(modulus)
+        for e, c in p.terms.items():
+            m = table.get(e)
+            if m is None:
+                m = series.TSeries.constant(1, modulus)
+                for v, k in zip(point, e):
+                    for _ in range(k):
+                        m = m * v
+                table[e] = m
+            total = total + m * c
+        out.append(total)
+    return out
+
+
+def w_coeff(powers: list[list[series.TSeries]], binom: Sequence[int], m: int) -> series.TSeries:
+    """[W^l]_m = sum_j C(l, j) [V_j]_m, the s^{-m} coefficient of W^l, off a
+    table of binomial powers V_j = (W - 1)^j and ``binom`` = C(l, 0),
+    C(l, 1), ...; the sum stops at the shorter of the two."""
+    acc = powers[0][m]
+    for j in range(1, min(len(binom), len(powers))):
+        acc = acc + powers[j][m] * binom[j]
+    return acc
+
+
+def binomial_column(powers: list[list[series.TSeries]], m: int) -> None:
+    """Fill column m of every row j >= 2 of a table of binomial powers:
+    [V_j]_m = sum_{k=1}^{m-j+1} [V_1]_k [V_{j-1}]_{m-k}."""
+    step = powers[1]
+    for j in range(2, len(powers)):
+        acc = series.TSeries.zero(step[0].modulus)
+        for k in range(1, m - j + 2):
+            acc = acc + step[k] * powers[j - 1][m - k]
+        powers[j][m] = acc
+
+
+def reparam_table(model: LocalModel, c_now: Sequence[series.TSeries],
+                  c_next: Sequence[series.TSeries], smax: int, modulus: int
+                  ) -> tuple[list[series.TSeries], list[list[series.TSeries]]]:
+    """The unit and the table of binomial powers of ``series.reparam_solve``,
+    solved order by order with ``binomial_column`` and ``w_coeff``: u_m is
+    (c_m(now) - the s^{a-m} coefficient of the left side) / a, the left
+    side being sum_k coeff[k] [W^(a-k)]_(m-k) with coeff[0] = 1."""
+    a = model.a
+    zero = series.TSeries.zero(modulus)
+    one = series.TSeries.constant(1, modulus)
+    coeff = [one, zero, *c_next]
+    powers = [[one] + [zero] * smax, [zero] * (smax + 1)]
+    for m in range(2, smax + 1):
+        if powers[-1][m - 1]:
+            powers.append([zero] * (smax + 1))
+        binomial_column(powers, m)
+        lhs = zero
+        for k in range(min(a, m) + 1):
+            lhs = lhs + coeff[k] * w_coeff(powers, series._binomials(a - k, a - k), m - k)
+        rhs = c_now[m - 2] if m <= a else zero
+        powers[1][m] = (rhs - lhs) * Fraction(1, a)
+    return [one] + powers[1][1:], powers
+
+
+def unit_powers(unit: Sequence[series.TSeries], l: int, depth: int) -> list[series.TSeries]:
+    """[W^l]_0 .. [W^l]_depth by J. C. P. Miller's recurrence
+    p_m = (1/m) sum_{k=1..m} ((l+1)k - m) u_k p_{m-k}, p_0 = 1."""
+    p = [unit[0]]
+    for m in range(1, depth + 1):
+        acc = series.TSeries.zero(unit[0].modulus)
+        for k in range(1, m + 1):
+            acc = acc + unit[k] * p[m - k] * ((l + 1) * k - m)
+        p.append(acc * Fraction(1, m))
+    return p
+
+
 def pm_difference_by_column_0(sigma_model: SigmaModel, c_now: Sequence[series.TSeries],
                               c_next: Sequence[series.TSeries], smax: int,
                               modulus: int) -> list[series.TSeries]:
@@ -172,16 +258,16 @@ def pm_difference_by_column_0(sigma_model: SigmaModel, c_now: Sequence[series.TS
     from column 0 on: [W^l]_0 = 1 comes off the table like any other
     column and is added to sigma_l(now)'s share of s^l as a product with
     sigma_l(next). The reference for ``_pm_difference``, which adds
-    sigma_l(next) - sigma_l(now) at s^l directly."""
+    sigma_l(next) - sigma_l(now) at s^l directly and sums each column in
+    one accumulator; here every sum is term by term."""
     model = sigma_model.model
     l_max = model.b + len(sigma_model.g0)
     l_sing = max(modulus - model.b - 1, 0)
     ls = range(-l_sing, l_max + 1)
     polys = [sigma_coeff(sigma_model, l, tmax=modulus - 1) for l in ls]
-    sig_now = evaluate_many(polys, c_now)
-    sig_next = evaluate_many(polys, c_next)
-    orders = [(s.ord() if isinstance(s, series.TSeries) else 0) if s else modulus
-              for s in sig_next]
+    sig_now = evaluate_by_sums(polys, c_now)
+    sig_next = evaluate_by_sums(polys, c_next)
+    orders = [s.ord() for s in sig_next]
     tops = [min(l + smax, max(modulus - 2 - o, 0)) if o < modulus else -1
             for l, o in zip(ls, orders)]
     depth = max(model.a, smax, *tops)
@@ -197,7 +283,7 @@ def pm_difference_by_column_0(sigma_model: SigmaModel, c_now: Sequence[series.TS
             for m in range(top + 1):
                 if column_ord[m] >= room:
                     continue
-                p = series._w_coeff(powers, binom, m)
+                p = w_coeff(powers, binom, m)
                 if p:
                     diff[l_max - l + m] = diff[l_max - l + m] + p * s_nxt
     return diff

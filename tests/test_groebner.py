@@ -9,7 +9,7 @@ from operator import add, sub
 
 import pytest
 
-from equigen import groebner
+from equigen import cli, expansion, groebner, polycore
 from equigen.expansion import LocalModel, big_f, jac_bar
 from equigen.groebner import (
     Budget,
@@ -998,6 +998,59 @@ def test_expired_budget_builds_no_presentation(monkeypatch):
     assert builds == ["_presentation_obstruction"]
     assert res.status is GStatus.TIMEOUT
     assert res.pairs_processed == 2
+
+
+def test_clock_running_out_inside_jbar_determinant(monkeypatch, tmp_path):
+    # Jbar's minors expansion tests the budget before each product. A clock
+    # that runs out there gives a timeout with no pairs, before any pair
+    # loop, and stores no Jbar: a later call with time to spare gives the
+    # verdict and pairs of a check without a budget, and a scan stores no
+    # entry.
+    model = LocalModel(4, 6)
+    free = check_g_index(model, 1)
+    assert free.status is GStatus.HOLDS
+    clock = _FakeClock(monkeypatch)
+    in_det = []
+    real_det = polycore.det_bareiss
+
+    def det(*args):
+        in_det.append(True)
+        try:
+            return real_det(*args)
+        finally:
+            in_det.pop()
+
+    def monotonic():
+        # Inside the determinant each read of the clock costs one second.
+        if in_det:
+            clock.now += 1.0
+        return clock.now
+
+    runs = []
+    real_buchberger = groebner.buchberger
+
+    def counted(*args):
+        runs.append(args)
+        return real_buchberger(*args)
+
+    monkeypatch.setattr(polycore, "det_bareiss", det)
+    monkeypatch.setattr(groebner, "monotonic", monotonic)
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    expansion.jac_bar.cache_clear()
+    res = check_g_index(model, 1, Budget(seconds=3.5))
+    assert (res.status, res.pairs_processed) == (GStatus.TIMEOUT, 0)
+    # The fourth product's test found the clock run out.
+    assert runs == [] and clock.now == 4.0
+    later = check_g_index(model, 1, Budget(seconds=10.0 ** 6))
+    assert (later.status, later.pairs_processed) == (free.status, free.pairs_processed)
+    assert clock.now > 4.0 + free.pairs_processed
+    # Every index of a scan cell has its own clock, and each runs out in Jbar.
+    expansion.jac_bar.cache_clear()
+    row = cli._scan_cell((4, 6, Budget(seconds=3.5), str(tmp_path)))
+    assert row["verdict"] == "timeout"
+    assert [(e["verdict"], e["pairs"], e["poly_hashes"]) for e in row["indices"]] == [
+        ("timeout", 0, None)] * 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_bounds_final_inter_reduction(monkeypatch):

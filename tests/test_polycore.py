@@ -30,7 +30,7 @@ from equigen.polycore import (
 )
 from equigen.series import TSeries
 
-from oracles import divides, tuple_product, variable, weighted_degree
+from oracles import divides, evaluate_by_sums, tuple_product, variable, weighted_degree
 
 VS2 = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
@@ -261,6 +261,26 @@ def test_evaluate_at_series_matches_term_by_term_powers(polys):
                 assert poly.evaluate(values) == _evaluate_term_by_term(poly, values)
             assert evaluate_many(polys, values) == [_evaluate_term_by_term(poly, values)
                                                     for poly in polys]
+
+
+def test_evaluate_many_at_series_gives_series_for_every_polynomial():
+    # Each polynomial is summed in the one series accumulator: zero and
+    # constant polynomials give series too, and every value equals the
+    # term-by-term sum. A scalar after a series value is its constant
+    # series; a series of another modulus is refused.
+    polys = [MPoly.zero(VS2), MPoly.constant(VS2, Fraction(-3, 2)),
+             _poly(VS2, [((0, 0), 2), ((1, 0), Fraction(1, 3)), ((2, 1), -4)]),
+             _poly(VS2, [((3, 0), 1), ((1, 2), Fraction(5, 7))])]
+    x = TSeries(7, [0, Fraction(1, 2), 3])
+    y = TSeries(7, [2, 0, Fraction(-1, 5)])
+    values = evaluate_many(polys, [x, y])
+    assert all(type(v) is TSeries and v.modulus == 7 for v in values)
+    assert values == evaluate_by_sums(polys, [x, y])
+    assert values[:2] == [TSeries.zero(7), TSeries.constant(Fraction(-3, 2), 7)]
+    assert evaluate_many(polys, [x, Fraction(2, 3)]) == evaluate_by_sums(
+        polys, [x, TSeries.constant(Fraction(2, 3), 7)])
+    with pytest.raises(ValueError, match="mixed moduli"):
+        evaluate_many(polys, [x, TSeries(8, [1])])
 
 
 @given(polys(VS2), polys(VS2), coeffs, coeffs)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from equigen import series
@@ -16,14 +16,13 @@ from equigen.series import (
     TSeries,
     _binomials,
     _unit_powers,
-    _w_coeff,
     order_bound_audit,
     pm_identity_check,
     pm_window_bound,
     reparam_solve,
     substitution_check,
 )
-from oracles import pm_difference_by_column_0
+from oracles import evaluate_by_sums, pm_difference_by_column_0, reparam_table, unit_powers, w_coeff
 
 SEED = 20260816
 
@@ -240,6 +239,63 @@ def test_tseries_representation_is_canonical():
 def _at(val, coeffs, modulus=K):
     """sum_i coeffs[i] t^(val + i), truncated at the modulus."""
     return TSeries(modulus, [0] * val + [Fraction(c) for c in coeffs])
+
+
+# the one series accumulator against term-by-term series arithmetic
+
+DOT_K = 8
+
+dot_series = st.builds(
+    lambda val, cs: TSeries(DOT_K, [0] * val + cs),
+    st.integers(0, DOT_K),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6),
+)
+dot_scalar = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5,
+                                                        max_denominator=6)).filter(bool)
+
+
+@st.composite
+def dot_terms(draw):
+    """Terms (k, x, y), y = None among them, and half the time some of them
+    again with k negated, so that the sum may cancel to zero."""
+    terms = draw(st.lists(st.tuples(dot_scalar, dot_series, st.none() | dot_series),
+                          max_size=6))
+    if terms and draw(st.booleans()):
+        again = draw(st.permutations(terms))[:draw(st.integers(1, len(terms)))]
+        terms += [(-k, x, y) for k, x, y in again]
+    return terms
+
+
+def _assert_canonical(s, modulus):
+    assert s.modulus == modulus and type(s._num) is tuple and s._den > 0
+    if not s._num:
+        assert (s._val, s._den) == (0, 1)
+        return
+    assert s._num[0] and s._num[-1] and s._val + len(s._num) <= modulus
+    assert math.gcd(s._den, *s._num) == 1
+
+
+def _dot_by_sums(terms):
+    total = TSeries.zero(DOT_K)
+    for k, x, y in terms:
+        total = total + (k * x if y is None else k * x * y)
+    return total
+
+
+# the one-term case, y = None, zero series, a product whose valuation
+# reaches K, mixed valuations, and terms that cancel to zero
+@example([(Fraction(3, 4), _at(1, [2, 0, Fraction(1, 3)], DOT_K), None)])
+@example([(2, _at(2, [1, 1], DOT_K), _at(3, [Fraction(1, 2)], DOT_K))])
+@example([(1, TSeries.zero(DOT_K), None), (5, _at(0, [1], DOT_K), TSeries.zero(DOT_K))])
+@example([(1, _at(4, [1], DOT_K), _at(4, [1, 2], DOT_K)), (-1, _at(7, [3], DOT_K), None)])
+@example([(Fraction(1, 3), _at(0, [1, 2], DOT_K), _at(5, [1], DOT_K)),
+          (2, _at(3, [Fraction(1, 2)], DOT_K), None),
+          (Fraction(-1, 3), _at(5, [1, 2], DOT_K), None)])
+@given(dot_terms())
+def test_dot_matches_term_by_term_sum(terms):
+    got = TSeries._dot(DOT_K, terms)
+    assert got == _dot_by_sums(terms)
+    _assert_canonical(got, DOT_K)
 
 
 def _assert_valuation_form(s, dense):
@@ -627,7 +683,7 @@ def test_binomial_powers_match_miller_recurrence(unit):
     for l in range(-3, 6):
         binom = _binomials(l, len(powers) - 1)
         for d in (depth, depth - 2):
-            assert [_w_coeff(powers, binom, m) for m in range(d + 1)] == _unit_powers(unit, l, d)
+            assert [w_coeff(powers, binom, m) for m in range(d + 1)] == _unit_powers(unit, l, d)
 
 
 def _random_solves(seed):
@@ -650,8 +706,23 @@ def test_solver_table_matches_miller_recurrence():
             # the whole table, and for l >= 0 only the rows up to C(l, l)
             binoms = [_binomials(l, len(res.powers) - 1)] + ([_binomials(l, l)] if l >= 0 else [])
             for binom in binoms:
-                assert ([_w_coeff(res.powers, binom, m) for m in range(res.smax + 1)]
+                assert ([w_coeff(res.powers, binom, m) for m in range(res.smax + 1)]
                         == _unit_powers(res.unit, l, res.smax))
+
+
+def test_solver_unit_and_table_match_term_by_term_solve():
+    # Reparam cases (a in 2..4, modulus 8..12, smax up to 14): the solver
+    # sums each column and each order's left side in one accumulator, the
+    # oracle solves with TSeries + and * alone.
+    rng = random.Random(SEED + 12)
+    for n in range(30):
+        a = 2 + n % 3
+        model = LocalModel(*rng.choice(_REPARAM_MODELS[a]))
+        modulus = rng.randint(8, 12)
+        smax = rng.randint(a, 14)
+        c_now, c_next = _random_pair(rng, model, modulus)
+        res = reparam_solve(model, c_now, c_next, smax, modulus)
+        assert (res.unit, res.powers) == reparam_table(model, c_now, c_next, smax, modulus)
 
 
 def test_binomial_powers_stop_at_first_vanishing_power():
@@ -661,7 +732,7 @@ def test_binomial_powers_stop_at_first_vanishing_power():
     res = reparam_solve(model, c_now, c_now, 14, K)
     assert res.powers == [[ts(1)] + [ts()] * 14, [ts()] * 15]
     # and every power of W is 1
-    assert [_w_coeff(res.powers, _binomials(-4, 1), m) for m in range(15)] == [ts(1)] + [ts()] * 14
+    assert [w_coeff(res.powers, _binomials(-4, 1), m) for m in range(15)] == [ts(1)] + [ts()] * 14
     # A row is added only once the row above has a nonzero entry; u_1 = 0,
     # so V_j starts at s^-2j at the earliest
     for res in _random_solves(SEED + 11):
@@ -795,25 +866,21 @@ def test_binomial_column_step_is_shared_and_substitution_keeps_miller(monkeypatc
 
 def _pm_difference_by_miller(sigma_model, c_now, c_next, smax, modulus):
     """The regrouped matching-identity difference as computed before the
-    binomial powers: one Miller recurrence for W^l and one ``MPoly.evaluate``
-    per s-exponent l and point."""
+    binomial powers: one Miller recurrence for W^l and one evaluation per
+    s-exponent l and point, both summed term by term (``oracles``)."""
     model = sigma_model.model
     l_max = model.b + len(sigma_model.g0)
     l_sing = max(modulus - model.b - 1, 0)
     result = series.reparam_solve(model, c_now, c_next, max(smax + l_max, model.a), modulus)
     unit = result.unit
 
-    def sigma_at(poly, values):
-        v = poly.evaluate(values)
-        return v if isinstance(v, TSeries) else TSeries.constant(v, modulus)
-
     diff = [TSeries.zero(modulus)] * (l_max + smax + 1)
     for l in range(-l_sing, l_max + 1):
         poly = sigma_coeff(sigma_model, l, tmax=modulus)
-        s_nxt = sigma_at(poly, c_next)
-        diff[l_max - l] = diff[l_max - l] - sigma_at(poly, c_now)
+        s_nxt, s_now = (evaluate_by_sums([poly], values)[0] for values in (c_next, c_now))
+        diff[l_max - l] = diff[l_max - l] - s_now
         if s_nxt:
-            for m, p in enumerate(_unit_powers(unit, l, l + smax)):
+            for m, p in enumerate(unit_powers(unit, l, l + smax)):
                 diff[l_max - l + m] = diff[l_max - l + m] + s_nxt * p
     return diff
 

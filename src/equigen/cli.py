@@ -24,6 +24,7 @@ from .groebner import (
     Ideal,
     Membership,
     _check_g_index_on,
+    _generate_jbar,
     _presentation_obstruction,
     aggregate_status,
     check_g,
@@ -367,10 +368,11 @@ def _scan_cell(job: tuple[int, int, Budget, str | None]) -> dict[str, Any]:
         # the check; the index's clock runs from before it, and Jbar is
         # generated on it.
         index_budget = Budget(budget.seconds, budget.max_pairs)
-        if jac_bar(model, index_budget.expired) is None:
+        timeout = _generate_jbar(model, i, index_budget)
+        if timeout is not None:
             # No polynomials to hash, so nothing to look up or store.
-            indices.append(dict(_scan_entry(a, b, i, GStatus.TIMEOUT, 0, 0.0, None),
-                                cached=False))
+            indices.append(dict(_scan_entry(a, b, i, GStatus.TIMEOUT, 0,
+                                            round(timeout.elapsed, 4), None), cached=False))
             statuses.append(GStatus.TIMEOUT)
             continue
         obstruction = _presentation_obstruction(model, i)

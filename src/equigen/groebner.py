@@ -515,19 +515,27 @@ def check_g_index(model: LocalModel, i: int, budget: Budget | None = None) -> GI
     Holds iff F_{-i} * Jbar does NOT lie in the radical of the ideal of the
     other obstructions. Both generator presentations are run and must agree;
     disagreement is an engine bug, not a verdict. The budget's seconds bound
-    both runs together, and the generation of Jbar before them: a clock
-    that runs out there gives a timeout with no pairs.
+    both runs together, and the generation of Jbar before them
+    (``_generate_jbar``).
     """
     if not 1 <= i <= model.a - 1:
         raise ValueError(f"index must be in [1, {model.a - 1}], got {i}")
     budget = budget or Budget()
-    if budget.expired():
-        return GIndexResult(i, GStatus.TIMEOUT)
-    # Jbar is generated on the clock; both presentations then read it from
-    # its memo.
-    if jac_bar(model, budget.expired) is None:
-        return GIndexResult(i, GStatus.TIMEOUT)
+    timeout = _generate_jbar(model, i, budget)
+    if timeout is not None:
+        return timeout
     return _check_g_index_on(model, i, _presentation_obstruction(model, i), budget)
+
+
+def _generate_jbar(model: LocalModel, i: int, budget: Budget) -> GIndexResult | None:
+    """Generate Jbar on the budget's clock, before index i's runs, which
+    then read it from its memo. None once it is there; if the clock runs
+    out first, the index's timeout, with no pairs and the seconds the
+    index spent generating."""
+    start = monotonic()
+    if budget.expired() or jac_bar(model, budget.expired) is None:
+        return GIndexResult(i, GStatus.TIMEOUT, 0, monotonic() - start)
+    return None
 
 
 def _check_g_index_on(model: LocalModel, i: int, obstruction: tuple[Ideal, MPoly],

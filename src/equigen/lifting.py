@@ -302,7 +302,7 @@ def _eval_perturb(terms: Sequence[PerturbTerm], model: LocalModel, d: int, eq: i
         if not term.alpha:
             continue
         if isinstance(term.alpha, TSeries):
-            val = term.alpha.shift(term.tpow)
+            val = term.alpha * TSeries.t_power(term.tpow, modulus)
         else:
             val = TSeries.t_power(term.tpow, modulus, term.alpha)
         for ci, e in zip(c, term.exps):

@@ -126,25 +126,15 @@ class MPoly:
     def zero(varset: VarSet) -> "MPoly":
         return MPoly(varset)
 
-    @staticmethod
-    def constant(varset: VarSet, value: Scalar) -> "MPoly":
-        return MPoly(varset, {(0,) * len(varset): Fraction(value)})
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.varset == other.varset and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.varset, frozenset(self.terms.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -152,12 +142,7 @@ class MPoly:
         if self.varset != other.varset:
             raise ValueError("polynomials live in different variable sets")
 
-    def __neg__(self) -> "MPoly":
-        return MPoly._of(self.varset, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: "MPoly | Scalar") -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(self.varset, other)
+    def __add__(self, other: "MPoly") -> "MPoly":
         self._check_ring(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
@@ -168,16 +153,6 @@ class MPoly:
                 acc.pop(e, None)
         return MPoly._of(self.varset, acc)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "MPoly | Scalar") -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(self.varset, other)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "MPoly":
-        return (-self) + other
-
     def __mul__(self, other: "MPoly | Scalar") -> "MPoly":
         if isinstance(other, (int, Fraction)):
             k = Fraction(other)
@@ -185,18 +160,6 @@ class MPoly:
         return product_sum(self.varset, ((self, other),))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MPoly.constant(self.varset, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -211,9 +174,8 @@ class MPoly:
     def evaluate(self, point: Sequence[object]):
         """Evaluate at ``point``, one value per variable in ``varset`` order.
 
-        Values may be Fractions, ints, polynomials, or truncated series:
-        anything with ring addition/multiplication against Fractions works.
-        A point of the wrong length is rejected.
+        Values may be Fractions, ints or truncated series. A point of the
+        wrong length is rejected.
         """
         return evaluate_many((self,), point)[0]
 

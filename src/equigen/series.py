@@ -10,9 +10,9 @@ A series is stored as its t-adic valuation and the integer numerators
 from there to its last nonzero coefficient, over one shared positive
 denominator, in lowest terms, so series arithmetic makes no ``Fraction``
 and never builds, scans or copies the zeros below a valuation: a scalar
-multiplies the numerators and the denominator, a shift moves the
-valuation, and a product adds the valuations and convolves the
-numerators (one C-level dot product per output coefficient).
+multiplies the numerators and the denominator, and a product adds the
+valuations and convolves the numerators (one C-level dot product per
+output coefficient).
 ``Fraction``s are made only where a caller reads a coefficient.
 
 Sums of products go through one accumulator, ``TSeries._dot``: the sum
@@ -113,9 +113,9 @@ class TSeries:
     ``_den`` is a positive int. The form is canonical:
     ``gcd(_den, *_num) == 1`` and the zero series is
     ``(_val, _num, _den) == (0, (), 1)``, so equal values have equal fields
-    and ``__eq__`` compares them directly. A constant series also equals
-    its scalar, so ``__hash__`` hashes it as that scalar. The order of the
-    zero series is K (a sentinel meaning "at least the modulus").
+    and ``__eq__`` compares them directly; a constant series also equals
+    its scalar. Series are not hashable. The order of the zero series is K
+    (a sentinel meaning "at least the modulus").
 
     The public constructor coerces every coefficient with ``Fraction`` and
     checks the modulus; ``coeffs`` and ``coeff`` hand coefficients back as
@@ -260,9 +260,6 @@ class TSeries:
         d = self._den
         return (Fraction(0),) * self._val + tuple(Fraction(a, d) for a in self._num)
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -283,15 +280,6 @@ class TSeries:
             return NotImplemented
         return (self.modulus == other.modulus and self._val == other._val
                 and self._den == other._den and self._num == other._num)
-
-    def __hash__(self) -> int:
-        # A constant series equals its scalar, so it hashes as that scalar.
-        num = self._num
-        if not num:
-            return hash(0)
-        if not self._val and len(num) == 1:
-            return hash(Fraction(num[0], self._den))
-        return hash((self.modulus, self._val, num, self._den))
 
     def _like(self, other: "TSeries | Scalar") -> "TSeries":
         """``other`` as a series of this modulus: a scalar becomes its
@@ -349,9 +337,6 @@ class TSeries:
     def __sub__(self, other: "TSeries | Scalar") -> "TSeries":
         return self._sum(other, sub)
 
-    def __rsub__(self, other: Scalar) -> "TSeries":
-        return (-self) + other
-
     def _scaled(self, p: int, q: int) -> "TSeries":
         """self * p / q for ints p and q > 0."""
         if not p or not self._num:
@@ -394,16 +379,6 @@ class TSeries:
         if not p:
             raise ZeroDivisionError("division of a series by zero")
         return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
-
-    def shift(self, n: int) -> "TSeries":
-        """Multiply by t^n (n >= 0); overflow past the modulus is dropped."""
-        if n < 0:
-            raise ValueError("negative shift")
-        K = self.modulus
-        val = self._val + n
-        if not self._num or val >= K:
-            return TSeries._of(K, 0, [], 1)
-        return TSeries._of(K, val, list(self._num[:K - val]), self._den)
 
     def __repr__(self) -> str:
         if not self._num:

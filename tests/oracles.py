@@ -1,7 +1,10 @@
 """Test oracles: small reference functions that only the tests call.
 
 They restate, outside the library, facts the library relies on: a single
-variable as a polynomial, the pair order of pole coordinates, the order of
+variable or a constant as a polynomial, the polynomial arithmetic the
+tests write expected values with and the library does not need
+(subtraction, powers, and a polynomial read from its ``poly_text``
+form), the pair order of pole coordinates, the order of
 a section, the weights of the coefficient variables and weighted
 homogeneity of a polynomial, what makes a genericity witness, divisibility
 of monomials by their exponent vectors, the product of polynomials on
@@ -43,6 +46,59 @@ def variable(varset: VarSet, name: str) -> MPoly:
     exps = [0] * len(varset)
     exps[varset.index(name)] = 1
     return MPoly(varset, {tuple(exps): Fraction(1)})
+
+
+def constant(varset: VarSet, value) -> MPoly:
+    """The scalar ``value`` as a constant polynomial over ``varset``."""
+    return MPoly(varset, {(0,) * len(varset): value})
+
+
+def sub(p: MPoly, q: MPoly) -> MPoly:
+    """p - q."""
+    return p + q * -1
+
+
+def power(p: MPoly, n: int) -> MPoly:
+    """p^n for n >= 0, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = constant(p.varset, 1)
+    base = p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+_TERM = re.compile(r"\s*([+-]?)\s*([^\s+-]+)")
+
+
+def poly(varset: VarSet, text: str) -> MPoly:
+    """The polynomial over ``varset`` written ``text`` in the ``poly_text``
+    form: terms joined by " + " or " - ", each a rational coefficient p/q,
+    a monomial such as x^2*y, or the two joined by "*". Terms may come in
+    any order, and terms in one monomial add."""
+    if not text.strip():
+        raise ValueError("empty polynomial text")
+    terms: dict[Exponents, Fraction] = {}
+    pos = 0
+    while pos < len(text):
+        match = _TERM.match(text, pos)
+        if match is None:
+            raise ValueError(f"cannot read {text[pos:]!r} in {text!r}")
+        sign, body = match.groups()
+        coeff, exps = Fraction(-1 if sign == "-" else 1), [0] * len(varset)
+        for factor in body.split("*"):
+            name, caret, exp = factor.partition("^")
+            if name[:1].isdigit():
+                coeff *= Fraction(name)
+            else:
+                exps[varset.index(name)] += int(exp) if caret else 1
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+        pos = match.end()
+    return MPoly(varset, terms)
 
 
 def divides(e1: Exponents, e2: Exponents) -> bool:
@@ -140,13 +196,12 @@ def f_bar_by_products(model: LocalModel, j: int) -> MPoly:
     for k in range(2, j):
         weight = Fraction(j - k, a)
         f_tail = f_coeff(model, b, b + j - k).rename(varset, tilde)
-        diff_k = variable(varset, f"c{k}") - variable(varset, f"ct{k}")
+        diff_k = sub(variable(varset, f"c{k}"), variable(varset, f"ct{k}"))
         total = total + weight * diff_k * f_tail
         for l in range(2, k - 1):
-            diff_kl = (variable(varset, f"c{k - l}")
-                       - variable(varset, f"ct{k - l}"))
+            diff_kl = sub(variable(varset, f"c{k - l}"), variable(varset, f"ct{k - l}"))
             ct_l = variable(varset, f"ct{l}")
-            total = total - weight * Fraction(a - l, a) * diff_kl * ct_l * f_tail
+            total = sub(total, weight * Fraction(a - l, a) * diff_kl * ct_l * f_tail)
     return total
 
 

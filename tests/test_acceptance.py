@@ -47,7 +47,7 @@ from equigen.series import (
     substitution_check,
 )
 
-from oracles import variable, variable_weight, weighted_degree
+from oracles import sub, variable, variable_weight, weighted_degree
 
 SEED = 20260816
 
@@ -237,7 +237,7 @@ def _euler_defect(p: MPoly):
     total = MPoly.zero(p.varset)
     for name in p.varset.names:
         total = total + variable(p.varset, name) * p.diff(name) * variable_weight(name)
-    return total - p * deg
+    return sub(total, p * deg)
 
 
 def test_criterion_4a_homogeneity_and_euler():
@@ -427,7 +427,7 @@ def _prior_coefficients_frozen(config, report):
             d = config.d[j - 1]
             for idx, i in enumerate(range(2, config.model(j).a + 1)):
                 diff = snap[j - 1][idx] - snap_prev[j - 1][idx]
-                if not diff.is_zero() and diff.ord() < d * i + k:
+                if diff and diff.ord() < d * i + k:
                     problems.append(
                         f"k={k} point {j} c{i}: correction at order {diff.ord()}")
     return problems

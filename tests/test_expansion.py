@@ -23,9 +23,11 @@ from equigen.polycore import MPoly, poly_text
 
 from oracles import (
     big_f_by_sums,
+    constant,
     f_bar_by_products,
     jacobian_by_identification,
     sigma_by_sums,
+    sub,
     variable,
     weighted_degree,
 )
@@ -51,8 +53,8 @@ def binomial_f_oracle(model, beta_num, mmax):
     alpha = Fraction(beta_num, model.a)
     u = {k: variable(vs, f"c{k}") for k in range(2, model.a + 1)}
     out = {m: MPoly.zero(vs) for m in range(mmax + 1)}
-    out[0] = MPoly.constant(vs, 1)
-    upow = {0: MPoly.constant(vs, 1)}
+    out[0] = constant(vs, 1)
+    upow = {0: constant(vs, 1)}
     binom = Fraction(1)
     for j in range(1, mmax // 2 + 1):
         binom = binom * (alpha - (j - 1)) / j
@@ -207,9 +209,9 @@ def test_theta_cap_positive_powers_match_products(model):
     # the round-trip tests check on their own.
     imax = 9
     zero = MPoly.zero(model.varset)
-    unit = [MPoly.constant(model.varset, 1), zero] + [
+    unit = [constant(model.varset, 1), zero] + [
         theta_cap(model, 1, m) for m in range(2, imax + 1)]
-    power = [MPoly.constant(model.varset, 1)] + [zero] * imax
+    power = [constant(model.varset, 1)] + [zero] * imax
     for l in range(1, 5):
         power = [sum((power[j] * unit[i - j] for j in range(i + 1)), zero)
                  for i in range(imax + 1)]
@@ -318,7 +320,7 @@ def test_f_bar_cross_term_shape():
         tilde = [variable(vs, f"ct{k}") for k in range(2, model.a + 1)]
         f_j = f_coeff(model, b, b + 3).evaluate(plain)
         f_prev_tilde = f_coeff(model, b, b + 1).evaluate(tilde)
-        assert bar == f_j + (c2 - ct2) * f_prev_tilde * Fraction(1, model.a)
+        assert bar == f_j + sub(c2, ct2) * f_prev_tilde * Fraction(1, model.a)
 
 
 def test_f_bar_low_index_has_no_correction():

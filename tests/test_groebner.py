@@ -30,7 +30,7 @@ from equigen.groebner import (
 )
 from equigen.polycore import Exponents, MPoly, VarSet, _Packing, grevlex_key, poly_text
 
-from oracles import divides, loop_basis, variable, witness_verify
+from oracles import constant, divides, loop_basis, poly, sub, variable, witness_verify
 
 VS = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
@@ -51,11 +51,12 @@ def _gb_texts(ideal, budget=None):
 
 
 def test_gb_textbook_example():
-    assert _gb_texts(Ideal.of(VS, [X**2 - Y, X**3])) == ["y^2", "x*y", "x^2 - y"]
+    ideal = Ideal.of(VS, [poly(VS, "x^2 - y"), poly(VS, "x^3")])
+    assert _gb_texts(ideal) == ["y^2", "x*y", "x^2 - y"]
 
 
 def test_gb_single_generator_monic():
-    assert _gb_texts(Ideal.of(VS, [3 * (X**2 - Y)])) == ["x^2 - y"]
+    assert _gb_texts(Ideal.of(VS, [3 * poly(VS, "x^2 - y")])) == ["x^2 - y"]
 
 
 def test_gb_already_complete():
@@ -63,11 +64,11 @@ def test_gb_already_complete():
 
 
 def test_gb_unit_short_circuit():
-    ideal = Ideal.of(VS, [X, X - MPoly.constant(VS, 1), Y**5])
+    ideal = Ideal.of(VS, [X, poly(VS, "x - 1"), poly(VS, "y^5")])
     res = buchberger(ideal)
     assert res.entries is not None
     assert ideal_contains_one(res)
-    assert reduced_basis(ideal) == [MPoly.constant(VS, 1)]
+    assert reduced_basis(ideal) == [constant(VS, 1)]
 
 
 def test_gb_rejects_empty():
@@ -81,7 +82,7 @@ def test_ideal_of_drops_zero_and_duplicates():
 
 
 def test_gb_invariant_under_generator_order():
-    gens = [X**2 - Y, X**3, X * Y - Y]
+    gens = [poly(VS, "x^2 - y"), poly(VS, "x^3"), poly(VS, "x*y - y")]
     expect = None
     for perm in itertools.permutations(gens):
         texts = _gb_texts(Ideal.of(VS, list(perm)))
@@ -102,7 +103,7 @@ def test_reduced_basis_runs_the_module_pair_loop_once(monkeypatch):
         return real_buchberger(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", watched)
-    ideal, budget = Ideal.of(VS, [X**2 - Y, X**3]), Budget(seconds=30)
+    ideal, budget = Ideal.of(VS, [poly(VS, "x^2 - y"), poly(VS, "x^3")]), Budget(seconds=30)
     assert [poly_text(g) for g in reduced_basis(ideal, budget)] == ["y^2", "x*y", "x^2 - y"]
     ((args, kwargs),) = calls
     assert len(args) == 2 and args[0] is ideal and args[1] is budget and not kwargs
@@ -185,11 +186,11 @@ def test_entry_sign_taken_from_the_lead():
 
 
 def test_normal_form_of_members_vanishes():
-    basis = reduced_basis(Ideal.of(VS, [X**2 - Y, X**3]))
+    basis = reduced_basis(Ideal.of(VS, [poly(VS, "x^2 - y"), poly(VS, "x^3")]))
     rng = random.Random(SEED)
     for _ in range(100):
         combo = MPoly.zero(VS)
-        for g in (X**2 - Y, X**3):
+        for g in (poly(VS, "x^2 - y"), poly(VS, "x^3")):
             mult = MPoly(VS, {(rng.randint(0, 2), rng.randint(0, 2)):
                               Fraction(rng.randint(-3, 3))})
             combo = combo + mult * g
@@ -313,9 +314,9 @@ def test_normal_form_with_big_integer_reducers_matches_reference():
 def test_normal_form_is_linear():
     # The remainder of r*p + s*q is, up to its content, r and s times the
     # exact remainders of p and q; a nonzero multiple has p's own.
-    basis = reduced_basis(Ideal.of(VS, [X**2 - Y]))
-    p = X**3 + Y
-    q = X * Y - MPoly.constant(VS, 2)
+    basis = reduced_basis(Ideal.of(VS, [poly(VS, "x^2 - y")]))
+    p = poly(VS, "x^3 + y")
+    q = poly(VS, "x*y - 2")
     nf_p, nf_q = (reference_normal_form(g, basis) for g in (p, q))
     for r, s in ((1, 1), (Fraction(-3, 2), 5), (7, Fraction(2, 9)), (0, -4)):
         assert _nf(r * p + s * q, basis) == _primitive_poly(r * nf_p + s * nf_q)
@@ -332,7 +333,7 @@ def monic_s_poly(g1, g2, lm1, lm2):
     lcm = tuple(map(max, lm1, lm2))
     m1 = MPoly(g1.varset, {tuple(a - b for a, b in zip(lcm, lm1)): 1 / g1.terms[lm1]})
     m2 = MPoly(g2.varset, {tuple(a - b for a, b in zip(lcm, lm2)): 1 / g2.terms[lm2]})
-    return m1 * g1 - m2 * g2
+    return sub(m1 * g1, m2 * g2)
 
 
 def _random_int_poly(rng, varset, n_terms, max_deg):
@@ -432,8 +433,7 @@ def test_overflowing_s_pair_reruns_with_wider_fields(monkeypatch):
     # Degree-3 input: the first packing holds degree 7, and an S-pair of
     # degree 8 makes the run start again with wider fields. Basis and pair
     # count are pinned from the engine on exponent tuples.
-    x, y, z = (variable(VS3, n) for n in "xyz")
-    ideal = Ideal.of(VS3, [x * y**2 - y * z**2, x * z - y**3])
+    ideal = Ideal.of(VS3, [poly(VS3, "x*y^2 - y*z^2"), poly(VS3, "x*z - y^3")])
     limits = _watch_packings(monkeypatch)
     res = buchberger(ideal)
     assert limits == [7, 31]
@@ -448,9 +448,8 @@ def test_overflowing_s_pair_reruns_with_wider_fields(monkeypatch):
 
 
 def test_high_degree_input_fits_the_first_packing(monkeypatch):
-    x, y, z = (variable(VS3, n) for n in "xyz")
     limits = _watch_packings(monkeypatch)
-    ideal = Ideal.of(VS3, [x**300 * y - z**2, y**2 * z - x**150])
+    ideal = Ideal.of(VS3, [poly(VS3, "x^300*y - z^2"), poly(VS3, "y^2*z - x^150")])
     res = buchberger(ideal)
     assert limits == [1023]
     assert res.pairs_processed == 1
@@ -480,12 +479,11 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
     # reduced basis is computed here.
     for a, b in ((4, 6), (4, 7)):
         check_g(LocalModel(a, b))
-    x, y, z = (variable(VS3, n) for n in "xyz")
-    one = MPoly.constant(VS3, 1)
-    for ideal in (Ideal.of(VS, [X**2 - Y, X**3]),
-                  Ideal.of(VS, [3 * (X**2 - Y)]),
-                  Ideal.of(VS, [X - MPoly.constant(VS, 1), Y**5]),
-                  Ideal.of(VS3, [x**2 + y + z - one, x + y**2 + z - one, x + y + z**2 - one])):
+    for ideal in (Ideal.of(VS, [poly(VS, "x^2 - y"), poly(VS, "x^3")]),
+                  Ideal.of(VS, [3 * poly(VS, "x^2 - y")]),
+                  Ideal.of(VS, [poly(VS, "x - 1"), poly(VS, "y^5")]),
+                  Ideal.of(VS3, [poly(VS3, "x^2 + y + z - 1"), poly(VS3, "x + y^2 + z - 1"),
+                                 poly(VS3, "x + y + z^2 - 1")])):
         reduced_basis(ideal)
     assert len(ideals) == 12 + 4
     for ideal in list(ideals):
@@ -502,19 +500,19 @@ def test_reduced_basis_is_fractions_and_no_float_anywhere(monkeypatch):
 
 
 def test_budget_max_pairs_timeout():
-    gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
+    gens = [poly(VS, "x^3 - y^2"), poly(VS, "x^2*y - x"), poly(VS, "y^3 - x")]
     res = buchberger(Ideal.of(VS, gens), budget=Budget(max_pairs=1))
     assert res.entries is None
     assert reduced_basis(Ideal.of(VS, gens), budget=Budget(max_pairs=1)) is None
 
 
 def test_budget_generous_completes():
-    gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
+    gens = [poly(VS, "x^3 - y^2"), poly(VS, "x^2*y - x"), poly(VS, "y^3 - x")]
     assert reduced_basis(Ideal.of(VS, gens), budget=Budget(seconds=30)) is not None
 
 
 def test_contains_one_needs_basis():
-    gens = [X**3 - Y**2, X**2 * Y - X]
+    gens = [poly(VS, "x^3 - y^2"), poly(VS, "x^2*y - x")]
     res = buchberger(Ideal.of(VS, gens), budget=Budget(max_pairs=0))
     assert res.entries is None
     with pytest.raises(ValueError):
@@ -526,15 +524,16 @@ def test_contains_one_needs_basis():
 
 
 def test_radical_membership_basic():
-    assert radical_member(X, Ideal.of(VS, [X**2])).verdict is Membership.TRUE
+    assert radical_member(X, Ideal.of(VS, [poly(VS, "x^2")])).verdict is Membership.TRUE
     x, y, z = (variable(VS3, n) for n in "xyz")
-    assert radical_member(x + y, Ideal.of(VS3, [x**2, y**2])).verdict is Membership.TRUE
+    squares = Ideal.of(VS3, [poly(VS3, "x^2"), poly(VS3, "y^2")])
+    assert radical_member(x + y, squares).verdict is Membership.TRUE
     assert radical_member(z, Ideal.of(VS3, [x])).verdict is Membership.FALSE
 
 
 def test_radical_membership_aux_name_collision():
     # a variable literally named y must not break the auxiliary construction
-    assert radical_member(Y, Ideal.of(VS, [Y**3])).verdict is Membership.TRUE
+    assert radical_member(Y, Ideal.of(VS, [poly(VS, "y^3")])).verdict is Membership.TRUE
 
 
 def test_radical_membership_zero_ideal(monkeypatch):
@@ -556,7 +555,7 @@ def test_radical_membership_zero_ideal(monkeypatch):
     assert nonzero.verdict is Membership.FALSE and nonzero.pairs_processed == 0
     assert [len(ideal.generators) for ideal, _ in runs] == [1, 1]
     assert [res.pairs_processed for _, res in runs] == [0, 0]
-    assert [loop_basis(ideal.varset, res) == [MPoly.constant(ideal.varset, 1)]
+    assert [loop_basis(ideal.varset, res) == [constant(ideal.varset, 1)]
             for ideal, res in runs] == [True, False]
     assert [len(res.entries) for _, res in runs] == [1, 1]
 
@@ -580,7 +579,7 @@ def test_radical_membership_builds_the_rabinowitsch_ideal(monkeypatch, ab):
             assert big == ideal.varset.extend("y")
             gens = seen[-1].generators
             assert list(gens[:-1]) == [g.rename(big) for g in ideal.generators]
-            assert gens[-1] == MPoly.constant(big, 1) - variable(big, "y") * p.rename(big)
+            assert gens[-1] == sub(constant(big, 1), variable(big, "y") * p.rename(big))
 
 
 # The default scan grid (a in 3..4, b <= 9, b not a multiple of a) at every
@@ -612,7 +611,7 @@ def test_unreduced_membership_run_matches_reduced_basis(monkeypatch, a, b, i):
         (_, reduced_run), = runs[1:]
         runs.clear()
         assert member.pairs_processed == run.pairs_processed == reduced_run.pairs_processed
-        contains_one = reduced == [MPoly.constant(big_ideal.varset, 1)]
+        contains_one = reduced == [constant(big_ideal.varset, 1)]
         assert ideal_contains_one(run) is contains_one
         assert member.verdict is (Membership.TRUE if contains_one else Membership.FALSE)
         unreduced = loop_basis(big_ideal.varset, run)
@@ -775,7 +774,7 @@ def test_normal_form_result_is_a_primitive_entry(monkeypatch):
     monkeypatch.setattr(groebner, "normal_form", watched_normal_form)
     for a, b in ((4, 6), (4, 7)):
         check_g(LocalModel(a, b))
-    reduced_basis(Ideal.of(VS, [X**2 - Y, X**3, X * Y - Y]))
+    reduced_basis(Ideal.of(VS, [poly(VS, "x^2 - y"), poly(VS, "x^3"), poly(VS, "x*y - y")]))
     assert any(r.terms for r in results) and not all(r.terms for r in results)
     for r in results:
         lm, lc, terms = r
@@ -806,11 +805,11 @@ def test_membership_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(groebner, "Fraction", no_fraction)
     assert results() == expected
     with pytest.raises(AssertionError, match="built a Fraction"):
-        reduced_basis(Ideal.of(VS, [X**2 - Y, X**3]))
+        reduced_basis(Ideal.of(VS, [poly(VS, "x^2 - y"), poly(VS, "x^3")]))
 
 
 def test_radical_membership_timeout_propagates():
-    gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
+    gens = [poly(VS, "x^3 - y^2"), poly(VS, "x^2*y - x"), poly(VS, "y^3 - x")]
     res = radical_member(X + Y, Ideal.of(VS, gens), budget=Budget(max_pairs=1))
     assert res.verdict is Membership.TIMEOUT
 
@@ -1003,9 +1002,9 @@ def test_expired_budget_builds_no_presentation(monkeypatch):
 def test_clock_running_out_inside_jbar_determinant(monkeypatch, tmp_path):
     # Jbar's minors expansion tests the budget before each product. A clock
     # that runs out there gives a timeout with no pairs, before any pair
-    # loop, and stores no Jbar: a later call with time to spare gives the
-    # verdict and pairs of a check without a budget, and a scan stores no
-    # entry.
+    # loop, and with the seconds the index spent generating; it stores no
+    # Jbar: a later call with time to spare gives the verdict and pairs of a
+    # check without a budget, and a scan stores no entry.
     model = LocalModel(4, 6)
     free = check_g_index(model, 1)
     assert free.status is GStatus.HOLDS
@@ -1038,7 +1037,7 @@ def test_clock_running_out_inside_jbar_determinant(monkeypatch, tmp_path):
     monkeypatch.setattr(groebner, "buchberger", counted)
     expansion.jac_bar.cache_clear()
     res = check_g_index(model, 1, Budget(seconds=3.5))
-    assert (res.status, res.pairs_processed) == (GStatus.TIMEOUT, 0)
+    assert (res.status, res.pairs_processed, res.elapsed) == (GStatus.TIMEOUT, 0, 4.0)
     # The fourth product's test found the clock run out.
     assert runs == [] and clock.now == 4.0
     later = check_g_index(model, 1, Budget(seconds=10.0 ** 6))
@@ -1048,14 +1047,15 @@ def test_clock_running_out_inside_jbar_determinant(monkeypatch, tmp_path):
     expansion.jac_bar.cache_clear()
     row = cli._scan_cell((4, 6, Budget(seconds=3.5), str(tmp_path)))
     assert row["verdict"] == "timeout"
-    assert [(e["verdict"], e["pairs"], e["poly_hashes"]) for e in row["indices"]] == [
-        ("timeout", 0, None)] * 3
+    assert [(e["verdict"], e["pairs"], e["seconds"], e["poly_hashes"])
+            for e in row["indices"]] == [("timeout", 0, 4.0, None)] * 3
+    assert row["seconds"] == 12.0
     assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_bounds_final_inter_reduction(monkeypatch):
     clock = _FakeClock(monkeypatch)
-    ideal = Ideal.of(VS, [X**3 - Y**2, X**2 * Y - X, Y**3 - X])
+    ideal = Ideal.of(VS, [poly(VS, "x^3 - y^2"), poly(VS, "x^2*y - x"), poly(VS, "y^3 - x")])
     free = buchberger(ideal)
     # One normal form per processed pair.
     assert free.entries is not None and clock.now == free.pairs_processed
@@ -1101,7 +1101,7 @@ def test_check_g_index_timeout():
 
 def test_pair_budget_timeout_counts_only_processed_pairs():
     # The pair that the budget refuses is not counted.
-    gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
+    gens = [poly(VS, "x^3 - y^2"), poly(VS, "x^2*y - x"), poly(VS, "y^3 - x")]
     for n in (0, 1, 2):
         res = buchberger(Ideal.of(VS, gens), budget=Budget(max_pairs=n))
         assert res.entries is None
@@ -1114,7 +1114,7 @@ def test_clock_timeout_counts_only_processed_pairs(monkeypatch):
     # Each processed pair takes one normal form, one fake second: with 2.5 s
     # the clock runs out before the fourth pair, after three.
     clock = _FakeClock(monkeypatch)
-    gens = [X**3 - Y**2, X**2 * Y - X, Y**3 - X]
+    gens = [poly(VS, "x^3 - y^2"), poly(VS, "x^2*y - x"), poly(VS, "y^3 - x")]
     res = buchberger(Ideal.of(VS, gens), budget=Budget(seconds=2.5))
     assert res.entries is None
     assert res.pairs_processed == clock.now == 3
@@ -1140,7 +1140,7 @@ def test_check_g_index_raises_when_presentations_disagree(monkeypatch):
     # (3,4) index 1 holds, so the obstruction form is not a member; a
     # simplified form that is the unit ideal says it is.
     def unit_ideal(model, i):
-        one = MPoly.constant(model.varset, 1)
+        one = constant(model.varset, 1)
         return Ideal.of(model.varset, [one]), one
 
     monkeypatch.setattr(groebner, "_presentation_simplified", unit_ideal)

@@ -320,7 +320,8 @@ def _term_oracle(term, c, c_seed, modulus):
 def test_eval_perturb_matches_term_by_term():
     # tables share exponents between terms and repeat difference factors
     # (k1 == k2), so any per-call reuse of powers or differences shows here;
-    # zero coefficients, as a Fraction and as the zero series, are drawn too
+    # zero coefficients, as a Fraction and as the zero series, are drawn too,
+    # and so are series coefficients that t^tpow puts partly and wholly past K
     rng = random.Random(20261018)
     model, d, K = M46, 1, 24
     for _ in range(12):
@@ -348,6 +349,10 @@ def test_eval_perturb_matches_term_by_term():
             else:
                 tpow = max(0, d * (model.b + eq) + 1 - d * weight) + rng.randint(0, 2)
                 terms.append(PerturbTerm1(alpha, tpow, exps))
+        tail = TSeries(K, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(3)])
+        no_c = (0,) * (model.a - 1)
+        terms.append(PerturbTerm1(tail, K - rng.randint(1, 2), no_c))
+        terms.append(PerturbTerm1(tail, K + rng.randint(0, 2), no_c))
         expected = [Fraction(0)] * K
         for term in terms:
             expected = [a + b for a, b in zip(expected, _term_oracle(term, c, c_seed, K))]
@@ -440,7 +445,7 @@ def test_lift_one_order_per_step():
     for (k_prev, snap_prev), (k, snap) in zip(rep.history, rep.history[1:]):
         diff = snap[0][0] - snap_prev[0][0]
         # correction at round k lives at order d*i + k and above
-        assert diff.is_zero() or diff.ord() >= 2 + k
+        assert not diff or diff.ord() >= 2 + k
 
 
 def test_lift_closure_orders_via_fresh_residuals():

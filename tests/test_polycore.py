@@ -30,7 +30,17 @@ from equigen.polycore import (
 )
 from equigen.series import TSeries
 
-from oracles import divides, evaluate_by_sums, tuple_product, variable, weighted_degree
+from oracles import (
+    constant,
+    divides,
+    evaluate_by_sums,
+    poly,
+    power,
+    sub,
+    tuple_product,
+    variable,
+    weighted_degree,
+)
 
 VS2 = VarSet(("x", "y"))
 VS3 = VarSet(("x", "y", "z"))
@@ -114,16 +124,16 @@ def test_ring_axioms(p, q, r):
 
 @given(polys(VS2))
 def test_additive_inverse(p):
-    assert (p - p).is_zero()
-    assert p + (-p) == MPoly.zero(VS2)
+    assert sub(p, p).is_zero()
+    assert p + p * -1 == MPoly.zero(VS2)
 
 
 @given(polys(VS2), st.integers(0, 4))
 def test_power_is_repeated_product(p, n):
-    expect = MPoly.constant(VS2, 1)
+    expect = constant(VS2, 1)
     for _ in range(n):
         expect = expect * p
-    assert p ** n == expect
+    assert power(p, n) == expect
 
 
 def _random_factor(rng, varset):
@@ -136,7 +146,7 @@ def _random_factor(rng, varset):
     if kind == 0:
         return MPoly.zero(varset)
     if kind == 1:
-        return MPoly.constant(varset, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        return constant(varset, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
     if kind == 4:
         d = (1 << rng.randint(1, 6)) - 1
         ends = [tuple(d if k == j else 0 for k in range(n)) for j in range(n)]
@@ -162,11 +172,11 @@ def test_mul_cancellation_zero_factors_and_widest_exponent():
     x, y, z = (variable(VS3, n) for n in "xyz")
     # the cross terms cancel
     half = Fraction(1, 2)
-    assert (x * half + y) * (x * half - y) == x * x * Fraction(1, 4) - y * y
-    third = (x - y) * Fraction(-1, 3)
-    assert third * ((x * x + x * y + y * y) * -3) == x**3 - y**3
-    p = x * Fraction(-3, 4) + y**3 * Fraction(5, 6) - z
-    for zero in (MPoly.zero(VS3), p - p):
+    assert (x * half + y) * sub(x * half, y) == sub(x * x * Fraction(1, 4), y * y)
+    third = sub(x, y) * Fraction(-1, 3)
+    assert third * ((x * x + x * y + y * y) * -3) == poly(VS3, "x^3 - y^3")
+    p = poly(VS3, "-3/4*x + 5/6*y^3 - z")
+    for zero in (MPoly.zero(VS3), sub(p, p)):
         assert (p * zero).terms == {} and (zero * p).terms == {}
     # the largest exponent a product of degree-31 factors reaches
     x31 = MPoly(VS3, {(31, 0, 0): Fraction(-7, 3)})
@@ -198,9 +208,9 @@ def test_product_sum_empty_cancelling_and_ring_checks():
     assert product_sum(VS2, [(x, MPoly.zero(VS2))]) == MPoly.zero(VS2)
     # (x/2 + y)(x/3 - y) + (x/3)(-x/2) + y*(y + x/6) = 0, over mixed scales
     half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
-    pairs = [(x * half + y, x * third - y), (x * third, x * -half), (y, y + x * sixth)]
+    pairs = [(x * half + y, sub(x * third, y)), (x * third, x * -half), (y, y + x * sixth)]
     assert product_sum(VS2, pairs).terms == {}
-    assert product_sum(VS2, pairs[:2]) == -(y * y) - x * y * sixth
+    assert product_sum(VS2, pairs[:2]) == poly(VS2, "-y^2 - 1/6*x*y")
     with pytest.raises(ValueError):
         product_sum(VS3, [(x, y)])
     with pytest.raises(ValueError):
@@ -268,7 +278,7 @@ def test_evaluate_many_at_series_gives_series_for_every_polynomial():
     # constant polynomials give series too, and every value equals the
     # term-by-term sum. A scalar after a series value is its constant
     # series; a series of another modulus is refused.
-    polys = [MPoly.zero(VS2), MPoly.constant(VS2, Fraction(-3, 2)),
+    polys = [MPoly.zero(VS2), constant(VS2, Fraction(-3, 2)),
              _poly(VS2, [((0, 0), 2), ((1, 0), Fraction(1, 3)), ((2, 1), -4)]),
              _poly(VS2, [((3, 0), 1), ((1, 2), Fraction(5, 7))])]
     x = TSeries(7, [0, Fraction(1, 2), 3])
@@ -286,7 +296,7 @@ def test_evaluate_many_at_series_gives_series_for_every_polynomial():
 @given(polys(VS2), polys(VS2), coeffs, coeffs)
 def test_evaluate_many_matches_evaluate(p, q, a, b):
     vals = [a, b]
-    batch = [p, q, p * q, MPoly.zero(VS2), MPoly.constant(VS2, 3)]
+    batch = [p, q, p * q, MPoly.zero(VS2), constant(VS2, 3)]
     assert evaluate_many(batch, vals) == [r.evaluate(vals) for r in batch]
 
 
@@ -333,12 +343,29 @@ def test_poly_text_golden():
 
 def test_poly_text_zero_and_constant():
     assert poly_text(MPoly.zero(VS2)) == "0"
-    assert poly_text(MPoly.constant(VS2, Fraction(-5, 3))) == "-5/3"
+    assert poly_text(constant(VS2, Fraction(-5, 3))) == "-5/3"
 
 
 def test_poly_text_unit_coefficient_omitted():
     p = _poly(VS2, [((1, 0), 1), ((0, 1), -1)])
     assert poly_text(p) == "x - y"
+
+
+def test_poly_oracle_reads_poly_text():
+    # The tests' literals go through oracles.poly, so it must read back
+    # every canonical string and add terms given in any order.
+    vs = VarSet.coefficients(4)
+    for text in ("0", "1", "-5/3", "-3/16*c2^2*c3 + 3/4*c3*c4",
+                 "3/128*c2^4 - 3/16*c2*c3^2 - 3/16*c2^2*c4 + 3/8*c4^2"):
+        assert poly_text(poly(vs, text)) == text
+    assert poly(VS2, "x - y") == _poly(VS2, [((1, 0), 1), ((0, 1), -1)])
+    assert poly(VS2, "1/2 - y + x*y^2 + x + y") == _poly(VS2, [((0, 0), Fraction(1, 2)),
+                                                             ((1, 2), 1), ((1, 0), 1)])
+    for bad in ("", "x + + y", "x^"):
+        with pytest.raises(ValueError):
+            poly(VS2, bad)
+    with pytest.raises(KeyError):
+        poly(VS2, "z")
 
 
 def test_monomial_text():
@@ -427,7 +454,7 @@ def _random_matrix(rng, n, varset=None):
 
 def test_det_identity_and_singular():
     vs = VS2
-    one = MPoly.constant(vs, 1)
+    one = constant(vs, 1)
     zero = MPoly.zero(vs)
     eye = [[one, zero], [zero, one]]
     assert det_bareiss(eye) == one
@@ -451,7 +478,7 @@ def det_cofactor(matrix):
     for j in range(n):
         minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
         term = matrix[0][j] * det_cofactor(minor)
-        total = total + (term if j % 2 == 0 else -term)
+        total = total + (term if j % 2 == 0 else term * -1)
     return total
 
 
@@ -459,7 +486,7 @@ def test_det_bareiss_matches_cofactor():
     rng = random.Random(20260816)
     for _ in range(150):
         n = rng.randint(1, 4)
-        m = [[MPoly.constant(VS2, c) for c in row] for row in _random_matrix(rng, n)]
+        m = [[constant(VS2, c) for c in row] for row in _random_matrix(rng, n)]
         assert det_bareiss(m) == det_cofactor(m)
     for _ in range(100):
         n = rng.randint(1, 3)
@@ -472,11 +499,11 @@ def test_det_row_swap_flips_sign():
     for _ in range(50):
         m = _random_matrix(rng, 3, VS2)
         swapped = [m[1], m[0], m[2]]
-        assert det_bareiss(swapped) == -det_bareiss(m)
+        assert det_bareiss(swapped) == det_bareiss(m) * -1
 
 
 def test_det_cofactor_refuses_large():
-    m = [[MPoly.constant(VS2, 1)] * 5 for _ in range(5)]
+    m = [[constant(VS2, 1)] * 5 for _ in range(5)]
     with pytest.raises(ValueError):
         det_cofactor(m)
 
@@ -488,7 +515,7 @@ def test_det_multiplicative_on_numbers():
         b = _random_matrix(rng, 3)
         prod = [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
                 for i in range(3)]
-        to_poly = lambda m: [[MPoly.constant(VS2, x) for x in row] for row in m]
+        to_poly = lambda m: [[constant(VS2, x) for x in row] for row in m]
         assert det_bareiss(to_poly(prod)) == det_bareiss(to_poly(a)) * det_bareiss(to_poly(b))
 
 
@@ -496,10 +523,10 @@ def test_det_input_checks():
     with pytest.raises(ValueError, match="empty"):
         det_bareiss([])
     with pytest.raises(ValueError, match="square"):
-        det_bareiss([[MPoly.constant(VS2, 1), MPoly.constant(VS2, 2)]])
+        det_bareiss([[constant(VS2, 1), constant(VS2, 2)]])
     with pytest.raises(ValueError, match="variable sets"):
-        det_bareiss([[MPoly.constant(VS2, 1), MPoly.constant(VS2, 2)],
-                     [MPoly.constant(VS3, 3), MPoly.constant(VS2, 4)]])
+        det_bareiss([[constant(VS2, 1), constant(VS2, 2)],
+                     [constant(VS3, 3), constant(VS2, 4)]])
 
 
 def echelon_det(rows):
@@ -631,9 +658,9 @@ def test_det_cancelling_to_zero_is_the_zero_polynomial():
     factor = (x + y) * Fraction(1, 5)
     assert det_bareiss([first, [e * factor for e in first]]) == MPoly.zero(VS2)
     # third row = p * first + q * second, with fractional polynomial p and q
-    first = [x ** 3 * Fraction(2, 3), y * Fraction(-1, 4), x * y + 1]
-    second = [y ** 2 * Fraction(1, 7), x ** 2, x * Fraction(5, 6)]
-    p, q = x * y * Fraction(3, 2) - 1, y ** 3 * Fraction(1, 9)
+    first = [poly(VS2, "2/3*x^3"), y * Fraction(-1, 4), poly(VS2, "x*y + 1")]
+    second = [poly(VS2, "1/7*y^2"), x * x, x * Fraction(5, 6)]
+    p, q = poly(VS2, "3/2*x*y - 1"), poly(VS2, "1/9*y^3")
     third = [p * e1 + q * e2 for e1, e2 in zip(first, second)]
     det = det_bareiss([first, second, third])
     assert det == MPoly.zero(VS2) and det.terms == {}

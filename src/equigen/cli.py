@@ -183,9 +183,11 @@ def _parse_sections(data: dict[str, Any]) -> list[SectionProfile]:
     out = []
     for raw in _require(data.get("sections", []), list, '"sections"'):
         _require(raw, dict, "each section entry")
+        rows = [_require(r, dict, "each residue entry")
+                for r in _require(raw.get("residues", []), list, '"residues"')]
         try:
             residues = {(_int(r["j"], '"j"'), _int(r["m"], '"m"')): _fraction(r["r"], '"r"')
-                        for r in raw.get("residues", ())}
+                        for r in rows}
             out.append(SectionProfile.of(str(raw["id"]), residues))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad section entry: {exc}") from None
@@ -197,6 +199,7 @@ def _parse_dims(data: dict[str, Any]) -> dict[int, tuple[int, int]] | None:
         return None
     out = {}
     for raw in _require(data["dims"], list, '"dims"'):
+        _require(raw, dict, "each dims entry")
         try:
             out[_int(raw["j"], '"j"')] = (_int(raw["twisted"], '"twisted"'),
                                           _int(raw["plain"], '"plain"'))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Mapping, Sequence, Union
 
@@ -257,6 +257,10 @@ class PerturbTerm2:
 
 
 PerturbTerm = Union[PerturbTerm1, PerturbTerm2]
+# A provider returns the o-terms of equation eq at point j, given the state.
+# The terms may depend on the coefficient series of any point, but not on
+# the round state.k: lift_run serves a residual read again until the series
+# it was read from change.
 Provider = Callable[["LiftState", int, int], Sequence[PerturbTerm]]
 
 
@@ -366,11 +370,7 @@ class LiftState:
     t^{min(d_j (b_j + eq) + k, K)}.
 
     ``targets[(j, eq)]`` is the constant t^{d_j (b_j + eq)} f_{b_j+eq}(witness_j),
-    computed once per lift. ``residuals[(j, eq)]`` is the last residual that
-    ``residual`` computed from scratch, with what it read: the c[j-1] series
-    objects (series are immutable, so identity means an equal value) and the
-    provider's terms. Only the reads inside ``lift_point_step`` go through
-    ``_read_residual``, which serves it again while both are unchanged.
+    computed once per lift.
     """
 
     config: SingularConfig
@@ -380,9 +380,6 @@ class LiftState:
     k: int
     modulus: int
     targets: dict[tuple[int, int], TSeries]
-    residuals: dict[tuple[int, int],
-                    tuple[tuple[TSeries, ...], tuple[PerturbTerm, ...], TSeries]] = field(
-        default_factory=dict, repr=False, compare=False)
 
     def closed_modulus(self, j: int, eq: int, k: int | None = None) -> int:
         model = self.config.model(j)
@@ -418,48 +415,29 @@ def make_lift_state(config: SingularConfig, witnesses: Sequence[Sequence[Fractio
 
 
 def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
-    """fbar_{b+eq}(c) - t^{d(b+eq)} f_{b+eq}(witness) - o_{b+eq}(c) at point j.
-
-    Always computed from scratch; the result replaces ``state.residuals[(j, eq)]``
-    together with the c[j-1] series objects and the provider terms it read.
-    The audit and the final closure check in ``lift_run`` call it directly.
-    """
+    """fbar_{b+eq}(c) - t^{d(b+eq)} f_{b+eq}(witness) - o_{b+eq}(c) at point j,
+    computed from scratch with one call of the provider."""
     model = state.config.model(j)
     d = state.config.d[j - 1]
-    K = state.modulus
-    c = tuple(state.c[j - 1])
+    c = state.c[j - 1]
     # VarSet.doubled: c2..ca, then the comparison copy ct2..cta.
-    fbar_val = f_bar(model, eq).evaluate(c + tuple(state.c_seed[j - 1]))
-    terms = tuple(providers(state, j, eq))
-    o_val = _eval_perturb(terms, model, d, eq, c, state.c_seed[j - 1], K)
-    value = fbar_val - state.targets[(j, eq)] - o_val
-    state.residuals[(j, eq)] = (c, terms, value)
-    return value
+    fbar_val = f_bar(model, eq).evaluate(c + state.c_seed[j - 1])
+    o_val = _eval_perturb(providers(state, j, eq), model, d, eq, c, state.c_seed[j - 1],
+                          state.modulus)
+    return fbar_val - state.targets[(j, eq)] - o_val
 
 
-def _read_residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
-    """The residual of (j, eq) for a read inside a step, served from
-    ``state.residuals`` when it was computed from the same c[j-1] series
-    objects and equal provider terms; on any mismatch, ``residual`` computes
-    it afresh from the terms just read."""
-    terms = tuple(providers(state, j, eq))
-    stored = state.residuals.get((j, eq))
-    if (stored is not None and all(x is y for x, y in zip(stored[0], state.c[j - 1]))
-            and stored[1] == terms):
-        return stored[2]
-    # Pass the terms just read, so the provider runs once per read.
-    return residual(state, lambda *_: terms, j, eq)
-
-
-def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
+def lift_point_step(state: LiftState, providers: Provider, j: int,
+                    read: dict[int, TSeries]) -> None:
     """Close order k for every equation of point j.
 
     Each equation's defect at t^{d(b+eq)+k} is cancelled by moving the
     coefficients along the dual kernel vector scaled by t^{d i + k}; lower
-    equations stay closed because the kernel vectors are exact. These are
-    the only residual reads that go through ``_read_residual``, so one
-    computed since the last change of c[j-1] and of the provider's terms is
-    not computed again.
+    equations stay closed because the kernel vectors are exact.
+
+    ``read`` maps eq to a residual of point j read at the current state. The
+    step uses it where it holds one and adds each fresh read to it; a
+    correction moves c[j-1], so it empties ``read`` then.
     """
     model = state.config.model(j)
     d = state.config.d[j - 1]
@@ -469,7 +447,9 @@ def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
         bar_order = state.closed_modulus(j, eq)
         if bar_order >= K:
             continue
-        res = _read_residual(state, providers, j, eq)
+        res = read.get(eq)
+        if res is None:
+            res = read[eq] = residual(state, providers, j, eq)
         if res.ord() < bar_order:
             raise ValueError(
                 f"state violates its invariant at point {j}, equation {eq}: "
@@ -477,6 +457,7 @@ def lift_point_step(state: LiftState, providers: Provider, j: int) -> None:
         defect = res.coeff(bar_order)
         if not defect:
             continue
+        read.clear()
         vec = state.kernels[j - 1][eq - 1]
         for i, w in zip(range(2, model.a + 1), vec):
             if w:
@@ -520,6 +501,13 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     t^modulus; with the modulus at or below the first obstruction order the
     seed is already final and no corrections happen. The final closure
     check also recomputes every residual from scratch.
+
+    Each point keeps the residuals read since its series last moved, and
+    its next step starts from them: the audit's reads of a point replace
+    them, and a step's reads after its last correction stay. So the
+    provider's terms must depend on the coefficient series alone, not on
+    the round ``state.k``; a provider that changes with k can leave an
+    order open, which the final closure check reports.
     """
     if isinstance(config, LocalModel):
         config = SingularConfig((config,))
@@ -529,6 +517,7 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     state = make_lift_state(config, witnesses, modulus)
     history: list[tuple[int, list[list[TSeries]]]] = [(0, [list(v) for v in state.c])]
     audit: list[LiftAuditEntry] = []
+    reads: list[dict[int, TSeries]] = [{} for _ in config.points]
     # Some equation is still open in round k while the lowest first
     # obstruction order plus k is below the modulus.
     first = min(d * (p.b + 1) for d, p in zip(config.d, config.points))
@@ -536,14 +525,15 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     while first + state.k < modulus:
         k = state.k
         for j in range(1, config.e + 1):
-            lift_point_step(state, providers, j)
+            lift_point_step(state, providers, j, reads[j - 1])
             for l in range(1, config.e + 1):
                 if l == j:
                     continue
+                reads[l - 1] = {}
                 for eq in range(1, config.model(l).a):
                     cm = state.closed_modulus(l, eq, k + 1 if l < j else k)
-                    closed = residual(state, providers, l, eq).ord() >= cm
-                    audit.append(LiftAuditEntry(k, j, l, eq, cm, closed))
+                    res = reads[l - 1][eq] = residual(state, providers, l, eq)
+                    audit.append(LiftAuditEntry(k, j, l, eq, cm, res.ord() >= cm))
         state.k += 1
         steps += 1
         history.append((state.k - 1, [list(v) for v in state.c]))

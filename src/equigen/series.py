@@ -337,32 +337,11 @@ class TSeries:
     def __sub__(self, other: "TSeries | Scalar") -> "TSeries":
         return self._sum(other, sub)
 
-    def _scaled(self, p: int, q: int) -> "TSeries":
-        """self * p / q for ints p and q > 0."""
-        if not p or not self._num:
-            return TSeries._of(self.modulus, 0, [], 1)
-        if q != 1:
-            num = list(self._num) if p == 1 else [a * p for a in self._num]
-            return TSeries._of(self.modulus, self._val, num, self._den * q)
-        # gcd(_den, *_num) == 1, so gcd(p, _den) is the only common factor
-        # the product gains, and cancelling it leaves the form canonical.
-        den = self._den
-        g = gcd(p, den)
-        if g != 1:
-            p //= g
-            den //= g
-        out = object.__new__(TSeries)
-        out.modulus = self.modulus
-        out._val = self._val
-        out._num = self._num if p == 1 else tuple([a * p for a in self._num])
-        out._den = den
-        return out
-
     def __mul__(self, other: "TSeries | Scalar") -> "TSeries":
         if not isinstance(other, TSeries):
-            if type(other) is int:
-                return self._scaled(other, 1)
-            return self._scaled(*_ratio(other))
+            p, q = _ratio(other)
+            return TSeries._of(self.modulus, self._val, [a * p for a in self._num],
+                               self._den * q)
         K = self.modulus
         if other.modulus != K:
             raise ValueError("mixed moduli")
@@ -378,7 +357,9 @@ class TSeries:
         p, q = _ratio(other)
         if not p:
             raise ZeroDivisionError("division of a series by zero")
-        return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
+        if p < 0:
+            p, q = -p, -q
+        return TSeries._of(self.modulus, self._val, [a * q for a in self._num], self._den * p)
 
     def __repr__(self) -> str:
         if not self._num:

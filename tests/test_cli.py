@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats, exit codes, the scan
 cache, and JSON input handling."""
 
+import hashlib
 import json
 import math
 import os
@@ -774,6 +775,16 @@ def test_lift_random_deterministic(capsys):
     assert all(r["ord"] >= 10 for r in doc["residual_orders"])
 
 
+def test_lift_single_point_random_json_digest(capsys):
+    # A single-point lift has no audit: every residual a step uses it read
+    # itself, after its own last correction.
+    code, out, _ = run(capsys, "lift", "--a", "5", "--b", "7", "--witness", "1,2,3,5",
+                       "--modulus", "40", "--perturb", "random", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "eb74d1947036f3ea9cd7c949681df880b433801ea68040bc67c4d705145c7fb3")
+
+
 def test_lift_two_point_input_file(capsys, tmp_path):
     doc = {"points": [{"a": 2, "b": 3}, {"a": 2, "b": 5}],
            "witnesses": [["1"], ["2"]]}
@@ -1072,6 +1083,16 @@ INPUT_FIELD_ERRORS = {
                            "bad section entry: 'id'"),
     "dims-without-plain": ({"points": [{"a": 3, "b": 4}], "dims": [{"j": 1, "twisted": 9}]},
                            "bad dims entry: 'plain'"),
+    # Iterated as it stands, a residue object yields its keys, and an empty
+    # one a section without residues.
+    "residues-object": ({"points": [{"a": 2, "b": 3}], "sections": [
+        {"id": "s", "residues": {"j": 1, "m": 1, "r": 1}}]}, '"residues" must be a JSON list'),
+    "residues-empty-object": ({"points": [{"a": 2, "b": 3}], "sections": [
+        {"id": "s", "residues": {}}]}, '"residues" must be a JSON list'),
+    "residue-entry-list": ({"points": [{"a": 2, "b": 3}], "sections": [
+        {"id": "s", "residues": [[1, 1, 1]]}]}, "each residue entry must be a JSON object"),
+    "dims-entry-list": ({"points": [{"a": 3, "b": 4}], "dims": [[1, 3, 2]]},
+                        "each dims entry must be a JSON object"),
 }
 
 

@@ -297,8 +297,8 @@ def test_f_bar_diagonal_restores_f():
     for model in (M23, M34, M46):
         for j in range(1, model.a):
             bar = f_bar(model, j)
-            plain = [variable(model.varset, f"c{k}") for k in range(2, model.a + 1)]
-            assert bar.evaluate(plain + plain) == f_coeff(model, model.b, model.b + j)
+            plain = [f"c{k}" for k in range(2, model.a + 1)]
+            assert bar.rename(model.varset, plain + plain) == f_coeff(model, model.b, model.b + j)
 
 
 def test_f_bar_frozen_structure():
@@ -316,10 +316,9 @@ def test_f_bar_cross_term_shape():
         vs = bar.varset
         c2 = variable(vs, "c2")
         ct2 = variable(vs, "ct2")
-        plain = [variable(vs, f"c{k}") for k in range(2, model.a + 1)]
-        tilde = [variable(vs, f"ct{k}") for k in range(2, model.a + 1)]
-        f_j = f_coeff(model, b, b + 3).evaluate(plain)
-        f_prev_tilde = f_coeff(model, b, b + 1).evaluate(tilde)
+        tilde = [f"ct{k}" for k in range(2, model.a + 1)]
+        f_j = f_coeff(model, b, b + 3).rename(vs)
+        f_prev_tilde = f_coeff(model, b, b + 1).rename(vs, tilde)
         assert bar == f_j + sub(c2, ct2) * f_prev_tilde * Fraction(1, model.a)
 
 
@@ -330,8 +329,7 @@ def test_f_bar_low_index_has_no_correction():
             if j >= model.a:
                 continue
             bar = f_bar(model, j)
-            plain = [variable(bar.varset, f"c{k}") for k in range(2, model.a + 1)]
-            assert bar == f_coeff(model, model.b, model.b + j).evaluate(plain)
+            assert bar == f_coeff(model, model.b, model.b + j).rename(bar.varset)
 
 
 def test_jacobian_matrix_diagonal_shape():
@@ -357,11 +355,11 @@ def test_jacobian_matrix_is_immutable():
     assert f_bar_jacobian_at(M46, point)[0]
 
 
-def _identified_by_evaluation(model):
-    """The Jacobian matrix with ct := c substituted by MPoly.evaluate."""
+def _identified(model):
+    """The Jacobian matrix with ct identified with c by MPoly.rename."""
     single = model.varset
-    identify = [variable(single, f"c{k}") for k in range(2, model.a + 1)] * 2
-    return tuple(tuple(f_bar(model, j).diff(f"c{k}").evaluate(identify)
+    identify = [f"c{k}" for k in range(2, model.a + 1)] * 2
+    return tuple(tuple(f_bar(model, j).diff(f"c{k}").rename(single, identify)
                        for k in range(2, model.a + 1))
                  for j in range(1, model.a))
 
@@ -371,7 +369,7 @@ def test_jacobian_matrix_matches_evaluated_identification(a):
     for b in range(a + 1, 13):
         if b % a:
             model = LocalModel(a, b)
-            assert f_bar_jacobian_matrix(model) == _identified_by_evaluation(model)
+            assert f_bar_jacobian_matrix(model) == _identified(model)
 
 
 @pytest.mark.parametrize("a", range(2, 8))

@@ -540,6 +540,32 @@ def test_stored_residuals_live_in_one_lift(monkeypatch):
     assert runs[0][0] > 0
 
 
+@pytest.mark.parametrize("config, witnesses, modulus, seed, expected", [
+    (SingularConfig((LocalModel(5, 7),)), [(1, 2, 3, 5)], 90, None, 8),
+    (SingularConfig((LocalModel(3, 4), M25)), [(F1, F1), (Fraction(2),)], 44, 0, 50),
+], ids=["57-zero-K90", "34-25-random-K44"])
+def test_steps_reuse_the_residuals_they_hold(monkeypatch, config, witnesses, modulus,
+                                             seed, expected):
+    # A step reads a residual afresh only after the series it was read from
+    # moved: the seed of (5,7) is exact, so after its first reads no step of
+    # the single-point lift reads again, and only the final check does.
+    calls = _count_residual_calls(monkeypatch)
+    prov = zero_provider if seed is None else random_provider(config, seed)
+    rep = lift_run(config, witnesses, modulus, prov)
+    assert len(calls) == expected
+    assert all(o >= modulus for o in rep.residual_orders.values())
+
+
+def test_provider_reading_the_round_leaves_the_lift_open():
+    # Terms that appear with round 2 are never read by the steps, which hold
+    # the round-1 residual while c2 stays put; the final check recomputes it.
+    def prov(state, j, eq):
+        return [PerturbTerm1(F1, 8, (0,))] if state.k >= 2 else ()
+
+    with pytest.raises(AssertionError, match=r"not closed: order 8 < 12"):
+        lift_run(M23, (F1,), 12, prov)
+
+
 def test_audit_after_reads_and_final_check_recompute(monkeypatch):
     # every audit entry has its own fresh "after" read, and the final
     # closure check one per equation; outside the steps there is no other read
@@ -547,9 +573,9 @@ def test_audit_after_reads_and_final_check_recompute(monkeypatch):
     step = lifting.lift_point_step
     inside = []
 
-    def marked(state, providers, j):
+    def marked(state, providers, j, read):
         n = len(calls)
-        step(state, providers, j)
+        step(state, providers, j, read)
         inside.append(len(calls) - n)
         calls.append("step")
 
@@ -605,18 +631,20 @@ CFG_34 = SingularConfig((M34,))
 def test_lift_step_rejects_state_violating_its_invariant():
     prov = random_provider(CFG_34, 7)
     state = make_lift_state(CFG_34, [(F1, F1)], 30)
+    read = {}
     for _ in range(3):
-        lift_point_step(state, prov, 1)
+        lift_point_step(state, prov, 1, read)
         state.k += 1
     d = state.config.d[0]
-    # A change at t^(2d+1) in c2 breaks equation 1 far below its closed order.
+    # A change at t^(2d+1) in c2 breaks equation 1 far below its closed order;
+    # the reads made before it no longer hold.
     state.c[0][0] = state.c[0][0] + TSeries.t_power(2 * d + 1, 30, Fraction(7))
     with pytest.raises(ValueError, match=r"violates its invariant .* residual order 6 < 9"):
-        lift_point_step(state, prov, 1)
+        lift_point_step(state, prov, 1, {})
 
 
 def test_lift_run_rejects_unclosed_final_residual(monkeypatch):
-    monkeypatch.setattr(lifting, "lift_point_step", lambda state, providers, j: None)
+    monkeypatch.setattr(lifting, "lift_point_step", lambda state, providers, j, read: None)
     with pytest.raises(AssertionError, match=r"not closed: order 6 < 30"):
         lift_run(M34, (F1, F1), 30, random_provider(CFG_34, 7))
 

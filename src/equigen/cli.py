@@ -172,6 +172,8 @@ def _parse_config(data: dict[str, Any]) -> SingularConfig:
     points = data.get("points")
     if not points:
         raise UsageError('input needs a nonempty "points" list')
+    for p in _require(points, list, '"points"'):
+        _require(p, dict, "each point entry")
     try:
         return SingularConfig(tuple(LocalModel(_int(p["a"], '"a"'), _int(p["b"], '"b"'))
                                     for p in points))

@@ -18,6 +18,15 @@ The lifting engine itself solves, order by order in t,
 for every point and equation index, correcting along an exact dual kernel
 basis of the perturbed Jacobian. Perturbation providers supply the o-terms
 as structured term lists validated against their admissible shapes.
+
+Round k moves each c_i only at t^(d i + k), so the steps and the audit
+read the residuals relaxed (``read_residual``): one evaluator per point
+holds c_i, ct_i and c_i - ct_i as integer numerators over one denominator,
+and product nodes, shared by the monomials of fbar and the o-terms, keep
+the coefficients they have made. A read makes each coefficient once, as
+soon as a check asks for it, and tests it for zero as an integer; a
+correction patches the coefficient at its own offset. ``residual``
+evaluates from scratch; the final closure check uses it.
 """
 
 from __future__ import annotations
@@ -381,6 +390,11 @@ class LiftState:
     modulus: int
     targets: dict[tuple[int, int], TSeries]
 
+    def __post_init__(self) -> None:
+        # The relaxed evaluator of each point read so far (see
+        # read_residual); not a field, so not compared or printed.
+        self.relaxed: dict[int, _RelaxedPoint] = {}
+
     def closed_modulus(self, j: int, eq: int, k: int | None = None) -> int:
         model = self.config.model(j)
         return min(self.config.d[j - 1] * (model.b + eq) + (self.k if k is None else k),
@@ -427,17 +441,303 @@ def residual(state: LiftState, providers: Provider, j: int, eq: int) -> TSeries:
     return fbar_val - state.targets[(j, eq)] - o_val
 
 
+# Leaf kinds, in the order a product multiplies them in: the seed copy ct_i,
+# c_i, the difference c_i - ct_i, and a fixed series (a series alpha). Seed
+# factors come first, so a product of them alone is made once, and a fixed
+# series last, so the products before it are shared.
+_SEED, _C, _DIFF, _FIXED = range(4)
+
+
+class _Series:
+    """A relaxed series of one lift point: for n < len(num), the coefficient
+    of t^(base + n) is num[n] / (D**deg * den), D the point's denominator.
+
+    A leaf (``left`` is None) holds every coefficient below the modulus, and
+    ``rev``, its numerators reversed. A product node is ``left * right``,
+    ``right`` a leaf, and makes its coefficients in order as reads ask for
+    them.
+    """
+
+    __slots__ = ("base", "size", "deg", "den", "num", "rev", "left", "right")
+
+    def __init__(self, base: int, deg: int, den: int, modulus: int, num: Sequence[int] = (),
+                 left: "_Series | None" = None, right: "_Series | None" = None):
+        self.base, self.deg, self.den = base, deg, den
+        self.size = max(modulus - base, 0)
+        self.left, self.right = left, right
+        self.num = list(num[:self.size])
+        if left is None:
+            self.num += [0] * (self.size - len(self.num))
+            self.rev = self.num[::-1]
+
+
+class _Sum:
+    """One equation's residual as a sum of scalar multiples of nodes, a
+    node's coefficient n at t^(off + n). Coefficient p is an int over
+    B * S * D**dm: B the lcm of the scalars' denominators, S that of the
+    nodes' dens and dm their largest deg. Every coefficient below ``z`` is
+    known to be zero.
+    """
+
+    __slots__ = ("parts", "lcm_s", "den", "dm", "lo", "z", "D", "scaled")
+
+    def __init__(self, parts: list[tuple[Fraction, _Series, int]], modulus: int):
+        parts = [(s, node, shift + node.base) for s, node, shift in parts
+                 if shift + node.base < modulus]
+        lcm_b = math.lcm(*(s.denominator for s, _, _ in parts))
+        self.lcm_s = math.lcm(*(node.den for _, node, _ in parts))
+        self.den = lcm_b * self.lcm_s
+        self.dm = max((node.deg for _, node, _ in parts), default=0)
+        self.parts = [(s.numerator * (lcm_b // s.denominator), node, off)
+                      for s, node, off in parts]
+        self.lo = self.z = min((off for _, _, off in parts), default=modulus)
+        self.D = 0
+        self.scaled: list[tuple[int, _Series, int]] = []
+
+
+class _RelaxedPoint:
+    """The relaxed evaluator of one point of a lift (van der Hoeven, "Relax,
+    but don't be too lazy", J. Symbolic Comput. 34, 2002).
+
+    It mirrors the point's series c_i, ct_i and c_i - ct_i as leaves over
+    one denominator D, each from its base, the least of d*i and the
+    valuations of c_i and ct_i, so that a correction of round k lands at
+    offset k. Product nodes are keyed by their multiset of leaves and
+    shared by the monomials of fbar and the perturbation terms, and keep
+    the coefficients they have made; ``products`` counts them. A correction
+    patches each node that has its leaf at its offset and drops what lies
+    above. A correction whose denominator does not divide D grows D and
+    rescales the stored numerators.
+    """
+
+    def __init__(self, state: LiftState, j: int):
+        self.model = state.config.model(j)
+        self.d = state.config.d[j - 1]
+        self.modulus = K = state.modulus
+        # The mirrored series: c_2..c_a, then ct_2..ct_a.
+        self.series = state.c[j - 1] + state.c_seed[j - 1]
+        self.D = math.lcm(*(q.denominator for s in self.series for q in s.coeffs))
+        self.leaves: dict[tuple, _Series] = {}
+        n = self.model.a - 1
+        for i, now, seed in zip(range(2, n + 2), self.series, self.series[n:]):
+            base = min(self.d * i, now.ord(), seed.ord())
+            now, seed = self._over(now, base), self._over(seed, base)
+            self.leaves[(_C, i)] = _Series(base, 1, 1, K, now)
+            self.leaves[(_SEED, i)] = _Series(base, 1, 1, K, seed)
+            self.leaves[(_DIFF, i)] = _Series(base, 1, 1, K, list(map(int.__sub__, now, seed)))
+        self.one = _Series(0, 0, 1, K, [1])
+        # Validated terms by (eq, id), kept so that their ids, and those of
+        # their series alphas, stay unique.
+        self.checked: dict[tuple[int, int], PerturbTerm] = {}
+        self.nodes: dict[tuple, _Series] = {}
+        # The products with a factor c_i or c_i - ct_i, by i, in the order
+        # they were made: each after its left factor.
+        self.users: dict[int, list[_Series]] = {}
+        self.sums: dict[int, tuple[tuple[int, ...], _Sum]] = {}
+        self.moves = 0
+        self.products = 0
+
+    def mirrors(self, state: LiftState, j: int) -> bool:
+        """Whether the point's series are still the objects this mirrors."""
+        return (state.modulus == self.modulus
+                and list(map(id, state.c[j - 1] + state.c_seed[j - 1]))
+                == list(map(id, self.series)))
+
+    def _over(self, series: TSeries, base: int) -> list[int]:
+        """The coefficients of ``series`` from t^base as numerators over D."""
+        D = self.D
+        return [q.numerator * (D // q.denominator) for q in series.coeffs[base:]]
+
+    def _node(self, key: tuple) -> _Series:
+        """The product of the leaves ``key``, sorted by kind: the product of
+        all but the last, times the last."""
+        if len(key) < 2:
+            return self.leaves[key[0]] if key else self.one
+        node = self.nodes.get(key)
+        if node is None:
+            left, right = self._node(key[:-1]), self.leaves[key[-1]]
+            node = self.nodes[key] = _Series(left.base + right.base, left.deg + right.deg,
+                                             left.den * right.den, self.modulus,
+                                             left=left, right=right)
+            for i in {i for kind, i in key if kind in (_C, _DIFF)}:
+                self.users.setdefault(i, []).append(node)
+        return node
+
+    def _upto(self, node: _Series, n: int) -> list[int]:
+        """The numerators of ``node``, made up to n where they stop short:
+        each is one dot product of the left factor with the reversed leaf."""
+        num = node.num
+        if len(num) <= n:
+            left = self._upto(node.left, n)
+            rev, top = node.right.rev, node.right.size - 1
+            self.products += n + 1 - len(num)
+            for m in range(len(num), n + 1):
+                num.append(sum(map(int.__mul__, left, rev[top - m:])))
+        return num
+
+    def read(self, eq: int, terms: Sequence[PerturbTerm], target: TSeries) -> "ResidualRead":
+        """A read of equation eq with these o-terms, each validated once."""
+        terms = tuple(terms)
+        for term in terms:
+            if (eq, id(term)) not in self.checked:
+                validate_perturb_term(term, self.model, self.d, eq, self.modulus)
+                self.checked[(eq, id(term))] = term
+        key = tuple(map(id, terms))
+        held = self.sums.get(eq)
+        if held is None or held[0] != key:
+            held = self.sums[eq] = (key, self._sum(eq, terms, target))
+        return ResidualRead(self, held[1])
+
+    def _sum(self, eq: int, terms: Sequence[PerturbTerm], target: TSeries) -> _Sum:
+        a, K = self.model.a, self.modulus
+        parts = []
+        # The target t^{d(b+eq)} f_{b+eq}(witness): a scalar at each of its
+        # nonzero coefficients.
+        for p in range(target.ord(), K):
+            value = target.coeff(p)
+            if value:
+                parts.append((-value, self.one, p))
+        for e, coeff in f_bar(self.model, eq).terms.items():
+            # Doubled ring: c2..ca, then ct2..cta.
+            key = tuple((kind, i) for kind, half in ((_SEED, e[a - 1:]), (_C, e[:a - 1]))
+                        for i, n in zip(range(2, a + 1), half) for _ in range(n))
+            parts.append((coeff, self._node(key), 0))
+        for term in terms:
+            if not term.alpha:
+                continue
+            key = tuple((_C, i) for i, n in zip(range(2, a + 1), term.exps) for _ in range(n))
+            if isinstance(term, PerturbTerm2):
+                key += tuple(sorted([(_DIFF, term.k1), (_DIFF, term.k2)]))
+            alpha = term.alpha
+            if isinstance(alpha, TSeries):
+                # One more leaf, last, over its own denominator.
+                fixed = (_FIXED, id(alpha))
+                if fixed not in self.leaves:
+                    coeffs = alpha.coeffs
+                    den = math.lcm(*(q.denominator for q in coeffs))
+                    self.leaves[fixed] = _Series(
+                        alpha.ord(), 0, den, K,
+                        [q.numerator * (den // q.denominator) for q in coeffs[alpha.ord():]])
+                key += (fixed,)
+                alpha = 1
+            parts.append((-Fraction(alpha), self._node(key), term.tpow))
+        return _Sum(parts, K)
+
+    def sum_num(self, s: _Sum, p: int) -> int:
+        """Coefficient p of the sum, as its numerator over s.den * D**s.dm."""
+        if s.D != self.D:
+            D = s.D = self.D
+            s.scaled = [(a * D ** (s.dm - node.deg) * (s.lcm_s // node.den), node, off)
+                        for a, node, off in s.parts]
+        return sum([a * self._upto(node, p - off)[p - off]
+                    for a, node, off in s.scaled if off <= p])
+
+    def move(self, i: int, pos: int, value: Fraction, new: TSeries) -> None:
+        """Add ``value`` at t^pos to c_i, whose series is now ``new``."""
+        q = value.denominator
+        if self.D % q:
+            self._grow(math.lcm(self.D, q) // self.D)
+        v = value.numerator * (self.D // q)
+        now = self.leaves[(_C, i)]
+        o = pos - now.base
+        if o < now.size:
+            # The leaves of c_i move by v at offset o. Above offset 0 a
+            # product P * L then moves there by dP[o] * L[0] + P[0] * dL[o],
+            # and is cut above it.
+            delta = {}
+            for leaf in (now, self.leaves[(_DIFF, i)]):
+                leaf.num[o] += v
+                leaf.rev[leaf.size - 1 - o] = leaf.num[o]
+                delta[leaf] = v
+            for node in self.users.get(i, ()):
+                num = node.num
+                if len(num) > o:
+                    if not o:
+                        del num[:]
+                        continue
+                    left, right = node.left, node.right
+                    dn = delta.get(left, 0) * right.num[0] + left.num[0] * delta.get(right, 0)
+                    num[o] += dn
+                    delta[node] = dn
+                    del num[o + 1:]
+            for _, s in self.sums.values():
+                s.z = min(s.z, s.lo + o)
+        self.series[i - 2] = new
+        self.moves += 1
+
+    def _grow(self, g: int) -> None:
+        """D *= g: every stored numerator times g**deg."""
+        self.D *= g
+        for node in [*self.leaves.values(), *self.nodes.values()]:
+            if node.deg:
+                f = g ** node.deg
+                node.num[:] = [x * f for x in node.num]
+                if node.left is None:
+                    node.rev[:] = node.num[::-1]
+
+
+class ResidualRead:
+    """A read of one equation's residual fbar - target - o, made one
+    coefficient at a time by its point's relaxed evaluator, from the prefix
+    already known to be zero. It holds until the point's series move."""
+
+    __slots__ = ("_point", "_sum", "_moves")
+
+    def __init__(self, point: _RelaxedPoint, s: _Sum):
+        self._point, self._sum, self._moves = point, s, point.moves
+
+    def _current(self) -> _RelaxedPoint:
+        if self._point.moves != self._moves:
+            raise ValueError("residual read made before its point's series moved")
+        return self._point
+
+    def order(self, window: int) -> int:
+        """The residual's t-adic order if it is below ``window`` (at most the
+        modulus), else ``window``."""
+        point, s = self._current(), self._sum
+        while s.z < window:
+            if point.sum_num(s, s.z):
+                return s.z
+            s.z += 1
+        return window
+
+    def coeff(self, n: int) -> Fraction:
+        """The residual's t^n coefficient, n below the modulus."""
+        point, s = self._current(), self._sum
+        if n < s.z:
+            return Fraction(0)
+        return Fraction(point.sum_num(s, n), s.den * point.D ** s.dm)
+
+
+def _relaxed(state: LiftState, j: int) -> _RelaxedPoint:
+    """Point j's evaluator, made again if its series are no longer the ones
+    it mirrors."""
+    point = state.relaxed.get(j)
+    if point is None or not point.mirrors(state, j):
+        point = state.relaxed[j] = _RelaxedPoint(state, j)
+    return point
+
+
+def read_residual(state: LiftState, providers: Provider, j: int, eq: int) -> ResidualRead:
+    """The residual of ``residual`` as a relaxed read, with one call of the
+    provider."""
+    point = _relaxed(state, j)
+    return point.read(eq, providers(state, j, eq), state.targets[(j, eq)])
+
+
 def lift_point_step(state: LiftState, providers: Provider, j: int,
-                    read: dict[int, TSeries]) -> None:
+                    read: dict[int, ResidualRead]) -> None:
     """Close order k for every equation of point j.
 
     Each equation's defect at t^{d(b+eq)+k} is cancelled by moving the
     coefficients along the dual kernel vector scaled by t^{d i + k}; lower
     equations stay closed because the kernel vectors are exact.
 
-    ``read`` maps eq to a residual of point j read at the current state. The
-    step uses it where it holds one and adds each fresh read to it; a
-    correction moves c[j-1], so it empties ``read`` then.
+    ``read`` maps eq to a residual read of point j at the current state. The
+    step uses it where it holds one and adds each fresh read to it; a read
+    makes only the coefficients the step asks for, up to t^{d(b+eq)+k}. A
+    correction moves c[j-1] and the point's relaxed evaluator with it, and
+    empties ``read``.
     """
     model = state.config.model(j)
     d = state.config.d[j - 1]
@@ -449,20 +749,24 @@ def lift_point_step(state: LiftState, providers: Provider, j: int,
             continue
         res = read.get(eq)
         if res is None:
-            res = read[eq] = residual(state, providers, j, eq)
-        if res.ord() < bar_order:
+            res = read[eq] = read_residual(state, providers, j, eq)
+        order = res.order(bar_order + 1)
+        if order < bar_order:
             raise ValueError(
                 f"state violates its invariant at point {j}, equation {eq}: "
-                f"residual order {res.ord()} < {bar_order}")
-        defect = res.coeff(bar_order)
-        if not defect:
+                f"residual order {order} < {bar_order}")
+        if order > bar_order:
             continue
+        defect = res.coeff(bar_order)
         read.clear()
+        point = _relaxed(state, j)
+        c = state.c[j - 1]
         vec = state.kernels[j - 1][eq - 1]
         for i, w in zip(range(2, model.a + 1), vec):
             if w:
-                bump = TSeries.t_power(d * i + k, K, -defect * w)
-                state.c[j - 1][i - 2] = state.c[j - 1][i - 2] + bump
+                value = -defect * w
+                c[i - 2] = c[i - 2] + TSeries.t_power(d * i + k, K, value)
+                point.move(i, d * i + k, value, c[i - 2])
 
 
 @dataclass
@@ -495,19 +799,23 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     Rounds sweep the points in index order (round-robin). After each
     per-point sub-step, every other equation (l, eq) is checked against the
     state invariant (the non-interference audit): one entry per equation,
-    one fresh ``residual`` read, closed when its order reaches the modulus
+    one fresh ``read_residual``, closed when its order reaches the modulus
     the invariant promises at that stage (round k + 1 for points already
     stepped, k for the rest). Runs until every equation is closed mod
     t^modulus; with the modulus at or below the first obstruction order the
     seed is already final and no corrections happen. The final closure
-    check also recomputes every residual from scratch.
+    check recomputes every residual from scratch through ``residual``.
 
-    Each point keeps the residuals read since its series last moved, and
-    its next step starts from them: the audit's reads of a point replace
-    them, and a step's reads after its last correction stay. So the
-    provider's terms must depend on the coefficient series alone, not on
-    the round ``state.k``; a provider that changes with k can leave an
-    order open, which the final closure check reports.
+    The steps and the audit read relaxed: each point's evaluator keeps the
+    product coefficients it has made, a correction of round k patches them
+    at offset k, and a read makes the coefficients from the prefix already
+    known to be zero up to the order it checks, so a round makes about one
+    new coefficient per product node. Each point keeps the reads made since
+    its series last moved, and its next step starts from them: the audit's
+    reads of a point replace them, and a step's reads after its last
+    correction stay. So the provider's terms must depend on the coefficient
+    series alone, not on the round ``state.k``; a provider that changes
+    with k can leave an order open, which the final closure check reports.
     """
     if isinstance(config, LocalModel):
         config = SingularConfig((config,))
@@ -517,7 +825,7 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
     state = make_lift_state(config, witnesses, modulus)
     history: list[tuple[int, list[list[TSeries]]]] = [(0, [list(v) for v in state.c])]
     audit: list[LiftAuditEntry] = []
-    reads: list[dict[int, TSeries]] = [{} for _ in config.points]
+    reads: list[dict[int, ResidualRead]] = [{} for _ in config.points]
     # Some equation is still open in round k while the lowest first
     # obstruction order plus k is below the modulus.
     first = min(d * (p.b + 1) for d, p in zip(config.d, config.points))
@@ -532,8 +840,8 @@ def lift_run(config: SingularConfig | LocalModel, witnesses, modulus: int,
                 reads[l - 1] = {}
                 for eq in range(1, config.model(l).a):
                     cm = state.closed_modulus(l, eq, k + 1 if l < j else k)
-                    res = reads[l - 1][eq] = residual(state, providers, l, eq)
-                    audit.append(LiftAuditEntry(k, j, l, eq, cm, res.ord() >= cm))
+                    res = reads[l - 1][eq] = read_residual(state, providers, l, eq)
+                    audit.append(LiftAuditEntry(k, j, l, eq, cm, res.order(cm) >= cm))
         state.k += 1
         steps += 1
         history.append((state.k - 1, [list(v) for v in state.c]))

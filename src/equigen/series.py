@@ -290,9 +290,6 @@ class TSeries:
             raise ValueError("mixed moduli")
         return other
 
-    def __neg__(self) -> "TSeries":
-        return TSeries._of(self.modulus, self._val, [-a for a in self._num], self._den)
-
     def _sum(self, other: "TSeries | Scalar", op) -> "TSeries":
         """self + other for ``op`` = ``add``, self - other for ``sub``."""
         other = self._like(other)
@@ -300,7 +297,9 @@ class TSeries:
         if not y:
             return self
         if not x:
-            return other if op is add else -other
+            if op is add:
+                return other
+            return TSeries._of(self.modulus, other._val, [-b for b in y], other._den)
         dx, dy = self._den, other._den
         d = dx
         if dx != dy:

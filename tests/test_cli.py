@@ -785,6 +785,27 @@ def test_lift_single_point_random_json_digest(capsys):
         "eb74d1947036f3ea9cd7c949681df880b433801ea68040bc67c4d705145c7fb3")
 
 
+def test_lift_single_point_random_k60_json_digest(capsys):
+    # The relaxed reads change how the residuals are read, not what they
+    # read: the K = 60 lift prints what whole-series reads printed.
+    code, out, _ = run(capsys, "lift", "--a", "5", "--b", "7", "--witness", "1,2,3,5",
+                       "--modulus", "60", "--perturb", "random", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5050ec593e9e92d7ba521ae635a1dada7c9368adbdba2a6e95e85c9a1b22be90")
+
+
+@pytest.mark.parametrize("points, message", [
+    ({"a": 2, "b": 3}, '"points" must be a JSON list'),
+    ([[2, 3]], "each point entry must be a JSON object"),
+], ids=["points-object", "point-entry-list"])
+def test_lift_input_points_shape_is_named(capsys, tmp_path, points, message):
+    path = write_input(tmp_path, {"points": points, "witnesses": [["1"]]})
+    code, out, err = run(capsys, "lift", "--input", path, "--modulus", "10")
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_lift_two_point_input_file(capsys, tmp_path):
     doc = {"points": [{"a": 2, "b": 3}, {"a": 2, "b": 5}],
            "witnesses": [["1"], ["2"]]}

@@ -516,14 +516,21 @@ def test_lift_audit_sees_a_provider_reading_another_point():
 
 
 def _count_residual_calls(monkeypatch):
+    # Every read: the relaxed reads of the steps and the audit, and the
+    # from-scratch reads of the final check.
     calls = []
-    fresh = lifting.residual
 
-    def counted(state, providers, j, eq):
-        calls.append((j, eq))
-        return fresh(state, providers, j, eq)
+    def count(name):
+        read = getattr(lifting, name)
 
-    monkeypatch.setattr(lifting, "residual", counted)
+        def counted(state, providers, j, eq):
+            calls.append((j, eq))
+            return read(state, providers, j, eq)
+
+        monkeypatch.setattr(lifting, name, counted)
+
+    count("residual")
+    count("read_residual")
     return calls
 
 
@@ -592,6 +599,147 @@ def test_audit_after_reads_and_final_check_recompute(monkeypatch):
     assert len(tail) == len(after) + len(rep.residual_orders)
 
 
+def _series_alpha_provider(config, K):
+    """Fixed terms per (point, eq) whose coefficients are series, each at
+    its shape's order bound; a zero series coefficient rides along."""
+    table = {}
+    for j in range(1, config.e + 1):
+        model, d = config.model(j), config.d[j - 1]
+        n = model.a - 1
+        for eq in range(1, model.a):
+            alpha = TSeries(K, [Fraction(1, 2), Fraction(-1, 3), 2])
+            exps = (1,) + (0,) * (n - 1)
+            table[(j, eq)] = (
+                PerturbTerm1(alpha, max(0, d * (model.b + eq) + 1 - 2 * d), exps),
+                PerturbTerm2(TSeries(K, [0, 3]), max(0, d * (model.b + eq - 2 - model.a) - 1),
+                             (0,) * n, 2, model.a),
+                PerturbTerm1(TSeries.zero(K), d * (model.b + eq) + 1, (0,) * n))
+    return lambda state, j, eq: table[(j, eq)]
+
+
+def _cross_point_series_provider(state, j, eq):
+    if j == 2:
+        return [PerturbTerm1(state.c[0][0], 7, (0,))]
+    return [PerturbTerm1(Fraction(1, 2), 13, (0,))]
+
+
+def _cross_point_gated_provider(config):
+    base = random_provider(config, 7)
+
+    def prov(state, j, eq):
+        if j == 1:
+            return base(state, j, eq)
+        if eq == 2:
+            alpha = state.c[0][0].coeff(13) if state.k == 3 else Fraction(0)
+            return [PerturbTerm1(alpha, 25, (0, 0))]
+        return ()
+
+    return prov
+
+
+RELAXED_CASES = {
+    "zero-57": (SingularConfig((LocalModel(5, 7),)), [(1, 2, 3, 5)], 30,
+                lambda cfg, K: zero_provider),
+    "random-57": (SingularConfig((LocalModel(5, 7),)), [(1, 2, 3, 5)], 24,
+                  lambda cfg, K: random_provider(cfg, 5)),
+    "random-34-25": (SingularConfig((LocalModel(3, 4), M25)), [(F1, F1), (Fraction(2),)], 44,
+                     lambda cfg, K: random_provider(cfg, 3)),
+    "series-alpha-34-25": (SingularConfig((LocalModel(3, 4), M25)),
+                           [(F1, Fraction(-2)), (Fraction(2),)], 44, _series_alpha_provider),
+    "cross-point-series-23-25": (CFG_DOUBLES, [(F1,), (Fraction(2),)], 15,
+                                 lambda cfg, K: _cross_point_series_provider),
+    "cross-point-gated-23-34": (SingularConfig((M23, LocalModel(3, 4))), [(F1,), (F1, F1)], 26,
+                                lambda cfg, K: _cross_point_gated_provider(cfg)),
+}
+
+
+@pytest.mark.parametrize("config, witnesses, modulus, make", RELAXED_CASES.values(),
+                         ids=RELAXED_CASES.keys())
+def test_relaxed_reads_equal_scratch_residuals(monkeypatch, config, witnesses, modulus, make):
+    # Every read of a step or the audit, against the from-scratch residual
+    # of the same state: its order below the read's window (one past the
+    # closed modulus) and its coefficient at the closed modulus.
+    relaxed = lifting.read_residual
+    compared = []
+
+    def checked(state, providers, j, eq):
+        read = relaxed(state, providers, j, eq)
+        res = residual(state, providers, j, eq)
+        bar = state.closed_modulus(j, eq)
+        window = min(bar + 1, state.modulus)
+        assert read.order(window) == min(res.ord(), window), (state.k, j, eq)
+        if bar < state.modulus:
+            assert read.coeff(bar) == res.coeff(bar), (state.k, j, eq)
+        compared.append((state.k, j, eq))
+        return read
+
+    monkeypatch.setattr(lifting, "read_residual", checked)
+    rep = lift_run(config, witnesses, modulus, make(config, modulus))
+    assert compared
+    assert all(o >= modulus for o in rep.residual_orders.values())
+
+
+def test_series_alpha_provider_moves_the_lift():
+    # The series-coefficient case above is not vacuous: its terms move c.
+    cfg = SingularConfig((M34, M25))
+    witnesses = [(F1, Fraction(-2)), (Fraction(2),)]
+    plain = lift_run(cfg, witnesses, 44)
+    rep = lift_run(cfg, witnesses, 44, _series_alpha_provider(cfg, 44))
+    assert rep.state.c[0] != plain.state.c[0] and rep.state.c[1] != plain.state.c[1]
+    assert rep.audit_ok
+
+
+def test_new_inadmissible_term_in_a_later_round_is_rejected():
+    # The bad term is a new object that only round 3 returns; the final
+    # check runs in round 6 and never sees it, so the step's read must.
+    good = PerturbTerm1(Fraction(3, 4), 5, (0,))
+
+    def prov(state, j, eq):
+        return [good, PerturbTerm1(F1, 2, (0,))] if state.k == 3 else [good]
+
+    with pytest.raises(PerturbContractError, match=r"needs >= 5, has 2"):
+        lift_run(M23, (F1,), 10, prov)
+
+
+def test_provider_may_return_a_generator():
+    # A read iterates the provider's terms twice (to validate them and to
+    # key its sum), so it takes them as a tuple first.
+    terms = [PerturbTerm1(Fraction(3, 4), 5, (0,)), PerturbTerm2(F1, 1, (0,), 2, 2)]
+    listed = lift_run(M23, (F1,), 10, lambda state, j, eq: terms)
+    generated = lift_run(M23, (F1,), 10, lambda state, j, eq: (t for t in terms))
+    assert generated.state.c == listed.state.c
+    assert generated.history == listed.history
+
+
+def test_reads_validate_each_term_once(monkeypatch):
+    # The random provider hands out one tuple per (point, eq); the reads
+    # validate each of its terms once, the final check each of them again.
+    calls = []
+    validate = lifting.validate_perturb_term
+
+    def counted(term, model, d, eq, modulus):
+        calls.append(id(term))
+        validate(term, model, d, eq, modulus)
+
+    monkeypatch.setattr(lifting, "validate_perturb_term", counted)
+    cfg = SingularConfig((M34, M25))
+    prov = random_provider(cfg, 3)
+    lift_run(cfg, [(F1, F1), (Fraction(2),)], 44, prov)
+    terms = [t for j in (1, 2) for eq in range(1, cfg.model(j).a) for t in prov(None, j, eq)]
+    assert sorted(calls) == sorted(2 * [id(t) for t in terms])
+
+
+def test_relaxed_reads_make_each_product_coefficient_about_once():
+    # Each round a correction patches the product coefficient at its
+    # offset, so each node makes about one new coefficient per round;
+    # whole-series reads would make about rounds * nodes * K / 2.
+    cfg = SingularConfig((LocalModel(5, 7),))
+    rep = lift_run(cfg, [(1, 2, 3, 5)], 60, random_provider(cfg, 20260816))
+    point = rep.state.relaxed[1]
+    assert point.nodes and rep.steps > 40
+    assert point.products <= 2 * rep.steps * len(point.nodes)
+
+
 def test_lift_random_k60_golden_digest():
     # sha256 of the final coefficients, recorded from a series kernel that
     # multiplied Fraction coefficients term by term; any change to the exact
@@ -641,6 +789,24 @@ def test_lift_step_rejects_state_violating_its_invariant():
     state.c[0][0] = state.c[0][0] + TSeries.t_power(2 * d + 1, 30, Fraction(7))
     with pytest.raises(ValueError, match=r"violates its invariant .* residual order 6 < 9"):
         lift_point_step(state, prov, 1, {})
+
+
+def test_read_after_a_correction_sees_what_it_reopened():
+    # Equation 2's kernel vector plus equation 1's makes equation 2's
+    # correction reopen equation 1 at the order its read of this step had
+    # found closed; equation 1's next read must look there again.
+    state = make_lift_state(CFG_34, [(F1, F1)], 30)
+    v1, v2 = state.kernels[0]
+    c = state.c[0]
+    # d = 1: a change of c along v2 at t^(i + 1) opens equation 2 alone.
+    for i, w in zip((2, 3), v2):
+        c[i - 2] = c[i - 2] + TSeries.t_power(i + 1, 30, w)
+    state.kernels[0][1] = tuple(x + y for x, y in zip(v1, v2))
+    read = {}
+    lift_point_step(state, zero_provider, 1, read)
+    state.k += 1
+    with pytest.raises(ValueError, match=r"equation 1: residual order 6 < 7"):
+        lift_point_step(state, zero_provider, 1, read)
 
 
 def test_lift_run_rejects_unclosed_final_residual(monkeypatch):

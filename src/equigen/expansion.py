@@ -8,7 +8,7 @@ generates those coefficient polynomials and everything derived from them:
 
 * ``f_coeff``: coefficients ``f_coeff(beta, m)`` of ``s^{-m}`` in
   ``(1 + sum c_k s^{-k})^{beta/a}``, one multinomial-theorem pass over
-  the exponent vectors of weighted degree ``m``,
+  the exponent vectors of weighted degree ``m``, one Fraction per term,
 * ``theta_cap``: every power of the inverse unit ``s/S`` of ``S = s*u(s)``
   (``u`` has coefficients ``gamma_i = f_coeff(1, i)``),
   ``Theta_i^{(l)} = (-l)/(i-l) * f_coeff(i-l, i)``; the inverse unit's own
@@ -17,15 +17,17 @@ generates those coefficient polynomials and everything derived from them:
   ``F_{-n} = sum_{m=1}^{n} Theta_{n-m}^{(-m)} f_coeff(b, b+m)``, one
   packed sum of products (``polycore.product_sum``),
 * ``f_bar`` / ``jac_bar``: the comparison-perturbed system, written term
-  by term, and its Jacobian determinant. The Jacobian matrix is Toeplitz:
+  by term in integer numerators over one common denominator, and its
+  Jacobian determinant. The Jacobian matrix is Toeplitz:
   by the derivative identity
   ``d f_coeff(beta, m) / d c_k = (beta/a) f_coeff(beta-a, m-k)`` its entry
   (j, k) is ``T_{j-k}``, a closed form in cached ``f_coeff`` values built
   once per model in the single ring (see ``f_bar_jacobian_matrix``). Its
   determinant is the division-free minors expansion of
   ``polycore.det_bareiss`` (run on integer coefficients over packed
-  exponent keys), and ``f_bar_jacobian_at`` gives the Jacobian at a
-  rational point,
+  exponent keys, sparsest rows first: on the Toeplitz matrix from the top
+  row down), and ``f_bar_jacobian_at`` gives the Jacobian at a rational
+  point,
 * ``sigma_coeff``: section coefficients twisted by a polar part ``g0``.
 
 ``theta_cap`` is Lagrange inversion of ``S = s*u(s)``, the one formula
@@ -91,30 +93,31 @@ def f_coeff(model: LocalModel, beta_num: int, m: int) -> MPoly:
 
     Multinomial theorem: each exponent vector (e_2..e_a) with sum k*e_k = m
     contributes alpha(alpha-1)...(alpha-B+1) / prod e_k! * prod c_k^{e_k},
-    where alpha = beta_num/a and B = sum e_k.
+    where alpha = beta_num/a and B = sum e_k; the falling factorial is the
+    integer num = prod_{i<B} (beta_num - i*a) over a^B, so each term is one
+    Fraction(num, a^B * prod e_k!).
     Weighted homogeneous of degree m. m = 0 gives 1 and m = 1 gives 0.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    alpha = Fraction(beta_num, model.a)
-    falling = [Fraction(1)]
+    a = model.a
+    falling = [1]
     for i in range(m // 2):
-        falling.append(falling[-1] * (alpha - i))
+        falling.append(falling[-1] * (beta_num - i * a))
     terms: dict[tuple[int, ...], Fraction] = {}
 
     def place(k: int, rest: int, tail: tuple[int, ...], total: int, den: int) -> None:
         # tail holds e_{k+1}..e_a; choose e_k, largest first. e_2 is forced.
         if k == 2:
             e2, odd = divmod(rest, 2)
-            if not odd:
-                coeff = falling[total + e2] / (den * math.factorial(e2))
-                if coeff:
-                    terms[(e2,) + tail] = coeff
+            parts = total + e2
+            if not odd and falling[parts]:
+                terms[(e2,) + tail] = Fraction(falling[parts], a ** parts * den * math.factorial(e2))
             return
         for e in range(rest // k, -1, -1):
             place(k - 1, rest - k * e, (e,) + tail, total + e, den * math.factorial(e))
 
-    place(model.a, m, (), 0, 1)
+    place(a, m, (), 0, 1)
     return MPoly._of(model.varset, terms)
 
 
@@ -169,7 +172,9 @@ def f_bar(model: LocalModel, j: int) -> MPoly:
 
     Written term by term into one dict: a term ct^e of f_{b+j-k}(ct) gives
     the two monomials c_k ct^e and ct_k ct^e of its difference factor, and
-    two more, c_{k-l} ct_l ct^e and ct_{k-l} ct_l ct^e, for each l.
+    two more, c_{k-l} ct_l ct^e and ct_{k-l} ct_l ct^e, for each l. The dict
+    holds integer numerators over L = a^2 * lcm(denominators of the f_coeff
+    terms read), and each result coefficient is one Fraction(c, L).
     """
     if not 1 <= j <= model.a - 1:
         raise ValueError(f"need 1 <= j <= a-1 = {model.a - 1}, got {j}")
@@ -178,14 +183,17 @@ def f_bar(model: LocalModel, j: int) -> MPoly:
     # (index k - 2 of the second half).
     zero = (0,) * (a - 1)
     unit = {k: _bump(zero, k - 2) for k in range(2, a + 1)}
-    terms: dict[Exponents, Fraction] = {e + zero: c
-                                        for e, c in f_coeff(model, b, b + j).terms.items()}
+    source = {k: f_coeff(model, b, b + j - k).terms for k in (0, *range(2, j))}
+    lcm = math.lcm(*(c.denominator for f in source.values() for c in f.values()))
+    scale = a * a * lcm
+    terms: dict[Exponents, int] = {e + zero: c.numerator * (scale // c.denominator)
+                                   for e, c in source[0].items()}
     get = terms.get
     for k in range(2, j):
-        weight = Fraction(j - k, a)
-        nested = [(k - l, l, weight * Fraction(a - l, a)) for l in range(2, k - 1)]
-        for e, c in f_coeff(model, b, b + j - k).terms.items():
-            v = weight * c
+        nested = [(k - l, l, (j - k) * (a - l)) for l in range(2, k - 1)]
+        for e, c in source[k].items():
+            c = c.numerator * (lcm // c.denominator)
+            v = (j - k) * a * c
             for key, value in ((unit[k] + e, v), (zero + _bump(e, k - 2), -v)):
                 terms[key] = get(key, 0) + value
             for i, l, w in nested:
@@ -193,7 +201,7 @@ def f_bar(model: LocalModel, j: int) -> MPoly:
                 v = w * c
                 for key, value in ((unit[i] + el, -v), (zero + _bump(el, i - 2), v)):
                     terms[key] = get(key, 0) + value
-    return MPoly._of(model.doubled_varset, {e: c for e, c in terms.items() if c})
+    return MPoly._of(model.doubled_varset, {e: Fraction(c, scale) for e, c in terms.items() if c})
 
 
 def _jacobian_entry(model: LocalModel, n: int) -> MPoly:

@@ -433,13 +433,15 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]],
                 expired: Callable[[], bool] | None = None) -> MPoly | None:
     """Determinant of a square polynomial matrix, without division.
 
-    Laplace expansion along the rows, memoized over column subsets: for the
-    bottom k rows and a k-subset S of the columns (a bitmask),
-    minor[S] = sum over j in S of (-1)^pos * M[n-k][j] * minor[S - {j}],
-    pos being the number of columns of S left of j, and minor[{}] = 1. The
-    2^n minors cost about n * 2^(n-1) products; zero entries and zero
-    minors are skipped, and no intermediate result is larger than a minor
-    of the matrix.
+    Laplace expansion along the rows, memoized over column subsets. The
+    rows go in ascending order of term count (a stable sort; its parity
+    signs the result), so the minors stay products of the sparsest rows
+    as long as possible. For the first k rows of that order, the k-th
+    being r, and a k-subset S of the columns (a bitmask), minor[S] = sum
+    over j in S of (-1)^pos * M[r][j] * minor[S - {j}], pos the number of
+    columns of S right of j, and minor[{}] = 1. The 2^n minors cost about
+    n * 2^(n-1) products; zero entries and zero minors are skipped, and no
+    intermediate result is larger than a minor of the matrix.
 
     The expansion runs on packed integer data. Each row is multiplied by
     the lcm of its coefficient denominators, so every entry is integral and
@@ -477,8 +479,11 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]],
         scale *= lcm
         rows.append([(terms, [(w, -c) for w, c in terms]) if terms else None
                      for terms in scaled_row])
+    order = sorted(range(n), key=lambda r: sum(len(entry.terms) for entry in matrix[r]))
+    if sum(order[i] > order[k] for k in range(n) for i in range(k)) & 1:
+        scale = -scale
     minors: dict[int, dict[int, int]] = {0: {0: 1}}
-    for row in reversed(rows):
+    for row in map(rows.__getitem__, order):
         larger: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
             minor_terms = minor.items()
@@ -489,7 +494,7 @@ def det_bareiss(matrix: Sequence[Sequence[MPoly]],
                     return None
                 acc = larger.setdefault(cols | 1 << j, {})
                 get = acc.get
-                for w1, c1 in signed[(cols & ((1 << j) - 1)).bit_count() & 1]:
+                for w1, c1 in signed[(cols >> j).bit_count() & 1]:
                     for w2, c2 in minor_terms:
                         w = w1 + w2
                         acc[w] = get(w, 0) + c1 * c2

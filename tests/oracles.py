@@ -9,7 +9,8 @@ a section, the weights of the coefficient variables and weighted
 homogeneity of a polynomial, what makes a genericity witness, divisibility
 of monomials by their exponent vectors, the product of polynomials on
 exponent tuples, the twisted section coefficients sigma_l as sums of
-polynomials, and the generators' earlier routes: the perturbed family as
+polynomials, and the generators' earlier routes: the coefficients
+f_coeff with a ``Fraction`` falling factorial, the perturbed family as
 ``MPoly`` products over renamed factors, its Jacobian by differentiating
 in the doubled ring and identifying ct := c, and F_{-n} as a sum of
 ``MPoly`` products; the series sums written with ``TSeries`` ``+`` and
@@ -183,6 +184,31 @@ def sigma_by_sums(sigma_model: SigmaModel, l: int, tmax: int) -> MPoly:
         if g and 0 <= b + r - l <= tmax:
             total = total + g * f_coeff(model, b + r, b + r - l)
     return total
+
+
+def f_coeff_by_fractions(model: LocalModel, beta_num: int, m: int) -> MPoly:
+    """``expansion.f_coeff`` with its falling factorial alpha(alpha-1)...
+    built as a ``Fraction`` product and each term one ``Fraction``
+    division; its reference."""
+    alpha = Fraction(beta_num, model.a)
+    falling = [Fraction(1)]
+    for i in range(m // 2):
+        falling.append(falling[-1] * (alpha - i))
+    terms: dict[tuple[int, ...], Fraction] = {}
+
+    def place(k: int, rest: int, tail: tuple[int, ...], total: int, den: int) -> None:
+        if k == 2:
+            e2, odd = divmod(rest, 2)
+            if not odd:
+                coeff = falling[total + e2] / (den * math.factorial(e2))
+                if coeff:
+                    terms[(e2,) + tail] = coeff
+            return
+        for e in range(rest // k, -1, -1):
+            place(k - 1, rest - k * e, (e,) + tail, total + e, den * math.factorial(e))
+
+    place(model.a, m, (), 0, 1)
+    return MPoly(model.varset, terms)
 
 
 def f_bar_by_products(model: LocalModel, j: int) -> MPoly:

@@ -25,6 +25,7 @@ from oracles import (
     big_f_by_sums,
     constant,
     f_bar_by_products,
+    f_coeff_by_fractions,
     jacobian_by_identification,
     sigma_by_sums,
     sub,
@@ -77,6 +78,20 @@ def test_f_coeff_against_binomial_oracle(model, beta_num):
     oracle = binomial_f_oracle(model, beta_num, 12)
     for m in range(13):
         assert f_coeff(model, beta_num, m) == oracle[m], (model, beta_num, m)
+
+
+@pytest.mark.parametrize("a", range(2, 8))
+def test_f_coeff_matches_fraction_falling_factorials(a):
+    # The integer falling factorial over a^B against the Fraction product,
+    # for every beta from -2a to 2b + a (zero, negative and multiples of a
+    # among them, where the falling factorial vanishes) and m = 0..2b.
+    model = LocalModel(a, a + 1)
+    b = model.b
+    for beta in range(-2 * a, 2 * b + a + 1):
+        for m in range(2 * b + 1):
+            want = f_coeff_by_fractions(model, beta, m)
+            assert f_coeff(model, beta, m) == want, (a, beta, m)
+            assert list(f_coeff(model, beta, m).terms) == list(want.terms), (a, beta, m)
 
 
 def test_f_coeff_high_order_a2():
@@ -410,11 +425,13 @@ def test_f_coeff_derivative_identity(model):
 
 
 # sha256 of poly_text(jac_bar(model)), recorded from the Bareiss elimination
-# the minors expansion replaced.
+# the minors expansion replaced; (7, 9) from the minors expansion run from
+# the bottom row up, before the rows were ordered by term count.
 JAC_BAR_SHA256 = {
     (5, 7): "cb2582bc73cfe8651c996df0cd673afc5bc9c376b22c45a4b414d162cb59f7a1",
     (6, 7): "a589a499e913d4d34760f0da033eda3a3ad71cbdad8c8ed0ad1665432c9b2cf0",
     (7, 8): "33cdd5899ad14a824acfcba3ae3bda4ec429af5f112814fa6e9a687760ac214b",
+    (7, 9): "bfb99b874f907432b86e6560f2e1e05e559dcf4880a7067457fda8e4f6d735b1",
 }
 
 

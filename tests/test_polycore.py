@@ -502,6 +502,43 @@ def test_det_row_swap_flips_sign():
         assert det_bareiss(swapped) == det_bareiss(m) * -1
 
 
+def _matrix_with_row_term_counts(rng, counts):
+    # Row r has counts[r] terms in all, spread over its entries at random
+    # (some entries zero), with distinct monomials in each entry.
+    n = len(counts)
+    monomials = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    matrix = []
+    for count in counts:
+        cuts = sorted(rng.randint(0, count) for _ in range(n - 1))
+        sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, count])]
+        matrix.append([MPoly(VS3, {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                rng.randint(1, 3))
+                                   for e in rng.sample(monomials, size)})
+                       for size in sizes])
+    return matrix
+
+
+def test_det_row_order_matches_cofactor():
+    # det_bareiss expands the rows in ascending order of their term count
+    # (stable on ties) and signs the result by that permutation's parity.
+    # Rows with distinct counts, shuffled, and rows with tied counts; both
+    # parities of the sorting permutation occur.
+    rng = random.Random(20261022)
+    parities = set()
+    for trial in range(80):
+        n = 3 + trial % 2
+        counts = rng.sample(range(1, 10), n)
+        if trial % 4 >= 2:
+            i, j = rng.sample(range(n), 2)
+            counts[i] = counts[j]
+        m = _matrix_with_row_term_counts(rng, counts)
+        assert [sum(len(e.terms) for e in row) for row in m] == counts
+        order = sorted(range(n), key=counts.__getitem__)
+        parities.add(sum(order[i] > order[k] for k in range(n) for i in range(k)) % 2)
+        assert det_bareiss(m) == det_cofactor(m), counts
+    assert parities == {0, 1}
+
+
 def test_det_cofactor_refuses_large():
     m = [[constant(VS2, 1)] * 5 for _ in range(5)]
     with pytest.raises(ValueError):
